@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from .game import GAME_RANGES, check_parameter
 from .semantics import STRENGTH_ORDER, Formula, TruthValue, evaluate, extension
 from .worlds import WorldModel
 
@@ -131,8 +132,7 @@ class SignalLikelihoods:
     worlds: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon < 0.5:
-            raise ValueError(f"epsilon must be in [0, 0.5), got {self.epsilon!r}")
+        check_parameter(GAME_RANGES, "epsilon", self.epsilon)
         for world in self.worlds:
             row = sum(self.matrix[(signal, world)] for signal in self.signals)
             if abs(row - 1.0) > 1e-12:

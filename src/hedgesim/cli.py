@@ -10,8 +10,16 @@ import argparse
 import sys
 from pathlib import Path
 
-from .game import GameConfig, grid, threshold_sweep
-from .hedging import run_hedging
+from .game import (
+    DEFAULT_TAU,
+    GAME_RANGES,
+    GRID_RANGES,
+    GameConfig,
+    check_parameter,
+    grid,
+    threshold_sweep,
+)
+from .hedging import DEFAULT_TOLERANCE, HEDGING_RANGES, run_hedging
 from .scenario_io import (
     load_scenario,
     render_dialogue_jsonl,
@@ -29,46 +37,17 @@ from .semantics import check_frame
 from .worlds import pool_states
 
 
-def _delta(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError("must be strictly between 0 and 1")
-    return value
+def _checked(ranges: dict, name: str, kind: type = float):
+    """An argparse type: convert the flag's text, then check it against the
+    range its owner declares, so a bad value exits 2 with the API's message."""
 
+    def convert(text: str):
+        try:
+            return check_parameter(ranges, name, kind(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _gamma(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError("must be at least 0 and strictly below 1")
-    return value
-
-
-def _tau(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError("must be strictly between 0 and 1")
-    return value
-
-
-def _hedge_steps(text: str) -> int:
-    value = int(text)
-    if value < 4:
-        raise argparse.ArgumentTypeError("must be at least 4")
-    return value
-
-
-def _grid_steps(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
+    return convert
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -138,17 +117,24 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(handler=_cmd_simulate)
 
     sweep = commands.add_parser("sweep", help="classify equilibria over a parameter grid")
-    sweep.add_argument("--delta-steps", type=_grid_steps, required=True, metavar="K")
-    sweep.add_argument("--gamma-steps", type=_grid_steps, required=True, metavar="K")
-    sweep.add_argument("--tau", type=_tau, default=0.5, metavar="T")
+    grid_size = _checked(GRID_RANGES, "grid size", int)
+    sweep.add_argument("--delta-steps", type=grid_size, required=True, metavar="K")
+    sweep.add_argument("--gamma-steps", type=grid_size, required=True, metavar="K")
+    sweep.add_argument("--tau", type=_checked(GAME_RANGES, "tau"), default=DEFAULT_TAU, metavar="T")
     _add_output_flags(sweep, default_format="csv")
     sweep.set_defaults(handler=_cmd_sweep)
 
     hedge = commands.add_parser("hedge", help="trace the hedging recurrence and utilities")
-    hedge.add_argument("--delta", type=_delta, required=True, metavar="D")
-    hedge.add_argument("--gamma", type=_gamma, required=True, metavar="G")
-    hedge.add_argument("--steps", type=_hedge_steps, required=True, metavar="N")
-    hedge.add_argument("--tolerance", type=_tolerance, default=1e-6, metavar="TOL")
+    hedge.add_argument("--delta", type=_checked(GAME_RANGES, "delta"), required=True, metavar="D")
+    hedge.add_argument("--gamma", type=_checked(GAME_RANGES, "gamma"), required=True, metavar="G")
+    steps = _checked(HEDGING_RANGES, "steps", int)
+    hedge.add_argument("--steps", type=steps, required=True, metavar="N")
+    hedge.add_argument(
+        "--tolerance",
+        type=_checked(HEDGING_RANGES, "tolerance"),
+        default=DEFAULT_TOLERANCE,
+        metavar="TOL",
+    )
     _add_output_flags(hedge, default_format="csv")
     hedge.set_defaults(handler=_cmd_hedge)
 

@@ -80,6 +80,30 @@ class PayoffMatrix:
         return cls(entries=entries)
 
 
+DEFAULT_TAU = 0.5
+DEFAULT_EPSILON = 0.01
+
+# Each game parameter's admissible values, as a test and in words. Every
+# bound is finite and every comparison is false for NaN, so the tests also
+# reject non-finite values.
+GAME_RANGES = {
+    "delta": (lambda v: 0.0 < v < 1.0, "strictly between 0 and 1"),
+    "gamma": (lambda v: 0.0 <= v < 1.0, "at least 0 and strictly below 1"),
+    "tau": (lambda v: 0.0 < v < 1.0, "strictly between 0 and 1"),
+    "epsilon": (lambda v: 0.0 <= v < 0.5, "in [0, 0.5)"),
+}
+
+GRID_RANGES = {"grid size": (lambda v: v >= 1, "at least 1")}
+
+
+def check_parameter(ranges: Mapping[str, tuple], name: str, value):
+    """Return ``value`` when ``ranges[name]`` admits it; raise ValueError otherwise."""
+    admits, words = ranges[name]
+    if not admits(value):
+        raise ValueError(f"{name} must be {words}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class GameConfig:
     """Game parameters.
@@ -93,19 +117,13 @@ class GameConfig:
 
     delta: float
     gamma: float
-    tau: float = 0.5
-    epsilon: float = 0.01
+    tau: float = DEFAULT_TAU
+    epsilon: float = DEFAULT_EPSILON
     payoffs: PayoffMatrix = field(default_factory=PayoffMatrix.coordination)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be strictly between 0 and 1, got {self.delta!r}")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError(f"gamma must be at least 0 and strictly below 1, got {self.gamma!r}")
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must be strictly between 0 and 1, got {self.tau!r}")
-        if not 0.0 <= self.epsilon < 0.5:
-            raise ValueError(f"epsilon must be in [0, 0.5), got {self.epsilon!r}")
+        for name in GAME_RANGES:
+            check_parameter(GAME_RANGES, name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -237,7 +255,7 @@ class SweepRow:
 def threshold_sweep(
     delta_grid: Sequence[float],
     gamma_grid: Sequence[float],
-    tau: float = 0.5,
+    tau: float = DEFAULT_TAU,
 ) -> list[SweepRow]:
     """Region classification over a parameter grid, delta-major order."""
     rows: list[SweepRow] = []
@@ -263,6 +281,5 @@ def threshold_sweep(
 
 def grid(steps: int) -> list[float]:
     """``steps`` evenly spaced interior points of (0, 1): i/(steps+1)."""
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps!r}")
+    check_parameter(GRID_RANGES, "grid size", steps)
     return [i / (steps + 1) for i in range(1, steps + 1)]

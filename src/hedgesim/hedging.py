@@ -15,15 +15,23 @@ below its step-0 value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .game import GameConfig, expected_utility
+from .game import GameConfig, check_parameter, expected_utility
 
+DEFAULT_STEPS = 50
+DEFAULT_TOLERANCE = 1e-6
+DEFAULT_HESITATION = 0.5
 
-def _check_hesitation(hesitation: float) -> None:
-    if not 0.0 < hesitation < 1.0:
-        raise ValueError(f"hesitation must be strictly between 0 and 1, got {hesitation!r}")
+# Admissible hedging settings, in the form of ``game.GAME_RANGES``.
+HEDGING_RANGES = {
+    "step index": (lambda v: v >= 0, "non-negative"),
+    "steps": (lambda v: v >= 4, "at least 4"),
+    "tolerance": (lambda v: 0.0 < v < math.inf, "positive and finite"),
+    "hesitation": (lambda v: 0.0 < v < 1.0, "strictly between 0 and 1"),
+}
 
 
 @lru_cache(maxsize=None)
@@ -34,32 +42,29 @@ def _sequence(last: int, hesitation: float) -> tuple[float, ...]:
     return tuple(values[: last + 1])
 
 
-def propensity(n: int, hesitation: float = 0.5) -> float:
+def propensity(n: int, hesitation: float = DEFAULT_HESITATION) -> float:
     """Value of the normalization recurrence at step ``n`` (iterative)."""
-    if n < 0:
-        raise ValueError(f"step index must be non-negative, got {n!r}")
-    _check_hesitation(hesitation)
+    check_parameter(HEDGING_RANGES, "step index", n)
+    check_parameter(HEDGING_RANGES, "hesitation", hesitation)
     return _sequence(max(n, 1), hesitation)[n]
 
 
-def propensity_sequence(last: int, hesitation: float = 0.5) -> list[float]:
+def propensity_sequence(last: int, hesitation: float = DEFAULT_HESITATION) -> list[float]:
     """Recurrence values for steps 0..last."""
-    if last < 0:
-        raise ValueError(f"last step must be non-negative, got {last!r}")
-    _check_hesitation(hesitation)
+    check_parameter(HEDGING_RANGES, "step index", last)
+    check_parameter(HEDGING_RANGES, "hesitation", hesitation)
     return list(_sequence(max(last, 1), hesitation)[: last + 1])
 
 
-def propensities_at_step(n: int, hesitation: float = 0.5) -> tuple[float, float]:
+def propensities_at_step(n: int, hesitation: float = DEFAULT_HESITATION) -> tuple[float, float]:
     """(speaker, listener) propensities for the matching action at step ``n``.
 
     The speaker reads the recurrence at the largest even index so far, the
     listener at the largest odd index; before any adjustment (n = 0) the
     listener's propensity is 0, not a recurrence value.
     """
-    if n < 0:
-        raise ValueError(f"step index must be non-negative, got {n!r}")
-    _check_hesitation(hesitation)
+    check_parameter(HEDGING_RANGES, "step index", n)
+    check_parameter(HEDGING_RANGES, "hesitation", hesitation)
     if n == 0:
         return (1.0, 0.0)
     sequence = _sequence(n, hesitation)
@@ -73,7 +78,7 @@ def stepwise_eu(
     n: int,
     action: str,
     player: str = "S",
-    hesitation: float = 0.5,
+    hesitation: float = DEFAULT_HESITATION,
 ) -> float:
     """Expected utility of an action after ``n`` adjustment steps.
 
@@ -83,14 +88,12 @@ def stepwise_eu(
     complements of the action-a propensities at every step, so at n = 0 the
     correction vanishes for both actions.
     """
+    base = expected_utility(config, player, action)
     speaker_a, listener_a = propensities_at_step(n, hesitation)
     if action == "a":
         speaker, listener = speaker_a, listener_a
-    elif action == "b":
-        speaker, listener = 1.0 - speaker_a, 1.0 - listener_a
     else:
-        raise ValueError(f"action must be 'a' or 'b', got {action!r}")
-    base = expected_utility(config, player, action)
+        speaker, listener = 1.0 - speaker_a, 1.0 - listener_a
     return base + config.gamma * speaker * listener * config.payoffs.u(player, action, action)
 
 
@@ -135,15 +138,14 @@ class HedgingTrace:
 
 def run_hedging(
     config: GameConfig,
-    max_steps: int = 50,
-    tolerance: float = 1e-6,
-    hesitation: float = 0.5,
+    max_steps: int = DEFAULT_STEPS,
+    tolerance: float = DEFAULT_TOLERANCE,
+    hesitation: float = DEFAULT_HESITATION,
 ) -> HedgingTrace:
     """Full propensity and expected-utility trace for steps 0..max_steps."""
-    if max_steps < 4:
-        raise ValueError(f"max_steps must be at least 4, got {max_steps!r}")
-    if tolerance <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
+    check_parameter(HEDGING_RANGES, "steps", max_steps)
+    check_parameter(HEDGING_RANGES, "tolerance", tolerance)
+    check_parameter(HEDGING_RANGES, "hesitation", hesitation)
     sequence = _sequence(max_steps, hesitation)
     steps = []
     for n in range(max_steps + 1):
@@ -163,12 +165,10 @@ def run_hedging(
         later <= earlier + 1e-12
         for earlier, later in zip(pair_sums[2:], pair_sums[3:])
     )
-    even_tail = sequence[max_steps if max_steps % 2 == 0 else max_steps - 1]
-    odd_tail = sequence[max_steps if max_steps % 2 == 1 else max_steps - 1]
-    first = steps[0]
+    first, last = steps[0], steps[-1]
     summary = HedgingSummary(
-        even_tail=even_tail,
-        odd_tail=odd_tail,
+        even_tail=last.p_speaker_a,
+        odd_tail=last.p_listener_a,
         pair_sum_gap=gap,
         pair_sums_converged=gap <= tolerance,
         pair_sums_descending=descending,

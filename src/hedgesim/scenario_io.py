@@ -11,25 +11,29 @@ Scenario format: three sections (``[series]``, ``[game]``, ``[run]``) of
     [game]
     delta = 0.7         # required
     gamma = 0.2         # required
-    tau = 0.5           # optional, default 0.5
-    epsilon = 0.01      # optional, default 0.01
+    tau = 0.5           # optional, default game.DEFAULT_TAU
+    epsilon = 0.01      # optional, default game.DEFAULT_EPSILON
 
     [run]
     speaker = S         # required, one of the series' agents
     world = w2          # required, a world of the pooled model
-    steps = 50          # optional, default 50
-    tolerance = 1e-6    # optional, default 1e-6
+    steps = 50          # optional, default hedging.DEFAULT_STEPS
+    tolerance = 1e-6    # optional, default hedging.DEFAULT_TOLERANCE
 
 Unknown sections or keys, duplicates, bad values, and range violations are
-errors that name the offending key and line. All emitted numbers are
+errors that name the offending key and line. Ranges are checked by the
+objects that own them (GameConfig, run_hedging, SoritesSeries), so a bad
+value gets the same message here as from the API. All emitted numbers are
 formatted to 12 significant digits so outputs are byte-stable.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Mapping
+from functools import lru_cache
+from typing import Callable, Mapping
 
 from .assertion import (
     SignalLikelihoods,
@@ -39,16 +43,34 @@ from .assertion import (
     speaker_signal,
     update,
 )
-from .game import GameConfig, RegionReport, SweepRow, equilibrium_region
-from .hedging import HedgingTrace, run_hedging
+from .game import (
+    GAME_RANGES,
+    GameConfig,
+    RegionReport,
+    SweepRow,
+    check_parameter,
+    equilibrium_region,
+)
+from .hedging import (
+    DEFAULT_STEPS,
+    DEFAULT_TOLERANCE,
+    HEDGING_RANGES,
+    HedgingStep,
+    HedgingTrace,
+    run_hedging,
+)
 from .semantics import Formula, FrameReport, TruthValue, evaluate, extension
-from .worlds import SoritesSeries, WorldModel, common_belief, pool_states
+from .worlds import (
+    SoritesSeries,
+    WorldModel,
+    check_flip,
+    check_states,
+    common_belief,
+    pool_states,
+)
 
 CANONICAL_N = 5
 CANONICAL_FLIPS = {"S": 4, "L": 2}
-
-_DEFAULT_STEPS = 50
-_DEFAULT_TOLERANCE = 1e-6
 
 
 class ScenarioParseError(ValueError):
@@ -72,22 +94,23 @@ class Scenario:
     config: GameConfig
     speaker: str
     world: str
-    steps: int = _DEFAULT_STEPS
-    tolerance: float = _DEFAULT_TOLERANCE
+    steps: int = DEFAULT_STEPS
+    tolerance: float = DEFAULT_TOLERANCE
 
 
-_SECTIONS = ("series", "game", "run")
-_FIXED_KEYS = {
-    "series": {"n", "canonical"},
-    "game": {"delta", "gamma", "tau", "epsilon"},
-    "run": {"speaker", "world", "steps", "tolerance"},
+# The [game] keys are the GameConfig fields and the [run] keys the Scenario
+# fields of the same name, in the order files and reports list them.
+_SCENARIO_KEYS = {
+    "game": tuple(GAME_RANGES),
+    "run": ("speaker", "world", "steps", "tolerance"),
 }
+_FIXED_KEYS = {"series": ("n", "canonical"), **_SCENARIO_KEYS}
 
 _Entry = tuple[str, int]  # raw value, line number
 
 
 def _tokenize(text: str) -> dict[str, dict[str, _Entry]]:
-    entries: dict[str, dict[str, _Entry]] = {name: {} for name in _SECTIONS}
+    entries: dict[str, dict[str, _Entry]] = {name: {} for name in _FIXED_KEYS}
     section: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -97,7 +120,7 @@ def _tokenize(text: str) -> dict[str, dict[str, _Entry]]:
             if not line.endswith("]"):
                 raise ScenarioParseError("unterminated section header", lineno)
             name = line[1:-1].strip().lower()
-            if name not in _SECTIONS:
+            if name not in _FIXED_KEYS:
                 raise ScenarioParseError(f"unknown section [{name}]", lineno)
             section = name
             continue
@@ -119,20 +142,25 @@ def _tokenize(text: str) -> dict[str, dict[str, _Entry]]:
     return entries
 
 
-def _int_value(key: str, entry: _Entry) -> int:
+def _number(key: str, entry: _Entry, kind: type, ranges: Mapping | None = None) -> int | float:
+    """Convert a value and, given the ``ranges`` of its owner, check it there."""
     value, lineno = entry
     try:
-        return int(value)
+        number = kind(value)
     except ValueError:
-        raise ScenarioParseError(f"{key} must be an integer, got {value!r}", lineno) from None
+        noun = "an integer" if kind is int else "a number"
+        raise ScenarioParseError(f"{key} must be {noun}, got {value!r}", lineno) from None
+    if ranges is None:
+        return number
+    return _owned(lineno, check_parameter, ranges, key, number)
 
 
-def _float_value(key: str, entry: _Entry) -> float:
-    value, lineno = entry
+def _owned(lineno: int | None, check: Callable, *args):
+    """Call a value's owning validator; its ValueError becomes a parse error."""
     try:
-        return float(value)
-    except ValueError:
-        raise ScenarioParseError(f"{key} must be a number, got {value!r}", lineno) from None
+        return check(*args)
+    except ValueError as exc:
+        raise ScenarioParseError(str(exc), lineno) from None
 
 
 def _bool_value(key: str, entry: _Entry) -> bool:
@@ -172,71 +200,30 @@ def parse_scenario(text: str) -> Scenario:
             )
         series = SoritesSeries(n=CANONICAL_N, flips=dict(CANONICAL_FLIPS))
     else:
-        n = _int_value("n", _require(series_entries, "series", "n"))
-        if n < 3:
-            raise ScenarioParseError(
-                f"n must be at least 3, got {n}", series_entries["n"][1]
-            )
+        n_entry = _require(series_entries, "series", "n")
+        n = _number("n", n_entry, int)
+        _owned(n_entry[1], check_states, n)
         flips: dict[str, int] = {}
         for key, entry in series_entries.items():
-            if not key.startswith("flip."):
-                continue
-            agent = key[len("flip."):]
-            flip = _int_value(key, entry)
-            if not 2 <= flip <= n:
-                raise ScenarioParseError(
-                    f"{key} must be in [2, {n}], got {flip}", entry[1]
-                )
-            flips[agent] = flip
-        if not flips:
-            raise ScenarioParseError("at least one flip.<agent> key is required in [series]")
-        series = SoritesSeries(n=n, flips=flips)
+            if key.startswith("flip."):
+                agent = key[len("flip."):]
+                flips[agent] = _number(key, entry, int)
+                _owned(entry[1], check_flip, agent, flips[agent], n)
+        series = _owned(None, SoritesSeries, n, flips)
 
-    delta = _float_value("delta", _require(game_entries, "game", "delta"))
-    if not 0.0 < delta < 1.0:
-        raise ScenarioParseError(
-            f"delta must be strictly between 0 and 1, got {delta}", game_entries["delta"][1]
-        )
-    gamma = _float_value("gamma", _require(game_entries, "game", "gamma"))
-    if not 0.0 <= gamma < 1.0:
-        raise ScenarioParseError(
-            f"gamma must be at least 0 and strictly below 1, got {gamma}",
-            game_entries["gamma"][1],
-        )
-    tau = 0.5
-    if "tau" in game_entries:
-        tau = _float_value("tau", game_entries["tau"])
-        if not 0.0 < tau < 1.0:
-            raise ScenarioParseError(
-                f"tau must be strictly between 0 and 1, got {tau}", game_entries["tau"][1]
-            )
-    epsilon = 0.01
-    if "epsilon" in game_entries:
-        epsilon = _float_value("epsilon", game_entries["epsilon"])
-        if not 0.0 <= epsilon < 0.5:
-            raise ScenarioParseError(
-                f"epsilon must be in [0, 0.5), got {epsilon}", game_entries["epsilon"][1]
-            )
-    config = GameConfig(delta=delta, gamma=gamma, tau=tau, epsilon=epsilon)
+    _require(game_entries, "game", "delta")
+    _require(game_entries, "game", "gamma")
+    game = {key: _number(key, entry, float, GAME_RANGES) for key, entry in game_entries.items()}
+    config = GameConfig(**game)
 
     speaker_entry = _require(run_entries, "run", "speaker")
     speaker = speaker_entry[0]
     world_entry = _require(run_entries, "run", "world")
     world = world_entry[0]
-    steps = _DEFAULT_STEPS
-    if "steps" in run_entries:
-        steps = _int_value("steps", run_entries["steps"])
-        if steps < 4:
-            raise ScenarioParseError(
-                f"steps must be at least 4, got {steps}", run_entries["steps"][1]
-            )
-    tolerance = _DEFAULT_TOLERANCE
-    if "tolerance" in run_entries:
-        tolerance = _float_value("tolerance", run_entries["tolerance"])
-        if tolerance <= 0.0:
-            raise ScenarioParseError(
-                f"tolerance must be positive, got {tolerance}", run_entries["tolerance"][1]
-            )
+    run = {}
+    for key, kind in (("steps", int), ("tolerance", float)):
+        if key in run_entries:
+            run[key] = _number(key, run_entries[key], kind, HEDGING_RANGES)
 
     if speaker not in series.flips:
         raise ScenarioParseError(
@@ -256,8 +243,7 @@ def parse_scenario(text: str) -> Scenario:
         config=config,
         speaker=speaker,
         world=world,
-        steps=steps,
-        tolerance=tolerance,
+        **run,
     )
 
 
@@ -275,20 +261,10 @@ def render_scenario(scenario: Scenario) -> str:
         lines.append(f"n = {scenario.series.n}")
         for agent, flip in scenario.series.flips.items():
             lines.append(f"flip.{agent} = {flip}")
-    lines += [
-        "",
-        "[game]",
-        f"delta = {fmt_float(scenario.config.delta)}",
-        f"gamma = {fmt_float(scenario.config.gamma)}",
-        f"tau = {fmt_float(scenario.config.tau)}",
-        f"epsilon = {fmt_float(scenario.config.epsilon)}",
-        "",
-        "[run]",
-        f"speaker = {scenario.speaker}",
-        f"world = {scenario.world}",
-        f"steps = {scenario.steps}",
-        f"tolerance = {fmt_float(scenario.tolerance)}",
-    ]
+    for section, keys in _SCENARIO_KEYS.items():
+        owner = scenario.config if section == "game" else scenario
+        lines += ["", f"[{section}]"]
+        lines += [f"{key} = {text}" for key, text in zip(keys, _csv_cells(owner, keys))]
     return "\n".join(lines) + "\n"
 
 
@@ -398,7 +374,55 @@ def _jdist(dist: Mapping[str, float]) -> dict[str, float]:
 
 
 def _dumps(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def _same(value):
+    return value
+
+
+def _witness_csv(witness: tuple[str, ...] | None) -> str:
+    return "" if witness is None else "({})".format(",".join(witness))
+
+
+def _witness_json(witness: tuple[str, ...] | None) -> list[str] | None:
+    return None if witness is None else list(witness)
+
+
+# How a record field is written, keyed by its annotation: (CSV text, JSON value).
+_FIELD_FORMATS = {
+    "float": (fmt_float, _jnum),
+    "int": (str, _same),
+    "str": (str, _same),
+    "bool": (lambda value: str(value).lower(), _same),
+    "tuple[str, str, str] | None": (_witness_csv, _witness_json),
+}
+
+
+@lru_cache(maxsize=None)
+def _columns(record_type: type, names: tuple[str, ...] | None) -> tuple:
+    """``(name, to_csv, to_json)`` for the named fields of a record dataclass,
+    or for all of them in declaration order: a record's field list."""
+    types = {f.name: f.type for f in dataclasses.fields(record_type)}
+    return tuple((name, *_FIELD_FORMATS[types[name]]) for name in names or types)
+
+
+def _csv_cells(record, names: tuple[str, ...] | None = None) -> list[str]:
+    return [to_csv(getattr(record, name)) for name, to_csv, _ in _columns(type(record), names)]
+
+
+def _json_record(record, names: tuple[str, ...] | None = None) -> dict:
+    return {
+        name: to_json(getattr(record, name))
+        for name, _, to_json in _columns(type(record), names)
+    }
+
+
+def _render_csv(record_type: type, records) -> str:
+    """A header of the record's field names, then one row per record."""
+    lines = [",".join(name for name, _, _ in _columns(record_type, None))]
+    lines += [",".join(_csv_cells(record)) for record in records]
+    return "\n".join(lines) + "\n"
 
 
 def scenario_payload(scenario: Scenario) -> dict:
@@ -406,14 +430,8 @@ def scenario_payload(scenario: Scenario) -> dict:
         "canonical": scenario.canonical,
         "n": scenario.series.n,
         "flips": dict(scenario.series.flips),
-        "delta": _jnum(scenario.config.delta),
-        "gamma": _jnum(scenario.config.gamma),
-        "tau": _jnum(scenario.config.tau),
-        "epsilon": _jnum(scenario.config.epsilon),
-        "speaker": scenario.speaker,
-        "world": scenario.world,
-        "steps": scenario.steps,
-        "tolerance": _jnum(scenario.tolerance),
+        **_json_record(scenario.config, _SCENARIO_KEYS["game"]),
+        **_json_record(scenario, _SCENARIO_KEYS["run"]),
     }
 
 
@@ -449,30 +467,16 @@ def _dialogue_record(step: DialogueStep) -> dict:
 
 
 def report_payload(report: RunReport) -> dict:
-    summary = report.hedging.summary
     return {
         "scenario": scenario_payload(report.scenario),
         "model": model_payload(report.model),
         "signal": report.signal.text,
         "dialogue": [_dialogue_record(step) for step in report.dialogue],
         "posterior": _jdist(report.posterior),
-        "equilibrium": {
-            "region": report.region.region,
-            "eu_a": _jnum(report.region.eu_a),
-            "eu_b": _jnum(report.region.eu_b),
-            "gamma_bound_a": _jnum(report.region.gamma_bound_a),
-            "gamma_bound_b": _jnum(report.region.gamma_bound_b),
-            "listener_q_given_speaker_q": _jnum(report.region.listener_q_given_speaker_q),
-        },
+        "equilibrium": _json_record(report.region),
         "hedging": {
-            "max_steps": report.hedging.max_steps,
-            "tolerance": _jnum(report.hedging.tolerance),
-            "even_tail": _jnum(summary.even_tail),
-            "odd_tail": _jnum(summary.odd_tail),
-            "pair_sum_gap": _jnum(summary.pair_sum_gap),
-            "pair_sums_converged": summary.pair_sums_converged,
-            "pair_sums_descending": summary.pair_sums_descending,
-            "eu_never_below_step0": summary.eu_never_below_step0,
+            **_json_record(report.hedging, ("max_steps", "tolerance")),
+            **_json_record(report.hedging.summary),
             "final_eu_a": _jnum(report.hedging.steps[-1].eu_a),
             "final_eu_b": _jnum(report.hedging.steps[-1].eu_b),
         },
@@ -501,114 +505,36 @@ def render_report_csv(report: RunReport) -> str:
 def render_dialogue_jsonl(report: RunReport) -> str:
     """The dialogue trace as JSON lines: one record per step."""
     return "".join(
-        json.dumps(_dialogue_record(step)) + "\n" for step in report.dialogue
+        json.dumps(_dialogue_record(step), allow_nan=False) + "\n" for step in report.dialogue
     )
 
 
 def render_sweep_csv(rows: list[SweepRow]) -> str:
-    lines = ["delta,gamma,p_w1,p_w2,p_w3,eu_a,eu_b,region"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    fmt_float(row.delta),
-                    fmt_float(row.gamma),
-                    fmt_float(row.p_w1),
-                    fmt_float(row.p_w2),
-                    fmt_float(row.p_w3),
-                    fmt_float(row.eu_a),
-                    fmt_float(row.eu_b),
-                    row.region,
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _render_csv(SweepRow, rows)
 
 
 def render_sweep_json(rows: list[SweepRow]) -> str:
-    return _dumps(
-        [
-            {
-                "delta": _jnum(row.delta),
-                "gamma": _jnum(row.gamma),
-                "p_w1": _jnum(row.p_w1),
-                "p_w2": _jnum(row.p_w2),
-                "p_w3": _jnum(row.p_w3),
-                "eu_a": _jnum(row.eu_a),
-                "eu_b": _jnum(row.eu_b),
-                "region": row.region,
-            }
-            for row in rows
-        ]
-    )
+    return _dumps([_json_record(row) for row in rows])
 
 
 def render_hedging_csv(trace: HedgingTrace) -> str:
-    lines = ["n,p_speaker_a,p_listener_a,eu_a,eu_b"]
-    for step in trace.steps:
-        lines.append(
-            ",".join(
-                [
-                    str(step.n),
-                    fmt_float(step.p_speaker_a),
-                    fmt_float(step.p_listener_a),
-                    fmt_float(step.eu_a),
-                    fmt_float(step.eu_b),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _render_csv(HedgingStep, trace.steps)
 
 
 def render_hedging_json(trace: HedgingTrace) -> str:
-    summary = trace.summary
     return _dumps(
         {
-            "delta": _jnum(trace.config.delta),
-            "gamma": _jnum(trace.config.gamma),
-            "tau": _jnum(trace.config.tau),
-            "epsilon": _jnum(trace.config.epsilon),
-            "max_steps": trace.max_steps,
-            "tolerance": _jnum(trace.tolerance),
-            "hesitation": _jnum(trace.hesitation),
-            "steps": [
-                {
-                    "n": step.n,
-                    "p_speaker_a": _jnum(step.p_speaker_a),
-                    "p_listener_a": _jnum(step.p_listener_a),
-                    "eu_a": _jnum(step.eu_a),
-                    "eu_b": _jnum(step.eu_b),
-                }
-                for step in trace.steps
-            ],
-            "summary": {
-                "even_tail": _jnum(summary.even_tail),
-                "odd_tail": _jnum(summary.odd_tail),
-                "pair_sum_gap": _jnum(summary.pair_sum_gap),
-                "pair_sums_converged": summary.pair_sums_converged,
-                "pair_sums_descending": summary.pair_sums_descending,
-                "eu_never_below_step0": summary.eu_never_below_step0,
-            },
+            **_json_record(trace.config, _SCENARIO_KEYS["game"]),
+            **_json_record(trace, ("max_steps", "tolerance", "hesitation")),
+            "steps": [_json_record(step) for step in trace.steps],
+            "summary": _json_record(trace.summary),
         }
     )
 
 
 def render_frame_csv(frame: FrameReport) -> str:
-    witness = "" if frame.witness is None else "({})".format(",".join(frame.witness))
-    return (
-        "reflexive,symmetric,transitive,witness\n"
-        f"{str(frame.reflexive).lower()},{str(frame.symmetric).lower()},"
-        f"{str(frame.transitive).lower()},{witness}\n"
-    )
+    return _render_csv(FrameReport, [frame])
 
 
 def render_frame_json(frame: FrameReport) -> str:
-    return _dumps(
-        {
-            "reflexive": frame.reflexive,
-            "symmetric": frame.symmetric,
-            "transitive": frame.transitive,
-            "witness": None if frame.witness is None else list(frame.witness),
-            "summary": frame.summary(),
-        }
-    )
+    return _dumps({**_json_record(frame), "summary": frame.summary()})

@@ -29,6 +29,20 @@ class UnknownLabelError(KeyError):
     """An agent or world label that is not part of the model."""
 
 
+def check_states(n: int) -> None:
+    """Reject a state count that is not an integer of at least 3."""
+    if not isinstance(n, int) or n < 3:
+        raise InvalidSeriesError(f"n must be an integer of at least 3, got {n!r}")
+
+
+def check_flip(agent: str, flip: int, n: int) -> None:
+    """Reject a flip index that is not an integer in [2, n]."""
+    if not isinstance(flip, int):
+        raise InvalidSeriesError(f"flip.{agent} must be an integer, got {flip!r}")
+    if not 2 <= flip <= n:
+        raise InvalidSeriesError(f"flip.{agent} must be in [2, {n}], got {flip!r}")
+
+
 @dataclass(frozen=True)
 class SoritesSeries:
     """A forced march over states 1..n with one flip index per agent.
@@ -42,15 +56,11 @@ class SoritesSeries:
     flips: Mapping[str, int]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 3:
-            raise InvalidSeriesError(f"series needs at least 3 states, got n={self.n!r}")
+        check_states(self.n)
         if not self.flips:
-            raise InvalidSeriesError("series needs at least one agent flip")
+            raise InvalidSeriesError("at least one flip.<agent> is required")
         for agent, flip in self.flips.items():
-            if not isinstance(flip, int) or not 2 <= flip <= self.n:
-                raise InvalidSeriesError(
-                    f"flip for agent {agent!r} must be an integer in [2, {self.n}], got {flip!r}"
-                )
+            check_flip(agent, flip, self.n)
         object.__setattr__(self, "flips", dict(self.flips))
 
     @property

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,10 @@ from pathlib import Path
 import pytest
 
 from hedgesim.cli import main
+from hedgesim.game import GameConfig, grid
+from hedgesim.hedging import run_hedging
+from hedgesim.scenario_io import ScenarioParseError, parse_scenario
+from hedgesim.worlds import SoritesSeries
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 DATA_DIR = Path(__file__).parent / "data"
@@ -144,6 +149,9 @@ def test_bad_flags_exit_2():
         main(["hedge", "--delta", "0.5", "--gamma", "0.2", "--steps", "3"])
     assert excinfo.value.code == 2
     with pytest.raises(SystemExit) as excinfo:
+        main(["hedge", "--delta", "0.5", "--gamma", "0.2", "--steps", "50", "--tolerance", "nan"])
+    assert excinfo.value.code == 2
+    with pytest.raises(SystemExit) as excinfo:
         main(["simulate", str(CANONICAL), "--format", "xml"])
     assert excinfo.value.code == 2
     with pytest.raises(SystemExit) as excinfo:
@@ -174,6 +182,59 @@ def test_subprocess_exit_codes():
     assert run_cli("simulate", "definitely-not-a-file.scn").returncode == 1
 
 
+# --- parameter ranges -------------------------------------------------------
+
+SCENARIO_LINES = [
+    "[series]", "n = 5", "flip.S = 4", "flip.L = 2",
+    "[game]", "delta = 0.7", "gamma = 0.2", "tau = 0.5", "epsilon = 0.01",
+    "[run]", "speaker = S", "world = w2", "steps = 50", "tolerance = 1e-6",
+]
+HEDGE = ["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "50"]
+CONFIG = GameConfig(delta=0.7, gamma=0.2)
+
+
+@pytest.mark.parametrize(
+    "key,text,api,argv,message",
+    [
+        ("n", "2", lambda: SoritesSeries(n=2, flips={"S": 2}), None,
+         "n must be an integer of at least 3, got 2"),
+        ("flip.S", "9", lambda: SoritesSeries(n=5, flips={"S": 9, "L": 2}), None,
+         "flip.S must be in [2, 5], got 9"),
+        ("delta", "1.5", lambda: GameConfig(delta=1.5, gamma=0.2),
+         [*HEDGE, "--delta", "1.5"], "delta must be strictly between 0 and 1, got 1.5"),
+        ("gamma", "1.0", lambda: GameConfig(delta=0.7, gamma=1.0),
+         [*HEDGE, "--gamma", "1.0"], "gamma must be at least 0 and strictly below 1, got 1.0"),
+        ("tau", "0", lambda: GameConfig(delta=0.7, gamma=0.2, tau=0.0),
+         ["sweep", "--delta-steps", "3", "--gamma-steps", "3", "--tau", "0"],
+         "tau must be strictly between 0 and 1, got 0.0"),
+        ("epsilon", "0.5", lambda: GameConfig(delta=0.7, gamma=0.2, epsilon=0.5), None,
+         "epsilon must be in [0, 0.5), got 0.5"),
+        ("steps", "3", lambda: run_hedging(CONFIG, max_steps=3),
+         [*HEDGE, "--steps", "3"], "steps must be at least 4, got 3"),
+        ("tolerance", "nan", lambda: run_hedging(CONFIG, tolerance=float("nan")),
+         [*HEDGE, "--tolerance", "nan"], "tolerance must be positive and finite, got nan"),
+        ("grid size", None, lambda: grid(0),
+         ["sweep", "--delta-steps", "0", "--gamma-steps", "3"], "grid size must be at least 1, got 0"),
+    ],
+)
+def test_range_message_is_shared(capsys, key, text, api, argv, message):
+    with pytest.raises(ValueError) as excinfo:
+        api()
+    assert str(excinfo.value) == message
+    if text is not None:
+        lines = [f"{key} = {text}" if line.startswith(f"{key} =") else line
+                 for line in SCENARIO_LINES]
+        with pytest.raises(ScenarioParseError) as excinfo:
+            parse_scenario("\n".join(lines) + "\n")
+        lineno = lines.index(f"{key} = {text}") + 1
+        assert (excinfo.value.line, str(excinfo.value)) == (lineno, f"line {lineno}: {message}")
+    if argv is not None:
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(f": {message}\n")
+
+
 # --- golden files -----------------------------------------------------------
 
 
@@ -198,3 +259,37 @@ def test_simulate_golden_csv_and_trace(tmp_path):
     assert result.returncode == 0, result.stderr
     assert out.read_bytes() == (GOLDEN_DIR / "canonical_simulate.csv").read_bytes()
     assert trace.read_bytes() == (GOLDEN_DIR / "canonical_dialogue.jsonl").read_bytes()
+
+
+# Recorded from the per-format renderers before sweep rows, hedging steps and
+# frame reports shared one generic CSV and JSON writer.
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (["sweep", "--delta-steps", "9", "--gamma-steps", "9"], "sweep_9x9.csv"),
+        (["sweep", "--delta-steps", "9", "--gamma-steps", "9", "--format", "json"], "sweep_9x9.json"),
+        (["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "50"], "hedge_50.csv"),
+        (["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "50", "--format", "json"],
+         "hedge_50.json"),
+        (["frame-check", str(CANONICAL), "--format", "csv"], "canonical_frame.csv"),
+        (["frame-check", str(CANONICAL), "--format", "json"], "canonical_frame.json"),
+    ],
+)
+def test_render_golden(tmp_path, capsys, argv, golden):
+    out = tmp_path / golden
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "fmt,digest",
+    [
+        ("csv", "b07e75cf248581c3d873381e820a4712f33f6d78d3119eef657e3efc6b092eb0"),
+        ("json", "2021b14865ebb88fed417640cdb79d116dd3b811009dbb88375469681b7b0998"),
+    ],
+)
+def test_sweep_99_digest(tmp_path, fmt, digest):
+    out = tmp_path / f"sweep.{fmt}"
+    argv = ["sweep", "--delta-steps", "99", "--gamma-steps", "99", "--format", fmt]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -168,3 +168,11 @@ def test_run_hedging_rejects_bad_arguments():
         run_hedging(config, max_steps=3)
     with pytest.raises(ValueError):
         run_hedging(config, max_steps=10, tolerance=0.0)
+
+
+def test_run_hedging_checks_hesitation_before_the_recurrence():
+    config = GameConfig(delta=0.7, gamma=0.2)
+    with pytest.raises(ValueError, match="hesitation"):
+        run_hedging(config, hesitation=-1.0)
+    with pytest.raises(ValueError, match="hesitation"):
+        propensity_sequence(3, hesitation=-1.0)

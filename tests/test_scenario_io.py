@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hedgesim.game import GameConfig, grid, threshold_sweep
+from hedgesim.game import GameConfig, SweepRow, grid, threshold_sweep
 from hedgesim.hedging import run_hedging
 from hedgesim.scenario_io import (
     ReportAuditError,
@@ -20,6 +20,7 @@ from hedgesim.scenario_io import (
     render_report_json,
     render_scenario,
     render_sweep_csv,
+    render_sweep_json,
     run_scenario,
 )
 from hedgesim.semantics import Formula, check_frame
@@ -118,6 +119,10 @@ def test_parse_overrides():
          "world 'w9' not in the pooled model", 8),
         ("[series]\ncanonical = true\n[game]\ndelta = .5\ngamma = .1\n[run]\nspeaker = S\nworld = w2\nsteps = 2\n",
          "steps must be at least 4", 9),
+        ("[series]\ncanonical = true\n[game]\ndelta = .5\ngamma = .1\n[run]\nspeaker = S\nworld = w2\ntolerance = nan\n",
+         "tolerance must be positive and finite, got nan", 9),
+        ("[series]\ncanonical = true\n[game]\ndelta = .5\ngamma = .1\n[run]\nspeaker = S\nworld = w2\ntolerance = inf\n",
+         "tolerance must be positive and finite, got inf", 9),
         ("[series\nn = 5\n", "unterminated section header", 1),
     ],
 )
@@ -279,6 +284,14 @@ def test_sweep_csv_schema():
     assert lines[1].endswith(",BB")  # p_w3 = 0.75 * 0.75 > 0.5
     middle = [line for line in lines[1:] if line.startswith("0.5,")]
     assert middle and all(line.endswith(",none") for line in middle)
+
+
+def test_json_rejects_non_finite_numbers():
+    nan = float("nan")
+    row = SweepRow(delta=0.5, gamma=0.1, p_w1=nan, p_w2=0.1, p_w3=0.45, eu_a=nan, eu_b=0.45,
+                   region="none")
+    with pytest.raises(ValueError):
+        render_sweep_json([row])
 
 
 def test_hedging_csv_schema():
