@@ -11,13 +11,16 @@ Even indices track the speaker, odd indices the listener. The sequence
 oscillates (roughly 0.6 vs 0.4) rather than converging, but consecutive
 pair sums approach 1 and the step-indexed expected utility never drops
 below its step-0 value.
+
+``run_hedging`` makes one forward pass, so N steps (``steps``, in [4, 100000])
+cost O(N) time, and nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import islice
 
 from .game import GameConfig, check_parameter, expected_utility
 
@@ -28,32 +31,35 @@ DEFAULT_HESITATION = 0.5
 # Admissible hedging settings, in the form of ``game.GAME_RANGES``.
 HEDGING_RANGES = {
     "step index": (lambda v: v >= 0, "non-negative"),
-    "steps": (lambda v: v >= 4, "at least 4"),
+    "steps": (lambda v: 4 <= v <= 100_000, "in [4, 100000]"),
     "tolerance": (lambda v: 0.0 < v < math.inf, "positive and finite"),
     "hesitation": (lambda v: 0.0 < v < 1.0, "strictly between 0 and 1"),
 }
 
 
-@lru_cache(maxsize=None)
-def _sequence(last: int, hesitation: float) -> tuple[float, ...]:
-    values = [1.0, hesitation]
-    for n in range(2, last + 1):
-        values.append(values[n - 2] / (values[n - 1] + values[n - 2]))
-    return tuple(values[: last + 1])
+def _propensities(hesitation: float):
+    """Yield ``propensities_at_step(n, hesitation)`` for n = 0, 1, 2, ..."""
+    speaker, listener = 1.0, 0.0
+    yield speaker, listener
+    listener = hesitation
+    while True:
+        yield speaker, listener
+        speaker = speaker / (listener + speaker)
+        yield speaker, listener
+        listener = listener / (speaker + listener)
 
 
 def propensity(n: int, hesitation: float = DEFAULT_HESITATION) -> float:
     """Value of the normalization recurrence at step ``n`` (iterative)."""
-    check_parameter(HEDGING_RANGES, "step index", n)
-    check_parameter(HEDGING_RANGES, "hesitation", hesitation)
-    return _sequence(max(n, 1), hesitation)[n]
+    return propensities_at_step(n, hesitation)[n % 2]
 
 
 def propensity_sequence(last: int, hesitation: float = DEFAULT_HESITATION) -> list[float]:
     """Recurrence values for steps 0..last."""
     check_parameter(HEDGING_RANGES, "step index", last)
     check_parameter(HEDGING_RANGES, "hesitation", hesitation)
-    return list(_sequence(max(last, 1), hesitation)[: last + 1])
+    pairs = islice(_propensities(hesitation), last + 1)
+    return [pair[n % 2] for n, pair in enumerate(pairs)]
 
 
 def propensities_at_step(n: int, hesitation: float = DEFAULT_HESITATION) -> tuple[float, float]:
@@ -65,12 +71,7 @@ def propensities_at_step(n: int, hesitation: float = DEFAULT_HESITATION) -> tupl
     """
     check_parameter(HEDGING_RANGES, "step index", n)
     check_parameter(HEDGING_RANGES, "hesitation", hesitation)
-    if n == 0:
-        return (1.0, 0.0)
-    sequence = _sequence(n, hesitation)
-    even = n if n % 2 == 0 else n - 1
-    odd = n if n % 2 == 1 else n - 1
-    return (sequence[even], sequence[odd])
+    return next(islice(_propensities(hesitation), n, None))
 
 
 def stepwise_eu(
@@ -146,20 +147,18 @@ def run_hedging(
     check_parameter(HEDGING_RANGES, "steps", max_steps)
     check_parameter(HEDGING_RANGES, "tolerance", tolerance)
     check_parameter(HEDGING_RANGES, "hesitation", hesitation)
-    sequence = _sequence(max_steps, hesitation)
+    base_a = expected_utility(config, "S", "a")
+    base_b = expected_utility(config, "S", "b")
+    u_a = config.payoffs.u("S", "a", "a")
+    u_b = config.payoffs.u("S", "b", "b")
     steps = []
-    for n in range(max_steps + 1):
-        speaker_a, listener_a = propensities_at_step(n, hesitation)
-        steps.append(
-            HedgingStep(
-                n=n,
-                p_speaker_a=speaker_a,
-                p_listener_a=listener_a,
-                eu_a=stepwise_eu(config, n, "a", hesitation=hesitation),
-                eu_b=stepwise_eu(config, n, "b", hesitation=hesitation),
-            )
-        )
-    pair_sums = [sequence[k] + sequence[k + 1] for k in range(max_steps)]
+    # Same association as stepwise_eu, so each step equals its closed form.
+    for n, (speaker, listener) in enumerate(islice(_propensities(hesitation), max_steps + 1)):
+        eu_a = base_a + config.gamma * speaker * listener * u_a
+        eu_b = base_b + config.gamma * (1.0 - speaker) * (1.0 - listener) * u_b
+        steps.append(HedgingStep(n, speaker, listener, eu_a, eu_b))
+    # From step 1 on, each step holds the pair f(n-1), f(n).
+    pair_sums = [step.p_speaker_a + step.p_listener_a for step in steps[1:]]
     gap = abs(pair_sums[-1] - 1.0)
     descending = all(s >= 1.0 - 1e-12 for s in pair_sums[2:]) and all(
         later <= earlier + 1e-12

@@ -149,6 +149,9 @@ def test_bad_flags_exit_2():
         main(["hedge", "--delta", "0.5", "--gamma", "0.2", "--steps", "3"])
     assert excinfo.value.code == 2
     with pytest.raises(SystemExit) as excinfo:
+        main(["hedge", "--delta", "0.5", "--gamma", "0.2", "--steps", "100001"])
+    assert excinfo.value.code == 2
+    with pytest.raises(SystemExit) as excinfo:
         main(["hedge", "--delta", "0.5", "--gamma", "0.2", "--steps", "50", "--tolerance", "nan"])
     assert excinfo.value.code == 2
     with pytest.raises(SystemExit) as excinfo:
@@ -210,7 +213,9 @@ CONFIG = GameConfig(delta=0.7, gamma=0.2)
         ("epsilon", "0.5", lambda: GameConfig(delta=0.7, gamma=0.2, epsilon=0.5), None,
          "epsilon must be in [0, 0.5), got 0.5"),
         ("steps", "3", lambda: run_hedging(CONFIG, max_steps=3),
-         [*HEDGE, "--steps", "3"], "steps must be at least 4, got 3"),
+         [*HEDGE, "--steps", "3"], "steps must be in [4, 100000], got 3"),
+        ("steps", "100001", lambda: run_hedging(CONFIG, max_steps=100_001),
+         [*HEDGE, "--steps", "100001"], "steps must be in [4, 100000], got 100001"),
         ("tolerance", "nan", lambda: run_hedging(CONFIG, tolerance=float("nan")),
          [*HEDGE, "--tolerance", "nan"], "tolerance must be positive and finite, got nan"),
         ("grid size", None, lambda: grid(0),
@@ -291,5 +296,37 @@ def test_render_golden(tmp_path, capsys, argv, golden):
 def test_sweep_99_digest(tmp_path, fmt, digest):
     out = tmp_path / f"sweep.{fmt}"
     argv = ["sweep", "--delta-steps", "99", "--gamma-steps", "99", "--format", fmt]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# Recorded from the quadratic hedging recurrence before the steps came from
+# one forward pass; with the hedge_50 golden these pin N in {5, 50, 2000}.
+@pytest.mark.parametrize(
+    "steps,fmt,digest",
+    [
+        (5, "csv", "12171cd9fd24ade7794af1a0c14e8c52b8c76197e29c708e2815a2619d4580ba"),
+        (5, "json", "69424ba98472bd30cb65e13e8e811b518c3ecf489e94d7851f240dc79f9dda77"),
+        (2000, "csv", "0e090ff6849eaa5f7b8c19070e8ba3dac5bdf3171b5e02df70142f516717650d"),
+        (2000, "json", "dcee2e1e68b19f0c506c17f8ce232993e649dd246347a39d077e656425f8f4f3"),
+    ],
+)
+def test_hedge_digest(tmp_path, steps, fmt, digest):
+    out = tmp_path / f"hedge.{fmt}"
+    argv = [*HEDGE[:-1], str(steps), "--format", fmt]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "fmt,digest",
+    [
+        ("csv", "d339bd1a83d78059e9d1ae741d619bf3d90a03f7e11e27f66bcdb5f47954f9e4"),
+        ("json", "6ebf5ceb0499c5d361a65a2ce3fa50d71bc8a652fda2657f0020a2d4bf141e8a"),
+    ],
+)
+def test_simulate_steps60_digest(tmp_path, fmt, digest):
+    out = tmp_path / f"report.{fmt}"
+    argv = ["simulate", str(DATA_DIR / "steps60.scn"), "--format", fmt]
     assert main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -1,7 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hedgesim import hedging
 from hedgesim.game import GameConfig, PayoffMatrix, expected_utility
 from hedgesim.hedging import (
     propensities_at_step,
@@ -176,3 +180,62 @@ def test_run_hedging_checks_hesitation_before_the_recurrence():
         run_hedging(config, hesitation=-1.0)
     with pytest.raises(ValueError, match="hesitation"):
         propensity_sequence(3, hesitation=-1.0)
+
+
+@settings(deadline=None)
+@given(
+    delta=st.floats(0.01, 0.99),
+    gamma=st.floats(0.0, 0.99),
+    hesitation=st.floats(0.01, 0.99),
+    max_steps=st.integers(4, 300),
+    match=st.floats(0.1, 5.0).filter(lambda v: v != 1.0),
+    mismatch=st.floats(0.0, 5.0),
+)
+def test_run_hedging_steps_match_their_oracles(delta, gamma, hesitation, max_steps, match, mismatch):
+    config = GameConfig(
+        delta=delta, gamma=gamma, payoffs=PayoffMatrix.coordination(match, mismatch)
+    )
+    trace = run_hedging(config, max_steps=max_steps, hesitation=hesitation)
+    values = [1.0, hesitation]
+    while len(values) <= max_steps:
+        values.append(values[-2] / (values[-1] + values[-2]))
+    assert [step.n for step in trace.steps] == list(range(max_steps + 1))
+    for step in trace.steps:
+        n = step.n
+        expected = (1.0, 0.0) if n == 0 else (values[n - n % 2], values[n - 1 + n % 2])
+        assert (step.p_speaker_a, step.p_listener_a) == expected
+        assert step.eu_a == stepwise_eu(config, n, "a", hesitation=hesitation)
+        assert step.eu_b == stepwise_eu(config, n, "b", hesitation=hesitation)
+
+
+def test_run_hedging_evaluates_expected_utility_a_constant_number_of_times(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return expected_utility(*args, **kwargs)
+
+    monkeypatch.setattr(hedging, "expected_utility", counted)
+    config = GameConfig(delta=0.7, gamma=0.2)
+    counts = []
+    for max_steps in (10, 10_000):
+        calls.clear()
+        run_hedging(config, max_steps=max_steps)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 2
+
+
+def test_hedging_keeps_no_process_wide_cache():
+    for name, value in vars(hedging).items():
+        assert not hasattr(value, "cache_info"), name
+
+
+def test_run_hedging_retains_no_memory_once_dropped():
+    config = GameConfig(delta=0.7, gamma=0.2)
+    tracemalloc.start()
+    try:
+        run_hedging(config, max_steps=20_000)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000

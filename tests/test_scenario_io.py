@@ -118,7 +118,9 @@ def test_parse_overrides():
         ("[series]\ncanonical = true\n[game]\ndelta = .5\ngamma = .1\n[run]\nspeaker = S\nworld = w9\n",
          "world 'w9' not in the pooled model", 8),
         ("[series]\ncanonical = true\n[game]\ndelta = .5\ngamma = .1\n[run]\nspeaker = S\nworld = w2\nsteps = 2\n",
-         "steps must be at least 4", 9),
+         "steps must be in [4, 100000], got 2", 9),
+        ("[series]\ncanonical = true\n[game]\ndelta = .5\ngamma = .1\n[run]\nspeaker = S\nworld = w2\nsteps = 100001\n",
+         "steps must be in [4, 100000], got 100001", 9),
         ("[series]\ncanonical = true\n[game]\ndelta = .5\ngamma = .1\n[run]\nspeaker = S\nworld = w2\ntolerance = nan\n",
          "tolerance must be positive and finite, got nan", 9),
         ("[series]\ncanonical = true\n[game]\ndelta = .5\ngamma = .1\n[run]\nspeaker = S\nworld = w2\ntolerance = inf\n",
