@@ -93,7 +93,7 @@ GAME_RANGES = {
     "epsilon": (lambda v: 0.0 <= v < 0.5, "in [0, 0.5)"),
 }
 
-GRID_RANGES = {"grid size": (lambda v: v >= 1, "at least 1")}
+GRID_RANGES = {"grid size": (lambda v: 1 <= v <= 1000, "in [1, 1000]")}
 
 
 def check_parameter(ranges: Mapping[str, tuple], name: str, value):
@@ -126,6 +126,15 @@ class GameConfig:
             check_parameter(GAME_RANGES, name, getattr(self, name))
 
 
+def _check_distribution(worlds, values) -> None:
+    for world, value in zip(worlds, values):
+        if value < 0:
+            raise ValueError(f"negative probability {value!r} at {world!r}")
+    total = sum(values)
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
+
+
 @dataclass(frozen=True)
 class WorldPrior:
     """A probability distribution over the pooled worlds."""
@@ -133,22 +142,46 @@ class WorldPrior:
     p: Mapping[str, float]
 
     def __post_init__(self) -> None:
-        for world, value in self.p.items():
-            if value < 0:
-                raise ValueError(f"negative probability {value!r} at {world!r}")
-        total = sum(self.p.values())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        _check_distribution(self.p.keys(), self.p.values())
         object.__setattr__(self, "p", dict(self.p))
 
     def __getitem__(self, world: str) -> float:
         return self.p[world]
 
 
+def _prior(delta: float, gamma: float) -> tuple[float, float, float]:
+    """(w1, w2, w3) prior masses: gamma on the contested world, the rest split
+    by delta; checked as :class:`WorldPrior` checks any distribution."""
+    prior = (delta * (1.0 - gamma), gamma, (1.0 - delta) * (1.0 - gamma))
+    _check_distribution(WORLD_ORDER, prior)
+    return prior
+
+
+def _region(delta: float, tau: float, prior: tuple[float, float, float]) -> str:
+    """The region rule of :func:`equilibrium_region`, from a (w1, w2, w3) prior."""
+    if delta > 1.0 - delta and prior[0] > tau:
+        return "AA"
+    if 1.0 - delta > delta and prior[2] > tau:
+        return "BB"
+    return "none"
+
+
+def _eu(prior: tuple[float, float, float], payoffs: PayoffMatrix, player: str, action: str) -> float:
+    """The formula of :func:`expected_utility`, from a (w1, w2, w3) prior."""
+    p_w1, p_w2, p_w3 = prior
+    if action == "a":
+        p_matched, other_action = p_w1, "b"
+        p_mismatched = p_w2 if player == "S" else 0.0
+    else:
+        p_matched, other_action = p_w3, "a"
+        p_mismatched = p_w2 if player == "L" else 0.0
+    u = payoffs.u
+    return p_matched * u(player, action, action) + p_mismatched * u(player, action, other_action)
+
+
 def world_priors(config: GameConfig) -> WorldPrior:
     """The three-point prior: gamma on the contested world, the rest split by delta."""
-    d, g = config.delta, config.gamma
-    return WorldPrior(p={"w1": d * (1.0 - g), "w2": g, "w3": (1.0 - d) * (1.0 - g)})
+    return WorldPrior(p=dict(zip(WORLD_ORDER, _prior(config.delta, config.gamma))))
 
 
 def expected_utility(config: GameConfig, player: str, action: str) -> float:
@@ -161,17 +194,7 @@ def expected_utility(config: GameConfig, player: str, action: str) -> float:
     """
     _check_player(player)
     _check_action(action)
-    prior = world_priors(config)
-    if action == "a":
-        p_matched = prior["w1"]
-        p_mismatched = prior["w2"] if player == "S" else 0.0
-        other_action = "b"
-    else:
-        p_matched = prior["w3"]
-        p_mismatched = prior["w2"] if player == "L" else 0.0
-        other_action = "a"
-    u = config.payoffs.u
-    return p_matched * u(player, action, action) + p_mismatched * u(player, action, other_action)
+    return _eu(_prior(config.delta, config.gamma), config.payoffs, player, action)
 
 
 def brute_force_eu(config: GameConfig, player: str, action: str) -> float:
@@ -221,22 +244,15 @@ def equilibrium_region(config: GameConfig) -> RegionReport:
     and the probability that both sides judge q to beat tau; BB is the
     mirror image. Otherwise the region is "none".
     """
-    prior = world_priors(config)
     d, tau = config.delta, config.tau
-    if d > 1.0 - d and prior["w1"] > tau:
-        region = "AA"
-    elif 1.0 - d > d and prior["w3"] > tau:
-        region = "BB"
-    else:
-        region = "none"
-    p_speaker_q = prior["w1"] + prior["w2"]
+    prior = _prior(d, config.gamma)
     return RegionReport(
-        region=region,
-        eu_a=expected_utility(config, "S", "a"),
-        eu_b=expected_utility(config, "S", "b"),
+        region=_region(d, tau, prior),
+        eu_a=_eu(prior, config.payoffs, "S", "a"),
+        eu_b=_eu(prior, config.payoffs, "S", "b"),
         gamma_bound_a=1.0 - tau / d,
         gamma_bound_b=1.0 - tau / (1.0 - d),
-        listener_q_given_speaker_q=prior["w1"] / p_speaker_q,
+        listener_q_given_speaker_q=prior[0] / (prior[0] + prior[1]),
     )
 
 
@@ -257,23 +273,29 @@ def threshold_sweep(
     gamma_grid: Sequence[float],
     tau: float = DEFAULT_TAU,
 ) -> list[SweepRow]:
-    """Region classification over a parameter grid, delta-major order."""
+    """Region classification over a parameter grid, delta-major order.
+
+    Every delta, then every gamma, then tau is checked once, with the
+    message :class:`GameConfig` gives, so a bad value raises even when a
+    grid is empty. The default payoffs are built once per call, and a row
+    costs only its checked prior, its region and the sender's utilities.
+    """
+    for name, values in (("delta", delta_grid), ("gamma", gamma_grid), ("tau", (tau,))):
+        for value in values:
+            check_parameter(GAME_RANGES, name, value)
+    payoffs = PayoffMatrix.coordination()
     rows: list[SweepRow] = []
     for delta in delta_grid:
         for gamma in gamma_grid:
-            config = GameConfig(delta=delta, gamma=gamma, tau=tau)
-            prior = world_priors(config)
-            report = equilibrium_region(config)
+            prior = _prior(delta, gamma)
             rows.append(
                 SweepRow(
-                    delta=delta,
-                    gamma=gamma,
-                    p_w1=prior["w1"],
-                    p_w2=prior["w2"],
-                    p_w3=prior["w3"],
-                    eu_a=report.eu_a,
-                    eu_b=report.eu_b,
-                    region=report.region,
+                    delta,
+                    gamma,
+                    *prior,
+                    _eu(prior, payoffs, "S", "a"),
+                    _eu(prior, payoffs, "S", "b"),
+                    _region(delta, tau, prior),
                 )
             )
     return rows

@@ -31,8 +31,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Mapping
 
 from .assertion import (
@@ -369,6 +371,14 @@ def _jnum(value: float) -> float:
     return float(fmt_float(value))
 
 
+def _jnum_text(value: float) -> str:
+    """``_jnum(value)`` as JSON text; like ``_dumps``, reject non-finite values."""
+    number = _jnum(value)
+    if not math.isfinite(number):
+        raise ValueError(f"Out of range float values are not JSON compliant: {number!r}")
+    return repr(number)
+
+
 def _jdist(dist: Mapping[str, float]) -> dict[str, float]:
     return {key: _jnum(value) for key, value in dist.items()}
 
@@ -381,6 +391,10 @@ def _same(value):
     return value
 
 
+def _bool_text(value: bool) -> str:
+    return str(value).lower()
+
+
 def _witness_csv(witness: tuple[str, ...] | None) -> str:
     return "" if witness is None else "({})".format(",".join(witness))
 
@@ -389,40 +403,59 @@ def _witness_json(witness: tuple[str, ...] | None) -> list[str] | None:
     return None if witness is None else list(witness)
 
 
-# How a record field is written, keyed by its annotation: (CSV text, JSON value).
+# How a record field is written, keyed by its annotation: (CSV text, JSON
+# value, JSON text). The JSON text is what ``_dumps`` writes for the JSON
+# value; a list has none, since its layout depends on where it is nested.
 _FIELD_FORMATS = {
-    "float": (fmt_float, _jnum),
-    "int": (str, _same),
-    "str": (str, _same),
-    "bool": (lambda value: str(value).lower(), _same),
-    "tuple[str, str, str] | None": (_witness_csv, _witness_json),
+    "float": (fmt_float, _jnum, _jnum_text),
+    "int": (str, _same, str),
+    "str": (str, _same, encode_basestring_ascii),
+    "bool": (_bool_text, _same, _bool_text),
+    "tuple[str, str, str] | None": (_witness_csv, _witness_json, None),
 }
 
 
 @lru_cache(maxsize=None)
 def _columns(record_type: type, names: tuple[str, ...] | None) -> tuple:
-    """``(name, to_csv, to_json)`` for the named fields of a record dataclass,
-    or for all of them in declaration order: a record's field list."""
+    """``(name, to_csv, to_json, to_json_text)`` for the named fields of a
+    record dataclass, or for all of them in declaration order: a record's
+    field list."""
     types = {f.name: f.type for f in dataclasses.fields(record_type)}
     return tuple((name, *_FIELD_FORMATS[types[name]]) for name in names or types)
 
 
 def _csv_cells(record, names: tuple[str, ...] | None = None) -> list[str]:
-    return [to_csv(getattr(record, name)) for name, to_csv, _ in _columns(type(record), names)]
+    return [to_csv(getattr(record, name)) for name, to_csv, _, _ in _columns(type(record), names)]
 
 
 def _json_record(record, names: tuple[str, ...] | None = None) -> dict:
     return {
         name: to_json(getattr(record, name))
-        for name, _, to_json in _columns(type(record), names)
+        for name, _, to_json, _ in _columns(type(record), names)
     }
 
 
 def _render_csv(record_type: type, records) -> str:
     """A header of the record's field names, then one row per record."""
-    lines = [",".join(name for name, _, _ in _columns(record_type, None))]
+    lines = [",".join(name for name, _, _, _ in _columns(record_type, None))]
     lines += [",".join(_csv_cells(record)) for record in records]
     return "\n".join(lines) + "\n"
+
+
+def _render_json_list(record_type: type, records) -> str:
+    """``_dumps([_json_record(record) for record in records])``, each record
+    written straight from its fields' JSON text."""
+    if not records:
+        return _dumps([])
+    columns = _columns(record_type, None)
+    record_text = "  {\n%s\n  }" % ",\n".join(
+        f"    {encode_basestring_ascii(name)}: %s" for name, _, _, _ in columns
+    )
+    items = [
+        record_text % tuple([to_text(getattr(record, name)) for name, _, _, to_text in columns])
+        for record in records
+    ]
+    return "[\n" + ",\n".join(items) + "\n]\n"
 
 
 def scenario_payload(scenario: Scenario) -> dict:
@@ -514,7 +547,7 @@ def render_sweep_csv(rows: list[SweepRow]) -> str:
 
 
 def render_sweep_json(rows: list[SweepRow]) -> str:
-    return _dumps([_json_record(row) for row in rows])
+    return _render_json_list(SweepRow, rows)
 
 
 def render_hedging_csv(trace: HedgingTrace) -> str:

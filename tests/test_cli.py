@@ -158,6 +158,9 @@ def test_bad_flags_exit_2():
         main(["simulate", str(CANONICAL), "--format", "xml"])
     assert excinfo.value.code == 2
     with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--delta-steps", "1001", "--gamma-steps", "9"])
+    assert excinfo.value.code == 2
+    with pytest.raises(SystemExit) as excinfo:
         main(["sweep", "--delta-steps", "9"])
     assert excinfo.value.code == 2
     with pytest.raises(SystemExit) as excinfo:
@@ -219,7 +222,10 @@ CONFIG = GameConfig(delta=0.7, gamma=0.2)
         ("tolerance", "nan", lambda: run_hedging(CONFIG, tolerance=float("nan")),
          [*HEDGE, "--tolerance", "nan"], "tolerance must be positive and finite, got nan"),
         ("grid size", None, lambda: grid(0),
-         ["sweep", "--delta-steps", "0", "--gamma-steps", "3"], "grid size must be at least 1, got 0"),
+         ["sweep", "--delta-steps", "0", "--gamma-steps", "3"], "grid size must be in [1, 1000], got 0"),
+        ("grid size", None, lambda: grid(1001),
+         ["sweep", "--delta-steps", "3", "--gamma-steps", "1001"],
+         "grid size must be in [1, 1000], got 1001"),
     ],
 )
 def test_range_message_is_shared(capsys, key, text, api, argv, message):
@@ -297,6 +303,22 @@ def test_sweep_99_digest(tmp_path, fmt, digest):
     out = tmp_path / f"sweep.{fmt}"
     argv = ["sweep", "--delta-steps", "99", "--gamma-steps", "99", "--format", fmt]
     assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# Recorded from the per-row GameConfig sweep and the json.dumps renderer
+# before sweep rows came from the closed-form helpers and the direct writer.
+@pytest.mark.parametrize(
+    "steps,tau,fmt,digest",
+    [
+        (400, "0.7", "csv", "521b040782a9dd919e044ad83f11fcc2cc0525364f6002caad85ea0e79a7f9a0"),
+        (200, "0.3", "json", "e7dc9aa25f436971823a1e884d3614ab3d68687ad602225e1572927bd8b5ad18"),
+    ],
+)
+def test_sweep_400_200_digest(tmp_path, steps, tau, fmt, digest):
+    out = tmp_path / f"sweep.{fmt}"
+    argv = ["sweep", "--delta-steps", str(steps), "--gamma-steps", str(steps), "--tau", tau]
+    assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

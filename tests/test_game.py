@@ -1,12 +1,17 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hedgesim import game
 from hedgesim.game import (
     ACTIONS,
     PLAYERS,
     GameConfig,
     PayoffMatrix,
+    SweepRow,
     WorldPrior,
     brute_force_eu,
     equilibrium_region,
@@ -227,6 +232,82 @@ def test_sweep_cells_match_direct_classification():
         prior = world_priors(config)
         assert row.p_w1 == prior["w1"]
         assert row.eu_a == expected_utility(config, "S", "a")
+
+
+@pytest.mark.parametrize(
+    "delta_grid,gamma_grid,tau,message",
+    [
+        ([], [0.5], 2.0, "tau must be strictly between 0 and 1, got 2.0"),
+        ([0.5], [], math.nan, "tau must be strictly between 0 and 1, got nan"),
+        ([0.5], [0.5], 0.0, "tau must be strictly between 0 and 1, got 0.0"),
+        ([0.5, 1.5], [0.5], 0.5, "delta must be strictly between 0 and 1, got 1.5"),
+        ([0.5, math.nan], [0.5], 0.5, "delta must be strictly between 0 and 1, got nan"),
+        ([0.5], [0.5, -0.1], 0.5, "gamma must be at least 0 and strictly below 1, got -0.1"),
+        ([0.5], [math.nan], 0.5, "gamma must be at least 0 and strictly below 1, got nan"),
+    ],
+)
+def test_sweep_checks_every_grid_value_and_tau(delta_grid, gamma_grid, tau, message):
+    with pytest.raises(ValueError) as excinfo:
+        threshold_sweep(delta_grid, gamma_grid, tau=tau)
+    assert str(excinfo.value) == message
+
+
+def _row_from_public_functions(delta, gamma, tau):
+    config = GameConfig(delta=delta, gamma=gamma, tau=tau)
+    prior = world_priors(config)
+    return SweepRow(
+        delta=delta,
+        gamma=gamma,
+        p_w1=prior["w1"],
+        p_w2=prior["w2"],
+        p_w3=prior["w3"],
+        eu_a=expected_utility(config, "S", "a"),
+        eu_b=expected_utility(config, "S", "b"),
+        region=equilibrium_region(config).region,
+    )
+
+
+@st.composite
+def sweep_grids(draw):
+    """A tau and grids holding 0.5 and gammas within 1e-9 of the region bounds."""
+    tau = draw(st.floats(0.01, 0.99))
+    deltas = draw(st.lists(st.floats(0.001, 0.999), min_size=1, max_size=6)) + [0.5]
+    gammas = draw(st.lists(st.floats(0.0, 0.999), max_size=6))
+    for delta in deltas:
+        for bound in (1.0 - tau / delta, 1.0 - tau / (1.0 - delta)):
+            offset = draw(st.sampled_from((-1e-9, 0.0, 1e-9)))
+            if 0.0 <= bound + offset < 1.0:
+                gammas.append(bound + offset)
+    return draw(st.permutations(deltas)), draw(st.permutations(gammas)), tau
+
+
+@settings(deadline=None)
+@given(sweep_grids())
+def test_sweep_rows_equal_the_public_per_config_functions(grids):
+    delta_grid, gamma_grid, tau = grids
+    expected = [_row_from_public_functions(d, g, tau) for d in delta_grid for g in gamma_grid]
+    assert threshold_sweep(delta_grid, gamma_grid, tau=tau) == expected
+
+
+def test_sweep_builds_no_config_or_prior_per_row(monkeypatch):
+    deltas, gammas = grid(40), grid(30)
+    counts = {"GameConfig": 0, "WorldPrior": 0, "PayoffMatrix": 0, "check_parameter": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for cls in (game.GameConfig, game.WorldPrior, game.PayoffMatrix):
+        monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
+    monkeypatch.setattr(game, "check_parameter", counting("check_parameter", game.check_parameter))
+    rows = threshold_sweep(deltas, gammas, tau=0.4)
+    assert len(rows) == 40 * 30
+    assert counts["GameConfig"] == counts["WorldPrior"] == 0
+    assert counts["PayoffMatrix"] <= 1
+    assert counts["check_parameter"] <= len(deltas) + len(gammas) + 1
 
 
 def test_grid_is_interior():

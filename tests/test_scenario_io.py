@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -288,12 +289,16 @@ def test_sweep_csv_schema():
     assert middle and all(line.endswith(",none") for line in middle)
 
 
-def test_json_rejects_non_finite_numbers():
-    nan = float("nan")
-    row = SweepRow(delta=0.5, gamma=0.1, p_w1=nan, p_w2=0.1, p_w3=0.45, eu_a=nan, eu_b=0.45,
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "field", [f.name for f in dataclasses.fields(SweepRow) if f.type == "float"]
+)
+def test_json_rejects_non_finite_numbers(field, value):
+    row = SweepRow(delta=0.5, gamma=0.1, p_w1=0.45, p_w2=0.1, p_w3=0.45, eu_a=0.45, eu_b=0.45,
                    region="none")
+    good = threshold_sweep(grid(2), grid(2))
     with pytest.raises(ValueError):
-        render_sweep_json([row])
+        render_sweep_json([*good, dataclasses.replace(row, **{field: value})])
 
 
 def test_hedging_csv_schema():
