@@ -48,10 +48,6 @@ class CommonGround:
         for world in self.live:
             self.model.index(world)
 
-    @property
-    def live_set(self) -> frozenset[str]:
-        return frozenset(self.live)
-
 
 def initial_common_ground(model: WorldModel) -> CommonGround:
     """cg(0): every world of the model is live."""
@@ -66,7 +62,8 @@ def base_rate(cg: CommonGround) -> dict[str, float]:
 
 def update(cg: CommonGround, formula: Formula) -> CommonGround:
     """Assertion as elimination: keep the live worlds where the sentence is true."""
-    surviving = tuple(w for w in cg.live if w in extension(cg.model, formula))
+    true_at = extension(cg.model, formula)
+    surviving = tuple(w for w in cg.live if w in true_at)
     if not surviving:
         raise AbsurdUpdateError(
             f"{formula.text!r} is incompatible with the common ground {list(cg.live)}"

@@ -1,15 +1,16 @@
-"""Coordination payoffs, the two-parameter world prior, and equilibrium tests.
+"""The coordination game, the two-parameter world prior, and equilibrium tests.
 
-The prior over the three pooled worlds is driven by two numbers: gamma, the
-chance the two sides judge the vague matter differently, and delta, which
-splits the remaining mass between the two unanimous worlds. Player labels
-are roles: "S" sends the signal, "L" receives it.
+Both players play a pure coordination game: matching actions pay 1 and
+mismatches pay 0, so an expected utility is the chance that both sides take
+the action. The prior over the three pooled worlds is driven by two
+numbers: gamma, the chance the two sides judge the vague matter differently,
+and delta, which splits the remaining mass between the two unanimous worlds.
+Player labels are roles: "S" sends the signal, "L" receives it.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 PLAYERS = ("S", "L")
@@ -37,47 +38,6 @@ def _check_player(player: str) -> None:
 def _check_action(action: str) -> None:
     if action not in ACTIONS:
         raise ValueError(f"action must be one of {ACTIONS}, got {action!r}")
-
-
-@dataclass(frozen=True)
-class PayoffMatrix:
-    """Per-player payoff keyed by (player, own action, other's action).
-
-    Values must be non-negative and finite; the default rewards matching
-    actions with 1 and mismatches with 0 for both players.
-    """
-
-    entries: Mapping[tuple[str, str, str], float]
-
-    def __post_init__(self) -> None:
-        table: dict[tuple[str, str, str], float] = {}
-        for player in PLAYERS:
-            for own in ACTIONS:
-                for other in ACTIONS:
-                    key = (player, own, other)
-                    if key not in self.entries:
-                        raise ValueError(f"payoff matrix is missing entry {key!r}")
-                    value = float(self.entries[key])
-                    if not math.isfinite(value) or value < 0:
-                        raise ValueError(f"payoff {key!r} must be finite and non-negative, got {value!r}")
-                    table[key] = value
-        if len(self.entries) != len(table):
-            extras = set(self.entries) - set(table)
-            raise ValueError(f"unexpected payoff entries {sorted(extras)!r}")
-        object.__setattr__(self, "entries", table)
-
-    def u(self, player: str, own: str, other: str) -> float:
-        return self.entries[(player, own, other)]
-
-    @classmethod
-    def coordination(cls, match: float = 1.0, mismatch: float = 0.0) -> "PayoffMatrix":
-        entries = {
-            (player, own, other): match if own == other else mismatch
-            for player in PLAYERS
-            for own in ACTIONS
-            for other in ACTIONS
-        }
-        return cls(entries=entries)
 
 
 DEFAULT_TAU = 0.5
@@ -119,7 +79,6 @@ class GameConfig:
     gamma: float
     tau: float = DEFAULT_TAU
     epsilon: float = DEFAULT_EPSILON
-    payoffs: PayoffMatrix = field(default_factory=PayoffMatrix.coordination)
 
     def __post_init__(self) -> None:
         for name in GAME_RANGES:
@@ -166,19 +125,6 @@ def _region(delta: float, tau: float, prior: tuple[float, float, float]) -> str:
     return "none"
 
 
-def _eu(prior: tuple[float, float, float], payoffs: PayoffMatrix, player: str, action: str) -> float:
-    """The formula of :func:`expected_utility`, from a (w1, w2, w3) prior."""
-    p_w1, p_w2, p_w3 = prior
-    if action == "a":
-        p_matched, other_action = p_w1, "b"
-        p_mismatched = p_w2 if player == "S" else 0.0
-    else:
-        p_matched, other_action = p_w3, "a"
-        p_mismatched = p_w2 if player == "L" else 0.0
-    u = payoffs.u
-    return p_matched * u(player, action, action) + p_mismatched * u(player, action, other_action)
-
-
 def world_priors(config: GameConfig) -> WorldPrior:
     """The three-point prior: gamma on the contested world, the rest split by delta."""
     return WorldPrior(p=dict(zip(WORLD_ORDER, _prior(config.delta, config.gamma))))
@@ -187,22 +133,23 @@ def world_priors(config: GameConfig) -> WorldPrior:
 def expected_utility(config: GameConfig, player: str, action: str) -> float:
     """Closed-form expected utility of an action for one player.
 
-    A player takes "a" exactly when judging q, so the payoff-relevant joint
-    events read directly off the world prior: both sides matched at the
-    unanimous world for the action, and (for the side that judges q / qbar
-    at the contested world) mismatched at w2.
+    A player takes "a" exactly when judging q, so both sides take the same
+    action only at the unanimous world for it: the utility is the prior mass
+    of w1 for "a" and of w3 for "b", for either player. At the contested
+    world w2 the actions mismatch and pay 0.
     """
     _check_player(player)
     _check_action(action)
-    return _eu(_prior(config.delta, config.gamma), config.payoffs, player, action)
+    prior = _prior(config.delta, config.gamma)
+    return prior[0] if action == "a" else prior[2]
 
 
 def brute_force_eu(config: GameConfig, player: str, action: str) -> float:
     """Independent oracle for :func:`expected_utility`.
 
     Enumerates the three worlds, derives each side's judgment and the action
-    it induces (a when judging q, b otherwise), and accumulates the
-    prior-weighted payoff at the worlds where ``player`` takes ``action``.
+    it induces (a when judging q, b otherwise), and adds up the prior mass of
+    the worlds where both sides take ``action``, the only ones that pay.
     """
     _check_player(player)
     _check_action(action)
@@ -212,9 +159,8 @@ def brute_force_eu(config: GameConfig, player: str, action: str) -> float:
     for world in WORLD_ORDER:
         mine = "a" if _THINKS_Q[world][player] else "b"
         theirs = "a" if _THINKS_Q[world][opponent] else "b"
-        if mine != action:
-            continue
-        total += prior[world] * config.payoffs.u(player, action, theirs)
+        if mine == action == theirs:
+            total += prior[world]
     return total
 
 
@@ -248,8 +194,8 @@ def equilibrium_region(config: GameConfig) -> RegionReport:
     prior = _prior(d, config.gamma)
     return RegionReport(
         region=_region(d, tau, prior),
-        eu_a=_eu(prior, config.payoffs, "S", "a"),
-        eu_b=_eu(prior, config.payoffs, "S", "b"),
+        eu_a=prior[0],
+        eu_b=prior[2],
         gamma_bound_a=1.0 - tau / d,
         gamma_bound_b=1.0 - tau / (1.0 - d),
         listener_q_given_speaker_q=prior[0] / (prior[0] + prior[1]),
@@ -277,27 +223,18 @@ def threshold_sweep(
 
     Every delta, then every gamma, then tau is checked once, with the
     message :class:`GameConfig` gives, so a bad value raises even when a
-    grid is empty. The default payoffs are built once per call, and a row
-    costs only its checked prior, its region and the sender's utilities.
+    grid is empty. A row costs only its checked prior and its region: the
+    sender's utilities ``eu_a``/``eu_b`` are ``p_w1``/``p_w3``.
     """
     for name, values in (("delta", delta_grid), ("gamma", gamma_grid), ("tau", (tau,))):
         for value in values:
             check_parameter(GAME_RANGES, name, value)
-    payoffs = PayoffMatrix.coordination()
     rows: list[SweepRow] = []
     for delta in delta_grid:
         for gamma in gamma_grid:
-            prior = _prior(delta, gamma)
-            rows.append(
-                SweepRow(
-                    delta,
-                    gamma,
-                    *prior,
-                    _eu(prior, payoffs, "S", "a"),
-                    _eu(prior, payoffs, "S", "b"),
-                    _region(delta, tau, prior),
-                )
-            )
+            p_w1, p_w2, p_w3 = prior = _prior(delta, gamma)
+            region = _region(delta, tau, prior)
+            rows.append(SweepRow(delta, gamma, p_w1, p_w2, p_w3, p_w1, p_w3, region))
     return rows
 
 

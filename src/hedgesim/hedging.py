@@ -85,7 +85,7 @@ def stepwise_eu(
 
     The base expected utility gains a correction for the contested world:
     its prior mass gamma times the chance both sides nevertheless take the
-    action, times the matching payoff. Action-b propensities are the
+    action, where a match pays 1. Action-b propensities are the
     complements of the action-a propensities at every step, so at n = 0 the
     correction vanishes for both actions.
     """
@@ -95,7 +95,7 @@ def stepwise_eu(
         speaker, listener = speaker_a, listener_a
     else:
         speaker, listener = 1.0 - speaker_a, 1.0 - listener_a
-    return base + config.gamma * speaker * listener * config.payoffs.u(player, action, action)
+    return base + config.gamma * speaker * listener
 
 
 @dataclass(frozen=True)
@@ -149,13 +149,11 @@ def run_hedging(
     check_parameter(HEDGING_RANGES, "hesitation", hesitation)
     base_a = expected_utility(config, "S", "a")
     base_b = expected_utility(config, "S", "b")
-    u_a = config.payoffs.u("S", "a", "a")
-    u_b = config.payoffs.u("S", "b", "b")
     steps = []
     # Same association as stepwise_eu, so each step equals its closed form.
     for n, (speaker, listener) in enumerate(islice(_propensities(hesitation), max_steps + 1)):
-        eu_a = base_a + config.gamma * speaker * listener * u_a
-        eu_b = base_b + config.gamma * (1.0 - speaker) * (1.0 - listener) * u_b
+        eu_a = base_a + config.gamma * speaker * listener
+        eu_b = base_b + config.gamma * (1.0 - speaker) * (1.0 - listener)
         steps.append(HedgingStep(n, speaker, listener, eu_a, eu_b))
     # From step 1 on, each step holds the pair f(n-1), f(n).
     pair_sums = [step.p_speaker_a + step.p_listener_a for step in steps[1:]]

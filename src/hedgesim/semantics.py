@@ -127,19 +127,16 @@ def check_frame(model: WorldModel) -> FrameReport:
     }
     reflexive = all((w, w) in reaches for w in worlds)
     symmetric = all((v, u) in reaches for (u, v) in reaches)
-    witness = None
-    for u in worlds:
-        for v in worlds:
-            if (u, v) not in reaches:
-                continue
-            for x in worlds:
-                if (v, x) in reaches and (u, x) not in reaches:
-                    witness = (u, v, x)
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    witness = next(
+        (
+            (u, v, x)
+            for u in worlds
+            for v in worlds
+            for x in worlds
+            if (u, v) in reaches and (v, x) in reaches and (u, x) not in reaches
+        ),
+        None,
+    )
     return FrameReport(
         reflexive=reflexive,
         symmetric=symmetric,

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from hedgesim import assertion
 from hedgesim.assertion import (
     AbsurdUpdateError,
     CommonGround,
@@ -16,7 +17,7 @@ from hedgesim.assertion import (
     speaker_signal,
     update,
 )
-from hedgesim.semantics import Formula, TruthValue, evaluate
+from hedgesim.semantics import Formula, TruthValue, evaluate, extension
 from hedgesim.worlds import NOT_PHI, build_forced_march, common_belief, pool_states
 
 
@@ -68,6 +69,19 @@ def test_update_absurd(canonical_model):
     narrowed = update(cg0, Formula.NOT_PHI)  # {w3}
     with pytest.raises(AbsurdUpdateError):
         update(narrowed, Formula.PHI)
+
+
+def test_update_computes_the_extension_once(canonical_model, monkeypatch):
+    calls = []
+
+    def counted(model, formula):
+        calls.append(formula)
+        return extension(model, formula)
+
+    monkeypatch.setattr(assertion, "extension", counted)
+    cg1 = update(initial_common_ground(canonical_model), Formula.MIGHT_PHI)
+    assert cg1.live == ("w1", "w2")
+    assert calls == [Formula.MIGHT_PHI]
 
 
 def test_common_ground_validation(canonical_model):

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hedgesim
 from hedgesim import game
 from hedgesim.game import (
     ACTIONS,
     PLAYERS,
     GameConfig,
-    PayoffMatrix,
     SweepRow,
     WorldPrior,
     brute_force_eu,
@@ -22,22 +22,8 @@ from hedgesim.game import (
 )
 
 
-def random_config(rng, payoffs=None):
-    delta = rng.uniform(0.001, 0.999)
-    gamma = rng.uniform(0.0, 0.999)
-    if payoffs is None:
-        return GameConfig(delta=delta, gamma=gamma)
-    return GameConfig(delta=delta, gamma=gamma, payoffs=payoffs)
-
-
-def random_payoffs(rng):
-    entries = {
-        (player, own, other): rng.uniform(0.0, 5.0)
-        for player in PLAYERS
-        for own in ACTIONS
-        for other in ACTIONS
-    }
-    return PayoffMatrix(entries=entries)
+def random_config(rng):
+    return GameConfig(delta=rng.uniform(0.001, 0.999), gamma=rng.uniform(0.0, 0.999))
 
 
 # --- validation -------------------------------------------------------------
@@ -61,12 +47,11 @@ def test_config_rejects_out_of_range(kwargs):
         GameConfig(**kwargs)
 
 
-def test_payoffs_reject_negative_and_missing():
-    bad = {(p, a, b): -1.0 for p in PLAYERS for a in ACTIONS for b in ACTIONS}
-    with pytest.raises(ValueError):
-        PayoffMatrix(entries=bad)
-    with pytest.raises(ValueError):
-        PayoffMatrix(entries={("S", "a", "a"): 1.0})
+def test_config_has_no_payoffs_field():
+    with pytest.raises(TypeError):
+        GameConfig(delta=0.5, gamma=0.1, payoffs=None)
+    assert not hasattr(game, "PayoffMatrix")
+    assert "PayoffMatrix" not in hedgesim.__all__
 
 
 def test_world_prior_must_sum_to_one():
@@ -130,18 +115,6 @@ def test_closed_form_matches_oracle_random():
                 closed = expected_utility(config, player, action)
                 brute = brute_force_eu(config, player, action)
                 assert abs(closed - brute) <= 1e-12
-
-
-def test_closed_form_matches_oracle_general_payoffs():
-    rng = random.Random(81)
-    for _ in range(200):
-        config = random_config(rng, payoffs=random_payoffs(rng))
-        for player in PLAYERS:
-            for action in ACTIONS:
-                assert abs(
-                    expected_utility(config, player, action)
-                    - brute_force_eu(config, player, action)
-                ) <= 1e-12
 
 
 def test_player_symmetry_under_default_payoffs():
@@ -291,7 +264,7 @@ def test_sweep_rows_equal_the_public_per_config_functions(grids):
 
 def test_sweep_builds_no_config_or_prior_per_row(monkeypatch):
     deltas, gammas = grid(40), grid(30)
-    counts = {"GameConfig": 0, "WorldPrior": 0, "PayoffMatrix": 0, "check_parameter": 0}
+    counts = {"GameConfig": 0, "WorldPrior": 0, "check_parameter": 0}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -300,13 +273,12 @@ def test_sweep_builds_no_config_or_prior_per_row(monkeypatch):
 
         return wrapper
 
-    for cls in (game.GameConfig, game.WorldPrior, game.PayoffMatrix):
+    for cls in (game.GameConfig, game.WorldPrior):
         monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
     monkeypatch.setattr(game, "check_parameter", counting("check_parameter", game.check_parameter))
     rows = threshold_sweep(deltas, gammas, tau=0.4)
     assert len(rows) == 40 * 30
     assert counts["GameConfig"] == counts["WorldPrior"] == 0
-    assert counts["PayoffMatrix"] <= 1
     assert counts["check_parameter"] <= len(deltas) + len(gammas) + 1
 
 

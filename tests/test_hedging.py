@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hedgesim import hedging
-from hedgesim.game import GameConfig, PayoffMatrix, expected_utility
+from hedgesim.game import GameConfig, expected_utility
 from hedgesim.hedging import (
     propensities_at_step,
     propensity,
@@ -116,17 +116,7 @@ def test_stepwise_eu_no_borderline_mass_changes_nothing():
 def test_stepwise_eu_never_below_step_zero_random():
     rng = random.Random(131)
     for _ in range(40):
-        entries = {
-            (player, own, other): rng.uniform(0.0, 3.0)
-            for player in ("S", "L")
-            for own in ("a", "b")
-            for other in ("a", "b")
-        }
-        config = GameConfig(
-            delta=rng.uniform(0.01, 0.99),
-            gamma=rng.uniform(0.0, 0.99),
-            payoffs=PayoffMatrix(entries=entries),
-        )
+        config = GameConfig(delta=rng.uniform(0.01, 0.99), gamma=rng.uniform(0.0, 0.99))
         for player in ("S", "L"):
             for action in ("a", "b"):
                 floor = stepwise_eu(config, 0, action, player=player)
@@ -188,13 +178,9 @@ def test_run_hedging_checks_hesitation_before_the_recurrence():
     gamma=st.floats(0.0, 0.99),
     hesitation=st.floats(0.01, 0.99),
     max_steps=st.integers(4, 300),
-    match=st.floats(0.1, 5.0).filter(lambda v: v != 1.0),
-    mismatch=st.floats(0.0, 5.0),
 )
-def test_run_hedging_steps_match_their_oracles(delta, gamma, hesitation, max_steps, match, mismatch):
-    config = GameConfig(
-        delta=delta, gamma=gamma, payoffs=PayoffMatrix.coordination(match, mismatch)
-    )
+def test_run_hedging_steps_match_their_oracles(delta, gamma, hesitation, max_steps):
+    config = GameConfig(delta=delta, gamma=gamma)
     trace = run_hedging(config, max_steps=max_steps, hesitation=hesitation)
     values = [1.0, hesitation]
     while len(values) <= max_steps:
