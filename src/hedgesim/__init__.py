@@ -6,127 +6,93 @@ runs assertion dynamics with Bayesian listener inference, classifies
 coordination equilibria under a two-parameter prior, and traces the
 iterated hedging recurrence that lifts expected utility after a hedged
 assertion.
+
+Names and submodules load on first use (PEP 562), so ``import hedgesim``
+imports none of the submodules and each use pays only for what it reads.
 """
 
-from .assertion import (
-    AbsurdUpdateError,
-    CommonGround,
-    NoAssertableSignalError,
-    SignalLikelihoods,
-    UnexpectedSignalError,
-    base_rate,
-    ideal_signal,
-    initial_common_ground,
-    listener_posterior,
-    speaker_signal,
-    update,
-)
-from .game import (
-    GameConfig,
-    RegionReport,
-    SweepRow,
-    WorldPrior,
-    brute_force_eu,
-    equilibrium_region,
-    expected_utility,
-    grid,
-    threshold_sweep,
-    world_priors,
-)
-from .hedging import (
-    HedgingStep,
-    HedgingSummary,
-    HedgingTrace,
-    propensities_at_step,
-    propensity,
-    propensity_sequence,
-    run_hedging,
-    stepwise_eu,
-)
-from .scenario_io import (
-    ReportAuditError,
-    RunReport,
-    Scenario,
-    ScenarioParseError,
-    audit_report,
-    load_scenario,
-    parse_scenario,
-    render_scenario,
-    run_scenario,
-)
-from .semantics import Formula, FrameReport, TruthValue, check_frame, evaluate, extension
-from .worlds import (
-    InvalidSeriesError,
-    JudgmentProposition,
-    SoritesSeries,
-    UnknownLabelError,
-    WorldModel,
-    accessible,
-    build_forced_march,
-    common_belief,
-    everyone_thinks,
-    judgment_proposition,
-    pool_states,
-    thinks,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbsurdUpdateError",
-    "CommonGround",
-    "Formula",
-    "FrameReport",
-    "GameConfig",
-    "HedgingStep",
-    "HedgingSummary",
-    "HedgingTrace",
-    "InvalidSeriesError",
-    "JudgmentProposition",
-    "NoAssertableSignalError",
-    "RegionReport",
-    "ReportAuditError",
-    "RunReport",
-    "Scenario",
-    "ScenarioParseError",
-    "SignalLikelihoods",
-    "SoritesSeries",
-    "SweepRow",
-    "TruthValue",
-    "UnexpectedSignalError",
-    "UnknownLabelError",
-    "WorldModel",
-    "WorldPrior",
-    "accessible",
-    "audit_report",
-    "base_rate",
-    "brute_force_eu",
-    "build_forced_march",
-    "check_frame",
-    "common_belief",
-    "equilibrium_region",
-    "evaluate",
-    "everyone_thinks",
-    "expected_utility",
-    "extension",
-    "grid",
-    "ideal_signal",
-    "initial_common_ground",
-    "judgment_proposition",
-    "listener_posterior",
-    "load_scenario",
-    "parse_scenario",
-    "pool_states",
-    "propensities_at_step",
-    "propensity",
-    "propensity_sequence",
-    "render_scenario",
-    "run_hedging",
-    "run_scenario",
-    "speaker_signal",
-    "stepwise_eu",
-    "thinks",
-    "threshold_sweep",
-    "update",
-    "world_priors",
-]
+# Each submodule and the public names it owns.
+_EXPORTS = {
+    "assertion": (
+        "AbsurdUpdateError",
+        "CommonGround",
+        "NoAssertableSignalError",
+        "SignalLikelihoods",
+        "UnexpectedSignalError",
+        "base_rate",
+        "ideal_signal",
+        "initial_common_ground",
+        "listener_posterior",
+        "speaker_signal",
+        "update",
+    ),
+    "game": (
+        "GameConfig",
+        "RegionReport",
+        "SweepRow",
+        "WorldPrior",
+        "brute_force_eu",
+        "equilibrium_region",
+        "expected_utility",
+        "grid",
+        "threshold_sweep",
+        "world_priors",
+    ),
+    "hedging": (
+        "HedgingStep",
+        "HedgingSummary",
+        "HedgingTrace",
+        "propensities_at_step",
+        "propensity",
+        "propensity_sequence",
+        "run_hedging",
+        "stepwise_eu",
+    ),
+    "scenario_io": (
+        "ReportAuditError",
+        "RunReport",
+        "Scenario",
+        "ScenarioParseError",
+        "audit_report",
+        "load_scenario",
+        "parse_scenario",
+        "run_scenario",
+    ),
+    "semantics": ("Formula", "FrameReport", "TruthValue", "check_frame", "evaluate", "extension"),
+    "worlds": (
+        "InvalidSeriesError",
+        "JudgmentProposition",
+        "SoritesSeries",
+        "UnknownLabelError",
+        "WorldModel",
+        "accessible",
+        "build_forced_march",
+        "common_belief",
+        "everyone_thinks",
+        "judgment_proposition",
+        "pool_states",
+        "thinks",
+    ),
+    "writers": ("render_scenario",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_HOME})

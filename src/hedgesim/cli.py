@@ -2,6 +2,10 @@
 
 Exit codes: 0 on success, 1 on runtime errors (bad scenario files, missing
 inputs), 2 on bad flags (argparse prints usage).
+
+Only ``game`` and ``hedging`` load up front, for the flags' range checks.
+Each command imports the rest of what it runs, so ``sweep`` and ``hedge``
+never load the world models, the semantics or the scenario runner.
 """
 
 from __future__ import annotations
@@ -20,21 +24,6 @@ from .game import (
     threshold_sweep,
 )
 from .hedging import DEFAULT_TOLERANCE, HEDGING_RANGES, run_hedging
-from .scenario_io import (
-    load_scenario,
-    render_dialogue_jsonl,
-    render_frame_csv,
-    render_frame_json,
-    render_hedging_csv,
-    render_hedging_json,
-    render_report_csv,
-    render_report_json,
-    render_sweep_csv,
-    render_sweep_json,
-    run_scenario,
-)
-from .semantics import check_frame
-from .worlds import pool_states
 
 
 def _checked(ranges: dict, name: str, kind: type = float):
@@ -68,6 +57,9 @@ def _add_output_flags(parser: argparse.ArgumentParser, default_format: str) -> N
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .scenario_io import load_scenario, run_scenario
+    from .writers import render_dialogue_jsonl, render_report_csv, render_report_json
+
     report = run_scenario(load_scenario(args.scenario))
     text = render_report_json(report) if args.format == "json" else render_report_csv(report)
     _emit(text, args.out)
@@ -77,6 +69,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .writers import render_sweep_csv, render_sweep_json
+
     rows = threshold_sweep(grid(args.delta_steps), grid(args.gamma_steps), tau=args.tau)
     text = render_sweep_json(rows) if args.format == "json" else render_sweep_csv(rows)
     _emit(text, args.out)
@@ -84,6 +78,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_hedge(args: argparse.Namespace) -> int:
+    from .writers import render_hedging_csv, render_hedging_json
+
     config = GameConfig(delta=args.delta, gamma=args.gamma)
     trace = run_hedging(config, max_steps=args.steps, tolerance=args.tolerance)
     text = render_hedging_json(trace) if args.format == "json" else render_hedging_csv(trace)
@@ -92,6 +88,11 @@ def _cmd_hedge(args: argparse.Namespace) -> int:
 
 
 def _cmd_frame_check(args: argparse.Namespace) -> int:
+    from .scenario_io import load_scenario
+    from .semantics import check_frame
+    from .worlds import pool_states
+    from .writers import render_frame_csv, render_frame_json
+
     scenario = load_scenario(args.scenario)
     frame = check_frame(pool_states(scenario.series))
     print(frame.summary())

@@ -30,7 +30,7 @@ DEFAULT_HESITATION = 0.5
 
 # Admissible hedging settings, in the form of ``game.GAME_RANGES``.
 HEDGING_RANGES = {
-    "step index": (lambda v: v >= 0, "non-negative"),
+    "step index": (lambda v: 0 <= v <= 100_000, "in [0, 100000]"),
     "steps": (lambda v: 4 <= v <= 100_000, "in [4, 100000]"),
     "tolerance": (lambda v: 0.0 < v < math.inf, "positive and finite"),
     "hesitation": (lambda v: 0.0 < v < 1.0, "strictly between 0 and 1"),
@@ -55,7 +55,7 @@ def propensity(n: int, hesitation: float = DEFAULT_HESITATION) -> float:
 
 
 def propensity_sequence(last: int, hesitation: float = DEFAULT_HESITATION) -> list[float]:
-    """Recurrence values for steps 0..last."""
+    """Recurrence values for steps 0..last, with ``last`` in [0, 100000]."""
     check_parameter(HEDGING_RANGES, "step index", last)
     check_parameter(HEDGING_RANGES, "hesitation", hesitation)
     pairs = islice(_propensities(hesitation), last + 1)

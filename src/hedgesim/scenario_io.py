@@ -1,4 +1,4 @@
-"""Scenario files, end-to-end runs, and deterministic CSV/JSON rendering.
+"""Scenario files and end-to-end runs.
 
 Scenario format: three sections (``[series]``, ``[game]``, ``[run]``) of
 ``key = value`` lines; ``#`` starts a comment, blank lines are ignored.
@@ -23,18 +23,16 @@ Scenario format: three sections (``[series]``, ``[game]``, ``[run]``) of
 Unknown sections or keys, duplicates, bad values, and range violations are
 errors that name the offending key and line. Ranges are checked by the
 objects that own them (GameConfig, run_hedging, SoritesSeries), so a bad
-value gets the same message here as from the API. All emitted numbers are
-formatted to 12 significant digits so outputs are byte-stable.
+value gets the same message here as from the API.
+
+The CSV and JSON text of a run lives in ``writers``; this module re-exports
+its ``render_*`` functions (the same objects, not wrappers) and payload
+builders, so ``scenario_io.render_report_json`` and the rest keep working.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
-import math
 from dataclasses import dataclass
-from functools import lru_cache
-from json.encoder import encode_basestring_ascii
 from typing import Callable, Mapping
 
 from .assertion import (
@@ -45,23 +43,15 @@ from .assertion import (
     speaker_signal,
     update,
 )
-from .game import (
-    GAME_RANGES,
-    GameConfig,
-    RegionReport,
-    SweepRow,
-    check_parameter,
-    equilibrium_region,
-)
+from .game import GAME_RANGES, GameConfig, RegionReport, check_parameter, equilibrium_region
 from .hedging import (
     DEFAULT_STEPS,
     DEFAULT_TOLERANCE,
     HEDGING_RANGES,
-    HedgingStep,
     HedgingTrace,
     run_hedging,
 )
-from .semantics import Formula, FrameReport, TruthValue, evaluate, extension
+from .semantics import Formula, TruthValue, evaluate, extension
 from .worlds import (
     SoritesSeries,
     WorldModel,
@@ -69,6 +59,23 @@ from .worlds import (
     check_states,
     common_belief,
     pool_states,
+)
+from .writers import (  # noqa: F401  (re-exported)
+    _SCENARIO_KEYS,
+    fmt_float,
+    model_payload,
+    render_dialogue_jsonl,
+    render_frame_csv,
+    render_frame_json,
+    render_hedging_csv,
+    render_hedging_json,
+    render_report_csv,
+    render_report_json,
+    render_scenario,
+    render_sweep_csv,
+    render_sweep_json,
+    report_payload,
+    scenario_payload,
 )
 
 CANONICAL_N = 5
@@ -100,12 +107,6 @@ class Scenario:
     tolerance: float = DEFAULT_TOLERANCE
 
 
-# The [game] keys are the GameConfig fields and the [run] keys the Scenario
-# fields of the same name, in the order files and reports list them.
-_SCENARIO_KEYS = {
-    "game": tuple(GAME_RANGES),
-    "run": ("speaker", "world", "steps", "tolerance"),
-}
 _FIXED_KEYS = {"series": ("n", "canonical"), **_SCENARIO_KEYS}
 
 _Entry = tuple[str, int]  # raw value, line number
@@ -254,22 +255,6 @@ def load_scenario(path) -> Scenario:
         return parse_scenario(handle.read())
 
 
-def render_scenario(scenario: Scenario) -> str:
-    """Render a scenario back to text; parsing the result round-trips."""
-    lines = ["[series]"]
-    if scenario.canonical:
-        lines.append("canonical = true")
-    else:
-        lines.append(f"n = {scenario.series.n}")
-        for agent, flip in scenario.series.flips.items():
-            lines.append(f"flip.{agent} = {flip}")
-    for section, keys in _SCENARIO_KEYS.items():
-        owner = scenario.config if section == "game" else scenario
-        lines += ["", f"[{section}]"]
-        lines += [f"{key} = {text}" for key, text in zip(keys, _csv_cells(owner, keys))]
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class DialogueStep:
     """One conversation step: what was said and where belief stands after it."""
@@ -356,218 +341,3 @@ def audit_report(report: RunReport) -> None:
     total = sum(report.posterior.values())
     if abs(total - 1.0) > 1e-12:
         raise ReportAuditError(f"posterior sums to {total!r}, not 1")
-
-
-# ---------------------------------------------------------------------------
-# Rendering. CSV uses `.` decimals, no grouping, 12 significant digits; JSON
-# mirrors the same (rounded) numbers so both formats stay byte-stable.
-
-
-def fmt_float(value: float) -> str:
-    return format(float(value), ".12g")
-
-
-def _jnum(value: float) -> float:
-    return float(fmt_float(value))
-
-
-def _jnum_text(value: float) -> str:
-    """``_jnum(value)`` as JSON text; like ``_dumps``, reject non-finite values."""
-    number = _jnum(value)
-    if not math.isfinite(number):
-        raise ValueError(f"Out of range float values are not JSON compliant: {number!r}")
-    return repr(number)
-
-
-def _jdist(dist: Mapping[str, float]) -> dict[str, float]:
-    return {key: _jnum(value) for key, value in dist.items()}
-
-
-def _dumps(payload) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-
-
-def _same(value):
-    return value
-
-
-def _bool_text(value: bool) -> str:
-    return str(value).lower()
-
-
-def _witness_csv(witness: tuple[str, ...] | None) -> str:
-    return "" if witness is None else "({})".format(",".join(witness))
-
-
-def _witness_json(witness: tuple[str, ...] | None) -> list[str] | None:
-    return None if witness is None else list(witness)
-
-
-# How a record field is written, keyed by its annotation: (CSV text, JSON
-# value, JSON text). The JSON text is what ``_dumps`` writes for the JSON
-# value; a list has none, since its layout depends on where it is nested.
-_FIELD_FORMATS = {
-    "float": (fmt_float, _jnum, _jnum_text),
-    "int": (str, _same, str),
-    "str": (str, _same, encode_basestring_ascii),
-    "bool": (_bool_text, _same, _bool_text),
-    "tuple[str, str, str] | None": (_witness_csv, _witness_json, None),
-}
-
-
-@lru_cache(maxsize=None)
-def _columns(record_type: type, names: tuple[str, ...] | None) -> tuple:
-    """``(name, to_csv, to_json, to_json_text)`` for the named fields of a
-    record dataclass, or for all of them in declaration order: a record's
-    field list."""
-    types = {f.name: f.type for f in dataclasses.fields(record_type)}
-    return tuple((name, *_FIELD_FORMATS[types[name]]) for name in names or types)
-
-
-def _csv_cells(record, names: tuple[str, ...] | None = None) -> list[str]:
-    return [to_csv(getattr(record, name)) for name, to_csv, _, _ in _columns(type(record), names)]
-
-
-def _json_record(record, names: tuple[str, ...] | None = None) -> dict:
-    return {
-        name: to_json(getattr(record, name))
-        for name, _, to_json, _ in _columns(type(record), names)
-    }
-
-
-def _render_csv(record_type: type, records) -> str:
-    """A header of the record's field names, then one row per record."""
-    lines = [",".join(name for name, _, _, _ in _columns(record_type, None))]
-    lines += [",".join(_csv_cells(record)) for record in records]
-    return "\n".join(lines) + "\n"
-
-
-def _render_json_list(record_type: type, records) -> str:
-    """``_dumps([_json_record(record) for record in records])``, each record
-    written straight from its fields' JSON text."""
-    if not records:
-        return _dumps([])
-    columns = _columns(record_type, None)
-    record_text = "  {\n%s\n  }" % ",\n".join(
-        f"    {encode_basestring_ascii(name)}: %s" for name, _, _, _ in columns
-    )
-    items = [
-        record_text % tuple([to_text(getattr(record, name)) for name, _, _, to_text in columns])
-        for record in records
-    ]
-    return "[\n" + ",\n".join(items) + "\n]\n"
-
-
-def scenario_payload(scenario: Scenario) -> dict:
-    return {
-        "canonical": scenario.canonical,
-        "n": scenario.series.n,
-        "flips": dict(scenario.series.flips),
-        **_json_record(scenario.config, _SCENARIO_KEYS["game"]),
-        **_json_record(scenario, _SCENARIO_KEYS["run"]),
-    }
-
-
-def model_payload(model: WorldModel) -> dict:
-    payload = {
-        "agents": list(model.agents),
-        "worlds": list(model.worlds),
-        "partitions": {
-            agent: [list(model.sort_worlds(cell)) for cell in cells]
-            for agent, cells in model.partitions.items()
-        },
-        "valuation": {
-            key: list(model.sort_worlds(worlds))
-            for key, worlds in model.valuation.items()
-        },
-    }
-    if model.judgments is not None:
-        payload["judgments"] = {
-            agent: dict(per_world) for agent, per_world in model.judgments.items()
-        }
-    if model.members is not None:
-        payload["members"] = {world: list(states) for world, states in model.members.items()}
-    return payload
-
-
-def _dialogue_record(step: DialogueStep) -> dict:
-    return {
-        "time": step.time,
-        "signal": None if step.signal is None else step.signal.text,
-        "live": list(step.live),
-        "posterior": _jdist(step.posterior),
-    }
-
-
-def report_payload(report: RunReport) -> dict:
-    return {
-        "scenario": scenario_payload(report.scenario),
-        "model": model_payload(report.model),
-        "signal": report.signal.text,
-        "dialogue": [_dialogue_record(step) for step in report.dialogue],
-        "posterior": _jdist(report.posterior),
-        "equilibrium": _json_record(report.region),
-        "hedging": {
-            **_json_record(report.hedging, ("max_steps", "tolerance")),
-            **_json_record(report.hedging.summary),
-            "final_eu_a": _jnum(report.hedging.steps[-1].eu_a),
-            "final_eu_b": _jnum(report.hedging.steps[-1].eu_b),
-        },
-        "public_belief": {
-            "proposition": list(report.model.sort_worlds(report.public_belief_proposition)),
-            "worlds": list(report.model.sort_worlds(report.public_belief_worlds)),
-            "holds": report.public_belief,
-        },
-    }
-
-
-def render_report_json(report: RunReport) -> str:
-    return _dumps(report_payload(report))
-
-
-def render_report_csv(report: RunReport) -> str:
-    """The dialogue trace as CSV: one row per conversation step."""
-    lines = ["time,signal,live,posterior"]
-    for step in report.dialogue:
-        posterior = ";".join(fmt_float(step.posterior[w]) for w in step.live)
-        signal = "" if step.signal is None else step.signal.text
-        lines.append(f"{step.time},{signal},{';'.join(step.live)},{posterior}")
-    return "\n".join(lines) + "\n"
-
-
-def render_dialogue_jsonl(report: RunReport) -> str:
-    """The dialogue trace as JSON lines: one record per step."""
-    return "".join(
-        json.dumps(_dialogue_record(step), allow_nan=False) + "\n" for step in report.dialogue
-    )
-
-
-def render_sweep_csv(rows: list[SweepRow]) -> str:
-    return _render_csv(SweepRow, rows)
-
-
-def render_sweep_json(rows: list[SweepRow]) -> str:
-    return _render_json_list(SweepRow, rows)
-
-
-def render_hedging_csv(trace: HedgingTrace) -> str:
-    return _render_csv(HedgingStep, trace.steps)
-
-
-def render_hedging_json(trace: HedgingTrace) -> str:
-    return _dumps(
-        {
-            **_json_record(trace.config, _SCENARIO_KEYS["game"]),
-            **_json_record(trace, ("max_steps", "tolerance", "hesitation")),
-            "steps": [_json_record(step) for step in trace.steps],
-            "summary": _json_record(trace.summary),
-        }
-    )
-
-
-def render_frame_csv(frame: FrameReport) -> str:
-    return _render_csv(FrameReport, [frame])
-
-
-def render_frame_json(frame: FrameReport) -> str:
-    return _dumps({**_json_record(frame), "summary": frame.summary()})

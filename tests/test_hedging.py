@@ -78,6 +78,19 @@ def test_propensity_rejects_bad_arguments():
         propensity_sequence(-1)
 
 
+@pytest.mark.parametrize("call", [propensity_sequence, propensity, propensities_at_step])
+def test_step_index_is_bounded_before_any_work(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^step index must be in \[0, 100000\], got 100001$"):
+            call(100_001)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # a list of 100002 floats alone takes about 3 MB
+    assert len(propensity_sequence(100_000)) == 100_001
+
+
 def test_hesitation_seeds_the_listener():
     assert propensity(1, hesitation=0.3) == 0.3
     assert propensity(2, hesitation=0.3) == 1.0 / 1.3

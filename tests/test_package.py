@@ -1,0 +1,97 @@
+"""The package surface, resolved lazily, and what each CLI command imports."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hedgesim
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+SUBMODULES = ("assertion", "game", "hedging", "scenario_io", "semantics", "worlds", "writers")
+
+# The public names, recorded before the package resolved them lazily.
+PUBLIC = [
+    "AbsurdUpdateError", "CommonGround", "Formula", "FrameReport", "GameConfig", "HedgingStep",
+    "HedgingSummary", "HedgingTrace", "InvalidSeriesError", "JudgmentProposition",
+    "NoAssertableSignalError", "RegionReport", "ReportAuditError", "RunReport", "Scenario",
+    "ScenarioParseError", "SignalLikelihoods", "SoritesSeries", "SweepRow", "TruthValue",
+    "UnexpectedSignalError", "UnknownLabelError", "WorldModel", "WorldPrior", "accessible",
+    "audit_report", "base_rate", "brute_force_eu", "build_forced_march", "check_frame",
+    "common_belief", "equilibrium_region", "evaluate", "everyone_thinks", "expected_utility",
+    "extension", "grid", "ideal_signal", "initial_common_ground", "judgment_proposition",
+    "listener_posterior", "load_scenario", "parse_scenario", "pool_states", "propensities_at_step",
+    "propensity", "propensity_sequence", "render_scenario", "run_hedging", "run_scenario",
+    "speaker_signal", "stepwise_eu", "thinks", "threshold_sweep", "update", "world_priors",
+]
+
+
+def run_python(code: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+def test_public_names_are_unchanged():
+    assert hedgesim.__all__ == PUBLIC
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_each_name_is_its_home_module_object(name):
+    value = getattr(hedgesim, name)
+    assert value.__module__.startswith("hedgesim.")
+    assert getattr(sys.modules[value.__module__], name) is value
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from hedgesim import *", namespace)
+    assert set(PUBLIC) <= set(namespace)
+    assert namespace["run_hedging"] is importlib.import_module("hedgesim.hedging").run_hedging
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'PayoffMatrix'"):
+        getattr(hedgesim, "PayoffMatrix")
+    assert not hasattr(hedgesim, "cli_main")
+
+
+def test_bare_import_loads_nothing_and_resolves_on_use():
+    code = """
+import json, sys
+import hedgesim
+loaded = sorted(m for m in sys.modules if m.startswith("hedgesim."))
+listed = dir(hedgesim)
+game, sio = hedgesim.game, hedgesim.scenario_io
+print(json.dumps([loaded, listed, game.__name__, sio.__name__]))
+"""
+    loaded, listed, game, sio = json.loads(run_python(code))
+    assert loaded == []
+    assert set(PUBLIC) | set(SUBMODULES) <= set(listed)
+    assert (game, sio) == ("hedgesim.game", "hedgesim.scenario_io")
+
+
+def test_hedge_and_sweep_import_only_what_they_run(tmp_path):
+    code = f"""
+import json, sys
+from hedgesim.cli import main
+out = {str(tmp_path)!r}
+assert main(["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "5", "--out", out + "/h"]) == 0
+assert main(["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "5",
+             "--format", "json", "--out", out + "/hj"]) == 0
+assert main(["sweep", "--delta-steps", "3", "--gamma-steps", "3", "--out", out + "/s"]) == 0
+assert main(["sweep", "--delta-steps", "3", "--gamma-steps", "3",
+             "--format", "json", "--out", out + "/sj"]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("hedgesim"))))
+"""
+    loaded = set(json.loads(run_python(code)))
+    assert loaded == {"hedgesim", "hedgesim.cli", "hedgesim.game", "hedgesim.hedging",
+                      "hedgesim.writers"}
