@@ -34,7 +34,6 @@ _EXPORTS = {
         "GameConfig",
         "RegionReport",
         "SweepRow",
-        "WorldPrior",
         "brute_force_eu",
         "equilibrium_region",
         "expected_utility",
@@ -47,7 +46,6 @@ _EXPORTS = {
         "HedgingSummary",
         "HedgingTrace",
         "propensities_at_step",
-        "propensity",
         "propensity_sequence",
         "run_hedging",
         "stepwise_eu",
@@ -65,19 +63,17 @@ _EXPORTS = {
     "semantics": ("Formula", "FrameReport", "TruthValue", "check_frame", "evaluate", "extension"),
     "worlds": (
         "InvalidSeriesError",
-        "JudgmentProposition",
         "SoritesSeries",
         "UnknownLabelError",
         "WorldModel",
         "accessible",
-        "build_forced_march",
         "common_belief",
         "everyone_thinks",
         "judgment_proposition",
         "pool_states",
         "thinks",
     ),
-    "writers": ("render_scenario",),
+    "writers": (),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

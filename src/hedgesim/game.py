@@ -53,7 +53,13 @@ GAME_RANGES = {
     "epsilon": (lambda v: 0.0 <= v < 0.5, "in [0, 0.5)"),
 }
 
-GRID_RANGES = {"grid size": (lambda v: 1 <= v <= 1000, "in [1, 1000]")}
+
+def integer_range(lo: int, hi: int) -> tuple:
+    """A range entry that admits only ``int`` values in [lo, hi]."""
+    return (lambda v: isinstance(v, int) and lo <= v <= hi, f"an integer in [{lo}, {hi}]")
+
+
+GRID_RANGES = {"grid size": integer_range(1, 1000)}
 
 
 def check_parameter(ranges: Mapping[str, tuple], name: str, value):
@@ -85,34 +91,16 @@ class GameConfig:
             check_parameter(GAME_RANGES, name, getattr(self, name))
 
 
-def _check_distribution(worlds, values) -> None:
-    for world, value in zip(worlds, values):
-        if value < 0:
-            raise ValueError(f"negative probability {value!r} at {world!r}")
-    total = sum(values)
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
-
-
-@dataclass(frozen=True)
-class WorldPrior:
-    """A probability distribution over the pooled worlds."""
-
-    p: Mapping[str, float]
-
-    def __post_init__(self) -> None:
-        _check_distribution(self.p.keys(), self.p.values())
-        object.__setattr__(self, "p", dict(self.p))
-
-    def __getitem__(self, world: str) -> float:
-        return self.p[world]
-
-
 def _prior(delta: float, gamma: float) -> tuple[float, float, float]:
     """(w1, w2, w3) prior masses: gamma on the contested world, the rest split
-    by delta; checked as :class:`WorldPrior` checks any distribution."""
+    by delta; checked to be a distribution (no negative mass, sum 1)."""
     prior = (delta * (1.0 - gamma), gamma, (1.0 - delta) * (1.0 - gamma))
-    _check_distribution(WORLD_ORDER, prior)
+    for world, value in zip(WORLD_ORDER, prior):
+        if value < 0:
+            raise ValueError(f"negative probability {value!r} at {world!r}")
+    total = sum(prior)
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
     return prior
 
 
@@ -125,9 +113,10 @@ def _region(delta: float, tau: float, prior: tuple[float, float, float]) -> str:
     return "none"
 
 
-def world_priors(config: GameConfig) -> WorldPrior:
-    """The three-point prior: gamma on the contested world, the rest split by delta."""
-    return WorldPrior(p=dict(zip(WORLD_ORDER, _prior(config.delta, config.gamma))))
+def world_priors(config: GameConfig) -> dict[str, float]:
+    """The three-point prior by world: gamma on the contested world, the rest
+    split by delta."""
+    return dict(zip(WORLD_ORDER, _prior(config.delta, config.gamma)))
 
 
 def expected_utility(config: GameConfig, player: str, action: str) -> float:

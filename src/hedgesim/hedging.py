@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from itertools import islice
 
-from .game import GameConfig, check_parameter, expected_utility
+from .game import GameConfig, check_parameter, expected_utility, integer_range
 
 DEFAULT_STEPS = 50
 DEFAULT_TOLERANCE = 1e-6
@@ -30,8 +30,8 @@ DEFAULT_HESITATION = 0.5
 
 # Admissible hedging settings, in the form of ``game.GAME_RANGES``.
 HEDGING_RANGES = {
-    "step index": (lambda v: 0 <= v <= 100_000, "in [0, 100000]"),
-    "steps": (lambda v: 4 <= v <= 100_000, "in [4, 100000]"),
+    "step index": integer_range(0, 100_000),
+    "steps": integer_range(4, 100_000),
     "tolerance": (lambda v: 0.0 < v < math.inf, "positive and finite"),
     "hesitation": (lambda v: 0.0 < v < 1.0, "strictly between 0 and 1"),
 }
@@ -47,11 +47,6 @@ def _propensities(hesitation: float):
         speaker = speaker / (listener + speaker)
         yield speaker, listener
         listener = listener / (speaker + listener)
-
-
-def propensity(n: int, hesitation: float = DEFAULT_HESITATION) -> float:
-    """Value of the normalization recurrence at step ``n`` (iterative)."""
-    return propensities_at_step(n, hesitation)[n % 2]
 
 
 def propensity_sequence(last: int, hesitation: float = DEFAULT_HESITATION) -> list[float]:

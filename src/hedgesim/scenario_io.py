@@ -25,9 +25,9 @@ errors that name the offending key and line. Ranges are checked by the
 objects that own them (GameConfig, run_hedging, SoritesSeries), so a bad
 value gets the same message here as from the API.
 
-The CSV and JSON text of a run lives in ``writers``; this module re-exports
-its ``render_*`` functions (the same objects, not wrappers) and payload
-builders, so ``scenario_io.render_report_json`` and the rest keep working.
+The CSV and JSON text of a run lives in ``writers``. This module re-exports
+only the seven ``render_*`` functions the benchmark reads through it (the
+same objects, not wrappers); everything else is imported from ``writers``.
 """
 
 from __future__ import annotations
@@ -60,22 +60,16 @@ from .worlds import (
     common_belief,
     pool_states,
 )
+# The render_* names are the writers the benchmark reads through this module.
 from .writers import (  # noqa: F401  (re-exported)
     _SCENARIO_KEYS,
-    fmt_float,
-    model_payload,
     render_dialogue_jsonl,
-    render_frame_csv,
-    render_frame_json,
     render_hedging_csv,
     render_hedging_json,
     render_report_csv,
     render_report_json,
-    render_scenario,
     render_sweep_csv,
     render_sweep_json,
-    report_payload,
-    scenario_payload,
 )
 
 CANONICAL_N = 5

@@ -49,19 +49,6 @@ class Formula(enum.Enum):
             return Formula.NOT_PHI
         return self
 
-    @property
-    def positive(self) -> bool:
-        return self.atom is Formula.PHI
-
-    @classmethod
-    def parse(cls, text: str) -> "Formula":
-        """Case-insensitive textual lookup (``phi``, ``not phi``, ``might phi``, ``might not phi``)."""
-        normalized = " ".join(text.lower().split())
-        for formula in cls:
-            if formula.value == normalized:
-                return formula
-        raise ValueError(f"not a formula: {text!r}")
-
 
 #: All formulas in decreasing strength.
 STRENGTH_ORDER: tuple[Formula, ...] = tuple(Formula)

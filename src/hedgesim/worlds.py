@@ -30,9 +30,10 @@ class UnknownLabelError(KeyError):
 
 
 def check_states(n: int) -> None:
-    """Reject a state count that is not an integer of at least 3."""
-    if not isinstance(n, int) or n < 3:
-        raise InvalidSeriesError(f"n must be an integer of at least 3, got {n!r}")
+    """Reject a state count that is not an integer in [3, 100000]: pooling
+    keeps every state, so the bound also bounds the model and its report."""
+    if not isinstance(n, int) or not 3 <= n <= 100_000:
+        raise InvalidSeriesError(f"n must be an integer in [3, 100000], got {n!r}")
 
 
 def check_flip(agent: str, flip: int, n: int) -> None:
@@ -84,11 +85,6 @@ class SoritesSeries:
     def judgment_vector(self, t: int) -> tuple[str, ...]:
         """All agents' judgments at state t, in agent order."""
         return tuple(self.judgment(agent, t) for agent in self.agents)
-
-
-def build_forced_march(n: int, flips: Mapping[str, int]) -> SoritesSeries:
-    """Validate and build a forced march from a state count and flip indices."""
-    return SoritesSeries(n=n, flips=flips)
 
 
 @dataclass(frozen=True)
@@ -161,15 +157,6 @@ class WorldModel:
         return tuple(sorted(worlds, key=self.index))
 
 
-@dataclass(frozen=True)
-class JudgmentProposition:
-    """Where one agent judges one way: its extension over the pooled worlds."""
-
-    agent: str
-    polarity: str
-    extension: frozenset[str]
-
-
 def pool_states(series: SoritesSeries) -> WorldModel:
     """Pool a forced march into coarse worlds and induce agent partitions.
 
@@ -224,7 +211,7 @@ def pool_states(series: SoritesSeries) -> WorldModel:
     )
 
 
-def judgment_proposition(model: WorldModel, agent: str, polarity: str) -> JudgmentProposition:
+def judgment_proposition(model: WorldModel, agent: str, polarity: str) -> frozenset[str]:
     """The set of pooled worlds where ``agent`` judges ``polarity``."""
     if polarity not in (Q, QBAR):
         raise ValueError(f"polarity must be {Q!r} or {QBAR!r}, got {polarity!r}")
@@ -232,10 +219,7 @@ def judgment_proposition(model: WorldModel, agent: str, polarity: str) -> Judgme
         raise ValueError("model carries no judgment data (not built by pooling)")
     if agent not in model.judgments:
         raise UnknownLabelError(f"unknown agent {agent!r}")
-    extension = frozenset(
-        w for w, value in model.judgments[agent].items() if value == polarity
-    )
-    return JudgmentProposition(agent=agent, polarity=polarity, extension=extension)
+    return frozenset(w for w, value in model.judgments[agent].items() if value == polarity)
 
 
 def _world_subset(model: WorldModel, worlds: Iterable[str]) -> frozenset[str]:

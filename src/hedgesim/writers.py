@@ -9,7 +9,8 @@ the frame report still go through ``json.dumps``.
 The writers read record fields and need only the record types of ``game``
 and ``hedging``, so the ``sweep`` and ``hedge`` commands load neither the
 world models nor the scenario runner. ``scenario_io`` re-exports the
-``render_*`` functions under the same names.
+report, dialogue, sweep and hedge ``render_*`` functions, which the
+benchmark reads there; import everything else from this module.
 """
 
 from __future__ import annotations
@@ -106,10 +107,6 @@ def _columns(record_type: type, names: tuple[str, ...] | None) -> tuple:
     return tuple((name, *_FIELD_FORMATS[types[name]]) for name in names or types)
 
 
-def _csv_cells(record, names: tuple[str, ...] | None = None) -> list[str]:
-    return [to_csv(getattr(record, name)) for name, to_csv, _, _ in _columns(type(record), names)]
-
-
 def _json_record(record, names: tuple[str, ...] | None = None) -> dict:
     return {
         name: to_json(getattr(record, name))
@@ -134,8 +131,12 @@ def _json_object(members: list[str], depth: int) -> str:
 
 def _render_csv(record_type: type, records) -> str:
     """A header of the record's field names, then one row per record."""
-    lines = [",".join(name for name, _, _, _ in _columns(record_type, None))]
-    lines += [",".join(_csv_cells(record)) for record in records]
+    columns = _columns(record_type, None)
+    lines = [",".join(name for name, _, _, _ in columns)]
+    lines += [
+        ",".join([to_csv(getattr(record, name)) for name, to_csv, _, _ in columns])
+        for record in records
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -161,22 +162,6 @@ def _render_json_list(record_type: type, records, *, depth=0, head="", tail="\n"
     items[0] = head + "[\n" + items[0]
     items[-1] += "\n" + "  " * depth + "]" + tail
     return ",\n".join(items)
-
-
-def render_scenario(scenario: Scenario) -> str:
-    """Render a scenario back to text; parsing the result round-trips."""
-    lines = ["[series]"]
-    if scenario.canonical:
-        lines.append("canonical = true")
-    else:
-        lines.append(f"n = {scenario.series.n}")
-        for agent, flip in scenario.series.flips.items():
-            lines.append(f"flip.{agent} = {flip}")
-    for section, keys in _SCENARIO_KEYS.items():
-        owner = scenario.config if section == "game" else scenario
-        lines += ["", f"[{section}]"]
-        lines += [f"{key} = {text}" for key, text in zip(keys, _csv_cells(owner, keys))]
-    return "\n".join(lines) + "\n"
 
 
 def scenario_payload(scenario: Scenario) -> dict:

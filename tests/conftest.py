@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hedgesim.worlds import build_forced_march, pool_states  # noqa: E402
+from hedgesim.worlds import SoritesSeries, pool_states  # noqa: E402
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -14,7 +14,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 @pytest.fixture
 def canonical_model():
     """The canonical pooled model: S flips at 4, L at 2, five states."""
-    return pool_states(build_forced_march(5, {"S": 4, "L": 2}))
+    return pool_states(SoritesSeries(5, {"S": 4, "L": 2}))
 
 
 @pytest.fixture

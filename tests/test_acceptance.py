@@ -35,7 +35,7 @@ from hedgesim.worlds import (
     NOT_PHI,
     Q,
     QBAR,
-    build_forced_march,
+    SoritesSeries,
     common_belief,
     pool_states,
 )
@@ -56,7 +56,7 @@ def criterion(number, label):
 
 
 def canonical_model():
-    return pool_states(build_forced_march(5, {"S": 4, "L": 2}))
+    return pool_states(SoritesSeries(5, {"S": 4, "L": 2}))
 
 
 def test_criterion_01_recurrence_reproduction():
@@ -172,7 +172,7 @@ def test_criterion_09_pooling_soundness():
             n = rng.randint(3, 50)
             agents = rng.randint(2, 5)
             flips = {f"a{i}": rng.randint(2, n) for i in range(agents)}
-            series = build_forced_march(n, flips)
+            series = SoritesSeries(n, flips)
             model = pool_states(series)
             lo, hi = min(flips.values()), max(flips.values())
             all_q = {t for t in series.states if set(series.judgment_vector(t)) == {Q}}

@@ -18,14 +18,14 @@ from hedgesim.assertion import (
     update,
 )
 from hedgesim.semantics import Formula, TruthValue, evaluate, extension
-from hedgesim.worlds import NOT_PHI, build_forced_march, common_belief, pool_states
+from hedgesim.worlds import NOT_PHI, SoritesSeries, common_belief, pool_states
 
 
 def random_model(rng, max_n=20, max_agents=4):
     n = rng.randint(3, max_n)
     agents = rng.randint(2, max_agents)
     flips = {f"a{i}": rng.randint(2, n) for i in range(agents)}
-    return pool_states(build_forced_march(n, flips))
+    return pool_states(SoritesSeries(n, flips))
 
 
 # --- common ground ----------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from hedgesim.cli import main
 from hedgesim.game import GameConfig, grid
-from hedgesim.hedging import run_hedging
+from hedgesim.hedging import propensities_at_step, propensity_sequence, run_hedging
 from hedgesim.scenario_io import ScenarioParseError, parse_scenario
 from hedgesim.worlds import SoritesSeries
 
@@ -203,7 +203,7 @@ CONFIG = GameConfig(delta=0.7, gamma=0.2)
     "key,text,api,argv,message",
     [
         ("n", "2", lambda: SoritesSeries(n=2, flips={"S": 2}), None,
-         "n must be an integer of at least 3, got 2"),
+         "n must be an integer in [3, 100000], got 2"),
         ("flip.S", "9", lambda: SoritesSeries(n=5, flips={"S": 9, "L": 2}), None,
          "flip.S must be in [2, 5], got 9"),
         ("delta", "1.5", lambda: GameConfig(delta=1.5, gamma=0.2),
@@ -216,16 +216,29 @@ CONFIG = GameConfig(delta=0.7, gamma=0.2)
         ("epsilon", "0.5", lambda: GameConfig(delta=0.7, gamma=0.2, epsilon=0.5), None,
          "epsilon must be in [0, 0.5), got 0.5"),
         ("steps", "3", lambda: run_hedging(CONFIG, max_steps=3),
-         [*HEDGE, "--steps", "3"], "steps must be in [4, 100000], got 3"),
+         [*HEDGE, "--steps", "3"], "steps must be an integer in [4, 100000], got 3"),
         ("steps", "100001", lambda: run_hedging(CONFIG, max_steps=100_001),
-         [*HEDGE, "--steps", "100001"], "steps must be in [4, 100000], got 100001"),
+         [*HEDGE, "--steps", "100001"], "steps must be an integer in [4, 100000], got 100001"),
         ("tolerance", "nan", lambda: run_hedging(CONFIG, tolerance=float("nan")),
          [*HEDGE, "--tolerance", "nan"], "tolerance must be positive and finite, got nan"),
         ("grid size", None, lambda: grid(0),
-         ["sweep", "--delta-steps", "0", "--gamma-steps", "3"], "grid size must be in [1, 1000], got 0"),
+         ["sweep", "--delta-steps", "0", "--gamma-steps", "3"],
+         "grid size must be an integer in [1, 1000], got 0"),
         ("grid size", None, lambda: grid(1001),
          ["sweep", "--delta-steps", "3", "--gamma-steps", "1001"],
-         "grid size must be in [1, 1000], got 1001"),
+         "grid size must be an integer in [1, 1000], got 1001"),
+        ("n", "100001", lambda: SoritesSeries(n=100_001, flips={"S": 2}), None,
+         "n must be an integer in [3, 100000], got 100001"),
+        ("grid size", None, lambda: grid(2.5), None,
+         "grid size must be an integer in [1, 1000], got 2.5"),
+        ("grid size", None, lambda: grid(3.0), None,
+         "grid size must be an integer in [1, 1000], got 3.0"),
+        ("steps", None, lambda: run_hedging(CONFIG, max_steps=10.0), None,
+         "steps must be an integer in [4, 100000], got 10.0"),
+        ("step index", None, lambda: propensity_sequence(3.0), None,
+         "step index must be an integer in [0, 100000], got 3.0"),
+        ("step index", None, lambda: propensities_at_step(2.0), None,
+         "step index must be an integer in [0, 100000], got 2.0"),
     ],
 )
 def test_range_message_is_shared(capsys, key, text, api, argv, message):

@@ -12,7 +12,6 @@ from hedgesim.game import (
     PLAYERS,
     GameConfig,
     SweepRow,
-    WorldPrior,
     brute_force_eu,
     equilibrium_region,
     expected_utility,
@@ -54,18 +53,16 @@ def test_config_has_no_payoffs_field():
     assert "PayoffMatrix" not in hedgesim.__all__
 
 
-def test_world_prior_must_sum_to_one():
-    with pytest.raises(ValueError):
-        WorldPrior(p={"w1": 0.5, "w2": 0.6})
-    with pytest.raises(ValueError):
-        WorldPrior(p={"w1": -0.5, "w2": 1.5})
+def test_prior_rejects_negative_mass():
+    with pytest.raises(ValueError, match="negative probability"):
+        game._prior(1.5, 0.0)
 
 
 # --- priors -----------------------------------------------------------------
 
 
 def test_world_priors_examples():
-    assert world_priors(GameConfig(delta=0.5, gamma=0.0)).p == {
+    assert world_priors(GameConfig(delta=0.5, gamma=0.0)) == {
         "w1": 0.5,
         "w2": 0.0,
         "w3": 0.5,
@@ -80,7 +77,7 @@ def test_world_priors_sum_to_one_random():
     rng = random.Random(61)
     for _ in range(300):
         prior = world_priors(random_config(rng))
-        assert abs(sum(prior.p.values()) - 1.0) <= 1e-12
+        assert abs(sum(prior.values()) - 1.0) <= 1e-12
 
 
 # --- expected utility -------------------------------------------------------
@@ -264,7 +261,7 @@ def test_sweep_rows_equal_the_public_per_config_functions(grids):
 
 def test_sweep_builds_no_config_or_prior_per_row(monkeypatch):
     deltas, gammas = grid(40), grid(30)
-    counts = {"GameConfig": 0, "WorldPrior": 0, "check_parameter": 0}
+    counts = {"GameConfig": 0, "world_priors": 0, "check_parameter": 0}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -273,12 +270,14 @@ def test_sweep_builds_no_config_or_prior_per_row(monkeypatch):
 
         return wrapper
 
-    for cls in (game.GameConfig, game.WorldPrior):
-        monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
-    monkeypatch.setattr(game, "check_parameter", counting("check_parameter", game.check_parameter))
+    monkeypatch.setattr(
+        game.GameConfig, "__post_init__", counting("GameConfig", game.GameConfig.__post_init__)
+    )
+    for name in ("world_priors", "check_parameter"):
+        monkeypatch.setattr(game, name, counting(name, getattr(game, name)))
     rows = threshold_sweep(deltas, gammas, tau=0.4)
     assert len(rows) == 40 * 30
-    assert counts["GameConfig"] == counts["WorldPrior"] == 0
+    assert counts["GameConfig"] == counts["world_priors"] == 0
     assert counts["check_parameter"] <= len(deltas) + len(gammas) + 1
 
 

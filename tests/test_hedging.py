@@ -9,7 +9,6 @@ from hedgesim import hedging
 from hedgesim.game import GameConfig, expected_utility
 from hedgesim.hedging import (
     propensities_at_step,
-    propensity,
     propensity_sequence,
     run_hedging,
     stepwise_eu,
@@ -22,24 +21,25 @@ F11 = 0.40847316103951686
 
 
 def test_recurrence_seeds_exact():
-    assert propensity(0) == 1.0
-    assert propensity(1) == 0.5
+    assert propensity_sequence(1) == [1.0, 0.5]
 
 
 def test_recurrence_early_values():
-    assert abs(propensity(2) - 2 / 3) <= 1e-12
-    assert propensity(3) == 0.5 / (0.5 + propensity(2))
-    assert abs(propensity(3) - 3 / 7) <= 1e-12
-    assert abs(propensity(4) - 14 / 23) <= 1e-12
-    assert abs(propensity(2) - 0.666) <= 1e-3
-    assert abs(propensity(3) - 0.428) <= 1e-3
+    f = propensity_sequence(4)
+    assert abs(f[2] - 2 / 3) <= 1e-12
+    assert f[3] == 0.5 / (0.5 + f[2])
+    assert abs(f[3] - 3 / 7) <= 1e-12
+    assert abs(f[4] - 14 / 23) <= 1e-12
+    assert abs(f[2] - 0.666) <= 1e-3
+    assert abs(f[3] - 0.428) <= 1e-3
 
 
 def test_recurrence_frozen_tail_values():
-    assert abs(propensity(10) - F10) <= 1e-12
-    assert abs(propensity(11) - F11) <= 1e-12
-    assert abs(propensity(10) - 0.592) <= 1e-3
-    assert abs(propensity(11) - 0.408) <= 1e-3
+    f = propensity_sequence(11)
+    assert abs(f[10] - F10) <= 1e-12
+    assert abs(f[11] - F11) <= 1e-12
+    assert abs(f[10] - 0.592) <= 1e-3
+    assert abs(f[11] - 0.408) <= 1e-3
 
 
 def test_recurrence_stays_in_unit_interval_far_out():
@@ -71,18 +71,18 @@ def test_pair_sums_descend_toward_one():
 
 def test_propensity_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        propensity(-1)
+        propensities_at_step(-1)
     with pytest.raises(ValueError):
-        propensity(3, hesitation=0.0)
+        propensity_sequence(3, hesitation=0.0)
     with pytest.raises(ValueError):
         propensity_sequence(-1)
 
 
-@pytest.mark.parametrize("call", [propensity_sequence, propensity, propensities_at_step])
+@pytest.mark.parametrize("call", [propensity_sequence, propensities_at_step])
 def test_step_index_is_bounded_before_any_work(call):
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"^step index must be in \[0, 100000\], got 100001$"):
+        with pytest.raises(ValueError, match=r"^step index must be an integer in \[0, 100000\], got 100001$"):
             call(100_001)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -92,15 +92,14 @@ def test_step_index_is_bounded_before_any_work(call):
 
 
 def test_hesitation_seeds_the_listener():
-    assert propensity(1, hesitation=0.3) == 0.3
-    assert propensity(2, hesitation=0.3) == 1.0 / 1.3
+    assert propensity_sequence(2, hesitation=0.3)[1:] == [0.3, 1.0 / 1.3]
     assert propensities_at_step(1, hesitation=0.3) == (1.0, 0.3)
 
 
 def test_propensities_at_step():
     assert propensities_at_step(0) == (1.0, 0.0)
     assert propensities_at_step(1) == (1.0, 0.5)
-    assert propensities_at_step(2) == (propensity(2), 0.5)
+    assert propensities_at_step(2) == (propensity_sequence(2)[2], 0.5)
     speaker, listener = propensities_at_step(3)
     assert abs(speaker - 0.666) <= 1e-3
     assert abs(listener - 0.428) <= 1e-3

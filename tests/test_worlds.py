@@ -8,10 +8,10 @@ from hedgesim.worlds import (
     Q,
     QBAR,
     InvalidSeriesError,
+    SoritesSeries,
     UnknownLabelError,
     WorldModel,
     accessible,
-    build_forced_march,
     common_belief,
     everyone_thinks,
     judgment_proposition,
@@ -24,27 +24,27 @@ def random_series(rng, max_n=50, max_agents=5):
     n = rng.randint(3, max_n)
     agents = rng.randint(2, max_agents)
     flips = {f"a{i}": rng.randint(2, n) for i in range(agents)}
-    return build_forced_march(n, flips)
+    return SoritesSeries(n, flips)
 
 
 # --- forced march -----------------------------------------------------------
 
 
 def test_forced_march_judgments():
-    series = build_forced_march(5, {"S": 4, "L": 2})
+    series = SoritesSeries(5, {"S": 4, "L": 2})
     assert [series.judgment("S", t) for t in series.states] == [Q, Q, Q, QBAR, QBAR]
     assert [series.judgment("L", t) for t in series.states] == [Q, QBAR, QBAR, QBAR, QBAR]
 
 
 def test_forced_march_identical_flips_no_disagreement():
-    series = build_forced_march(3, {"S": 2, "L": 2})
+    series = SoritesSeries(3, {"S": 2, "L": 2})
     for t in series.states:
         vector = series.judgment_vector(t)
         assert len(set(vector)) == 1
 
 
 def test_forced_march_disagreement_window():
-    series = build_forced_march(10, {"S": 7, "L": 3})
+    series = SoritesSeries(10, {"S": 7, "L": 3})
     disagree = [t for t in series.states if len(set(series.judgment_vector(t))) > 1]
     assert disagree == [3, 4, 5, 6]
     # earlier flipper says qbar there, later flipper still says q
@@ -72,15 +72,23 @@ def test_forced_march_judgments_monotone_random():
         (5, {"S": 6}),
         (5, {"S": 4, "L": 0}),
         (5, {"S": 2.5}),
+        (100_001, {"S": 2}),
     ],
 )
 def test_forced_march_rejects_malformed(n, flips):
     with pytest.raises(InvalidSeriesError):
-        build_forced_march(n, flips)
+        SoritesSeries(n, flips)
+
+
+def test_state_count_is_bounded():
+    model = pool_states(SoritesSeries(100_000, {"S": 2, "L": 3}))
+    assert model.members["w3"] == tuple(range(4, 100_001))
+    with pytest.raises(InvalidSeriesError, match=r"^n must be an integer in \[3, 100000\], got 100001$"):
+        SoritesSeries(100_001, {"S": 2, "L": 3})
 
 
 def test_forced_march_unknown_lookups():
-    series = build_forced_march(5, {"S": 4})
+    series = SoritesSeries(5, {"S": 4})
     with pytest.raises(UnknownLabelError):
         series.judges_q("nobody", 1)
     with pytest.raises(UnknownLabelError):
@@ -101,7 +109,7 @@ def test_pool_canonical_shape(canonical_model):
 
 
 def test_pool_swapped_flips_mirrors_canonical():
-    model = pool_states(build_forced_march(5, {"S": 2, "L": 4}))
+    model = pool_states(SoritesSeries(5, {"S": 2, "L": 4}))
     assert model.partitions["L"] == (frozenset({"w1", "w2"}), frozenset({"w3"}))
     assert model.partitions["S"] == (frozenset({"w1"}), frozenset({"w2", "w3"}))
 
@@ -110,7 +118,7 @@ def test_pool_identical_flips():
     # Shared flip state pools to a singleton w2 where everyone already judges
     # qbar, so each partition is {w1} vs {w2, w3} and both non-phi worlds are
     # in the negative atom's extension.
-    model = pool_states(build_forced_march(5, {"S": 3, "L": 3}))
+    model = pool_states(SoritesSeries(5, {"S": 3, "L": 3}))
     assert model.worlds == ("w1", "w2", "w3")
     assert model.members["w2"] == (3,)
     for agent in model.agents:
@@ -120,7 +128,7 @@ def test_pool_identical_flips():
 
 
 def test_pool_many_agents_three_worlds():
-    model = pool_states(build_forced_march(12, {"a": 3, "b": 5, "c": 8, "d": 10}))
+    model = pool_states(SoritesSeries(12, {"a": 3, "b": 5, "c": 8, "d": 10}))
     assert model.worlds == ("w1", "w2", "w3")
     assert model.members == {
         "w1": (1, 2),
@@ -132,7 +140,7 @@ def test_pool_many_agents_three_worlds():
 
 
 def test_pool_flip_at_last_state_drops_empty_pool():
-    model = pool_states(build_forced_march(5, {"S": 5, "L": 2}))
+    model = pool_states(SoritesSeries(5, {"S": 5, "L": 2}))
     assert model.worlds == ("w1", "w2")
     assert model.members == {"w1": (1,), "w2": (2, 3, 4, 5)}
 
@@ -280,10 +288,10 @@ def test_canonical_transitivity_failure(canonical_model):
 def test_judgment_proposition(canonical_model):
     q_side = judgment_proposition(canonical_model, "S", Q)
     qbar_side = judgment_proposition(canonical_model, "S", QBAR)
-    assert q_side.extension == frozenset({"w1", "w2"})
-    assert qbar_side.extension == frozenset({"w3"})
-    assert q_side.extension | qbar_side.extension == canonical_model.world_set
-    assert not q_side.extension & qbar_side.extension
+    assert q_side == frozenset({"w1", "w2"})
+    assert qbar_side == frozenset({"w3"})
+    assert q_side | qbar_side == canonical_model.world_set
+    assert not q_side & qbar_side
 
 
 def test_judgment_proposition_errors(canonical_model):

@@ -77,7 +77,18 @@ def test_empty_sweep_json_equals_json_dumps():
     assert render_sweep_json([]) == json.dumps([], indent=2) + "\n"
 
 
+# The writers the benchmark reads through ``scenario_io``.
+BENCHMARK_WRITERS = {
+    "render_dialogue_jsonl", "render_hedging_csv", "render_hedging_json", "render_report_csv",
+    "render_report_json", "render_sweep_csv", "render_sweep_json",
+}
+
+
 def test_scenario_io_re_exports_the_writers():
-    for name in dir(writers):
-        if name.startswith("render_"):
-            assert getattr(scenario_io, name) is getattr(writers, name)
+    shared = {
+        name
+        for name, value in vars(writers).items()
+        if getattr(value, "__module__", None) == writers.__name__
+        and getattr(scenario_io, name, None) is value
+    }
+    assert shared == BENCHMARK_WRITERS
