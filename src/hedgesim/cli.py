@@ -21,18 +21,19 @@ from .game import (
     GameConfig,
     check_parameter,
     grid,
+    parse_number,
     threshold_sweep,
 )
 from .hedging import DEFAULT_TOLERANCE, HEDGING_RANGES, run_hedging
 
 
 def _checked(ranges: dict, name: str, kind: type = float):
-    """An argparse type: convert the flag's text, then check it against the
-    range its owner declares, so a bad value exits 2 with the API's message."""
+    """An argparse type: convert and check the flag's text as a scenario file's
+    value, so a bad value exits 2 with the parser's and the API's message."""
 
     def convert(text: str):
         try:
-            return check_parameter(ranges, name, kind(text))
+            return check_parameter(ranges, name, parse_number(name, text, kind))
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 

@@ -62,6 +62,15 @@ def integer_range(lo: int, hi: int) -> tuple:
 GRID_RANGES = {"grid size": integer_range(1, 1000)}
 
 
+def parse_number(name: str, text: str, kind: type = float) -> int | float:
+    """A flag's or a scenario file's ``text`` as a ``kind``, or a ValueError."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} must be {noun}, got {text!r}") from None
+
+
 def check_parameter(ranges: Mapping[str, tuple], name: str, value):
     """Return ``value`` when ``ranges[name]`` admits it; raise ValueError otherwise."""
     admits, words = ranges[name]

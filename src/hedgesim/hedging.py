@@ -73,18 +73,17 @@ def stepwise_eu(
     config: GameConfig,
     n: int,
     action: str,
-    player: str = "S",
     hesitation: float = DEFAULT_HESITATION,
 ) -> float:
     """Expected utility of an action after ``n`` adjustment steps.
 
-    The base expected utility gains a correction for the contested world:
-    its prior mass gamma times the chance both sides nevertheless take the
-    action, where a match pays 1. Action-b propensities are the
-    complements of the action-a propensities at every step, so at n = 0 the
-    correction vanishes for both actions.
+    The base expected utility, the same for both players, gains a correction
+    for the contested world: its prior mass gamma times the chance both sides
+    nevertheless take the action, where a match pays 1. Action-b propensities
+    are the complements of the action-a propensities at every step, so at
+    n = 0 the correction vanishes for both actions.
     """
-    base = expected_utility(config, player, action)
+    base = expected_utility(config, "S", action)
     speaker_a, listener_a = propensities_at_step(n, hesitation)
     if action == "a":
         speaker, listener = speaker_a, listener_a

@@ -22,8 +22,9 @@ Scenario format: three sections (``[series]``, ``[game]``, ``[run]``) of
 
 Unknown sections or keys, duplicates, bad values, and range violations are
 errors that name the offending key and line. Ranges are checked by the
-objects that own them (GameConfig, run_hedging, SoritesSeries), so a bad
-value gets the same message here as from the API.
+objects that own them (GameConfig, run_hedging, SoritesSeries), and number
+text is read by ``game.parse_number``, as the CLI flags read it, so a bad
+value gets the same message here as from the API and the flags.
 
 The CSV and JSON text of a run lives in ``writers``. This module re-exports
 only the seven ``render_*`` functions the benchmark reads through it (the
@@ -43,7 +44,14 @@ from .assertion import (
     speaker_signal,
     update,
 )
-from .game import GAME_RANGES, GameConfig, RegionReport, check_parameter, equilibrium_region
+from .game import (
+    GAME_RANGES,
+    GameConfig,
+    RegionReport,
+    check_parameter,
+    equilibrium_region,
+    parse_number,
+)
 from .hedging import (
     DEFAULT_STEPS,
     DEFAULT_TOLERANCE,
@@ -142,11 +150,7 @@ def _tokenize(text: str) -> dict[str, dict[str, _Entry]]:
 def _number(key: str, entry: _Entry, kind: type, ranges: Mapping | None = None) -> int | float:
     """Convert a value and, given the ``ranges`` of its owner, check it there."""
     value, lineno = entry
-    try:
-        number = kind(value)
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ScenarioParseError(f"{key} must be {noun}, got {value!r}", lineno) from None
+    number = _owned(lineno, parse_number, key, value, kind)
     if ranges is None:
         return number
     return _owned(lineno, check_parameter, ranges, key, number)

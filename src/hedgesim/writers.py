@@ -1,10 +1,9 @@
 """Deterministic CSV, JSON and JSON-lines text for every report hedgesim writes.
 
 CSV uses ``.`` decimals, no grouping and 12 significant digits; JSON carries
-the same rounded numbers, so both formats stay byte-stable. Sweep rows and
-hedging steps are written as JSON straight from each field's text, laid out
-exactly as ``json.dumps(indent=2)`` would lay them out; the run report and
-the frame report still go through ``json.dumps``.
+the same rounded numbers, so both formats stay byte-stable. One writer,
+``_json_text``, lays out every JSON document and JSON line from the
+payload's raw values, rounding each float as it writes it.
 
 The writers read record fields and need only the record types of ``game``
 and ``hedging``, so the ``sweep`` and ``hedge`` commands load neither the
@@ -16,11 +15,10 @@ benchmark reads there; import everything else from this module.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 from .game import GAME_RANGES, SweepRow
 from .hedging import HedgingStep, HedgingTrace
@@ -42,12 +40,9 @@ def fmt_float(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def _jnum(value: float) -> float:
-    return float(fmt_float(value))
-
-
 def _jnum_text(value: float) -> str:
-    """``repr(_jnum(value))``; like ``_dumps``, reject non-finite values.
+    """``repr`` of the float rounded to 12 significant digits; reject
+    non-finite values, which JSON cannot carry.
 
     Without an exponent the 12-digit text is already that ``repr`` (at most
     12 significant digits name a single float), short of the ``.0`` a whole
@@ -62,18 +57,6 @@ def _jnum_text(value: float) -> str:
     return repr(number)
 
 
-def _jdist(dist: Mapping[str, float]) -> dict[str, float]:
-    return {key: _jnum(value) for key, value in dist.items()}
-
-
-def _dumps(payload) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-
-
-def _same(value):
-    return value
-
-
 def _bool_text(value: bool) -> str:
     return str(value).lower()
 
@@ -82,86 +65,96 @@ def _witness_csv(witness: tuple[str, ...] | None) -> str:
     return "" if witness is None else "({})".format(",".join(witness))
 
 
-def _witness_json(witness: tuple[str, ...] | None) -> list[str] | None:
-    return None if witness is None else list(witness)
-
-
 # How a record field is written, keyed by its annotation: (CSV text, JSON
-# value, JSON text). The JSON text is what ``_dumps`` writes for the JSON
-# value; a list has none, since its layout depends on where it is nested.
+# text). A list has no JSON text, since its layout depends on its nesting.
 _FIELD_FORMATS = {
-    "float": (fmt_float, _jnum, _jnum_text),
-    "int": (str, _same, str),
-    "str": (str, _same, encode_basestring_ascii),
-    "bool": (_bool_text, _same, _bool_text),
-    "tuple[str, str, str] | None": (_witness_csv, _witness_json, None),
+    "float": (fmt_float, _jnum_text),
+    "int": (str, str),
+    "str": (str, encode_basestring_ascii),
+    "bool": (_bool_text, _bool_text),
+    "tuple[str, str, str] | None": (_witness_csv, None),
 }
 
 
 @lru_cache(maxsize=None)
-def _columns(record_type: type, names: tuple[str, ...] | None) -> tuple:
-    """``(name, to_csv, to_json, to_json_text)`` for the named fields of a
-    record dataclass, or for all of them in declaration order: a record's
-    field list."""
-    types = {f.name: f.type for f in dataclasses.fields(record_type)}
-    return tuple((name, *_FIELD_FORMATS[types[name]]) for name in names or types)
+def _columns(record_type: type) -> tuple:
+    """``(name, to_csv, to_json_text)`` for each field of a record dataclass
+    in declaration order: a record's field list."""
+    return tuple(
+        (field.name, *_FIELD_FORMATS[field.type]) for field in dataclasses.fields(record_type)
+    )
 
 
-def _json_record(record, names: tuple[str, ...] | None = None) -> dict:
+def _fields(record, names: tuple[str, ...] | None = None) -> dict:
+    """The named fields of a record dataclass, or all of them in order; a
+    ``float`` field given an int still holds, and is written as, a float."""
+    kinds = {field.name: field.type for field in dataclasses.fields(record)}
     return {
-        name: to_json(getattr(record, name))
-        for name, _, to_json, _ in _columns(type(record), names)
+        name: float(getattr(record, name)) if kinds[name] == "float" else getattr(record, name)
+        for name in names or kinds
     }
 
 
-def _json_members(record, names: tuple[str, ...] | None = None, depth: int = 1) -> list[str]:
-    """The ``"name": value`` lines of ``_json_record(record, names)`` as
-    ``_dumps`` writes them inside an object nested ``depth`` levels deep."""
-    pad = "  " * depth
-    return [
-        f"{pad}{encode_basestring_ascii(name)}: {to_text(getattr(record, name))}"
-        for name, _, _, to_text in _columns(type(record), names)
-    ]
+def _layout(depth: int | None) -> tuple:
+    """(inner depth, opening, separator, closing) around the items of a
+    non-empty list or object at nesting ``depth``; ``None`` is one line."""
+    if depth is None:
+        return None, "", ", ", ""
+    indent = "\n" + "  " * (depth + 1)
+    return depth + 1, indent, "," + indent, "\n" + "  " * depth
 
 
-def _json_object(members: list[str], depth: int) -> str:
-    """An object of ``members`` lines whose closing brace sits at ``depth``."""
-    return "{\n" + ",\n".join(members) + "\n" + "  " * depth + "}"
+def _json_text(value, depth: int | None = 0) -> str:
+    """``value`` as the standard JSON encoder writes it with ``indent=2`` at
+    nesting ``depth``, or with no indent when ``depth`` is None, each float
+    as ``_jnum_text``. Dicts have text keys; tuples are lists.
+
+    A list of record dataclasses is a list of objects of their fields,
+    written through one ``%``-template built per list. The brackets ride on
+    the first and last items, so the join is the only full copy of the text.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        return _jnum_text(value)
+    if isinstance(value, int):
+        return _bool_text(value) if isinstance(value, bool) else int.__repr__(value)
+    if value is None:
+        return "null"
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    if not value:
+        return brackets
+    inner, opening, separator, closing = _layout(depth)
+    if brackets == "{}":
+        items = [
+            f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+            for key, item in value.items()
+        ]
+    elif dataclasses.is_dataclass(value[0]):
+        columns = _columns(type(value[0]))
+        _, record_opening, record_separator, record_closing = _layout(inner)
+        members = [f"{encode_basestring_ascii(name)}: %s" for name, _, _ in columns]
+        template = "{" + record_opening + record_separator.join(members) + record_closing + "}"
+        items = [
+            template % tuple([to_text(getattr(record, name)) for name, _, to_text in columns])
+            for record in value
+        ]
+    else:
+        items = [_json_text(item, inner) for item in value]
+    items[0] = brackets[0] + opening + items[0]
+    items[-1] += closing + brackets[1]
+    return separator.join(items)
 
 
 def _render_csv(record_type: type, records) -> str:
     """A header of the record's field names, then one row per record."""
-    columns = _columns(record_type, None)
-    lines = [",".join(name for name, _, _, _ in columns)]
+    columns = _columns(record_type)
+    lines = [",".join(name for name, _, _ in columns)]
     lines += [
-        ",".join([to_csv(getattr(record, name)) for name, to_csv, _, _ in columns])
+        ",".join([to_csv(getattr(record, name)) for name, to_csv, _ in columns])
         for record in records
     ]
     return "\n".join(lines) + "\n"
-
-
-def _render_json_list(record_type: type, records, *, depth=0, head="", tail="\n") -> str:
-    """``head``, then the list ``[_json_record(r) for r in records]`` as
-    ``_dumps`` lays it out at nesting ``depth``, then ``tail``.
-
-    Each record is written straight from its fields' JSON text into one
-    template, and the whole text is made by a single join, so the only full
-    copy of the output is the result.
-    """
-    if not records:
-        return head + "[]" + tail
-    columns = _columns(record_type, None)
-    pad = "  " * (depth + 1)
-    template = pad + _json_object(
-        [f"{pad}  {encode_basestring_ascii(name)}: %s" for name, _, _, _ in columns], depth + 1
-    )
-    items = [
-        template % tuple([to_text(getattr(record, name)) for name, _, _, to_text in columns])
-        for record in records
-    ]
-    items[0] = head + "[\n" + items[0]
-    items[-1] += "\n" + "  " * depth + "]" + tail
-    return ",\n".join(items)
 
 
 def scenario_payload(scenario: Scenario) -> dict:
@@ -169,30 +162,27 @@ def scenario_payload(scenario: Scenario) -> dict:
         "canonical": scenario.canonical,
         "n": scenario.series.n,
         "flips": dict(scenario.series.flips),
-        **_json_record(scenario.config, _SCENARIO_KEYS["game"]),
-        **_json_record(scenario, _SCENARIO_KEYS["run"]),
+        **_fields(scenario.config, _SCENARIO_KEYS["game"]),
+        **_fields(scenario, _SCENARIO_KEYS["run"]),
     }
 
 
 def model_payload(model: WorldModel) -> dict:
     payload = {
-        "agents": list(model.agents),
-        "worlds": list(model.worlds),
+        "agents": model.agents,
+        "worlds": model.worlds,
         "partitions": {
-            agent: [list(model.sort_worlds(cell)) for cell in cells]
+            agent: [model.sort_worlds(cell) for cell in cells]
             for agent, cells in model.partitions.items()
         },
-        "valuation": {
-            key: list(model.sort_worlds(worlds))
-            for key, worlds in model.valuation.items()
-        },
+        "valuation": {key: model.sort_worlds(worlds) for key, worlds in model.valuation.items()},
     }
     if model.judgments is not None:
         payload["judgments"] = {
             agent: dict(per_world) for agent, per_world in model.judgments.items()
         }
     if model.members is not None:
-        payload["members"] = {world: list(states) for world, states in model.members.items()}
+        payload["members"] = dict(model.members)
     return payload
 
 
@@ -200,8 +190,8 @@ def _dialogue_record(step: DialogueStep) -> dict:
     return {
         "time": step.time,
         "signal": None if step.signal is None else step.signal.text,
-        "live": list(step.live),
-        "posterior": _jdist(step.posterior),
+        "live": step.live,
+        "posterior": dict(step.posterior),
     }
 
 
@@ -211,24 +201,24 @@ def report_payload(report: RunReport) -> dict:
         "model": model_payload(report.model),
         "signal": report.signal.text,
         "dialogue": [_dialogue_record(step) for step in report.dialogue],
-        "posterior": _jdist(report.posterior),
-        "equilibrium": _json_record(report.region),
+        "posterior": dict(report.posterior),
+        "equilibrium": _fields(report.region),
         "hedging": {
-            **_json_record(report.hedging, ("max_steps", "tolerance")),
-            **_json_record(report.hedging.summary),
-            "final_eu_a": _jnum(report.hedging.steps[-1].eu_a),
-            "final_eu_b": _jnum(report.hedging.steps[-1].eu_b),
+            **_fields(report.hedging, ("max_steps", "tolerance")),
+            **_fields(report.hedging.summary),
+            "final_eu_a": report.hedging.steps[-1].eu_a,
+            "final_eu_b": report.hedging.steps[-1].eu_b,
         },
         "public_belief": {
-            "proposition": list(report.model.sort_worlds(report.public_belief_proposition)),
-            "worlds": list(report.model.sort_worlds(report.public_belief_worlds)),
+            "proposition": report.model.sort_worlds(report.public_belief_proposition),
+            "worlds": report.model.sort_worlds(report.public_belief_worlds),
             "holds": report.public_belief,
         },
     }
 
 
 def render_report_json(report: RunReport) -> str:
-    return _dumps(report_payload(report))
+    return _json_text(report_payload(report)) + "\n"
 
 
 def render_report_csv(report: RunReport) -> str:
@@ -243,9 +233,7 @@ def render_report_csv(report: RunReport) -> str:
 
 def render_dialogue_jsonl(report: RunReport) -> str:
     """The dialogue trace as JSON lines: one record per step."""
-    return "".join(
-        json.dumps(_dialogue_record(step), allow_nan=False) + "\n" for step in report.dialogue
-    )
+    return "".join(_json_text(_dialogue_record(step), None) + "\n" for step in report.dialogue)
 
 
 def render_sweep_csv(rows: list[SweepRow]) -> str:
@@ -253,7 +241,7 @@ def render_sweep_csv(rows: list[SweepRow]) -> str:
 
 
 def render_sweep_json(rows: list[SweepRow]) -> str:
-    return _render_json_list(SweepRow, rows)
+    return _json_text(rows) + "\n"
 
 
 def render_hedging_csv(trace: HedgingTrace) -> str:
@@ -261,20 +249,14 @@ def render_hedging_csv(trace: HedgingTrace) -> str:
 
 
 def render_hedging_json(trace: HedgingTrace) -> str:
-    """``_dumps`` of the game, the run settings, the steps and the summary."""
-    head = [
-        *_json_members(trace.config, _SCENARIO_KEYS["game"]),
-        *_json_members(trace, ("max_steps", "tolerance", "hesitation")),
-        '  "steps": ',
-    ]
-    summary = _json_object(_json_members(trace.summary, depth=2), 1)
-    return _render_json_list(
-        HedgingStep,
-        trace.steps,
-        depth=1,
-        head="{\n" + ",\n".join(head),
-        tail=f',\n  "summary": {summary}\n}}\n',
-    )
+    """The game, the run settings, the steps and the summary."""
+    payload = {
+        **_fields(trace.config, _SCENARIO_KEYS["game"]),
+        **_fields(trace, ("max_steps", "tolerance", "hesitation")),
+        "steps": trace.steps,
+        "summary": _fields(trace.summary),
+    }
+    return _json_text(payload) + "\n"
 
 
 def render_frame_csv(frame: FrameReport) -> str:
@@ -282,4 +264,4 @@ def render_frame_csv(frame: FrameReport) -> str:
 
 
 def render_frame_json(frame: FrameReport) -> str:
-    return _dumps({**_json_record(frame), "summary": frame.summary()})
+    return _json_text({**_fields(frame), "summary": frame.summary()}) + "\n"

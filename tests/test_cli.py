@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from hedgesim.cli import main
-from hedgesim.game import GameConfig, grid
+from hedgesim.game import GameConfig, grid, parse_number
 from hedgesim.hedging import propensities_at_step, propensity_sequence, run_hedging
 from hedgesim.scenario_io import ScenarioParseError, parse_scenario
 from hedgesim.worlds import SoritesSeries
@@ -239,6 +239,22 @@ CONFIG = GameConfig(delta=0.7, gamma=0.2)
          "step index must be an integer in [0, 100000], got 3.0"),
         ("step index", None, lambda: propensities_at_step(2.0), None,
          "step index must be an integer in [0, 100000], got 2.0"),
+        # Text that is not a number of the flag's kind: the flags and the
+        # scenario file convert it in one step and give one message.
+        ("steps", "10.0", lambda: parse_number("steps", "10.0", int),
+         [*HEDGE, "--steps", "10.0"], "steps must be an integer, got '10.0'"),
+        ("steps", "abc", lambda: parse_number("steps", "abc", int),
+         [*HEDGE, "--steps", "abc"], "steps must be an integer, got 'abc'"),
+        ("grid size", None, lambda: parse_number("grid size", "10.0", int),
+         ["sweep", "--delta-steps", "10.0", "--gamma-steps", "3"],
+         "grid size must be an integer, got '10.0'"),
+        ("grid size", None, lambda: parse_number("grid size", "abc", int),
+         ["sweep", "--delta-steps", "3", "--gamma-steps", "abc"],
+         "grid size must be an integer, got 'abc'"),
+        ("delta", "10.0", lambda: GameConfig(delta=10.0, gamma=0.2),
+         [*HEDGE, "--delta", "10.0"], "delta must be strictly between 0 and 1, got 10.0"),
+        ("delta", "abc", lambda: parse_number("delta", "abc"),
+         [*HEDGE, "--delta", "abc"], "delta must be a number, got 'abc'"),
     ],
 )
 def test_range_message_is_shared(capsys, key, text, api, argv, message):

@@ -129,11 +129,10 @@ def test_stepwise_eu_never_below_step_zero_random():
     rng = random.Random(131)
     for _ in range(40):
         config = GameConfig(delta=rng.uniform(0.01, 0.99), gamma=rng.uniform(0.0, 0.99))
-        for player in ("S", "L"):
-            for action in ("a", "b"):
-                floor = stepwise_eu(config, 0, action, player=player)
-                for n in range(0, 101, 7):
-                    assert stepwise_eu(config, n, action, player=player) >= floor
+        for action in ("a", "b"):
+            floor = stepwise_eu(config, 0, action)
+            for n in range(0, 101, 7):
+                assert stepwise_eu(config, n, action) >= floor
 
 
 def test_stepwise_eu_rejects_bad_action():

@@ -1,7 +1,11 @@
-"""The direct JSON writers against ``json.dumps``, and JSON float text."""
+"""The JSON writer against ``json.dumps``, JSON float text, and digests of
+reports from non-canonical scenarios."""
 
+import dataclasses
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,13 +14,21 @@ from hypothesis import strategies as st
 from hedgesim import scenario_io, writers
 from hedgesim.game import GameConfig, grid, threshold_sweep
 from hedgesim.hedging import run_hedging
+from hedgesim.scenario_io import Scenario, load_scenario, run_scenario
+from hedgesim.semantics import check_frame
+from hedgesim.worlds import SoritesSeries, pool_states
 from hedgesim.writers import (
-    _SCENARIO_KEYS,
     _jnum_text,
-    _json_record,
+    _json_text,
+    render_dialogue_jsonl,
+    render_frame_json,
     render_hedging_json,
+    render_report_csv,
+    render_report_json,
     render_sweep_json,
 )
+
+DATA_DIR = Path(__file__).parent / "data"
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 deltas = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
@@ -48,33 +60,135 @@ def test_jnum_text_rejects_non_finite(value):
         _jnum_text(value)
 
 
-def hedging_payload(trace) -> dict:
-    return {
-        **_json_record(trace.config, _SCENARIO_KEYS["game"]),
-        **_json_record(trace, ("max_steps", "tolerance", "hesitation")),
-        "steps": [_json_record(step) for step in trace.steps],
-        "summary": _json_record(trace.summary),
-    }
+def rounded(value):
+    """``value`` with each float rounded to 12 significant digits."""
+    if isinstance(value, float):
+        return float(format(value, ".12g"))
+    if isinstance(value, dict):
+        return {key: rounded(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [rounded(item) for item in value]
+    return value
+
+
+def dumps(value) -> str:
+    return json.dumps(rounded(value), indent=2, allow_nan=False) + "\n"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**64), 2**64) | finite_floats | st.text(),
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(st.text(), children)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(deadline=None)
+@given(json_values)
+def test_json_text_equals_json_dumps(value):
+    assert _json_text(value) == json.dumps(rounded(value), indent=2)
+    assert _json_text(value, None) == json.dumps(rounded(value))
 
 
 @settings(deadline=None, max_examples=60)
 @given(deltas, gammas, st.integers(4, 300))
 def test_hedging_json_equals_json_dumps(delta, gamma, steps):
     trace = run_hedging(GameConfig(delta=delta, gamma=gamma), max_steps=steps)
-    expected = json.dumps(hedging_payload(trace), indent=2, allow_nan=False) + "\n"
-    assert render_hedging_json(trace) == expected
+    payload = {
+        **dataclasses.asdict(trace.config),
+        "max_steps": trace.max_steps,
+        "tolerance": trace.tolerance,
+        "hesitation": trace.hesitation,
+        "steps": [dataclasses.asdict(step) for step in trace.steps],
+        "summary": dataclasses.asdict(trace.summary),
+    }
+    assert render_hedging_json(trace) == dumps(payload)
 
 
 @settings(deadline=None)
 @given(st.integers(1, 8), st.integers(1, 8), taus)
 def test_sweep_json_equals_json_dumps(delta_steps, gamma_steps, tau):
     rows = threshold_sweep(grid(delta_steps), grid(gamma_steps), tau=tau)
-    expected = json.dumps([_json_record(row) for row in rows], indent=2, allow_nan=False) + "\n"
-    assert render_sweep_json(rows) == expected
+    records = [dataclasses.asdict(row) for row in rows]
+    assert render_sweep_json(rows) == dumps(records)
+    assert _json_text(rows, None) == json.dumps(rounded(records))
 
 
 def test_empty_sweep_json_equals_json_dumps():
     assert render_sweep_json([]) == json.dumps([], indent=2) + "\n"
+
+
+def test_float_fields_given_ints_are_written_as_floats():
+    def scenario(gamma):
+        config = GameConfig(delta=0.7, gamma=gamma, epsilon=gamma)
+        series = SoritesSeries(5, {"S": 4, "L": 2})
+        return Scenario(series=series, canonical=False, config=config, speaker="S", world="w2")
+
+    assert render_report_json(run_scenario(scenario(0))) == render_report_json(
+        run_scenario(scenario(0.0))
+    )
+    ints = run_hedging(GameConfig(delta=0.7, gamma=0, epsilon=0), max_steps=4, tolerance=1)
+    floats = run_hedging(GameConfig(delta=0.7, gamma=0.0, epsilon=0.0), max_steps=4, tolerance=1.0)
+    assert '"gamma": 0.0' in render_hedging_json(ints)
+    assert render_hedging_json(ints) == render_hedging_json(floats)
+
+
+def render_all(path: Path) -> dict[str, str]:
+    scenario = load_scenario(path)
+    report = run_scenario(scenario)
+    return {
+        "report_json": render_report_json(report),
+        "report_csv": render_report_csv(report),
+        "dialogue_jsonl": render_dialogue_jsonl(report),
+        "frame_json": render_frame_json(check_frame(pool_states(scenario.series))),
+    }
+
+
+# Recorded from the json.dumps(indent=2) report and frame writers, before
+# one JSON writer laid out every output. Every golden file comes from the
+# canonical march; these pin reports whose models, signals and labels differ.
+NON_CANONICAL_DIGESTS = {
+    "two_world": {
+        "report_json": "5e6eac4744b94e0089a606359bd81b0c0b3a381bae16f832dcf284110c47ebda",
+        "report_csv": "c92d7c83ab682d942584402a9f7ae18d8d4524acdd033bc0149a422bdf27e3ef",
+        "dialogue_jsonl": "6b298cccb8785b008a9dfc468bf5df42d76bf172766977c50f2d4facbe79b191",
+        "frame_json": "784deb25388ae108c5387c71452d5f6a95b7389e0cef69c1ff216e8f8aea464c",
+    },
+    "speaker_l": {
+        "report_json": "bee0254221d3c491e46f79422ae71d4b611d295536bde93eeb183ecadc881756",
+        "report_csv": "bba0e362f6952c51ca10fe8a6cd3a7d23ad7bb410a233855cd740982a97e9724",
+        "dialogue_jsonl": "e7d59419c198cd975298d48f51142da9258cd0d826ec969c94a3c6702a50ed92",
+        "frame_json": "1e03608808eaf68eac533321f7c16501a9014fbf7ce4e0a9877ba92b4253853b",
+    },
+    "gamma0": {
+        "report_json": "8ca260d4859b91006e95ebaf073dab9ae430cbba588857a82d69a19e35c00fb4",
+        "report_csv": "d339bd1a83d78059e9d1ae741d619bf3d90a03f7e11e27f66bcdb5f47954f9e4",
+        "dialogue_jsonl": "4b30a470dd3fe7cfb102a5fd217505d1529b68b819706a3ef6cb4257030072fe",
+        "frame_json": "1e03608808eaf68eac533321f7c16501a9014fbf7ce4e0a9877ba92b4253853b",
+    },
+    "equal_flips": {
+        "report_json": "113a28b73c5ae861b52e6d4b48addcf39c2dd21d3d32d0cc209ab18ab9d562f8",
+        "report_csv": "6ad16cd5965d45a49484844b05a676efc2761bc0b42d703b82f2e17a8529bb16",
+        "dialogue_jsonl": "8430dee312e37d060fb0949fc4cbe3d6aa23b670011a8b065585255e0916e4d2",
+        "frame_json": "784deb25388ae108c5387c71452d5f6a95b7389e0cef69c1ff216e8f8aea464c",
+    },
+    "non_ascii": {
+        "report_json": "b1e39e470336dea5b4db1a0c59d623d05bcde5a74b8fd17f50ef3bc212efa1fd",
+        "report_csv": "d339bd1a83d78059e9d1ae741d619bf3d90a03f7e11e27f66bcdb5f47954f9e4",
+        "dialogue_jsonl": "4b30a470dd3fe7cfb102a5fd217505d1529b68b819706a3ef6cb4257030072fe",
+        "frame_json": "1e03608808eaf68eac533321f7c16501a9014fbf7ce4e0a9877ba92b4253853b",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_CANONICAL_DIGESTS))
+def test_non_canonical_report_digests(name):
+    texts = render_all(DATA_DIR / f"{name}.scn")
+    digests = {key: hashlib.sha256(text.encode()).hexdigest() for key, text in texts.items()}
+    assert digests == NON_CANONICAL_DIGESTS[name]
 
 
 # The writers the benchmark reads through ``scenario_io``.
