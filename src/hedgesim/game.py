@@ -102,11 +102,12 @@ class GameConfig:
 
 def _prior(delta: float, gamma: float) -> tuple[float, float, float]:
     """(w1, w2, w3) prior masses: gamma on the contested world, the rest split
-    by delta; checked to be a distribution (no negative mass, sum 1)."""
+    by delta; checked to be a distribution (every mass a number >= 0, sum 1)."""
     prior = (delta * (1.0 - gamma), gamma, (1.0 - delta) * (1.0 - gamma))
     for world, value in zip(WORLD_ORDER, prior):
-        if value < 0:
-            raise ValueError(f"negative probability {value!r} at {world!r}")
+        if not value >= 0:
+            kind = "negative" if value < 0 else "non-numeric"
+            raise ValueError(f"{kind} probability {value!r} at {world!r}")
     total = sum(prior)
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"probabilities sum to {total!r}, not 1")

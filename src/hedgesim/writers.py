@@ -5,6 +5,15 @@ the same rounded numbers, so both formats stay byte-stable. One writer,
 ``_json_text``, lays out every JSON document and JSON line from the
 payload's raw values, rounding each float as it writes it.
 
+A record (a sweep row or a hedging step) is written by one ``%`` operation
+on a template cached per record type. Its CSV row is the fields through
+``%.12g``, ``%d`` or ``%s``. For a JSON record, one ``%.12g`` pass writes
+every float field, and that text is used as it is when each number has a
+``.`` and no exponent: such text is already the float's JSON text. A record
+with any other float (a whole number, one below 1e-5 or from 1e12 up, or a
+non-finite one) is written field by field through ``_jnum_text``, which
+rejects non-finite values.
+
 The writers read record fields and need only the record types of ``game``
 and ``hedging``, so the ``sweep`` and ``hedge`` commands load neither the
 world models nor the scenario runner. ``scenario_io`` re-exports the
@@ -18,7 +27,8 @@ import dataclasses
 import math
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .game import GAME_RANGES, SweepRow
 from .hedging import HedgingStep, HedgingTrace
@@ -37,7 +47,7 @@ _SCENARIO_KEYS = {
 
 
 def fmt_float(value: float) -> str:
-    return format(float(value), ".12g")
+    return "%.12g" % value
 
 
 def _jnum_text(value: float) -> str:
@@ -65,23 +75,48 @@ def _witness_csv(witness: tuple[str, ...] | None) -> str:
     return "" if witness is None else "({})".format(",".join(witness))
 
 
-# How a record field is written, keyed by its annotation: (CSV text, JSON
-# text). A list has no JSON text, since its layout depends on its nesting.
+# How a record field is written, keyed by its annotation: (CSV directive,
+# CSV text the directive is given instead of the value, JSON text). A list
+# has no JSON text, since its layout depends on its nesting.
 _FIELD_FORMATS = {
-    "float": (fmt_float, _jnum_text),
-    "int": (str, str),
-    "str": (str, encode_basestring_ascii),
-    "bool": (_bool_text, _bool_text),
-    "tuple[str, str, str] | None": (_witness_csv, None),
+    "float": ("%.12g", None, _jnum_text),
+    "int": ("%d", None, str),
+    "str": ("%s", None, encode_basestring_ascii),
+    "bool": ("%s", _bool_text, _bool_text),
+    "tuple[str, str, str] | None": ("%s", _witness_csv, None),
 }
 
 
+class _Plan(NamedTuple):
+    """How the records of one dataclass are written; every record type has
+    at least two fields, so ``values`` returns a tuple."""
+
+    names: tuple[str, ...]
+    values: Callable  # a record's field values, in declaration order
+    csv_row: str
+    to_csv: tuple  # (position, CSV text) for the fields ``csv_row`` cannot write
+    floats: str  # a ``%.12g`` per float field, ``%.0s`` (nothing) per other one
+    float_count: int
+    to_json: tuple  # JSON text of each field
+    others: tuple  # (position, JSON text) for the fields that are not floats
+
+
 @lru_cache(maxsize=None)
-def _columns(record_type: type) -> tuple:
-    """``(name, to_csv, to_json_text)`` for each field of a record dataclass
-    in declaration order: a record's field list."""
-    return tuple(
-        (field.name, *_FIELD_FORMATS[field.type]) for field in dataclasses.fields(record_type)
+def _columns(record_type: type) -> _Plan:
+    """The cached write plan of a record dataclass: its field list."""
+    fields = dataclasses.fields(record_type)
+    names = tuple(field.name for field in fields)
+    formats = [_FIELD_FORMATS[field.type] for field in fields]
+    directives = [directive for directive, _, _ in formats]
+    return _Plan(
+        names=names,
+        values=attrgetter(*names),
+        csv_row=",".join(directives),
+        to_csv=tuple((i, to_csv) for i, (_, to_csv, _) in enumerate(formats) if to_csv),
+        floats=",".join(d if d == "%.12g" else "%.0s" for d in directives),
+        float_count=directives.count("%.12g"),
+        to_json=tuple(to_json for _, _, to_json in formats),
+        others=tuple((i, to_json) for i, (d, _, to_json) in enumerate(formats) if d != "%.12g"),
     )
 
 
@@ -131,14 +166,11 @@ def _json_text(value, depth: int | None = 0) -> str:
             for key, item in value.items()
         ]
     elif dataclasses.is_dataclass(value[0]):
-        columns = _columns(type(value[0]))
+        plan = _columns(type(value[0]))
         _, record_opening, record_separator, record_closing = _layout(inner)
-        members = [f"{encode_basestring_ascii(name)}: %s" for name, _, _ in columns]
+        members = [f"{encode_basestring_ascii(name)}: %s" for name in plan.names]
         template = "{" + record_opening + record_separator.join(members) + record_closing + "}"
-        items = [
-            template % tuple([to_text(getattr(record, name)) for name, _, to_text in columns])
-            for record in value
-        ]
+        items = [template % _json_values(plan, plan.values(record)) for record in value]
     else:
         items = [_json_text(item, inner) for item in value]
     items[0] = brackets[0] + opening + items[0]
@@ -146,15 +178,31 @@ def _json_text(value, depth: int | None = 0) -> str:
     return separator.join(items)
 
 
+def _json_values(plan: _Plan, values: tuple) -> tuple:
+    """The JSON text of a record's field values: its floats from one
+    ``%.12g`` pass when that text is their ``_jnum_text``, that is when it
+    has no exponent and a ``.`` in every number (``nan`` and ``inf`` have
+    none), else field by field."""
+    numbers = plan.floats % values
+    if "e" in numbers or numbers.count(".") != plan.float_count:
+        return tuple([to_text(item) for to_text, item in zip(plan.to_json, values)])
+    return _replaced(numbers.split(","), plan.others, values)
+
+
+def _replaced(texts: list, converters: tuple, values: tuple) -> tuple:
+    """``texts`` with ``convert(values[i])`` at each ``(i, convert)``."""
+    for i, convert in converters:
+        texts[i] = convert(values[i])
+    return tuple(texts)
+
+
 def _render_csv(record_type: type, records) -> str:
     """A header of the record's field names, then one row per record."""
-    columns = _columns(record_type)
-    lines = [",".join(name for name, _, _ in columns)]
-    lines += [
-        ",".join([to_csv(getattr(record, name)) for name, to_csv, _ in columns])
-        for record in records
-    ]
-    return "\n".join(lines) + "\n"
+    plan = _columns(record_type)
+    rows = map(plan.values, records)
+    if plan.to_csv:
+        rows = [_replaced(list(row), plan.to_csv, row) for row in rows]
+    return "\n".join([",".join(plan.names), *[plan.csv_row % row for row in rows]]) + "\n"
 
 
 def scenario_payload(scenario: Scenario) -> dict:

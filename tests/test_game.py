@@ -58,6 +58,12 @@ def test_prior_rejects_negative_mass():
         game._prior(1.5, 0.0)
 
 
+@pytest.mark.parametrize("delta, gamma", [(math.nan, 0.0), (0.5, math.nan)])
+def test_prior_rejects_nan_mass(delta, gamma):
+    with pytest.raises(ValueError, match="non-numeric probability nan at 'w1'"):
+        game._prior(delta, gamma)
+
+
 # --- priors -----------------------------------------------------------------
 
 

@@ -1,10 +1,13 @@
-"""The JSON writer against ``json.dumps``, JSON float text, and digests of
-reports from non-canonical scenarios."""
+"""The JSON writer against ``json.dumps``, the record writers on any
+floats, JSON float text, and digests of reports from non-canonical
+scenarios."""
 
+import collections
 import dataclasses
 import hashlib
 import json
 import math
+import operator
 from pathlib import Path
 
 import pytest
@@ -12,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hedgesim import scenario_io, writers
-from hedgesim.game import GameConfig, grid, threshold_sweep
-from hedgesim.hedging import run_hedging
+from hedgesim.game import GameConfig, SweepRow, grid, threshold_sweep
+from hedgesim.hedging import HedgingStep, run_hedging
 from hedgesim.scenario_io import Scenario, load_scenario, run_scenario
 from hedgesim.semantics import check_frame
 from hedgesim.worlds import SoritesSeries, pool_states
@@ -23,8 +26,10 @@ from hedgesim.writers import (
     render_dialogue_jsonl,
     render_frame_json,
     render_hedging_json,
+    render_hedging_csv,
     render_report_csv,
     render_report_json,
+    render_sweep_csv,
     render_sweep_json,
 )
 
@@ -93,11 +98,8 @@ def test_json_text_equals_json_dumps(value):
     assert _json_text(value, None) == json.dumps(rounded(value))
 
 
-@settings(deadline=None, max_examples=60)
-@given(deltas, gammas, st.integers(4, 300))
-def test_hedging_json_equals_json_dumps(delta, gamma, steps):
-    trace = run_hedging(GameConfig(delta=delta, gamma=gamma), max_steps=steps)
-    payload = {
+def hedging_payload(trace) -> dict:
+    return {
         **dataclasses.asdict(trace.config),
         "max_steps": trace.max_steps,
         "tolerance": trace.tolerance,
@@ -105,7 +107,13 @@ def test_hedging_json_equals_json_dumps(delta, gamma, steps):
         "steps": [dataclasses.asdict(step) for step in trace.steps],
         "summary": dataclasses.asdict(trace.summary),
     }
-    assert render_hedging_json(trace) == dumps(payload)
+
+
+@settings(deadline=None, max_examples=60)
+@given(deltas, gammas, st.integers(4, 300))
+def test_hedging_json_equals_json_dumps(delta, gamma, steps):
+    trace = run_hedging(GameConfig(delta=delta, gamma=gamma), max_steps=steps)
+    assert render_hedging_json(trace) == dumps(hedging_payload(trace))
 
 
 @settings(deadline=None)
@@ -119,6 +127,110 @@ def test_sweep_json_equals_json_dumps(delta_steps, gamma_steps, tau):
 
 def test_empty_sweep_json_equals_json_dumps():
     assert render_sweep_json([]) == json.dumps([], indent=2) + "\n"
+
+
+# Floats that reach both branches of the JSON record writer: any finite
+# float, whole numbers, signed zeros, numbers of 13 to 16 digits,
+# subnormals and numbers near 1e-5, where the 12-digit text turns to an
+# exponent.
+signs = st.sampled_from((1.0, -1.0))
+record_floats = st.one_of(
+    finite_floats,
+    st.integers(-(10**15), 10**15).map(float),
+    st.sampled_from((0.0, -0.0)),
+    st.builds(operator.mul, signs, st.floats(1e12, 1e16, exclude_max=True)),
+    st.builds(operator.mul, signs, st.floats(0.0, 2.2250738585072014e-308, exclude_max=True)),
+    st.builds(operator.mul, signs, st.floats(1e-6, 1e-4)),
+)
+
+
+def record_lists(record_type, **others):
+    """Records of ``record_type`` with every float field from ``record_floats``."""
+    floats = {f.name: record_floats for f in dataclasses.fields(record_type) if f.type == "float"}
+    return st.lists(st.builds(record_type, **floats, **others), min_size=1, max_size=8)
+
+
+def csv_text(records) -> str:
+    """A header and one row per record, each float as ``format(v, ".12g")``."""
+    lines = [",".join(f.name for f in dataclasses.fields(records[0]))]
+    lines += [
+        ",".join(
+            format(float(value), ".12g") if isinstance(value, float) else str(value)
+            for value in dataclasses.astuple(record)
+        )
+        for record in records
+    ]
+    return "\n".join(lines) + "\n"
+
+
+HEDGING = run_hedging(GameConfig(delta=0.7, gamma=0.2), max_steps=4)
+
+
+@settings(deadline=None)
+@given(record_lists(SweepRow, region=st.text()))
+def test_sweep_writers_on_any_floats(rows):
+    assert render_sweep_csv(rows) == csv_text(rows)
+    objects = [dataclasses.asdict(row) for row in rows]
+    assert render_sweep_json(rows) == dumps(objects)
+    assert _json_text(rows, None) == json.dumps(rounded(objects))
+
+
+@settings(deadline=None)
+@given(record_lists(HedgingStep, n=st.integers(0, 10**5)))
+def test_hedging_writers_on_any_floats(steps):
+    trace = dataclasses.replace(HEDGING, steps=tuple(steps))
+    assert render_hedging_csv(trace) == csv_text(steps)
+    assert render_hedging_json(trace) == dumps(hedging_payload(trace))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "field", [f.name for f in dataclasses.fields(HedgingStep) if f.type == "float"]
+)
+def test_hedging_json_rejects_non_finite_numbers(field, value):
+    bad = dataclasses.replace(HEDGING.steps[-1], **{field: value})
+    trace = dataclasses.replace(HEDGING, steps=(*HEDGING.steps, bad))
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        render_hedging_json(trace)
+
+
+@pytest.fixture
+def float_text_calls(monkeypatch):
+    """Counts the calls of ``fmt_float`` and ``_jnum_text``, whether made by
+    name or through the field formats that the record writers cache."""
+    calls = collections.Counter()
+    wrappers = {}
+    for name in ("fmt_float", "_jnum_text"):
+        original = getattr(writers, name)
+
+        def counted(value, original=original, name=name):
+            calls[name] += 1
+            return original(value)
+
+        wrappers[original] = counted
+        monkeypatch.setattr(writers, name, counted)
+    formats = {
+        kind: tuple(wrappers.get(item, item) for item in row)
+        for kind, row in writers._FIELD_FORMATS.items()
+    }
+    monkeypatch.setattr(writers, "_FIELD_FORMATS", formats)
+    writers._columns.cache_clear()
+    yield calls
+    writers._columns.cache_clear()
+
+
+def test_record_writers_format_floats_per_record(float_text_calls):
+    """2500 sweep rows and 1001 hedging steps in both formats take a few
+    calls of the per-float writers, for the hedging header and the
+    whole-number first steps, not one per field."""
+    rows = threshold_sweep(grid(50), grid(50))
+    trace = run_hedging(GameConfig(delta=0.7, gamma=0.2), max_steps=1000)
+    for text in (
+        render_sweep_csv(rows), render_sweep_json(rows),
+        render_hedging_csv(trace), render_hedging_json(trace),
+    ):
+        assert text
+    assert sum(float_text_calls.values()) <= 50, float_text_calls
 
 
 def test_float_fields_given_ints_are_written_as_floats():
