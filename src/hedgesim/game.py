@@ -10,8 +10,9 @@ Player labels are roles: "S" sends the signal, "L" receives it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 PLAYERS = ("S", "L")
 ACTIONS = ("a", "b")
@@ -88,6 +89,8 @@ class GameConfig:
     gamma: chance of a split judgment, in [0, 1).
     tau: tipping threshold a coordinated outcome must clear, in (0, 1).
     epsilon: listener-side signal noise, in [0, 0.5).
+    A delta so small that tau/delta overflows is rejected too: the gamma
+    bound 1 - tau/delta of :func:`equilibrium_region` would not be a number.
     """
 
     delta: float
@@ -98,6 +101,11 @@ class GameConfig:
     def __post_init__(self) -> None:
         for name in GAME_RANGES:
             check_parameter(GAME_RANGES, name, getattr(self, name))
+        if not math.isfinite(self.tau / self.delta):
+            raise ValueError(
+                f"delta must be large enough that tau/delta is finite (tau is {self.tau!r}), "
+                f"got {self.delta!r}"
+            )
 
 
 def _prior(delta: float, gamma: float) -> tuple[float, float, float]:
@@ -201,8 +209,9 @@ def equilibrium_region(config: GameConfig) -> RegionReport:
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One grid point of :func:`threshold_sweep`; a named tuple, built with no ``__init__`` call."""
+
     delta: float
     gamma: float
     p_w1: float

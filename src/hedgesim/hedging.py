@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .game import GameConfig, check_parameter, expected_utility, integer_range
 
@@ -92,8 +93,9 @@ def stepwise_eu(
     return base + config.gamma * speaker * listener
 
 
-@dataclass(frozen=True)
-class HedgingStep:
+class HedgingStep(NamedTuple):
+    """One step of :func:`run_hedging`; a named tuple, like ``game.SweepRow``."""
+
     n: int
     p_speaker_a: float
     p_listener_a: float

@@ -67,6 +67,7 @@ from .worlds import (
     check_states,
     common_belief,
     pool_states,
+    world_pools,
 )
 # The render_* names are the writers the benchmark reads through this module.
 from .writers import (  # noqa: F401  (re-exported)
@@ -156,10 +157,10 @@ def _number(key: str, entry: _Entry, kind: type, ranges: Mapping | None = None) 
     return _owned(lineno, check_parameter, ranges, key, number)
 
 
-def _owned(lineno: int | None, check: Callable, *args):
+def _owned(lineno: int | None, check: Callable, *args, **kwargs):
     """Call a value's owning validator; its ValueError becomes a parse error."""
     try:
-        return check(*args)
+        return check(*args, **kwargs)
     except ValueError as exc:
         raise ScenarioParseError(str(exc), lineno) from None
 
@@ -212,10 +213,11 @@ def parse_scenario(text: str) -> Scenario:
                 _owned(entry[1], check_flip, agent, flips[agent], n)
         series = _owned(None, SoritesSeries, n, flips)
 
-    _require(game_entries, "game", "delta")
+    delta_entry = _require(game_entries, "game", "delta")
     _require(game_entries, "game", "gamma")
     game = {key: _number(key, entry, float, GAME_RANGES) for key, entry in game_entries.items()}
-    config = GameConfig(**game)
+    # Each value is in range, so GameConfig can only reject a delta too small for tau.
+    config = _owned(delta_entry[1], GameConfig, **game)
 
     speaker_entry = _require(run_entries, "run", "speaker")
     speaker = speaker_entry[0]
@@ -232,10 +234,10 @@ def parse_scenario(text: str) -> Scenario:
             f"(agents: {', '.join(series.agents)})",
             speaker_entry[1],
         )
-    model = pool_states(series)
-    if world not in model.worlds:
+    worlds = world_pools(series)
+    if world not in worlds:
         raise ScenarioParseError(
-            f"world {world!r} not in the pooled model (worlds: {', '.join(model.worlds)})",
+            f"world {world!r} not in the pooled model (worlds: {', '.join(worlds)})",
             world_entry[1],
         )
     return Scenario(

@@ -8,7 +8,7 @@ quantify existentially over accessible worlds and are always bivalent.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .worlds import NOT_PHI, PHI, WorldModel, accessible
 
@@ -83,8 +83,7 @@ def extension(model: WorldModel, formula: Formula) -> frozenset[str]:
     )
 
 
-@dataclass(frozen=True)
-class FrameReport:
+class FrameReport(NamedTuple):
     """Frame properties of the accessibility relation, with a witness triple
     (u, v, x) such that u reaches v and v reaches x but u does not reach x
     whenever transitivity fails."""

@@ -157,31 +157,34 @@ class WorldModel:
         return tuple(sorted(worlds, key=self.index))
 
 
-def pool_states(series: SoritesSeries) -> WorldModel:
-    """Pool a forced march into coarse worlds and induce agent partitions.
+def world_pools(series: SoritesSeries) -> dict[str, range]:
+    """The pooled worlds of a forced march and the states each one pools.
 
     The all-q prefix becomes w1 and everything after the last flip becomes
     w3; the stretch from the first flip through the last flip (inclusive,
     so the last-flip state itself sits in the middle pool) is w2. Empty
     pools are dropped (only w3 can be empty, when some flip is at n).
+    """
+    lo = min(series.flips.values())
+    hi = max(series.flips.values())
+    pools = {"w1": range(1, lo), "w2": range(lo, hi + 1), "w3": range(hi + 1, series.n + 1)}
+    return {name: states for name, states in pools.items() if states}
+
+
+def pool_states(series: SoritesSeries) -> WorldModel:
+    """Pool a forced march into the worlds of :func:`world_pools` and induce
+    agent partitions.
 
     An agent judges a pooled world the way it judges that pool's earliest
     state; a partition cell groups the worlds the agent judges alike. The
     atoms hold where the judgment is unanimous: phi at all-q worlds,
     not-phi at all-qbar worlds, a gap at contested ones.
     """
-    lo = min(series.flips.values())
-    hi = max(series.flips.values())
-    pools = [
-        ("w1", tuple(range(1, lo))),
-        ("w2", tuple(range(lo, hi + 1))),
-        ("w3", tuple(range(hi + 1, series.n + 1))),
-    ]
-    pools = [(name, states) for name, states in pools if states]
-    worlds = tuple(name for name, _ in pools)
-    members = {name: states for name, states in pools}
+    pools = world_pools(series)
+    worlds = tuple(pools)
+    members = {name: tuple(states) for name, states in pools.items()}
     judgments = {
-        agent: {name: series.judgment(agent, states[0]) for name, states in pools}
+        agent: {name: series.judgment(agent, states[0]) for name, states in pools.items()}
         for agent in series.agents
     }
     partitions: dict[str, tuple[frozenset[str], ...]] = {}

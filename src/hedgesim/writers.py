@@ -5,8 +5,9 @@ the same rounded numbers, so both formats stay byte-stable. One writer,
 ``_json_text``, lays out every JSON document and JSON line from the
 payload's raw values, rounding each float as it writes it.
 
-A record (a sweep row or a hedging step) is written by one ``%`` operation
-on a template cached per record type. Its CSV row is the fields through
+A record (a sweep row, a hedging step or a frame report) is a named tuple,
+so the record itself is the value tuple of one ``%`` operation on a
+template cached per record type. Its CSV row is the fields through
 ``%.12g``, ``%d`` or ``%s``. For a JSON record, one ``%.12g`` pass writes
 every float field, and that text is used as it is when each number has a
 ``.`` and no exponent: such text is already the float's JSON text. A record
@@ -23,12 +24,10 @@ benchmark reads there; import everything else from this module.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, get_type_hints
 
 from .game import GAME_RANGES, SweepRow
 from .hedging import HedgingStep, HedgingTrace
@@ -75,24 +74,28 @@ def _witness_csv(witness: tuple[str, ...] | None) -> str:
     return "" if witness is None else "({})".format(",".join(witness))
 
 
-# How a record field is written, keyed by its annotation: (CSV directive,
-# CSV text the directive is given instead of the value, JSON text). A list
-# has no JSON text, since its layout depends on its nesting.
+# How a record field is written, keyed by its evaluated annotation: (CSV
+# directive, CSV text the directive is given instead of the value, JSON
+# text). A list has no JSON text, since its layout depends on its nesting.
 _FIELD_FORMATS = {
-    "float": ("%.12g", None, _jnum_text),
-    "int": ("%d", None, str),
-    "str": ("%s", None, encode_basestring_ascii),
-    "bool": ("%s", _bool_text, _bool_text),
-    "tuple[str, str, str] | None": ("%s", _witness_csv, None),
+    float: ("%.12g", None, _jnum_text),
+    int: ("%d", None, str),
+    str: ("%s", None, encode_basestring_ascii),
+    bool: ("%s", _bool_text, _bool_text),
+    tuple[str, str, str] | None: ("%s", _witness_csv, None),
 }
 
 
+# Each field's evaluated annotation, in declaration order, per named tuple or
+# dataclass: the same types on every supported Python, whether a class holds
+# its annotations as text, as forward references or lazily.
+_kinds = lru_cache(maxsize=None)(get_type_hints)
+
+
 class _Plan(NamedTuple):
-    """How the records of one dataclass are written; every record type has
-    at least two fields, so ``values`` returns a tuple."""
+    """How the records of one named-tuple type are written."""
 
     names: tuple[str, ...]
-    values: Callable  # a record's field values, in declaration order
     csv_row: str
     to_csv: tuple  # (position, CSV text) for the fields ``csv_row`` cannot write
     floats: str  # a ``%.12g`` per float field, ``%.0s`` (nothing) per other one
@@ -103,14 +106,12 @@ class _Plan(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _columns(record_type: type) -> _Plan:
-    """The cached write plan of a record dataclass: its field list."""
-    fields = dataclasses.fields(record_type)
-    names = tuple(field.name for field in fields)
-    formats = [_FIELD_FORMATS[field.type] for field in fields]
+    """The cached write plan of a record type: its field list."""
+    kinds = _kinds(record_type)
+    formats = [_FIELD_FORMATS[kinds[name]] for name in record_type._fields]
     directives = [directive for directive, _, _ in formats]
     return _Plan(
-        names=names,
-        values=attrgetter(*names),
+        names=record_type._fields,
         csv_row=",".join(directives),
         to_csv=tuple((i, to_csv) for i, (_, to_csv, _) in enumerate(formats) if to_csv),
         floats=",".join(d if d == "%.12g" else "%.0s" for d in directives),
@@ -121,11 +122,11 @@ def _columns(record_type: type) -> _Plan:
 
 
 def _fields(record, names: tuple[str, ...] | None = None) -> dict:
-    """The named fields of a record dataclass, or all of them in order; a
-    ``float`` field given an int still holds, and is written as, a float."""
-    kinds = {field.name: field.type for field in dataclasses.fields(record)}
+    """The named fields of a dataclass or named tuple, or all of them in
+    order; a ``float`` field given an int is written as a float."""
+    kinds = _kinds(type(record))
     return {
-        name: float(getattr(record, name)) if kinds[name] == "float" else getattr(record, name)
+        name: float(getattr(record, name)) if kinds[name] is float else getattr(record, name)
         for name in names or kinds
     }
 
@@ -144,8 +145,9 @@ def _json_text(value, depth: int | None = 0) -> str:
     nesting ``depth``, or with no indent when ``depth`` is None, each float
     as ``_jnum_text``. Dicts have text keys; tuples are lists.
 
-    A list of record dataclasses is a list of objects of their fields,
-    written through one ``%``-template built per list. The brackets ride on
+    A list of records (named tuples) is a list of objects of their fields,
+    written through one ``%``-template built per list; it is recognised
+    before a tuple is taken for a list. The brackets ride on
     the first and last items, so the join is the only full copy of the text.
     """
     if isinstance(value, str):
@@ -165,12 +167,12 @@ def _json_text(value, depth: int | None = 0) -> str:
             f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
             for key, item in value.items()
         ]
-    elif dataclasses.is_dataclass(value[0]):
+    elif hasattr(value[0], "_fields"):
         plan = _columns(type(value[0]))
         _, record_opening, record_separator, record_closing = _layout(inner)
         members = [f"{encode_basestring_ascii(name)}: %s" for name in plan.names]
         template = "{" + record_opening + record_separator.join(members) + record_closing + "}"
-        items = [template % _json_values(plan, plan.values(record)) for record in value]
+        items = [template % _json_values(plan, record) for record in value]
     else:
         items = [_json_text(item, inner) for item in value]
     items[0] = brackets[0] + opening + items[0]
@@ -178,15 +180,15 @@ def _json_text(value, depth: int | None = 0) -> str:
     return separator.join(items)
 
 
-def _json_values(plan: _Plan, values: tuple) -> tuple:
+def _json_values(plan: _Plan, record: tuple) -> tuple:
     """The JSON text of a record's field values: its floats from one
     ``%.12g`` pass when that text is their ``_jnum_text``, that is when it
     has no exponent and a ``.`` in every number (``nan`` and ``inf`` have
     none), else field by field."""
-    numbers = plan.floats % values
+    numbers = plan.floats % record
     if "e" in numbers or numbers.count(".") != plan.float_count:
-        return tuple([to_text(item) for to_text, item in zip(plan.to_json, values)])
-    return _replaced(numbers.split(","), plan.others, values)
+        return tuple([to_text(item) for to_text, item in zip(plan.to_json, record)])
+    return _replaced(numbers.split(","), plan.others, record)
 
 
 def _replaced(texts: list, converters: tuple, values: tuple) -> tuple:
@@ -199,10 +201,9 @@ def _replaced(texts: list, converters: tuple, values: tuple) -> tuple:
 def _render_csv(record_type: type, records) -> str:
     """A header of the record's field names, then one row per record."""
     plan = _columns(record_type)
-    rows = map(plan.values, records)
     if plan.to_csv:
-        rows = [_replaced(list(row), plan.to_csv, row) for row in rows]
-    return "\n".join([",".join(plan.names), *[plan.csv_row % row for row in rows]]) + "\n"
+        records = [_replaced(list(record), plan.to_csv, record) for record in records]
+    return "\n".join([",".join(plan.names), *[plan.csv_row % record for record in records]]) + "\n"
 
 
 def scenario_payload(scenario: Scenario) -> dict:

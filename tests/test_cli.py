@@ -182,6 +182,21 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
     assert "gamma" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_simulate_rejects_a_delta_too_small_for_tau(tmp_path, capsys, fmt):
+    """1 - tau/delta overflows for delta = 1e-320: both formats exit 1 with
+    one line that names delta and its line, not a JSON error or a CSV."""
+    scenario = tmp_path / "tiny_delta.scn"
+    scenario.write_text(CANONICAL.read_text().replace("delta = 0.7", "delta = 1e-320"))
+    assert main(["simulate", str(scenario), "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: line 10: delta must be large enough that tau/delta is finite (tau is 0.5), "
+        "got 1e-320\n"
+    )
+
+
 def test_subprocess_exit_codes():
     assert run_cli("hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "5").returncode == 0
     assert run_cli("hedge", "--delta", "2", "--gamma", "0.2", "--steps", "5").returncode == 2

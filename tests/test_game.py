@@ -46,6 +46,16 @@ def test_config_rejects_out_of_range(kwargs):
         GameConfig(**kwargs)
 
 
+def test_config_rejects_a_delta_too_small_for_tau():
+    with pytest.raises(ValueError) as excinfo:
+        GameConfig(delta=1e-320, gamma=0.2)
+    assert str(excinfo.value) == (
+        "delta must be large enough that tau/delta is finite (tau is 0.5), got 1e-320"
+    )
+    report = equilibrium_region(GameConfig(delta=1e-320, gamma=0.2, tau=1e-300))
+    assert math.isfinite(report.gamma_bound_a) and report.gamma_bound_a < -1e19
+
+
 def test_config_has_no_payoffs_field():
     with pytest.raises(TypeError):
         GameConfig(delta=0.5, gamma=0.1, payoffs=None)

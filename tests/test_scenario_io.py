@@ -1,8 +1,9 @@
-import dataclasses
 import json
+from typing import get_type_hints
 
 import pytest
 
+from hedgesim import scenario_io
 from hedgesim.game import GameConfig, SweepRow, grid, threshold_sweep
 from hedgesim.hedging import run_hedging
 from hedgesim.scenario_io import (
@@ -21,7 +22,7 @@ from hedgesim.scenario_io import (
     run_scenario,
 )
 from hedgesim.semantics import Formula, check_frame
-from hedgesim.worlds import SoritesSeries
+from hedgesim.worlds import SoritesSeries, pool_states
 from hedgesim.writers import fmt_float, render_frame_csv, render_frame_json
 
 CANONICAL_TEXT = """\
@@ -199,6 +200,20 @@ def test_run_rejects_non_two_player_series():
         run_scenario(scenario)
 
 
+def test_a_run_pools_its_series_once(monkeypatch):
+    """The parser checks ``world`` against the pools alone; only the run
+    builds the pooled model."""
+    calls = []
+
+    def counted(series):
+        calls.append(series)
+        return pool_states(series)
+
+    monkeypatch.setattr(scenario_io, "pool_states", counted)
+    run_scenario(parse_scenario(CANONICAL_TEXT))
+    assert len(calls) == 1
+
+
 def test_audit_rejects_tampered_report():
     report = run_scenario(canonical_scenario())
     tampered = report.__class__(
@@ -273,14 +288,14 @@ def test_sweep_csv_schema():
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize(
-    "field", [f.name for f in dataclasses.fields(SweepRow) if f.type == "float"]
+    "field", [name for name in SweepRow._fields if get_type_hints(SweepRow)[name] is float]
 )
 def test_json_rejects_non_finite_numbers(field, value):
     row = SweepRow(delta=0.5, gamma=0.1, p_w1=0.45, p_w2=0.1, p_w3=0.45, eu_a=0.45, eu_b=0.45,
                    region="none")
     good = threshold_sweep(grid(2), grid(2))
     with pytest.raises(ValueError):
-        render_sweep_json([*good, dataclasses.replace(row, **{field: value})])
+        render_sweep_json([*good, row._replace(**{field: value})])
 
 
 def test_hedging_csv_schema():

@@ -17,6 +17,7 @@ from hedgesim.worlds import (
     judgment_proposition,
     pool_states,
     thinks,
+    world_pools,
 )
 
 
@@ -140,9 +141,11 @@ def test_pool_many_agents_three_worlds():
 
 
 def test_pool_flip_at_last_state_drops_empty_pool():
-    model = pool_states(SoritesSeries(5, {"S": 5, "L": 2}))
+    series = SoritesSeries(5, {"S": 5, "L": 2})
+    model = pool_states(series)
     assert model.worlds == ("w1", "w2")
     assert model.members == {"w1": (1,), "w2": (2, 3, 4, 5)}
+    assert world_pools(series) == {"w1": range(1, 2), "w2": range(2, 6)}
 
 
 def test_pooling_soundness_random():

@@ -8,7 +8,9 @@ import hashlib
 import json
 import math
 import operator
+import tracemalloc
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings
@@ -18,12 +20,13 @@ from hedgesim import scenario_io, writers
 from hedgesim.game import GameConfig, SweepRow, grid, threshold_sweep
 from hedgesim.hedging import HedgingStep, run_hedging
 from hedgesim.scenario_io import Scenario, load_scenario, run_scenario
-from hedgesim.semantics import check_frame
+from hedgesim.semantics import FrameReport, check_frame
 from hedgesim.worlds import SoritesSeries, pool_states
 from hedgesim.writers import (
     _jnum_text,
     _json_text,
     render_dialogue_jsonl,
+    render_frame_csv,
     render_frame_json,
     render_hedging_json,
     render_hedging_csv,
@@ -36,7 +39,9 @@ from hedgesim.writers import (
 DATA_DIR = Path(__file__).parent / "data"
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
-deltas = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+# Every delta GameConfig admits with any tau: from the smallest normal float,
+# so that tau/delta is finite, to just below 1.
+deltas = st.floats(min_value=2.2250738585072014e-308, max_value=1.0, exclude_max=True)
 gammas = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
 taus = st.one_of(st.sampled_from((0.3, 0.5, 0.7)), deltas)
 
@@ -104,7 +109,7 @@ def hedging_payload(trace) -> dict:
         "max_steps": trace.max_steps,
         "tolerance": trace.tolerance,
         "hesitation": trace.hesitation,
-        "steps": [dataclasses.asdict(step) for step in trace.steps],
+        "steps": [step._asdict() for step in trace.steps],
         "summary": dataclasses.asdict(trace.summary),
     }
 
@@ -120,7 +125,7 @@ def test_hedging_json_equals_json_dumps(delta, gamma, steps):
 @given(st.integers(1, 8), st.integers(1, 8), taus)
 def test_sweep_json_equals_json_dumps(delta_steps, gamma_steps, tau):
     rows = threshold_sweep(grid(delta_steps), grid(gamma_steps), tau=tau)
-    records = [dataclasses.asdict(row) for row in rows]
+    records = [row._asdict() for row in rows]
     assert render_sweep_json(rows) == dumps(records)
     assert _json_text(rows, None) == json.dumps(rounded(records))
 
@@ -144,19 +149,24 @@ record_floats = st.one_of(
 )
 
 
+def float_fields(record_type) -> list[str]:
+    hints = get_type_hints(record_type)
+    return [name for name in record_type._fields if hints[name] is float]
+
+
 def record_lists(record_type, **others):
     """Records of ``record_type`` with every float field from ``record_floats``."""
-    floats = {f.name: record_floats for f in dataclasses.fields(record_type) if f.type == "float"}
+    floats = {name: record_floats for name in float_fields(record_type)}
     return st.lists(st.builds(record_type, **floats, **others), min_size=1, max_size=8)
 
 
 def csv_text(records) -> str:
     """A header and one row per record, each float as ``format(v, ".12g")``."""
-    lines = [",".join(f.name for f in dataclasses.fields(records[0]))]
+    lines = [",".join(records[0]._fields)]
     lines += [
         ",".join(
             format(float(value), ".12g") if isinstance(value, float) else str(value)
-            for value in dataclasses.astuple(record)
+            for value in tuple(record)
         )
         for record in records
     ]
@@ -170,7 +180,7 @@ HEDGING = run_hedging(GameConfig(delta=0.7, gamma=0.2), max_steps=4)
 @given(record_lists(SweepRow, region=st.text()))
 def test_sweep_writers_on_any_floats(rows):
     assert render_sweep_csv(rows) == csv_text(rows)
-    objects = [dataclasses.asdict(row) for row in rows]
+    objects = [row._asdict() for row in rows]
     assert render_sweep_json(rows) == dumps(objects)
     assert _json_text(rows, None) == json.dumps(rounded(objects))
 
@@ -184,14 +194,48 @@ def test_hedging_writers_on_any_floats(steps):
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize(
-    "field", [f.name for f in dataclasses.fields(HedgingStep) if f.type == "float"]
-)
+@pytest.mark.parametrize("field", float_fields(HedgingStep))
 def test_hedging_json_rejects_non_finite_numbers(field, value):
-    bad = dataclasses.replace(HEDGING.steps[-1], **{field: value})
+    bad = HEDGING.steps[-1]._replace(**{field: value})
     trace = dataclasses.replace(HEDGING, steps=(*HEDGING.steps, bad))
     with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
         render_hedging_json(trace)
+
+
+RECORDS = {
+    "sweep": threshold_sweep(grid(2), grid(2))[0],
+    "hedge": HEDGING.steps[1],
+    "frame": check_frame(pool_states(SoritesSeries(5, {"S": 4, "L": 2}))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RECORDS))
+def test_records_are_immutable(kind):
+    record = RECORDS[kind]
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+
+
+def test_record_fields_are_the_csv_headers():
+    assert SweepRow._fields == tuple(render_sweep_csv([]).rstrip("\n").split(","))
+    assert HedgingStep._fields == tuple(render_hedging_csv(HEDGING).split("\n", 1)[0].split(","))
+    header = render_frame_csv(RECORDS["frame"]).split("\n", 1)[0]
+    assert FrameReport._fields == tuple(header.split(","))
+
+
+def test_sweep_rows_hold_at_most_180_kb_per_1000_rows():
+    """What a 100 x 100 sweep keeps alive, rows and their new floats, per
+    1000 rows (KB of 1024 bytes): about 165 for a named-tuple row."""
+    deltas, gammas = grid(100), grid(100)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = threshold_sweep(deltas, gammas)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / len(rows) * 1000 / 1024 <= 180
 
 
 @pytest.fixture
