@@ -5,15 +5,16 @@ the same rounded numbers, so both formats stay byte-stable. One writer,
 ``_json_text``, lays out every JSON document and JSON line from the
 payload's raw values, rounding each float as it writes it.
 
-A record (a sweep row, a hedging step or a frame report) is a named tuple,
-so the record itself is the value tuple of one ``%`` operation on a
-template cached per record type. Its CSV row is the fields through
-``%.12g``, ``%d`` or ``%s``. For a JSON record, one ``%.12g`` pass writes
-every float field, and that text is used as it is when each number has a
-``.`` and no exponent: such text is already the float's JSON text. A record
-with any other float (a whole number, one below 1e-5 or from 1e12 up, or a
-non-finite one) is written field by field through ``_jnum_text``, which
-rejects non-finite values.
+Each schema is written out here. A sweep row, a hedging step and a frame
+report are named tuples: their ``_fields`` are the CSV header and JSON keys,
+and the record itself is the value tuple of its CSV row template. In JSON,
+one ``%.12g`` template writes the floats of a sweep row or hedging step, and
+that text is used as it is when each number has a ``.`` and no exponent:
+such text is already the float's JSON text. A record with any other float (a
+whole number, one below 1e-5 or from 1e12 up, or a non-finite one) is
+written float by float through ``_jnum_text``, which rejects non-finite
+values. The report blocks pass each float field through ``float()``, so a
+float field given an int is still written as a float.
 
 The writers read record fields and need only the record types of ``game``
 and ``hedging``, so the ``sweep`` and ``hedge`` commands load neither the
@@ -25,14 +26,15 @@ benchmark reads there; import everything else from this module.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, NamedTuple, get_type_hints
+from typing import TYPE_CHECKING
 
 from .game import GAME_RANGES, SweepRow
-from .hedging import HedgingStep, HedgingTrace
+from .hedging import HedgingStep
 
 if TYPE_CHECKING:
+    from .game import GameConfig
+    from .hedging import HedgingSummary, HedgingTrace
     from .scenario_io import DialogueStep, RunReport, Scenario
     from .semantics import FrameReport
     from .worlds import WorldModel
@@ -43,6 +45,14 @@ _SCENARIO_KEYS = {
     "game": tuple(GAME_RANGES),
     "run": ("speaker", "world", "steps", "tolerance"),
 }
+
+# The CSV row of each record, field by field; the hedging step's row is also
+# its JSON float text.
+_SWEEP_ROW = "%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s"
+_STEP_ROW = "%d,%.12g,%.12g,%.12g,%.12g"
+_FRAME_ROW = "%s,%s,%s,%s"
+# The sweep row's seven floats; ``%.0s`` writes nothing for its region.
+_SWEEP_FLOATS = "%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g%.0s"
 
 
 def fmt_float(value: float) -> str:
@@ -70,65 +80,26 @@ def _bool_text(value: bool) -> str:
     return str(value).lower()
 
 
-def _witness_csv(witness: tuple[str, ...] | None) -> str:
-    return "" if witness is None else "({})".format(",".join(witness))
+def _sweep_json(row: SweepRow) -> tuple:
+    """The JSON text of a sweep row's values: its floats from one ``%.12g``
+    pass when that text is their ``_jnum_text``, that is when it has no
+    exponent and a ``.`` in every number (``nan`` and ``inf`` have none),
+    else float by float."""
+    numbers = _SWEEP_FLOATS % row
+    if "e" in numbers or numbers.count(".") != 7:
+        return (*map(_jnum_text, row[:7]), encode_basestring_ascii(row.region))
+    return (*numbers.split(","), encode_basestring_ascii(row.region))
 
 
-# How a record field is written, keyed by its evaluated annotation: (CSV
-# directive, CSV text the directive is given instead of the value, JSON
-# text). A list has no JSON text, since its layout depends on its nesting.
-_FIELD_FORMATS = {
-    float: ("%.12g", None, _jnum_text),
-    int: ("%d", None, str),
-    str: ("%s", None, encode_basestring_ascii),
-    bool: ("%s", _bool_text, _bool_text),
-    tuple[str, str, str] | None: ("%s", _witness_csv, None),
-}
+def _step_json(step: HedgingStep) -> tuple:
+    """The JSON text of a hedging step's values, as for a sweep row."""
+    numbers = _STEP_ROW % step
+    if "e" in numbers or numbers.count(".") != 4:
+        return (str(step.n), *map(_jnum_text, step[1:]))
+    return tuple(numbers.split(","))
 
 
-# Each field's evaluated annotation, in declaration order, per named tuple or
-# dataclass: the same types on every supported Python, whether a class holds
-# its annotations as text, as forward references or lazily.
-_kinds = lru_cache(maxsize=None)(get_type_hints)
-
-
-class _Plan(NamedTuple):
-    """How the records of one named-tuple type are written."""
-
-    names: tuple[str, ...]
-    csv_row: str
-    to_csv: tuple  # (position, CSV text) for the fields ``csv_row`` cannot write
-    floats: str  # a ``%.12g`` per float field, ``%.0s`` (nothing) per other one
-    float_count: int
-    to_json: tuple  # JSON text of each field
-    others: tuple  # (position, JSON text) for the fields that are not floats
-
-
-@lru_cache(maxsize=None)
-def _columns(record_type: type) -> _Plan:
-    """The cached write plan of a record type: its field list."""
-    kinds = _kinds(record_type)
-    formats = [_FIELD_FORMATS[kinds[name]] for name in record_type._fields]
-    directives = [directive for directive, _, _ in formats]
-    return _Plan(
-        names=record_type._fields,
-        csv_row=",".join(directives),
-        to_csv=tuple((i, to_csv) for i, (_, to_csv, _) in enumerate(formats) if to_csv),
-        floats=",".join(d if d == "%.12g" else "%.0s" for d in directives),
-        float_count=directives.count("%.12g"),
-        to_json=tuple(to_json for _, _, to_json in formats),
-        others=tuple((i, to_json) for i, (d, _, to_json) in enumerate(formats) if d != "%.12g"),
-    )
-
-
-def _fields(record, names: tuple[str, ...] | None = None) -> dict:
-    """The named fields of a dataclass or named tuple, or all of them in
-    order; a ``float`` field given an int is written as a float."""
-    kinds = _kinds(type(record))
-    return {
-        name: float(getattr(record, name)) if kinds[name] is float else getattr(record, name)
-        for name in names or kinds
-    }
+_RECORD_JSON = {SweepRow: _sweep_json, HedgingStep: _step_json}
 
 
 def _layout(depth: int | None) -> tuple:
@@ -145,9 +116,9 @@ def _json_text(value, depth: int | None = 0) -> str:
     nesting ``depth``, or with no indent when ``depth`` is None, each float
     as ``_jnum_text``. Dicts have text keys; tuples are lists.
 
-    A list of records (named tuples) is a list of objects of their fields,
-    written through one ``%``-template built per list; it is recognised
-    before a tuple is taken for a list. The brackets ride on
+    A list of sweep rows or hedging steps is a list of objects of their
+    fields, written through one ``%``-template built per list; it is
+    recognised before a tuple is taken for a list. The brackets ride on
     the first and last items, so the join is the only full copy of the text.
     """
     if isinstance(value, str):
@@ -167,12 +138,12 @@ def _json_text(value, depth: int | None = 0) -> str:
             f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
             for key, item in value.items()
         ]
-    elif hasattr(value[0], "_fields"):
-        plan = _columns(type(value[0]))
+    elif type(value[0]) in _RECORD_JSON:
+        record_json = _RECORD_JSON[type(value[0])]
         _, record_opening, record_separator, record_closing = _layout(inner)
-        members = [f"{encode_basestring_ascii(name)}: %s" for name in plan.names]
+        members = [f"{encode_basestring_ascii(name)}: %s" for name in value[0]._fields]
         template = "{" + record_opening + record_separator.join(members) + record_closing + "}"
-        items = [template % _json_values(plan, record) for record in value]
+        items = [template % record_json(record) for record in value]
     else:
         items = [_json_text(item, inner) for item in value]
     items[0] = brackets[0] + opening + items[0]
@@ -180,30 +151,23 @@ def _json_text(value, depth: int | None = 0) -> str:
     return separator.join(items)
 
 
-def _json_values(plan: _Plan, record: tuple) -> tuple:
-    """The JSON text of a record's field values: its floats from one
-    ``%.12g`` pass when that text is their ``_jnum_text``, that is when it
-    has no exponent and a ``.`` in every number (``nan`` and ``inf`` have
-    none), else field by field."""
-    numbers = plan.floats % record
-    if "e" in numbers or numbers.count(".") != plan.float_count:
-        return tuple([to_text(item) for to_text, item in zip(plan.to_json, record)])
-    return _replaced(numbers.split(","), plan.others, record)
+def _render_csv(names: tuple[str, ...], row: str, records) -> str:
+    """A header of the field names, then ``row % record`` per record."""
+    return "\n".join([",".join(names), *[row % record for record in records]]) + "\n"
 
 
-def _replaced(texts: list, converters: tuple, values: tuple) -> tuple:
-    """``texts`` with ``convert(values[i])`` at each ``(i, convert)``."""
-    for i, convert in converters:
-        texts[i] = convert(values[i])
-    return tuple(texts)
+def _as_floats(fields: dict, *names: str) -> dict:
+    """``fields`` with each of ``names`` as a float: a float field given an
+    int is still written as a float."""
+    return {**fields, **{name: float(fields[name]) for name in names}}
 
 
-def _render_csv(record_type: type, records) -> str:
-    """A header of the record's field names, then one row per record."""
-    plan = _columns(record_type)
-    if plan.to_csv:
-        records = [_replaced(list(record), plan.to_csv, record) for record in records]
-    return "\n".join([",".join(plan.names), *[plan.csv_row % record for record in records]]) + "\n"
+def _game_payload(config: GameConfig) -> dict:
+    return {name: float(getattr(config, name)) for name in _SCENARIO_KEYS["game"]}
+
+
+def _summary_payload(summary: HedgingSummary) -> dict:
+    return _as_floats(vars(summary), "even_tail", "odd_tail", "pair_sum_gap")
 
 
 def scenario_payload(scenario: Scenario) -> dict:
@@ -211,8 +175,8 @@ def scenario_payload(scenario: Scenario) -> dict:
         "canonical": scenario.canonical,
         "n": scenario.series.n,
         "flips": dict(scenario.series.flips),
-        **_fields(scenario.config, _SCENARIO_KEYS["game"]),
-        **_fields(scenario, _SCENARIO_KEYS["run"]),
+        **_game_payload(scenario.config),
+        **_as_floats({name: getattr(scenario, name) for name in _SCENARIO_KEYS["run"]}, "tolerance"),
     }
 
 
@@ -251,12 +215,16 @@ def report_payload(report: RunReport) -> dict:
         "signal": report.signal.text,
         "dialogue": [_dialogue_record(step) for step in report.dialogue],
         "posterior": dict(report.posterior),
-        "equilibrium": _fields(report.region),
+        "equilibrium": _as_floats(
+            vars(report.region),
+            "eu_a", "eu_b", "gamma_bound_a", "gamma_bound_b", "listener_q_given_speaker_q",
+        ),
         "hedging": {
-            **_fields(report.hedging, ("max_steps", "tolerance")),
-            **_fields(report.hedging.summary),
-            "final_eu_a": report.hedging.steps[-1].eu_a,
-            "final_eu_b": report.hedging.steps[-1].eu_b,
+            "max_steps": report.hedging.max_steps,
+            "tolerance": float(report.hedging.tolerance),
+            **_summary_payload(report.hedging.summary),
+            "final_eu_a": float(report.hedging.steps[-1].eu_a),
+            "final_eu_b": float(report.hedging.steps[-1].eu_b),
         },
         "public_belief": {
             "proposition": report.model.sort_worlds(report.public_belief_proposition),
@@ -286,7 +254,7 @@ def render_dialogue_jsonl(report: RunReport) -> str:
 
 
 def render_sweep_csv(rows: list[SweepRow]) -> str:
-    return _render_csv(SweepRow, rows)
+    return _render_csv(SweepRow._fields, _SWEEP_ROW, rows)
 
 
 def render_sweep_json(rows: list[SweepRow]) -> str:
@@ -294,23 +262,28 @@ def render_sweep_json(rows: list[SweepRow]) -> str:
 
 
 def render_hedging_csv(trace: HedgingTrace) -> str:
-    return _render_csv(HedgingStep, trace.steps)
+    return _render_csv(HedgingStep._fields, _STEP_ROW, trace.steps)
 
 
 def render_hedging_json(trace: HedgingTrace) -> str:
     """The game, the run settings, the steps and the summary."""
     payload = {
-        **_fields(trace.config, _SCENARIO_KEYS["game"]),
-        **_fields(trace, ("max_steps", "tolerance", "hesitation")),
+        **_game_payload(trace.config),
+        "max_steps": trace.max_steps,
+        "tolerance": float(trace.tolerance),
+        "hesitation": float(trace.hesitation),
         "steps": trace.steps,
-        "summary": _fields(trace.summary),
+        "summary": _summary_payload(trace.summary),
     }
     return _json_text(payload) + "\n"
 
 
 def render_frame_csv(frame: FrameReport) -> str:
-    return _render_csv(type(frame), [frame])
+    """The flags as ``true`` or ``false``, and the witness unquoted as
+    ``(u,v,x)``, or empty when there is none."""
+    witness = "" if frame.witness is None else "({})".format(",".join(frame.witness))
+    return _render_csv(frame._fields, _FRAME_ROW, [(*map(_bool_text, frame[:3]), witness)])
 
 
 def render_frame_json(frame: FrameReport) -> str:
-    return _json_text({**_fields(frame), "summary": frame.summary()}) + "\n"
+    return _json_text({**frame._asdict(), "summary": frame.summary()}) + "\n"

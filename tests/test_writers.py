@@ -5,6 +5,7 @@ scenarios."""
 import collections
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -224,6 +225,18 @@ def test_record_fields_are_the_csv_headers():
     assert FrameReport._fields == tuple(header.split(","))
 
 
+@pytest.mark.parametrize("witness", [None, ("w1", "w\u00e9", "w3")])
+@pytest.mark.parametrize("flags", list(itertools.product((False, True), repeat=3)))
+def test_frame_writers_on_every_flag_combination(flags, witness):
+    frame = FrameReport(*flags, witness)
+    payload = {**frame._asdict(), "summary": frame.summary()}
+    assert render_frame_json(frame) == json.dumps(payload, indent=2) + "\n"
+    cells = ["true" if flag else "false" for flag in flags]
+    cells.append("" if witness is None else "(" + ",".join(witness) + ")")
+    header = "reflexive,symmetric,transitive,witness"
+    assert render_frame_csv(frame) == header + "\n" + ",".join(cells) + "\n"
+
+
 def test_sweep_rows_hold_at_most_180_kb_per_1000_rows():
     """What a 100 x 100 sweep keeps alive, rows and their new floats, per
     1000 rows (KB of 1024 bytes): about 165 for a named-tuple row."""
@@ -240,10 +253,8 @@ def test_sweep_rows_hold_at_most_180_kb_per_1000_rows():
 
 @pytest.fixture
 def float_text_calls(monkeypatch):
-    """Counts the calls of ``fmt_float`` and ``_jnum_text``, whether made by
-    name or through the field formats that the record writers cache."""
+    """Counts the calls of ``fmt_float`` and ``_jnum_text``."""
     calls = collections.Counter()
-    wrappers = {}
     for name in ("fmt_float", "_jnum_text"):
         original = getattr(writers, name)
 
@@ -251,16 +262,8 @@ def float_text_calls(monkeypatch):
             calls[name] += 1
             return original(value)
 
-        wrappers[original] = counted
         monkeypatch.setattr(writers, name, counted)
-    formats = {
-        kind: tuple(wrappers.get(item, item) for item in row)
-        for kind, row in writers._FIELD_FORMATS.items()
-    }
-    monkeypatch.setattr(writers, "_FIELD_FORMATS", formats)
-    writers._columns.cache_clear()
-    yield calls
-    writers._columns.cache_clear()
+    return calls
 
 
 def test_record_writers_format_floats_per_record(float_text_calls):
@@ -278,18 +281,55 @@ def test_record_writers_format_floats_per_record(float_text_calls):
 
 
 def test_float_fields_given_ints_are_written_as_floats():
-    def scenario(gamma):
+    def scenario(gamma, tolerance):
         config = GameConfig(delta=0.7, gamma=gamma, epsilon=gamma)
         series = SoritesSeries(5, {"S": 4, "L": 2})
-        return Scenario(series=series, canonical=False, config=config, speaker="S", world="w2")
+        return Scenario(
+            series=series, canonical=False, config=config, speaker="S", world="w2",
+            tolerance=tolerance,
+        )
 
-    assert render_report_json(run_scenario(scenario(0))) == render_report_json(
-        run_scenario(scenario(0.0))
+    assert render_report_json(run_scenario(scenario(0, 1))) == render_report_json(
+        run_scenario(scenario(0.0, 1.0))
     )
     ints = run_hedging(GameConfig(delta=0.7, gamma=0, epsilon=0), max_steps=4, tolerance=1)
     floats = run_hedging(GameConfig(delta=0.7, gamma=0.0, epsilon=0.0), max_steps=4, tolerance=1.0)
     assert '"gamma": 0.0' in render_hedging_json(ints)
     assert render_hedging_json(ints) == render_hedging_json(floats)
+
+    int_rows = [SweepRow(1, 0, 1, 0, 0, 1, 0, "AA")]
+    float_rows = [SweepRow(1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, "AA")]
+    assert '"delta": 1.0' in render_sweep_json(int_rows)
+    assert render_sweep_json(int_rows) == render_sweep_json(float_rows)
+    assert render_sweep_csv(int_rows) == render_sweep_csv(float_rows)
+
+    int_steps = dataclasses.replace(HEDGING, steps=(HedgingStep(0, 1, 0, 1, 0),))
+    float_steps = dataclasses.replace(HEDGING, steps=(HedgingStep(0, 1.0, 0.0, 1.0, 0.0),))
+    assert '"p_speaker_a": 1.0' in render_hedging_json(int_steps)
+    assert render_hedging_json(int_steps) == render_hedging_json(float_steps)
+    assert render_hedging_csv(int_steps) == render_hedging_csv(float_steps)
+
+    def report(eu_a, pair_sum_gap):
+        report = run_scenario(load_scenario(DATA_DIR / "canonical.scn"))
+        summary = dataclasses.replace(report.hedging.summary, pair_sum_gap=pair_sum_gap)
+        return dataclasses.replace(
+            report,
+            region=dataclasses.replace(report.region, eu_a=eu_a),
+            hedging=dataclasses.replace(report.hedging, summary=summary),
+        )
+
+    text = render_report_json(report(1, 0))
+    assert '"eu_a": 1.0' in text and '"pair_sum_gap": 0.0' in text
+    assert text == render_report_json(report(1.0, 0.0))
+
+
+def test_final_eus_given_ints_are_written_as_floats():
+    report = run_scenario(load_scenario(DATA_DIR / "canonical.scn"))
+    steps = (*report.hedging.steps[:-1], HedgingStep(report.hedging.max_steps, 1, 0, 1, 0))
+    text = render_report_json(
+        dataclasses.replace(report, hedging=dataclasses.replace(report.hedging, steps=steps))
+    )
+    assert '"final_eu_a": 1.0' in text and '"final_eu_b": 0.0' in text
 
 
 def render_all(path: Path) -> dict[str, str]:
