@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .game import GAME_RANGES, check_parameter
-from .semantics import STRENGTH_ORDER, Formula, TruthValue, evaluate, extension
+from .semantics import STRENGTH_ORDER, Formula, extension
 from .worlds import WorldModel
 
 
@@ -86,7 +86,7 @@ def speaker_signal(
     """
     cell = model.cell(speaker, world)
     for formula in repertoire:
-        if all(evaluate(model, formula, w) is TruthValue.TRUE for w in cell):
+        if cell <= extension(model, formula):
             return formula
     raise NoAssertableSignalError(
         f"no sentence in {[f.text for f in repertoire]} is true throughout "
@@ -106,8 +106,9 @@ def ideal_signal(
     listener reasons about what would have been sent in each live world,
     not about the speaker's actual uncertainty).
     """
+    model.index(world)
     for formula in repertoire:
-        if evaluate(model, formula, world) is TruthValue.TRUE:
+        if world in extension(model, formula):
             return formula
     raise NoAssertableSignalError(
         f"no sentence in {[f.text for f in repertoire]} is true at {world!r}"

@@ -57,7 +57,7 @@ GAME_RANGES = {
 
 def integer_range(lo: int, hi: int) -> tuple:
     """A range entry that admits only ``int`` values in [lo, hi]."""
-    return (lambda v: isinstance(v, int) and lo <= v <= hi, f"an integer in [{lo}, {hi}]")
+    return (lambda v: type(v) is int and lo <= v <= hi, f"an integer in [{lo}, {hi}]")
 
 
 GRID_RANGES = {"grid size": integer_range(1, 1000)}

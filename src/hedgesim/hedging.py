@@ -3,7 +3,8 @@
 Once a hedge reveals that the two sides judge the vague matter differently,
 each side repeatedly renormalizes its propensity to take the matching
 action against the other's latest value. The recurrence starts from a
-committed speaker (propensity 1) and a hesitating listener (1/2):
+committed speaker (propensity 1) and a hesitating listener, whose seed
+f(1) = 1/2 is fixed (``HESITATION``), not a setting:
 
     f(0) = 1,  f(1) = 1/2,  f(n) = f(n-2) / (f(n-1) + f(n-2))
 
@@ -27,22 +28,21 @@ from .game import GameConfig, check_parameter, expected_utility, integer_range
 
 DEFAULT_STEPS = 50
 DEFAULT_TOLERANCE = 1e-6
-DEFAULT_HESITATION = 0.5
+HESITATION = 0.5
 
 # Admissible hedging settings, in the form of ``game.GAME_RANGES``.
 HEDGING_RANGES = {
     "step index": integer_range(0, 100_000),
     "steps": integer_range(4, 100_000),
     "tolerance": (lambda v: 0.0 < v < math.inf, "positive and finite"),
-    "hesitation": (lambda v: 0.0 < v < 1.0, "strictly between 0 and 1"),
 }
 
 
-def _propensities(hesitation: float):
-    """Yield ``propensities_at_step(n, hesitation)`` for n = 0, 1, 2, ..."""
+def _propensities():
+    """Yield ``propensities_at_step(n)`` for n = 0, 1, 2, ..."""
     speaker, listener = 1.0, 0.0
     yield speaker, listener
-    listener = hesitation
+    listener = HESITATION
     while True:
         yield speaker, listener
         speaker = speaker / (listener + speaker)
@@ -50,15 +50,14 @@ def _propensities(hesitation: float):
         listener = listener / (speaker + listener)
 
 
-def propensity_sequence(last: int, hesitation: float = DEFAULT_HESITATION) -> list[float]:
+def propensity_sequence(last: int) -> list[float]:
     """Recurrence values for steps 0..last, with ``last`` in [0, 100000]."""
     check_parameter(HEDGING_RANGES, "step index", last)
-    check_parameter(HEDGING_RANGES, "hesitation", hesitation)
-    pairs = islice(_propensities(hesitation), last + 1)
+    pairs = islice(_propensities(), last + 1)
     return [pair[n % 2] for n, pair in enumerate(pairs)]
 
 
-def propensities_at_step(n: int, hesitation: float = DEFAULT_HESITATION) -> tuple[float, float]:
+def propensities_at_step(n: int) -> tuple[float, float]:
     """(speaker, listener) propensities for the matching action at step ``n``.
 
     The speaker reads the recurrence at the largest even index so far, the
@@ -66,16 +65,10 @@ def propensities_at_step(n: int, hesitation: float = DEFAULT_HESITATION) -> tupl
     listener's propensity is 0, not a recurrence value.
     """
     check_parameter(HEDGING_RANGES, "step index", n)
-    check_parameter(HEDGING_RANGES, "hesitation", hesitation)
-    return next(islice(_propensities(hesitation), n, None))
+    return next(islice(_propensities(), n, None))
 
 
-def stepwise_eu(
-    config: GameConfig,
-    n: int,
-    action: str,
-    hesitation: float = DEFAULT_HESITATION,
-) -> float:
+def stepwise_eu(config: GameConfig, n: int, action: str) -> float:
     """Expected utility of an action after ``n`` adjustment steps.
 
     The base expected utility, the same for both players, gains a correction
@@ -85,7 +78,7 @@ def stepwise_eu(
     n = 0 the correction vanishes for both actions.
     """
     base = expected_utility(config, "S", action)
-    speaker_a, listener_a = propensities_at_step(n, hesitation)
+    speaker_a, listener_a = propensities_at_step(n)
     if action == "a":
         speaker, listener = speaker_a, listener_a
     else:
@@ -128,7 +121,6 @@ class HedgingTrace:
     config: GameConfig
     max_steps: int
     tolerance: float
-    hesitation: float
     steps: tuple[HedgingStep, ...]
     summary: HedgingSummary
 
@@ -137,17 +129,15 @@ def run_hedging(
     config: GameConfig,
     max_steps: int = DEFAULT_STEPS,
     tolerance: float = DEFAULT_TOLERANCE,
-    hesitation: float = DEFAULT_HESITATION,
 ) -> HedgingTrace:
     """Full propensity and expected-utility trace for steps 0..max_steps."""
     check_parameter(HEDGING_RANGES, "steps", max_steps)
     check_parameter(HEDGING_RANGES, "tolerance", tolerance)
-    check_parameter(HEDGING_RANGES, "hesitation", hesitation)
     base_a = expected_utility(config, "S", "a")
     base_b = expected_utility(config, "S", "b")
     steps = []
     # Same association as stepwise_eu, so each step equals its closed form.
-    for n, (speaker, listener) in enumerate(islice(_propensities(hesitation), max_steps + 1)):
+    for n, (speaker, listener) in enumerate(islice(_propensities(), max_steps + 1)):
         eu_a = base_a + config.gamma * speaker * listener
         eu_b = base_b + config.gamma * (1.0 - speaker) * (1.0 - listener)
         steps.append(HedgingStep(n, speaker, listener, eu_a, eu_b))
@@ -173,7 +163,6 @@ def run_hedging(
         config=config,
         max_steps=max_steps,
         tolerance=tolerance,
-        hesitation=hesitation,
         steps=tuple(steps),
         summary=summary,
     )

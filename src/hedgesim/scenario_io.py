@@ -59,7 +59,7 @@ from .hedging import (
     HedgingTrace,
     run_hedging,
 )
-from .semantics import Formula, TruthValue, evaluate, extension
+from .semantics import Formula, extension
 from .worlds import (
     SoritesSeries,
     WorldModel,
@@ -302,8 +302,8 @@ def run_scenario(scenario: Scenario) -> RunReport:
     )
     posterior = listener_posterior(cg1, signal, likelihoods)
     dialogue = (
-        DialogueStep(time=0, signal=None, live=cg0.live, posterior=base_rate(cg0)),
-        DialogueStep(time=1, signal=signal, live=cg1.live, posterior=posterior),
+        DialogueStep(time=cg0.time, signal=None, live=cg0.live, posterior=base_rate(cg0)),
+        DialogueStep(time=cg1.time, signal=signal, live=cg1.live, posterior=posterior),
     )
     proposition = model.valuation[signal.atom.text]
     public_worlds = common_belief(model, proposition, cg1.live)
@@ -328,10 +328,9 @@ def run_scenario(scenario: Scenario) -> RunReport:
 def audit_report(report: RunReport) -> None:
     """Internal consistency: the signal holds at the actual world and at every
     surviving world, and the posterior is a distribution over the survivors."""
-    model = report.model
-    if evaluate(model, report.signal, report.scenario.world) is not TruthValue.TRUE:
+    signal_worlds = extension(report.model, report.signal)
+    if report.scenario.world not in signal_worlds:
         raise ReportAuditError("signal is not true at the actual world")
-    signal_worlds = extension(model, report.signal)
     final_live = set(report.dialogue[-1].live)
     if not final_live <= signal_worlds:
         raise ReportAuditError("a surviving world falsifies the applied signal")

@@ -58,22 +58,19 @@ def evaluate(model: WorldModel, formula: Formula, world: str) -> TruthValue:
     """Three-valued for atoms, two-valued for might-sentences.
 
     An atom is true where the valuation puts it, false where it puts the
-    opposite atom, and gappy elsewhere. ``might A`` is true at w iff A is
-    true at some world accessible from w, else false.
+    opposite atom, and gappy elsewhere. ``might A`` is true at w iff R(w),
+    the worlds accessible from w, meets the extension of A, else false.
     """
+    if formula.is_modal:
+        meets = not accessible(model, world).isdisjoint(model.valuation[formula.atom.text])
+        return TruthValue.TRUE if meets else TruthValue.FALSE
     model.index(world)
-    if not formula.is_modal:
-        if world in model.valuation[formula.text]:
-            return TruthValue.TRUE
-        opposite = NOT_PHI if formula is Formula.PHI else PHI
-        if world in model.valuation[opposite]:
-            return TruthValue.FALSE
-        return TruthValue.GAP
-    atom = formula.atom
-    for other in model.worlds:
-        if accessible(model, world, other) and evaluate(model, atom, other) is TruthValue.TRUE:
-            return TruthValue.TRUE
-    return TruthValue.FALSE
+    if world in model.valuation[formula.text]:
+        return TruthValue.TRUE
+    opposite = NOT_PHI if formula is Formula.PHI else PHI
+    if world in model.valuation[opposite]:
+        return TruthValue.FALSE
+    return TruthValue.GAP
 
 
 def extension(model: WorldModel, formula: Formula) -> frozenset[str]:
@@ -108,18 +105,17 @@ class FrameReport(NamedTuple):
 def check_frame(model: WorldModel) -> FrameReport:
     """Exhaustively test reflexivity, symmetry, and transitivity."""
     worlds = model.worlds
-    reaches = {
-        (u, v) for u in worlds for v in worlds if accessible(model, u, v)
-    }
-    reflexive = all((w, w) in reaches for w in worlds)
-    symmetric = all((v, u) in reaches for (u, v) in reaches)
+    reach = {w: accessible(model, w) for w in worlds}
+    reflexive = all(w in reach[w] for w in worlds)
+    symmetric = all(u in reach[v] for u in worlds for v in reach[u])
     witness = next(
         (
             (u, v, x)
             for u in worlds
             for v in worlds
+            if v in reach[u]
             for x in worlds
-            if (u, v) in reaches and (v, x) in reaches and (u, x) not in reaches
+            if x in reach[v] and x not in reach[u]
         ),
         None,
     )

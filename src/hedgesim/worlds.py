@@ -276,7 +276,7 @@ def common_belief(
         current = shrunk
 
 
-def accessible(model: WorldModel, world: str, other: str) -> bool:
-    """True when some agent's cell contains both worlds."""
-    model.index(other)
-    return any(other in model.cell(agent, world) for agent in model.agents)
+def accessible(model: WorldModel, world: str) -> frozenset[str]:
+    """R(w), the worlds accessible from ``world``: the union of the agents'
+    cells at it, that is, the worlds some agent cannot tell apart from it."""
+    return frozenset().union(*(model.cell(agent, world) for agent in model.agents))

@@ -30,7 +30,7 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 from .game import GAME_RANGES, SweepRow
-from .hedging import HedgingStep
+from .hedging import HESITATION, HedgingStep
 
 if TYPE_CHECKING:
     from .game import GameConfig
@@ -271,7 +271,7 @@ def render_hedging_json(trace: HedgingTrace) -> str:
         **_game_payload(trace.config),
         "max_steps": trace.max_steps,
         "tolerance": float(trace.tolerance),
-        "hesitation": float(trace.hesitation),
+        "hesitation": HESITATION,
         "steps": trace.steps,
         "summary": _summary_payload(trace.summary),
     }

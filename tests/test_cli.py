@@ -254,6 +254,11 @@ CONFIG = GameConfig(delta=0.7, gamma=0.2)
          "step index must be an integer in [0, 100000], got 3.0"),
         ("step index", None, lambda: propensities_at_step(2.0), None,
          "step index must be an integer in [0, 100000], got 2.0"),
+        # A bool is an int subclass, but not a count.
+        ("grid size", None, lambda: grid(True), None,
+         "grid size must be an integer in [1, 1000], got True"),
+        ("step index", None, lambda: propensity_sequence(True), None,
+         "step index must be an integer in [0, 100000], got True"),
         # Text that is not a number of the flag's kind: the flags and the
         # scenario file convert it in one step and give one message.
         ("steps", "10.0", lambda: parse_number("steps", "10.0", int),

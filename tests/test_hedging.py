@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import random
 import tracemalloc
 
@@ -73,8 +75,6 @@ def test_propensity_rejects_bad_arguments():
     with pytest.raises(ValueError):
         propensities_at_step(-1)
     with pytest.raises(ValueError):
-        propensity_sequence(3, hesitation=0.0)
-    with pytest.raises(ValueError):
         propensity_sequence(-1)
 
 
@@ -89,11 +89,6 @@ def test_step_index_is_bounded_before_any_work(call):
         tracemalloc.stop()
     assert peak < 64 * 1024  # a list of 100002 floats alone takes about 3 MB
     assert len(propensity_sequence(100_000)) == 100_001
-
-
-def test_hesitation_seeds_the_listener():
-    assert propensity_sequence(2, hesitation=0.3)[1:] == [0.3, 1.0 / 1.3]
-    assert propensities_at_step(1, hesitation=0.3) == (1.0, 0.3)
 
 
 def test_propensities_at_step():
@@ -175,25 +170,24 @@ def test_run_hedging_rejects_bad_arguments():
         run_hedging(config, max_steps=10, tolerance=0.0)
 
 
-def test_run_hedging_checks_hesitation_before_the_recurrence():
-    config = GameConfig(delta=0.7, gamma=0.2)
-    with pytest.raises(ValueError, match="hesitation"):
-        run_hedging(config, hesitation=-1.0)
-    with pytest.raises(ValueError, match="hesitation"):
-        propensity_sequence(3, hesitation=-1.0)
+def test_hesitation_is_a_fixed_seed_not_an_option():
+    for function in (propensity_sequence, propensities_at_step, stepwise_eu, run_hedging):
+        assert "hesitation" not in inspect.signature(function).parameters
+    assert "hesitation" not in hedging.HEDGING_RANGES
+    assert "hesitation" not in {field.name for field in dataclasses.fields(hedging.HedgingTrace)}
+    assert propensity_sequence(1)[1] == hedging.HESITATION == 0.5
 
 
 @settings(deadline=None)
 @given(
     delta=st.floats(0.01, 0.99),
     gamma=st.floats(0.0, 0.99),
-    hesitation=st.floats(0.01, 0.99),
     max_steps=st.integers(4, 300),
 )
-def test_run_hedging_steps_match_their_oracles(delta, gamma, hesitation, max_steps):
+def test_run_hedging_steps_match_their_oracles(delta, gamma, max_steps):
     config = GameConfig(delta=delta, gamma=gamma)
-    trace = run_hedging(config, max_steps=max_steps, hesitation=hesitation)
-    values = [1.0, hesitation]
+    trace = run_hedging(config, max_steps=max_steps)
+    values = [1.0, 0.5]
     while len(values) <= max_steps:
         values.append(values[-2] / (values[-1] + values[-2]))
     assert [step.n for step in trace.steps] == list(range(max_steps + 1))
@@ -201,8 +195,8 @@ def test_run_hedging_steps_match_their_oracles(delta, gamma, hesitation, max_ste
         n = step.n
         expected = (1.0, 0.0) if n == 0 else (values[n - n % 2], values[n - 1 + n % 2])
         assert (step.p_speaker_a, step.p_listener_a) == expected
-        assert step.eu_a == stepwise_eu(config, n, "a", hesitation=hesitation)
-        assert step.eu_b == stepwise_eu(config, n, "b", hesitation=hesitation)
+        assert step.eu_a == stepwise_eu(config, n, "a")
+        assert step.eu_b == stepwise_eu(config, n, "b")
 
 
 def test_run_hedging_evaluates_expected_utility_a_constant_number_of_times(monkeypatch):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hedgesim import semantics
 from hedgesim.semantics import (
     STRENGTH_ORDER,
     Formula,
@@ -14,6 +15,7 @@ from hedgesim.worlds import (
     NOT_PHI,
     PHI,
     Q,
+    QBAR,
     SoritesSeries,
     UnknownLabelError,
     WorldModel,
@@ -128,6 +130,49 @@ def test_might_phi_tracks_someone_thinking_q():
         assert might == someone_thinks_q
 
 
+def test_might_not_phi_tracks_someone_judging_qbar():
+    rng = random.Random(43)
+    for _ in range(150):
+        model = random_model(rng)
+        judges_qbar = {
+            agent: judgment_proposition(model, agent, QBAR) for agent in model.agents
+        }
+        has_all_qbar_world = any(
+            all(w in judges_qbar[agent] for agent in model.agents) for w in model.worlds
+        )
+        expected = (
+            {w for w in model.worlds if any(w in judges_qbar[a] for a in model.agents)}
+            if has_all_qbar_world
+            else set()
+        )
+        assert extension(model, Formula.MIGHT_NOT_PHI) == expected
+
+
+def counting(monkeypatch, name):
+    """Count calls to ``semantics.<name>``, recursive ones included."""
+    calls = []
+    original = getattr(semantics, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(semantics, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("formula", [Formula.MIGHT_PHI, Formula.MIGHT_NOT_PHI])
+def test_might_reads_accessible_once_without_recursion(monkeypatch, canonical_model, formula):
+    evaluate_calls = counting(monkeypatch, "evaluate")
+    accessible_calls = counting(monkeypatch, "accessible")
+    for world in canonical_model.worlds:
+        evaluate_calls.clear()
+        accessible_calls.clear()
+        semantics.evaluate(canonical_model, formula, world)
+        assert len(evaluate_calls) == 1
+        assert accessible_calls == [(canonical_model, world)]
+
+
 # --- frames -----------------------------------------------------------------
 
 
@@ -166,3 +211,57 @@ def test_frame_random_always_reflexive_symmetric():
     for _ in range(100):
         report = check_frame(random_model(rng))
         assert report.reflexive and report.symmetric
+
+
+def assert_frame_matches_brute_force(model):
+    """check_frame against pairs that share a cell, the witness being the
+    first failing (u, v, x) in world order."""
+    worlds = model.worlds
+    pairs = {
+        (u, v)
+        for cells in model.partitions.values()
+        for cell in cells
+        for u in cell
+        for v in cell
+    }
+    witnesses = [
+        (u, v, x)
+        for u in worlds
+        for v in worlds
+        for x in worlds
+        if (u, v) in pairs and (v, x) in pairs and (u, x) not in pairs
+    ]
+    report = check_frame(model)
+    assert report.reflexive == all((w, w) in pairs for w in worlds)
+    assert report.symmetric == all((v, u) in pairs for u, v in pairs)
+    assert report.transitive == (not witnesses)
+    assert report.witness == (witnesses[0] if witnesses else None)
+
+
+def test_frame_matches_brute_force_over_shared_cells():
+    rng = random.Random(53)
+    for _ in range(150):
+        assert_frame_matches_brute_force(random_model(rng))
+
+
+def test_frame_witness_follows_world_order_over_v_then_x():
+    # A pooled model has at most three worlds, so each u has at most one
+    # witness. Here a reaches b and c, b reaches e and c reaches d, so the
+    # first witness is (a, b, e), where an x-before-v search finds (a, c, d).
+    model = WorldModel(
+        agents=("S", "L"),
+        worlds=("a", "b", "c", "d", "e"),
+        partitions={
+            "S": (frozenset("abc"), frozenset("d"), frozenset("e")),
+            "L": (frozenset("a"), frozenset("be"), frozenset("cd")),
+        },
+        valuation={PHI: frozenset("a"), NOT_PHI: frozenset("d")},
+    )
+    assert check_frame(model).witness == ("a", "b", "e")
+    assert_frame_matches_brute_force(model)
+
+
+def test_frame_reads_accessible_once_per_world(monkeypatch, canonical_model):
+    calls = counting(monkeypatch, "accessible")
+    check_frame(canonical_model)
+    assert calls == [(canonical_model, world) for world in canonical_model.worlds]

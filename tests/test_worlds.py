@@ -263,10 +263,11 @@ def test_everyone_thinks_restriction(canonical_model):
 
 
 def test_accessible_examples(canonical_model):
-    assert accessible(canonical_model, "w1", "w2") is True
-    assert accessible(canonical_model, "w1", "w3") is False
+    assert accessible(canonical_model, "w1") == frozenset({"w1", "w2"})
     for world in canonical_model.worlds:
-        assert accessible(canonical_model, world, world) is True
+        assert world in accessible(canonical_model, world)
+    with pytest.raises(UnknownLabelError):
+        accessible(canonical_model, "w9")
 
 
 def test_accessibility_reflexive_symmetric_random():
@@ -274,15 +275,18 @@ def test_accessibility_reflexive_symmetric_random():
     for _ in range(100):
         model = pool_states(random_series(rng, max_n=20, max_agents=4))
         for u in model.worlds:
-            assert accessible(model, u, u)
+            assert u in accessible(model, u)
             for v in model.worlds:
-                assert accessible(model, u, v) == accessible(model, v, u)
+                shares_a_cell = any(
+                    u in cell and v in cell for cells in model.partitions.values() for cell in cells
+                )
+                assert (v in accessible(model, u)) == (u in accessible(model, v)) == shares_a_cell
 
 
 def test_canonical_transitivity_failure(canonical_model):
-    assert accessible(canonical_model, "w1", "w2")
-    assert accessible(canonical_model, "w2", "w3")
-    assert not accessible(canonical_model, "w1", "w3")
+    assert "w2" in accessible(canonical_model, "w1")
+    assert "w3" in accessible(canonical_model, "w2")
+    assert "w3" not in accessible(canonical_model, "w1")
 
 
 # --- judgment propositions --------------------------------------------------

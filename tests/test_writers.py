@@ -109,7 +109,7 @@ def hedging_payload(trace) -> dict:
         **dataclasses.asdict(trace.config),
         "max_steps": trace.max_steps,
         "tolerance": trace.tolerance,
-        "hesitation": trace.hesitation,
+        "hesitation": 0.5,  # the fixed seed f(1)
         "steps": [step._asdict() for step in trace.steps],
         "summary": dataclasses.asdict(trace.summary),
     }
