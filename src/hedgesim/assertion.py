@@ -119,23 +119,19 @@ def ideal_signal(
 class SignalLikelihoods:
     """Per-world sending probabilities over the signals live in a common ground.
 
-    Row convention: the world's designated (strongest-true) signal carries
-    1 - epsilon and the remaining live signals split epsilon evenly; with a
-    single live signal the row is degenerate at 1. Every row sums to 1.
+    ``designated`` maps each live world to its strongest-true signal; the
+    designated signals are the live ones. Row rule: the designated signal
+    carries 1 - epsilon and the other live signals split epsilon evenly; with
+    a single live signal the row is degenerate at 1. Every row sums to 1, and
+    off the live worlds and signals the probability is 0.
     """
 
-    matrix: Mapping[tuple[Formula, str], float]
+    designated: Mapping[str, Formula]
     epsilon: float
-    signals: tuple[Formula, ...]
-    worlds: tuple[str, ...]
 
     def __post_init__(self) -> None:
         check_parameter(GAME_RANGES, "epsilon", self.epsilon)
-        for world in self.worlds:
-            row = sum(self.matrix[(signal, world)] for signal in self.signals)
-            if abs(row - 1.0) > 1e-12:
-                raise ValueError(f"likelihood row for {world!r} sums to {row!r}, not 1")
-        object.__setattr__(self, "matrix", dict(self.matrix))
+        object.__setattr__(self, "designated", dict(self.designated))
 
     @classmethod
     def for_common_ground(
@@ -144,7 +140,7 @@ class SignalLikelihoods:
         epsilon: float,
         repertoire: tuple[Formula, ...] = STRENGTH_ORDER,
     ) -> "SignalLikelihoods":
-        """Build the listener's likelihood table for the given live set.
+        """Build the listener's likelihood model for the given live set.
 
         `repertoire` bounds the sentences the listener imagines the speaker
         choosing among; after observing a hedge, passing the atoms plus the
@@ -152,25 +148,23 @@ class SignalLikelihoods:
         hedge's side (the full order would impute the positive hedge at
         every contested world, giving a negative hedge zero probability).
         """
-        designated = {
-            world: ideal_signal(cg.model, world, repertoire) for world in cg.live
-        }
-        signals = tuple(f for f in STRENGTH_ORDER if f in set(designated.values()))
-        count = len(signals)
-        matrix: dict[tuple[Formula, str], float] = {}
-        for world in cg.live:
-            for signal in signals:
-                if count == 1:
-                    probability = 1.0
-                elif signal is designated[world]:
-                    probability = 1.0 - epsilon
-                else:
-                    probability = epsilon / (count - 1)
-                matrix[(signal, world)] = probability
-        return cls(matrix=matrix, epsilon=epsilon, signals=signals, worlds=cg.live)
+        designated = {world: ideal_signal(cg.model, world, repertoire) for world in cg.live}
+        return cls(designated=designated, epsilon=epsilon)
+
+    @property
+    def signals(self) -> tuple[Formula, ...]:
+        live = set(self.designated.values())
+        return tuple(f for f in STRENGTH_ORDER if f in live)
 
     def probability(self, signal: Formula, world: str) -> float:
-        return self.matrix.get((signal, world), 0.0)
+        live = set(self.designated.values())
+        if world not in self.designated or signal not in live:
+            return 0.0
+        if len(live) == 1:
+            return 1.0
+        if signal is self.designated[world]:
+            return 1.0 - self.epsilon
+        return self.epsilon / (len(live) - 1)
 
 
 def listener_posterior(

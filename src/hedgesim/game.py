@@ -18,18 +18,6 @@ PLAYERS = ("S", "L")
 ACTIONS = ("a", "b")
 WORLD_ORDER = ("w1", "w2", "w3")
 
-# Doxastic profile of the pooled three-world game: whether each side judges q.
-# At w2 the signal sender still judges q while the receiver has flipped.
-_THINKS_Q = {
-    "w1": {"S": True, "L": True},
-    "w2": {"S": True, "L": False},
-    "w3": {"S": False, "L": False},
-}
-
-
-def _other(player: str) -> str:
-    return "L" if player == "S" else "S"
-
 
 def _check_player(player: str) -> None:
     if player not in PLAYERS:
@@ -73,9 +61,10 @@ def parse_number(name: str, text: str, kind: type = float) -> int | float:
 
 
 def check_parameter(ranges: Mapping[str, tuple], name: str, value):
-    """Return ``value`` when ``ranges[name]`` admits it; raise ValueError otherwise."""
+    """Return ``value`` when ``ranges[name]`` admits it; raise ValueError
+    otherwise. No range admits a bool."""
     admits, words = ranges[name]
-    if not admits(value):
+    if isinstance(value, bool) or not admits(value):
         raise ValueError(f"{name} must be {words}, got {value!r}")
     return value
 
@@ -154,19 +143,21 @@ def expected_utility(config: GameConfig, player: str, action: str) -> float:
 def brute_force_eu(config: GameConfig, player: str, action: str) -> float:
     """Independent oracle for :func:`expected_utility`.
 
-    Enumerates the three worlds, derives each side's judgment and the action
-    it induces (a when judging q, b otherwise), and adds up the prior mass of
-    the worlds where both sides take ``action``, the only ones that pay.
+    Pools the canonical forced march (``worlds.CANONICAL_FLIPS``), reads
+    each side's judgment at each pooled world and the action it induces (a
+    when judging q, b otherwise), and adds up the prior mass of the worlds
+    where both sides take ``action``, the only ones that pay.
     """
+    from .worlds import CANONICAL_FLIPS, CANONICAL_N, Q, SoritesSeries, pool_states
+
     _check_player(player)
     _check_action(action)
     prior = world_priors(config)
-    opponent = _other(player)
+    model = pool_states(SoritesSeries(CANONICAL_N, CANONICAL_FLIPS))
     total = 0.0
-    for world in WORLD_ORDER:
-        mine = "a" if _THINKS_Q[world][player] else "b"
-        theirs = "a" if _THINKS_Q[world][opponent] else "b"
-        if mine == action == theirs:
+    for world in model.worlds:
+        taken = {"a" if model.judgments[side][world] == Q else "b" for side in PLAYERS}
+        if taken == {action}:
             total += prior[world]
     return total
 

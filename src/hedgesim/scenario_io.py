@@ -61,6 +61,8 @@ from .hedging import (
 )
 from .semantics import Formula, extension
 from .worlds import (
+    CANONICAL_FLIPS,
+    CANONICAL_N,
     SoritesSeries,
     WorldModel,
     check_flip,
@@ -80,10 +82,6 @@ from .writers import (  # noqa: F401  (re-exported)
     render_sweep_csv,
     render_sweep_json,
 )
-
-CANONICAL_N = 5
-CANONICAL_FLIPS = {"S": 4, "L": 2}
-
 
 class ScenarioParseError(ValueError):
     """A scenario file problem, carrying the offending line when known."""

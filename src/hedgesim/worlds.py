@@ -20,6 +20,10 @@ QBAR = "qbar"
 PHI = "phi"
 NOT_PHI = "not phi"
 
+#: The canonical forced march: S flips at state 4 and L at state 2 of 5.
+CANONICAL_N = 5
+CANONICAL_FLIPS = {"S": 4, "L": 2}
+
 
 class InvalidSeriesError(ValueError):
     """A structurally malformed forced-march description."""

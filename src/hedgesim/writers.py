@@ -13,8 +13,8 @@ that text is used as it is when each number has a ``.`` and no exponent:
 such text is already the float's JSON text. A record with any other float (a
 whole number, one below 1e-5 or from 1e12 up, or a non-finite one) is
 written float by float through ``_jnum_text``, which rejects non-finite
-values. The report blocks pass each float field through ``float()``, so a
-float field given an int is still written as a float.
+values. A config, region or summary block writes each plain ``int`` field
+as a float, and each bool as a bool.
 
 The writers read record fields and need only the record types of ``game``
 and ``hedging``, so the ``sweep`` and ``hedge`` commands load neither the
@@ -33,8 +33,7 @@ from .game import GAME_RANGES, SweepRow
 from .hedging import HESITATION, HedgingStep
 
 if TYPE_CHECKING:
-    from .game import GameConfig
-    from .hedging import HedgingSummary, HedgingTrace
+    from .hedging import HedgingTrace
     from .scenario_io import DialogueStep, RunReport, Scenario
     from .semantics import FrameReport
     from .worlds import WorldModel
@@ -156,18 +155,11 @@ def _render_csv(names: tuple[str, ...], row: str, records) -> str:
     return "\n".join([",".join(names), *[row % record for record in records]]) + "\n"
 
 
-def _as_floats(fields: dict, *names: str) -> dict:
-    """``fields`` with each of ``names`` as a float: a float field given an
-    int is still written as a float."""
-    return {**fields, **{name: float(fields[name]) for name in names}}
-
-
-def _game_payload(config: GameConfig) -> dict:
-    return {name: float(getattr(config, name)) for name in _SCENARIO_KEYS["game"]}
-
-
-def _summary_payload(summary: HedgingSummary) -> dict:
-    return _as_floats(vars(summary), "even_tail", "odd_tail", "pair_sum_gap")
+def _as_floats(record) -> dict:
+    """The fields of a game config, region report or hedging summary, each
+    plain ``int`` as a float: those records hold no int field, so an int
+    there stands for a float. Bools stay bools."""
+    return {name: float(v) if type(v) is int else v for name, v in vars(record).items()}
 
 
 def scenario_payload(scenario: Scenario) -> dict:
@@ -175,8 +167,9 @@ def scenario_payload(scenario: Scenario) -> dict:
         "canonical": scenario.canonical,
         "n": scenario.series.n,
         "flips": dict(scenario.series.flips),
-        **_game_payload(scenario.config),
-        **_as_floats({name: getattr(scenario, name) for name in _SCENARIO_KEYS["run"]}, "tolerance"),
+        **_as_floats(scenario.config),
+        **{name: getattr(scenario, name) for name in _SCENARIO_KEYS["run"]},
+        "tolerance": float(scenario.tolerance),
     }
 
 
@@ -215,14 +208,11 @@ def report_payload(report: RunReport) -> dict:
         "signal": report.signal.text,
         "dialogue": [_dialogue_record(step) for step in report.dialogue],
         "posterior": dict(report.posterior),
-        "equilibrium": _as_floats(
-            vars(report.region),
-            "eu_a", "eu_b", "gamma_bound_a", "gamma_bound_b", "listener_q_given_speaker_q",
-        ),
+        "equilibrium": _as_floats(report.region),
         "hedging": {
             "max_steps": report.hedging.max_steps,
             "tolerance": float(report.hedging.tolerance),
-            **_summary_payload(report.hedging.summary),
+            **_as_floats(report.hedging.summary),
             "final_eu_a": float(report.hedging.steps[-1].eu_a),
             "final_eu_b": float(report.hedging.steps[-1].eu_b),
         },
@@ -268,12 +258,12 @@ def render_hedging_csv(trace: HedgingTrace) -> str:
 def render_hedging_json(trace: HedgingTrace) -> str:
     """The game, the run settings, the steps and the summary."""
     payload = {
-        **_game_payload(trace.config),
+        **_as_floats(trace.config),
         "max_steps": trace.max_steps,
         "tolerance": float(trace.tolerance),
         "hesitation": HESITATION,
         "steps": trace.steps,
-        "summary": _summary_payload(trace.summary),
+        "summary": _as_floats(trace.summary),
     }
     return _json_text(payload) + "\n"
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -17,7 +18,7 @@ from hedgesim.assertion import (
     speaker_signal,
     update,
 )
-from hedgesim.semantics import Formula, TruthValue, evaluate, extension
+from hedgesim.semantics import STRENGTH_ORDER, Formula, TruthValue, evaluate, extension
 from hedgesim.worlds import NOT_PHI, SoritesSeries, common_belief, pool_states
 
 
@@ -150,6 +151,55 @@ def test_likelihood_rows_sum_to_one(canonical_model):
         for world in cg.live:
             row = sum(lik.probability(signal, world) for signal in lik.signals)
             assert abs(row - 1.0) <= 1e-12
+
+
+def oracle_probability(cg, epsilon, repertoire, signal, world):
+    """The row rule over designations read off ``evaluate``: 0 off the live
+    worlds and off the designated signals."""
+    designated = {
+        w: next(f for f in repertoire if evaluate(cg.model, f, w) is TruthValue.TRUE)
+        for w in cg.live
+    }
+    live_signals = set(designated.values())
+    if world not in designated or signal not in live_signals:
+        return 0.0
+    if len(live_signals) == 1:
+        return 1.0
+    if signal is designated[world]:
+        return 1.0 - epsilon
+    return epsilon / (len(live_signals) - 1)
+
+
+def test_likelihoods_match_an_evaluate_oracle_random():
+    # Both repertoires in use: the full order (the README's tour) and the
+    # atoms plus the observed signal, after updating on it (run_scenario).
+    rng = random.Random(131)
+    zeros = {"off the live set": 0, "undesignated signal": 0}
+    for _ in range(150):
+        model = random_model(rng)
+        epsilon = rng.uniform(0.0, 0.49)
+        cg0 = initial_common_ground(model)
+        cases = [(cg0, STRENGTH_ORDER)]
+        for signal in Formula:
+            if extension(model, signal):
+                cg1 = update(cg0, signal)
+                cases += [(cg1, STRENGTH_ORDER), (cg1, (Formula.PHI, Formula.NOT_PHI, signal))]
+        for cg, repertoire in cases:
+            lik = SignalLikelihoods.for_common_ground(cg, epsilon, repertoire)
+            for signal in Formula:
+                for world in model.worlds:
+                    expected = oracle_probability(cg, epsilon, repertoire, signal, world)
+                    assert lik.probability(signal, world) == expected, (signal, world)
+                    if world not in cg.live:
+                        zeros["off the live set"] += 1
+                    elif signal not in lik.signals:
+                        zeros["undesignated signal"] += 1
+    assert all(zeros.values()), zeros
+
+
+def test_likelihoods_store_only_designations_and_epsilon():
+    names = [field.name for field in dataclasses.fields(SignalLikelihoods)]
+    assert names == ["designated", "epsilon"]
 
 
 def test_posterior_reproduces_display(canonical_model):

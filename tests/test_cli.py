@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from hedgesim.cli import main
-from hedgesim.game import GameConfig, grid, parse_number
+from hedgesim.game import GameConfig, grid, parse_number, threshold_sweep
 from hedgesim.hedging import propensities_at_step, propensity_sequence, run_hedging
 from hedgesim.scenario_io import ScenarioParseError, parse_scenario
 from hedgesim.worlds import SoritesSeries
@@ -259,6 +259,15 @@ CONFIG = GameConfig(delta=0.7, gamma=0.2)
          "grid size must be an integer in [1, 1000], got True"),
         ("step index", None, lambda: propensity_sequence(True), None,
          "step index must be an integer in [0, 100000], got True"),
+        # Nor is a bool a number in any float range.
+        ("gamma", None, lambda: GameConfig(delta=0.7, gamma=False), None,
+         "gamma must be at least 0 and strictly below 1, got False"),
+        ("epsilon", None, lambda: GameConfig(delta=0.7, gamma=0.2, epsilon=False), None,
+         "epsilon must be in [0, 0.5), got False"),
+        ("tolerance", None, lambda: run_hedging(CONFIG, tolerance=True), None,
+         "tolerance must be positive and finite, got True"),
+        ("gamma", None, lambda: threshold_sweep([0.5], [False]), None,
+         "gamma must be at least 0 and strictly below 1, got False"),
         # Text that is not a number of the flag's kind: the flags and the
         # scenario file convert it in one step and give one message.
         ("steps", "10.0", lambda: parse_number("steps", "10.0", int),

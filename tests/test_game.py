@@ -19,6 +19,7 @@ from hedgesim.game import (
     threshold_sweep,
     world_priors,
 )
+from hedgesim.worlds import CANONICAL_FLIPS, CANONICAL_N, Q, SoritesSeries, pool_states
 
 
 def random_config(rng):
@@ -117,6 +118,18 @@ def test_brute_force_examples():
     assert brute_force_eu(GameConfig(delta=0.3, gamma=0.1), "L", "b") == pytest.approx(0.63, abs=1e-15)
     nearly_one = GameConfig(delta=0.5, gamma=0.999)
     assert brute_force_eu(nearly_one, "S", "a") == pytest.approx(0.001 * 0.5, abs=1e-12)
+
+
+def test_canonical_march_pools_to_the_stated_profile():
+    # S judges q at w1 and w2, L only at w1: the hedge's contested world is w2.
+    judgments = pool_states(SoritesSeries(CANONICAL_N, CANONICAL_FLIPS)).judgments
+    judges_q = {side: [w for w, value in judgments[side].items() if value == Q] for side in PLAYERS}
+    assert judges_q == {"S": ["w1", "w2"], "L": ["w1"]}
+
+
+def test_game_keeps_no_profile_table():
+    assert not hasattr(game, "_THINKS_Q")
+    assert not hasattr(game, "_other")
 
 
 def test_closed_form_matches_oracle_random():
