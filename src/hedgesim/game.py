@@ -10,6 +10,7 @@ Player labels are roles: "S" sends the signal, "L" receives it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
@@ -111,13 +112,17 @@ def _prior(delta: float, gamma: float) -> tuple[float, float, float]:
     return prior
 
 
-def _region(delta: float, tau: float, prior: tuple[float, float, float]) -> str:
-    """The region rule of :func:`equilibrium_region`, from a (w1, w2, w3) prior."""
-    if delta > 1.0 - delta and prior[0] > tau:
-        return "AA"
-    if 1.0 - delta > delta and prior[2] > tau:
-        return "BB"
-    return "none"
+def _contender(delta: float) -> tuple[str, float]:
+    """The one region that can hold at ``delta``, and its world's share of
+    the unanimous mass: AA on w1 when delta > 1 - delta, BB on w3 when
+    1 - delta > delta. The region holds when that share times 1 - gamma,
+    the world's prior mass, beats tau; at an even split it is "none"."""
+    rest = 1.0 - delta
+    if delta > rest:
+        return "AA", delta
+    if rest > delta:
+        return "BB", rest
+    return "none", 0.0  # tau > 0, so no mass clears it
 
 
 def world_priors(config: GameConfig) -> dict[str, float]:
@@ -140,23 +145,34 @@ def expected_utility(config: GameConfig, player: str, action: str) -> float:
     return prior[0] if action == "a" else prior[2]
 
 
+@functools.cache
+def _canonical_actions() -> tuple[tuple[str, frozenset], ...]:
+    """Each world of the pooled canonical forced march
+    (``worlds.CANONICAL_FLIPS``) with the actions the two sides take there:
+    a when judging q, b otherwise. Worked out once per process; ``worlds``
+    is imported here, so that the ``hedge`` and ``sweep`` commands, which
+    never call the oracle, do not load it."""
+    from .worlds import CANONICAL_FLIPS, CANONICAL_N, Q, SoritesSeries, pool_states
+
+    model = pool_states(SoritesSeries(CANONICAL_N, CANONICAL_FLIPS))
+    return tuple(
+        (world, frozenset("a" if model.judgments[side][world] == Q else "b" for side in PLAYERS))
+        for world in model.worlds
+    )
+
+
 def brute_force_eu(config: GameConfig, player: str, action: str) -> float:
     """Independent oracle for :func:`expected_utility`.
 
-    Pools the canonical forced march (``worlds.CANONICAL_FLIPS``), reads
-    each side's judgment at each pooled world and the action it induces (a
-    when judging q, b otherwise), and adds up the prior mass of the worlds
-    where both sides take ``action``, the only ones that pay.
+    Reads the action each side takes at each world of the pooled canonical
+    march, from the sides' judgments there, and adds up the prior mass of
+    the worlds where both sides take ``action``, the only ones that pay.
     """
-    from .worlds import CANONICAL_FLIPS, CANONICAL_N, Q, SoritesSeries, pool_states
-
     _check_player(player)
     _check_action(action)
     prior = world_priors(config)
-    model = pool_states(SoritesSeries(CANONICAL_N, CANONICAL_FLIPS))
     total = 0.0
-    for world in model.worlds:
-        taken = {"a" if model.judgments[side][world] == Q else "b" for side in PLAYERS}
+    for world, taken in _canonical_actions():
         if taken == {action}:
             total += prior[world]
     return total
@@ -190,8 +206,9 @@ def equilibrium_region(config: GameConfig) -> RegionReport:
     """
     d, tau = config.delta, config.tau
     prior = _prior(d, config.gamma)
+    side, share = _contender(d)
     return RegionReport(
-        region=_region(d, tau, prior),
+        region=side if share * (1.0 - config.gamma) > tau else "none",
         eu_a=prior[0],
         eu_b=prior[2],
         gamma_bound_a=1.0 - tau / d,
@@ -201,7 +218,8 @@ def equilibrium_region(config: GameConfig) -> RegionReport:
 
 
 class SweepRow(NamedTuple):
-    """One grid point of :func:`threshold_sweep`; a named tuple, built with no ``__init__`` call."""
+    """One grid point of :func:`threshold_sweep`; a named tuple, which the
+    sweep builds with ``tuple.__new__``, skipping the generated ``__new__``."""
 
     delta: float
     gamma: float
@@ -222,18 +240,29 @@ def threshold_sweep(
 
     Every delta, then every gamma, then tau is checked once, with the
     message :class:`GameConfig` gives, so a bad value raises even when a
-    grid is empty. A row costs only its checked prior and its region: the
-    sender's utilities ``eu_a``/``eu_b`` are ``p_w1``/``p_w3``.
+    grid is empty. ``1 - delta`` and the region that can hold are worked
+    out once per delta, so a row costs its two unanimous masses, their
+    :func:`world_priors` check (every mass >= 0, the sum within 1e-12 of 1)
+    and its region. ``p_w2`` is the row's gamma object and the sender's
+    utilities ``eu_a``/``eu_b`` are its ``p_w1``/``p_w3`` objects, which
+    the writers format once.
     """
     for name, values in (("delta", delta_grid), ("gamma", gamma_grid), ("tau", (tau,))):
         for value in values:
             check_parameter(GAME_RANGES, name, value)
     rows: list[SweepRow] = []
+    append, new = rows.append, tuple.__new__
     for delta in delta_grid:
+        rest = 1.0 - delta
+        side, share = _contender(delta)
         for gamma in gamma_grid:
-            p_w1, p_w2, p_w3 = prior = _prior(delta, gamma)
-            region = _region(delta, tau, prior)
-            rows.append(SweepRow(delta, gamma, p_w1, p_w2, p_w3, p_w1, p_w3, region))
+            keep = 1.0 - gamma
+            p_w1, p_w3 = delta * keep, rest * keep
+            if not (p_w1 >= 0 and gamma >= 0 and p_w3 >= 0
+                    and -1e-12 <= p_w1 + gamma + p_w3 - 1.0 <= 1e-12):
+                _prior(delta, gamma)  # raises with the single-config message
+            region = side if share * keep > tau else "none"
+            append(new(SweepRow, (delta, gamma, p_w1, gamma, p_w3, p_w1, p_w3, region)))
     return rows
 
 

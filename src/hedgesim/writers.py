@@ -6,15 +6,16 @@ the same rounded numbers, so both formats stay byte-stable. One writer,
 payload's raw values, rounding each float as it writes it.
 
 Each schema is written out here. A sweep row, a hedging step and a frame
-report are named tuples: their ``_fields`` are the CSV header and JSON keys,
-and the record itself is the value tuple of its CSV row template. In JSON,
-one ``%.12g`` template writes the floats of a sweep row or hedging step, and
-that text is used as it is when each number has a ``.`` and no exponent:
-such text is already the float's JSON text. A record with any other float (a
-whole number, one below 1e-5 or from 1e12 up, or a non-finite one) is
-written float by float through ``_jnum_text``, which rejects non-finite
-values. A config, region or summary block writes each plain ``int`` field
-as a float, and each bool as a bool.
+report are named tuples: their ``_fields`` are the CSV header and JSON keys.
+A hedging step or frame report is itself the value tuple of its CSV row
+template, and in JSON one ``%.12g`` template writes a hedging step's
+floats. A sweep render formats each value only once (see ``_sweep_lines``),
+so a row of ``threshold_sweep`` formats two floats. A ``%.12g`` text with a
+``.`` and no exponent is already the float's JSON text; any other float (a
+whole number, one below 1e-4 or from 1e12 up, or a non-finite one) is
+written through ``_jnum_text``, which rejects non-finite values. A config,
+region or summary block writes each plain ``int`` field as a float, and
+each bool as a bool.
 
 The writers read record fields and need only the record types of ``game``
 and ``hedging``, so the ``sweep`` and ``hedge`` commands load neither the
@@ -45,13 +46,12 @@ _SCENARIO_KEYS = {
     "run": ("speaker", "world", "steps", "tolerance"),
 }
 
-# The CSV row of each record, field by field; the hedging step's row is also
-# its JSON float text.
-_SWEEP_ROW = "%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s"
+# The CSV row of a hedging step and of a frame report, field by field; the
+# hedging step's row is also its JSON float text.
 _STEP_ROW = "%d,%.12g,%.12g,%.12g,%.12g"
 _FRAME_ROW = "%s,%s,%s,%s"
-# The sweep row's seven floats; ``%.0s`` writes nothing for its region.
-_SWEEP_FLOATS = "%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g%.0s"
+# The text before each field of a sweep's CSV row.
+_SWEEP_CSV_LABELS = ("",) + (",",) * 7
 
 
 def fmt_float(value: float) -> str:
@@ -79,26 +79,57 @@ def _bool_text(value: bool) -> str:
     return str(value).lower()
 
 
-def _sweep_json(row: SweepRow) -> tuple:
-    """The JSON text of a sweep row's values: its floats from one ``%.12g``
-    pass when that text is their ``_jnum_text``, that is when it has no
-    exponent and a ``.`` in every number (``nan`` and ``inf`` have none),
-    else float by float."""
-    numbers = _SWEEP_FLOATS % row
-    if "e" in numbers or numbers.count(".") != 7:
-        return (*map(_jnum_text, row[:7]), encode_basestring_ascii(row.region))
-    return (*numbers.split(","), encode_basestring_ascii(row.region))
+def _number_text(value: float, json: bool) -> str:
+    """``value``'s ``%.12g`` text, or with ``json`` its ``_jnum_text``,
+    which differs only for a text with an exponent or no ``.``."""
+    text = "%.12g" % value
+    if json and ("e" in text or "." not in text):
+        return _jnum_text(value)
+    return text
+
+
+def _sweep_lines(rows, labels: tuple, end: str, json: bool) -> list[str]:
+    """Each sweep row's text: each field's label, then its value's text,
+    then ``end``; JSON text (a quoted region) with ``json``.
+
+    A delta is formatted once per run of rows that hold it, so once per
+    delta in delta-major order, and each distinct nonzero gamma once per
+    call: the memo holds only gammas, keyed by value, and zeros skip it
+    because 0.0 and -0.0 are equal keys with different texts. ``p_w2``,
+    ``eu_a`` and ``eu_b`` reuse the text of the gamma, ``p_w1`` and
+    ``p_w3`` objects when they are those objects, as in ``threshold_sweep``.
+    """
+    k0, k1, k2, k3, k4, k5, k6, k7 = labels
+    lines = []
+    memo = {}
+    last_delta = object()
+    for delta, gamma, p_w1, p_w2, p_w3, eu_a, eu_b, region in rows:
+        if delta is not last_delta:
+            last_delta, d = delta, _number_text(delta, json)
+        g = memo.get(gamma) if gamma else None
+        if g is None:
+            g = _number_text(gamma, json)
+            if gamma:
+                memo[gamma] = g
+        w1, w3 = _number_text(p_w1, json), _number_text(p_w3, json)
+        if json:
+            region = encode_basestring_ascii(region)
+        w2 = g if p_w2 is gamma else _number_text(p_w2, json)
+        a = w1 if eu_a is p_w1 else _number_text(eu_a, json)
+        b = w3 if eu_b is p_w3 else _number_text(eu_b, json)
+        lines.append(f"{k0}{d}{k1}{g}{k2}{w1}{k3}{w2}{k4}{w3}{k5}{a}{k6}{b}{k7}{region}{end}")
+    return lines
 
 
 def _step_json(step: HedgingStep) -> tuple:
-    """The JSON text of a hedging step's values, as for a sweep row."""
+    """The JSON text of a hedging step's values: its floats from one
+    ``%.12g`` pass when that text is their ``_jnum_text``, that is when it
+    has no exponent and a ``.`` in every number (``nan`` and ``inf`` have
+    none), else float by float."""
     numbers = _STEP_ROW % step
     if "e" in numbers or numbers.count(".") != 4:
         return (str(step.n), *map(_jnum_text, step[1:]))
     return tuple(numbers.split(","))
-
-
-_RECORD_JSON = {SweepRow: _sweep_json, HedgingStep: _step_json}
 
 
 def _layout(depth: int | None) -> tuple:
@@ -116,7 +147,7 @@ def _json_text(value, depth: int | None = 0) -> str:
     as ``_jnum_text``. Dicts have text keys; tuples are lists.
 
     A list of sweep rows or hedging steps is a list of objects of their
-    fields, written through one ``%``-template built per list; it is
+    fields, whose keys and layout are built once per list; it is
     recognised before a tuple is taken for a list. The brackets ride on
     the first and last items, so the join is the only full copy of the text.
     """
@@ -137,12 +168,16 @@ def _json_text(value, depth: int | None = 0) -> str:
             f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
             for key, item in value.items()
         ]
-    elif type(value[0]) in _RECORD_JSON:
-        record_json = _RECORD_JSON[type(value[0])]
+    elif type(value[0]) in (SweepRow, HedgingStep):
         _, record_opening, record_separator, record_closing = _layout(inner)
-        members = [f"{encode_basestring_ascii(name)}: %s" for name in value[0]._fields]
-        template = "{" + record_opening + record_separator.join(members) + record_closing + "}"
-        items = [template % record_json(record) for record in value]
+        keys = [f"{encode_basestring_ascii(name)}: " for name in value[0]._fields]
+        labels = ("{" + record_opening + keys[0], *(record_separator + key for key in keys[1:]))
+        end = record_closing + "}"
+        if type(value[0]) is SweepRow:
+            items = _sweep_lines(value, labels, end, json=True)
+        else:
+            template = "%s".join((*labels, end))
+            items = [template % _step_json(step) for step in value]
     else:
         items = [_json_text(item, inner) for item in value]
     items[0] = brackets[0] + opening + items[0]
@@ -244,7 +279,8 @@ def render_dialogue_jsonl(report: RunReport) -> str:
 
 
 def render_sweep_csv(rows: list[SweepRow]) -> str:
-    return _render_csv(SweepRow._fields, _SWEEP_ROW, rows)
+    lines = _sweep_lines(rows, _SWEEP_CSV_LABELS, "", json=False)
+    return "\n".join([",".join(SweepRow._fields), *lines]) + "\n"
 
 
 def render_sweep_json(rows: list[SweepRow]) -> str:

@@ -127,6 +127,24 @@ def test_canonical_march_pools_to_the_stated_profile():
     assert judges_q == {"S": ["w1", "w2"], "L": ["w1"]}
 
 
+def test_brute_force_eu_pools_the_canonical_march_once(monkeypatch):
+    calls = []
+
+    def counting(series):
+        calls.append(series)
+        return pool_states(series)
+
+    monkeypatch.setattr("hedgesim.worlds.pool_states", counting)
+    game._canonical_actions.cache_clear()
+    try:
+        config = GameConfig(delta=0.7, gamma=0.2)
+        eus = [brute_force_eu(config, player, action) for player in PLAYERS for action in ACTIONS]
+    finally:
+        game._canonical_actions.cache_clear()
+    assert eus == [0.7 * (1 - 0.2), (1 - 0.7) * (1 - 0.2)] * 2
+    assert calls == [SoritesSeries(CANONICAL_N, CANONICAL_FLIPS)]
+
+
 def test_game_keeps_no_profile_table():
     assert not hasattr(game, "_THINKS_Q")
     assert not hasattr(game, "_other")
@@ -268,10 +286,11 @@ def _row_from_public_functions(delta, gamma, tau):
 
 @st.composite
 def sweep_grids(draw):
-    """A tau and grids holding 0.5 and gammas within 1e-9 of the region bounds."""
+    """A tau and grids holding 0.5, both signed zero gammas (``GAME_RANGES``
+    admits -0.0) and gammas within 1e-9 of the region bounds."""
     tau = draw(st.floats(0.01, 0.99))
     deltas = draw(st.lists(st.floats(0.001, 0.999), min_size=1, max_size=6)) + [0.5]
-    gammas = draw(st.lists(st.floats(0.0, 0.999), max_size=6))
+    gammas = draw(st.lists(st.floats(0.0, 0.999), max_size=6)) + [0.0, -0.0]
     for delta in deltas:
         for bound in (1.0 - tau / delta, 1.0 - tau / (1.0 - delta)):
             offset = draw(st.sampled_from((-1e-9, 0.0, 1e-9)))
@@ -280,12 +299,18 @@ def sweep_grids(draw):
     return draw(st.permutations(deltas)), draw(st.permutations(gammas)), tau
 
 
+def bits(rows) -> list[tuple]:
+    """Each row's type and the ``repr`` of each field: unlike ``==``, this
+    tells -0.0 from 0.0."""
+    return [(type(row), *map(repr, row)) for row in rows]
+
+
 @settings(deadline=None)
 @given(sweep_grids())
 def test_sweep_rows_equal_the_public_per_config_functions(grids):
     delta_grid, gamma_grid, tau = grids
     expected = [_row_from_public_functions(d, g, tau) for d in delta_grid for g in gamma_grid]
-    assert threshold_sweep(delta_grid, gamma_grid, tau=tau) == expected
+    assert bits(threshold_sweep(delta_grid, gamma_grid, tau=tau)) == bits(expected)
 
 
 def test_sweep_builds_no_config_or_prior_per_row(monkeypatch):

@@ -186,6 +186,42 @@ def test_sweep_writers_on_any_floats(rows):
     assert _json_text(rows, None) == json.dumps(rounded(objects))
 
 
+# Floats where a text memo can go wrong: signed zeros are equal keys with
+# different texts, and whole numbers, exponents and non-finite values leave
+# the plain ``%.12g`` path in JSON.
+MEMO_TRAPS = (0.0, -0.0, 1.0, -3.0, 12345.0, 7e-6, -2.5e-7, 1e12, 3.5e15, math.nan, math.inf,
+              -math.inf)
+
+
+@st.composite
+def shared_float_rows(draw):
+    """Sweep rows whose floats come from one small pool of objects, so the
+    same object recurs across fields and rows, and ``p_w2``, ``eu_a`` and
+    ``eu_b`` are often the gamma, ``p_w1`` and ``p_w3`` objects, as in a
+    ``threshold_sweep`` row."""
+    pool = st.sampled_from(draw(st.lists(record_floats, max_size=3)) + list(MEMO_TRAPS))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        delta, gamma, p_w1, p_w3 = draw(pool), draw(pool), draw(pool), draw(pool)
+        p_w2, eu_a, eu_b = (draw(st.one_of(st.just(same), pool)) for same in (gamma, p_w1, p_w3))
+        region = draw(st.sampled_from(("AA", "BB", "none")) | st.text(max_size=3))
+        rows.append(SweepRow(delta, gamma, p_w1, p_w2, p_w3, eu_a, eu_b, region))
+    return rows
+
+
+@settings(deadline=None, max_examples=300)
+@given(shared_float_rows())
+def test_sweep_writers_on_shared_floats(rows):
+    assert render_sweep_csv(rows) == csv_text(rows)
+    if all(map(math.isfinite, itertools.chain.from_iterable(row[:7] for row in rows))):
+        objects = [row._asdict() for row in rows]
+        assert render_sweep_json(rows) == dumps(objects)
+        assert _json_text(rows, None) == json.dumps(rounded(objects))
+    else:
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            render_sweep_json(rows)
+
+
 @settings(deadline=None)
 @given(record_lists(HedgingStep, n=st.integers(0, 10**5)))
 def test_hedging_writers_on_any_floats(steps):
