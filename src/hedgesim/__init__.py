@@ -24,7 +24,6 @@ _EXPORTS = {
         "SignalLikelihoods",
         "UnexpectedSignalError",
         "base_rate",
-        "ideal_signal",
         "initial_common_ground",
         "listener_posterior",
         "speaker_signal",

@@ -94,27 +94,6 @@ def speaker_signal(
     )
 
 
-def ideal_signal(
-    model: WorldModel,
-    world: str,
-    repertoire: tuple[Formula, ...] = STRENGTH_ORDER,
-) -> Formula:
-    """The strongest sentence true at ``world`` itself.
-
-    This is the signal a fully informed truthful speaker would pick, which
-    is what the listener's likelihood model imputes world by world (the
-    listener reasons about what would have been sent in each live world,
-    not about the speaker's actual uncertainty).
-    """
-    model.index(world)
-    for formula in repertoire:
-        if world in extension(model, formula):
-            return formula
-    raise NoAssertableSignalError(
-        f"no sentence in {[f.text for f in repertoire]} is true at {world!r}"
-    )
-
-
 @dataclass(frozen=True)
 class SignalLikelihoods:
     """Per-world sending probabilities over the signals live in a common ground.
@@ -142,13 +121,25 @@ class SignalLikelihoods:
     ) -> "SignalLikelihoods":
         """Build the listener's likelihood model for the given live set.
 
-        `repertoire` bounds the sentences the listener imagines the speaker
-        choosing among; after observing a hedge, passing the atoms plus the
-        observed sentence keeps the imagined alternatives on the observed
-        hedge's side (the full order would impute the positive hedge at
-        every contested world, giving a negative hedge zero probability).
+        Each live world gets the first repertoire sentence true there, the
+        one a fully informed speaker would send. `repertoire` bounds the
+        sentences the listener imagines the speaker choosing among; after
+        observing a hedge, passing the atoms plus the observed sentence
+        keeps the imagined alternatives on the observed hedge's side (the
+        full order would impute the positive hedge at every contested
+        world, giving a negative hedge zero probability).
         """
-        designated = {world: ideal_signal(cg.model, world, repertoire) for world in cg.live}
+        extensions = [(formula, extension(cg.model, formula)) for formula in repertoire]
+        designated: dict[str, Formula] = {}
+        for world in cg.live:
+            for formula, true_at in extensions:
+                if world in true_at:
+                    designated[world] = formula
+                    break
+            else:
+                raise NoAssertableSignalError(
+                    f"no sentence in {[f.text for f, _ in extensions]} is true at {world!r}"
+                )
         return cls(designated=designated, epsilon=epsilon)
 
     @property

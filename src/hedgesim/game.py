@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 PLAYERS = ("S", "L")
 ACTIONS = ("a", "b")
@@ -232,21 +232,23 @@ class SweepRow(NamedTuple):
 
 
 def threshold_sweep(
-    delta_grid: Sequence[float],
-    gamma_grid: Sequence[float],
+    delta_grid: Iterable[float],
+    gamma_grid: Iterable[float],
     tau: float = DEFAULT_TAU,
 ) -> list[SweepRow]:
     """Region classification over a parameter grid, delta-major order.
 
-    Every delta, then every gamma, then tau is checked once, with the
-    message :class:`GameConfig` gives, so a bad value raises even when a
-    grid is empty. ``1 - delta`` and the region that can hold are worked
-    out once per delta, so a row costs its two unanimous masses, their
+    Each grid is read once, so a generator works like a list. Every delta,
+    then every gamma, then tau is checked once, with the message
+    :class:`GameConfig` gives, so a bad value raises even when a grid is
+    empty. ``1 - delta`` and the region that can hold are worked out once
+    per delta, so a row costs its two unanimous masses, their
     :func:`world_priors` check (every mass >= 0, the sum within 1e-12 of 1)
     and its region. ``p_w2`` is the row's gamma object and the sender's
     utilities ``eu_a``/``eu_b`` are its ``p_w1``/``p_w3`` objects, which
     the writers format once.
     """
+    delta_grid, gamma_grid = tuple(delta_grid), tuple(gamma_grid)
     for name, values in (("delta", delta_grid), ("gamma", gamma_grid), ("tau", (tau,))):
         for value in values:
             check_parameter(GAME_RANGES, name, value)

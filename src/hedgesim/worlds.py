@@ -197,9 +197,8 @@ def pool_states(series: SoritesSeries) -> WorldModel:
             frozenset(w for w in worlds if judgments[agent][w] == value)
             for value in (Q, QBAR)
         ]
-        cells = [cell for cell in cells if cell]
-        cells.sort(key=lambda cell: min(worlds.index(w) for w in cell))
-        partitions[agent] = tuple(cells)
+        # Every flip is at state 2 or later, so the q cell holds w1 and comes first.
+        partitions[agent] = tuple(cell for cell in cells if cell)
     valuation = {
         PHI: frozenset(
             w for w in worlds if all(judgments[a][w] == Q for a in series.agents)

@@ -12,7 +12,6 @@ from hedgesim.assertion import (
     SignalLikelihoods,
     UnexpectedSignalError,
     base_rate,
-    ideal_signal,
     initial_common_ground,
     listener_posterior,
     speaker_signal,
@@ -123,9 +122,34 @@ def test_speaker_signal_bare_repertoire_can_fail(canonical_model):
 
 
 def test_ideal_signal_designations(canonical_model):
-    assert ideal_signal(canonical_model, "w1") is Formula.PHI
-    assert ideal_signal(canonical_model, "w2") is Formula.MIGHT_PHI
-    assert ideal_signal(canonical_model, "w3") is Formula.NOT_PHI
+    lik = SignalLikelihoods.for_common_ground(initial_common_ground(canonical_model), 0.01)
+    assert lik.designated == {
+        "w1": Formula.PHI,
+        "w2": Formula.MIGHT_PHI,
+        "w3": Formula.NOT_PHI,
+    }
+
+
+def test_likelihoods_compute_each_extension_once(canonical_model, monkeypatch):
+    calls = []
+
+    def counted(model, formula):
+        calls.append(formula)
+        return extension(model, formula)
+
+    cg1 = update(initial_common_ground(canonical_model), Formula.MIGHT_PHI)
+    monkeypatch.setattr(assertion, "extension", counted)
+    repertoire = (Formula.PHI, Formula.NOT_PHI, Formula.MIGHT_PHI)
+    lik = SignalLikelihoods.for_common_ground(cg1, 0.01, repertoire)
+    assert lik.designated == {"w1": Formula.PHI, "w2": Formula.MIGHT_PHI}
+    assert calls == list(repertoire)
+
+
+def test_likelihoods_without_an_assertable_designation(canonical_model):
+    cg0 = initial_common_ground(canonical_model)
+    with pytest.raises(NoAssertableSignalError) as raised:
+        SignalLikelihoods.for_common_ground(cg0, 0.01, repertoire=(Formula.PHI,))
+    assert str(raised.value) == "no sentence in ['phi'] is true at 'w2'"
 
 
 # --- likelihoods and posterior ----------------------------------------------

@@ -138,6 +138,14 @@ def test_frame_check_prints_summary(capsys, tmp_path):
     assert payload["transitive"] is False
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_frame_check_without_out_prints_only_its_summary(capsys, fmt):
+    assert main(["frame-check", str(CANONICAL), "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "reflexive symmetric non-transitive, witness (w1,w2,w3)\n"
+    assert captured.err == ""
+
+
 # --- exit codes -------------------------------------------------------------
 
 

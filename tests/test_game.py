@@ -313,6 +313,14 @@ def test_sweep_rows_equal_the_public_per_config_functions(grids):
     assert bits(threshold_sweep(delta_grid, gamma_grid, tau=tau)) == bits(expected)
 
 
+def test_sweep_reads_one_shot_grids_like_lists():
+    expected = bits(threshold_sweep(grid(3), grid(3)))
+    assert len(expected) == 9
+    assert bits(threshold_sweep((d for d in grid(3)), grid(3))) == expected
+    assert bits(threshold_sweep(grid(3), (g for g in grid(3)))) == expected
+    assert bits(threshold_sweep(iter(grid(3)), iter(grid(3)))) == expected
+
+
 def test_sweep_builds_no_config_or_prior_per_row(monkeypatch):
     deltas, gammas = grid(40), grid(30)
     counts = {"GameConfig": 0, "world_priors": 0, "check_parameter": 0}

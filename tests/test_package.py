@@ -22,16 +22,15 @@ PUBLIC = [
     "SignalLikelihoods", "SoritesSeries", "SweepRow", "TruthValue", "UnexpectedSignalError",
     "UnknownLabelError", "WorldModel", "accessible", "audit_report", "base_rate",
     "brute_force_eu", "check_frame", "common_belief", "equilibrium_region", "evaluate",
-    "everyone_thinks", "expected_utility", "extension", "grid", "ideal_signal",
-    "initial_common_ground", "judgment_proposition", "listener_posterior", "load_scenario",
-    "parse_scenario", "pool_states", "propensities_at_step", "propensity_sequence", "run_hedging",
-    "run_scenario", "speaker_signal", "stepwise_eu", "thinks", "threshold_sweep", "update",
-    "world_priors",
+    "everyone_thinks", "expected_utility", "extension", "grid", "initial_common_ground",
+    "judgment_proposition", "listener_posterior", "load_scenario", "parse_scenario",
+    "pool_states", "propensities_at_step", "propensity_sequence", "run_hedging", "run_scenario",
+    "speaker_signal", "stepwise_eu", "thinks", "threshold_sweep", "update", "world_priors",
 ]
 # Names the package once exported and has deleted, with no alias left behind.
 REMOVED = [
     "PayoffMatrix", "WorldPrior", "JudgmentProposition", "build_forced_march", "propensity",
-    "render_scenario",
+    "render_scenario", "ideal_signal",
 ]
 
 

@@ -1,9 +1,11 @@
 import json
+from collections import Counter
+from pathlib import Path
 from typing import get_type_hints
 
 import pytest
 
-from hedgesim import scenario_io
+from hedgesim import assertion, scenario_io, semantics
 from hedgesim.game import GameConfig, SweepRow, grid, threshold_sweep
 from hedgesim.hedging import run_hedging
 from hedgesim.scenario_io import (
@@ -212,6 +214,37 @@ def test_a_run_pools_its_series_once(monkeypatch):
     monkeypatch.setattr(scenario_io, "pool_states", counted)
     run_scenario(parse_scenario(CANONICAL_TEXT))
     assert len(calls) == 1
+
+
+# evaluate, extension and accessible calls per run: the deterministic
+# operation counts that gate the semantic and assertion layers.
+RUN_OP_COUNTS = {
+    "canonical": (24, 8, 12),
+    "speaker_l": (27, 9, 15),
+    "equal_flips": (21, 7, 0),
+    "two_world": (16, 8, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_OP_COUNTS))
+def test_a_run_makes_the_pinned_semantic_calls(name, monkeypatch):
+    scenario = load_scenario(Path(__file__).parent / "data" / f"{name}.scn")
+    counts = Counter()
+
+    def counting(label, function):
+        def counted(*args):
+            counts[label] += 1
+            return function(*args)
+
+        return counted
+
+    monkeypatch.setattr(semantics, "evaluate", counting("evaluate", semantics.evaluate))
+    monkeypatch.setattr(semantics, "accessible", counting("accessible", semantics.accessible))
+    extension = counting("extension", semantics.extension)
+    for module in (assertion, scenario_io):
+        monkeypatch.setattr(module, "extension", extension)
+    run_scenario(scenario)
+    assert (counts["evaluate"], counts["extension"], counts["accessible"]) == RUN_OP_COUNTS[name]
 
 
 def test_audit_rejects_tampered_report():

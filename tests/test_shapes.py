@@ -1,0 +1,150 @@
+"""The six pooled model shapes of a two-agent march, run end to end.
+
+Pooling a march of n = 5 states with flips (S, L) yields one of six shapes:
+flip.S is below, equal to or above flip.L, and the later flip is at n or
+not. Each row below was worked out by hand from the definitions, with no
+code run: pool the march (``worlds.world_pools``, judged at each pool's
+earliest state), read the partitions and the atoms' unanimous worlds, take
+R(w) as the union of the agents' cells at w, pick the strongest sentence
+true throughout the speaker's cell, keep the worlds where it is true,
+designate at each survivor the first of (phi, not phi, signal) true there,
+apply Bayes at epsilon = 0.01 over a uniform base rate, and take the
+greatest fixpoint of everyone-thinks on the signal's atom within the
+survivors. The profile and region columns are still to come: the game
+stage does not yet read the pooled model.
+"""
+
+import pytest
+
+from hedgesim.game import GameConfig
+from hedgesim.scenario_io import Scenario, run_scenario
+from hedgesim.semantics import Formula, check_frame
+from hedgesim.worlds import SoritesSeries, pool_states
+
+PHI, NOT_PHI = Formula.PHI, Formula.NOT_PHI
+MIGHT_PHI, MIGHT_NOT_PHI = Formula.MIGHT_PHI, Formula.MIGHT_NOT_PHI
+
+# Rows shared by several shapes: (signal, live worlds, posterior, public-belief worlds).
+ONLY_W1 = (PHI, ("w1",), {"w1": 1.0}, {"w1"})
+POSITIVE_HEDGE = (MIGHT_PHI, ("w1", "w2"), {"w1": 0.01, "w2": 0.99}, set())
+NEGATIVE_HEDGE = (MIGHT_NOT_PHI, ("w2", "w3"), {"w2": 0.99, "w3": 0.01}, set())
+
+# (flip.S, flip.L) -> (frame witness, or None when transitive; {(speaker, world): row}).
+SHAPES = {
+    # w1 = {1}, w2 = {2..4}, w3 = {5}. S: {w1} | {w2, w3}; L: {w1, w2} | {w3}.
+    # phi at w1, not phi at w3; R(w1) = {w1, w2}, R(w2) = all, R(w3) = {w2, w3}.
+    (2, 4): (
+        ("w1", "w2", "w3"),
+        {
+            ("S", "w1"): ONLY_W1,
+            ("S", "w2"): NEGATIVE_HEDGE,
+            ("S", "w3"): NEGATIVE_HEDGE,
+            ("L", "w1"): POSITIVE_HEDGE,
+            ("L", "w2"): POSITIVE_HEDGE,
+            ("L", "w3"): (NOT_PHI, ("w3",), {"w3": 1.0}, {"w3"}),
+        },
+    ),
+    # w1 = {1}, w2 = {2..5}. S: {w1} | {w2}; L: {w1, w2}.
+    # phi at w1, not phi nowhere; R is total.
+    (2, 5): (
+        None,
+        {
+            ("S", "w1"): ONLY_W1,
+            ("S", "w2"): POSITIVE_HEDGE,
+            ("L", "w1"): POSITIVE_HEDGE,
+            ("L", "w2"): POSITIVE_HEDGE,
+        },
+    ),
+    # w1 = {1, 2}, w2 = {3}, w3 = {4, 5}. Both: {w1} | {w2, w3}.
+    # phi at w1, not phi at w2 and w3; R is that partition.
+    (3, 3): (
+        None,
+        {
+            (speaker, world): row
+            for speaker in "SL"
+            for world, row in (
+                ("w1", ONLY_W1),
+                ("w2", (NOT_PHI, ("w2", "w3"), {"w2": 0.5, "w3": 0.5}, {"w2", "w3"})),
+                ("w3", (NOT_PHI, ("w2", "w3"), {"w2": 0.5, "w3": 0.5}, {"w2", "w3"})),
+            )
+        },
+    ),
+    # w1 = {1..4}, w2 = {5}. Both: {w1} | {w2}.
+    # phi at w1, not phi at w2; R is the identity.
+    (5, 5): (
+        None,
+        {
+            (speaker, world): row
+            for speaker in "SL"
+            for world, row in (
+                ("w1", ONLY_W1),
+                ("w2", (NOT_PHI, ("w2",), {"w2": 1.0}, {"w2"})),
+            )
+        },
+    ),
+    # The canonical march. w1 = {1}, w2 = {2..4}, w3 = {5}.
+    # S: {w1, w2} | {w3}; L: {w1} | {w2, w3}. R as for (2, 4).
+    (4, 2): (
+        ("w1", "w2", "w3"),
+        {
+            ("S", "w1"): POSITIVE_HEDGE,
+            ("S", "w2"): POSITIVE_HEDGE,
+            ("S", "w3"): (NOT_PHI, ("w3",), {"w3": 1.0}, {"w3"}),
+            ("L", "w1"): ONLY_W1,
+            ("L", "w2"): NEGATIVE_HEDGE,
+            ("L", "w3"): NEGATIVE_HEDGE,
+        },
+    ),
+    # w1 = {1}, w2 = {2..5}. S: {w1, w2}; L: {w1} | {w2}. R is total.
+    (5, 2): (
+        None,
+        {
+            ("S", "w1"): POSITIVE_HEDGE,
+            ("S", "w2"): POSITIVE_HEDGE,
+            ("L", "w1"): ONLY_W1,
+            ("L", "w2"): POSITIVE_HEDGE,
+        },
+    ),
+}
+
+RUNS = [
+    pytest.param(flips, speaker, world, row, id=f"S{flips[0]}L{flips[1]}-{speaker}@{world}")
+    for flips, (_, rows) in SHAPES.items()
+    for (speaker, world), row in rows.items()
+]
+
+
+def shape_series(flips):
+    return SoritesSeries(5, {"S": flips[0], "L": flips[1]})
+
+
+def test_the_table_holds_every_speaker_at_every_pooled_world():
+    assert len(RUNS) == 30
+    for flips, (_, rows) in SHAPES.items():
+        model = pool_states(shape_series(flips))
+        assert set(rows) == {(a, w) for a in model.agents for w in model.worlds}, flips
+
+
+@pytest.mark.parametrize("flips", list(SHAPES), ids=lambda f: f"S{f[0]}L{f[1]}")
+def test_shape_frame(flips):
+    frame = check_frame(pool_states(shape_series(flips)))
+    witness = SHAPES[flips][0]
+    assert (frame.transitive, frame.witness) == (witness is None, witness)
+
+
+@pytest.mark.parametrize("flips,speaker,world,row", RUNS)
+def test_shape_run(flips, speaker, world, row):
+    signal, live, posterior, public = row
+    report = run_scenario(
+        Scenario(
+            series=shape_series(flips),
+            canonical=False,
+            config=GameConfig(delta=0.7, gamma=0.2, epsilon=0.01),
+            speaker=speaker,
+            world=world,
+        )
+    )
+    assert report.signal is signal
+    assert report.dialogue[-1].live == live
+    assert report.posterior == pytest.approx(posterior, abs=1e-12)
+    assert report.public_belief_worlds == public
