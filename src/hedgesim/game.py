@@ -5,15 +5,16 @@ mismatches pay 0, so an expected utility is the chance that both sides take
 the action. The prior over the three pooled worlds is driven by two
 numbers: gamma, the chance the two sides judge the vague matter differently,
 and delta, which splits the remaining mass between the two unanimous worlds.
-Player labels are roles: "S" sends the signal, "L" receives it.
+Player labels are roles: "S" sends the signal, "L" receives it. Records
+are named tuples, so ``sweep`` and ``hedge`` load no ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 
 PLAYERS = ("S", "L")
 ACTIONS = ("a", "b")
@@ -32,6 +33,9 @@ def _check_action(action: str) -> None:
 
 DEFAULT_TAU = 0.5
 DEFAULT_EPSILON = 0.01
+# The slack of a float sum against the exact value it stands for: a prior's
+# total against 1, a region's mass against tau (so a tie at tau is "none").
+ROUNDING = 1e-12
 
 # Each game parameter's admissible values, as a test and in words. Every
 # bound is finite and every comparison is false for NaN, so the tests also
@@ -70,9 +74,8 @@ def check_parameter(ranges: Mapping[str, tuple], name: str, value):
     return value
 
 
-@dataclass(frozen=True)
-class GameConfig:
-    """Game parameters.
+class GameConfig(namedtuple("GameConfig", GAME_RANGES, defaults=(DEFAULT_TAU, DEFAULT_EPSILON))):
+    """Game parameters, a named tuple whose fields are the ``GAME_RANGES`` keys.
 
     delta: split of the unanimous mass toward the all-q world, strictly
     inside (0, 1) (either endpoint would delete a world from the game).
@@ -81,21 +84,28 @@ class GameConfig:
     epsilon: listener-side signal noise, in [0, 0.5).
     A delta so small that tau/delta overflows is rejected too: the gamma
     bound 1 - tau/delta of :func:`equilibrium_region` would not be a number.
+    Construction, ``_make`` and ``_replace`` all run these checks.
     """
 
-    delta: float
-    gamma: float
-    tau: float = DEFAULT_TAU
-    epsilon: float = DEFAULT_EPSILON
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in GAME_RANGES:
-            check_parameter(GAME_RANGES, name, getattr(self, name))
+    def __new__(cls, *args, **kwargs):
+        return super().__new__(cls, *args, **kwargs)._checked()
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``, which skips ``__new__``.
+        return super()._make(iterable)._checked()
+
+    def _checked(self) -> GameConfig:
+        for name, value in zip(GAME_RANGES, self):
+            check_parameter(GAME_RANGES, name, value)
         if not math.isfinite(self.tau / self.delta):
             raise ValueError(
                 f"delta must be large enough that tau/delta is finite (tau is {self.tau!r}), "
                 f"got {self.delta!r}"
             )
+        return self
 
 
 def _prior(delta: float, gamma: float) -> tuple[float, float, float]:
@@ -107,7 +117,7 @@ def _prior(delta: float, gamma: float) -> tuple[float, float, float]:
             kind = "negative" if value < 0 else "non-numeric"
             raise ValueError(f"{kind} probability {value!r} at {world!r}")
     total = sum(prior)
-    if abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > ROUNDING:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
     return prior
 
@@ -116,7 +126,8 @@ def _contender(delta: float) -> tuple[str, float]:
     """The one region that can hold at ``delta``, and its world's share of
     the unanimous mass: AA on w1 when delta > 1 - delta, BB on w3 when
     1 - delta > delta. The region holds when that share times 1 - gamma,
-    the world's prior mass, beats tau; at an even split it is "none"."""
+    the world's prior mass, beats tau by more than ``ROUNDING``; at an even
+    split it is "none"."""
     rest = 1.0 - delta
     if delta > rest:
         return "AA", delta
@@ -178,8 +189,9 @@ def brute_force_eu(config: GameConfig, player: str, action: str) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class RegionReport:
+class RegionReport(namedtuple(
+    "RegionReport", "region eu_a eu_b gamma_bound_a gamma_bound_b listener_q_given_speaker_q"
+)):
     """Equilibrium classification plus the quantities behind it.
 
     ``gamma_bound_a`` / ``gamma_bound_b`` are the gamma ceilings (1 - tau/delta
@@ -189,26 +201,21 @@ class RegionReport:
     given that the sender does.
     """
 
-    region: str
-    eu_a: float
-    eu_b: float
-    gamma_bound_a: float
-    gamma_bound_b: float
-    listener_q_given_speaker_q: float
+    __slots__ = ()
 
 
 def equilibrium_region(config: GameConfig) -> RegionReport:
     """Classify which coordinated outcome, if either, is actionable.
 
     AA needs the all-q world to carry the majority split (delta > 1-delta)
-    and the probability that both sides judge q to beat tau; BB is the
-    mirror image. Otherwise the region is "none".
+    and the probability that both sides judge q to beat tau by more than
+    ``ROUNDING``; BB is the mirror image. Otherwise the region is "none".
     """
     d, tau = config.delta, config.tau
     prior = _prior(d, config.gamma)
     side, share = _contender(d)
     return RegionReport(
-        region=side if share * (1.0 - config.gamma) > tau else "none",
+        region=side if share * (1.0 - config.gamma) - tau > ROUNDING else "none",
         eu_a=prior[0],
         eu_b=prior[2],
         gamma_bound_a=1.0 - tau / d,
@@ -217,18 +224,11 @@ def equilibrium_region(config: GameConfig) -> RegionReport:
     )
 
 
-class SweepRow(NamedTuple):
-    """One grid point of :func:`threshold_sweep`; a named tuple, which the
-    sweep builds with ``tuple.__new__``, skipping the generated ``__new__``."""
+class SweepRow(namedtuple("SweepRow", "delta gamma p_w1 p_w2 p_w3 eu_a eu_b region")):
+    """One grid point of :func:`threshold_sweep`, which builds it with
+    ``tuple.__new__``, skipping the generated ``__new__``."""
 
-    delta: float
-    gamma: float
-    p_w1: float
-    p_w2: float
-    p_w3: float
-    eu_a: float
-    eu_b: float
-    region: str
+    __slots__ = ()
 
 
 def threshold_sweep(
@@ -243,17 +243,17 @@ def threshold_sweep(
     :class:`GameConfig` gives, so a bad value raises even when a grid is
     empty. ``1 - delta`` and the region that can hold are worked out once
     per delta, so a row costs its two unanimous masses, their
-    :func:`world_priors` check (every mass >= 0, the sum within 1e-12 of 1)
-    and its region. ``p_w2`` is the row's gamma object and the sender's
-    utilities ``eu_a``/``eu_b`` are its ``p_w1``/``p_w3`` objects, which
-    the writers format once.
+    :func:`world_priors` check (every mass >= 0, the sum within ``ROUNDING``
+    of 1) and its region, by :func:`equilibrium_region`'s rule. ``p_w2`` is
+    the row's gamma object and the sender's utilities ``eu_a``/``eu_b`` are
+    its ``p_w1``/``p_w3`` objects, which the writers format once.
     """
     delta_grid, gamma_grid = tuple(delta_grid), tuple(gamma_grid)
     for name, values in (("delta", delta_grid), ("gamma", gamma_grid), ("tau", (tau,))):
         for value in values:
             check_parameter(GAME_RANGES, name, value)
     rows: list[SweepRow] = []
-    append, new = rows.append, tuple.__new__
+    append, new, slack = rows.append, tuple.__new__, ROUNDING
     for delta in delta_grid:
         rest = 1.0 - delta
         side, share = _contender(delta)
@@ -261,9 +261,9 @@ def threshold_sweep(
             keep = 1.0 - gamma
             p_w1, p_w3 = delta * keep, rest * keep
             if not (p_w1 >= 0 and gamma >= 0 and p_w3 >= 0
-                    and -1e-12 <= p_w1 + gamma + p_w3 - 1.0 <= 1e-12):
+                    and -slack <= p_w1 + gamma + p_w3 - 1.0 <= slack):
                 _prior(delta, gamma)  # raises with the single-config message
-            region = side if share * keep > tau else "none"
+            region = side if share * keep - tau > slack else "none"
             append(new(SweepRow, (delta, gamma, p_w1, gamma, p_w3, p_w1, p_w3, region)))
     return rows
 

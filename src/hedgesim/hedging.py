@@ -14,15 +14,15 @@ pair sums approach 1 and the step-indexed expected utility never drops
 below its step-0 value.
 
 ``run_hedging`` makes one forward pass, so N steps (``steps``, in [4, 100000])
-cost O(N) time, and nothing is kept between calls.
+cost O(N) time, and nothing is kept between calls. Its records are named
+tuples, like those of ``game``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
-from typing import NamedTuple
 
 from .game import GameConfig, check_parameter, expected_utility, integer_range
 
@@ -86,18 +86,16 @@ def stepwise_eu(config: GameConfig, n: int, action: str) -> float:
     return base + config.gamma * speaker * listener
 
 
-class HedgingStep(NamedTuple):
-    """One step of :func:`run_hedging`; a named tuple, like ``game.SweepRow``."""
+class HedgingStep(namedtuple("HedgingStep", "n p_speaker_a p_listener_a eu_a eu_b")):
+    """One step of :func:`run_hedging`."""
 
-    n: int
-    p_speaker_a: float
-    p_listener_a: float
-    eu_a: float
-    eu_b: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class HedgingSummary:
+class HedgingSummary(namedtuple(
+    "HedgingSummary",
+    "even_tail odd_tail pair_sum_gap pair_sums_converged pair_sums_descending eu_never_below_step0",
+)):
     """Tail diagnostics of a hedging run.
 
     ``even_tail`` / ``odd_tail`` are the last recurrence values on each
@@ -108,21 +106,14 @@ class HedgingSummary:
     is the monotonicity claim eu^0(x) <= eu^n(x) over the recorded steps.
     """
 
-    even_tail: float
-    odd_tail: float
-    pair_sum_gap: float
-    pair_sums_converged: bool
-    pair_sums_descending: bool
-    eu_never_below_step0: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class HedgingTrace:
-    config: GameConfig
-    max_steps: int
-    tolerance: float
-    steps: tuple[HedgingStep, ...]
-    summary: HedgingSummary
+class HedgingTrace(namedtuple("HedgingTrace", "config max_steps tolerance steps summary")):
+    """A :func:`run_hedging` run: its ``GameConfig``, its settings, the
+    ``HedgingStep`` tuple for steps 0..max_steps and the ``HedgingSummary``."""
+
+    __slots__ = ()
 
 
 def run_hedging(

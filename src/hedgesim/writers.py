@@ -5,34 +5,35 @@ the same rounded numbers, so both formats stay byte-stable. One writer,
 ``_json_text``, lays out every JSON document and JSON line from the
 payload's raw values, rounding each float as it writes it.
 
-Each schema is written out here. A sweep row, a hedging step and a frame
-report are named tuples: their ``_fields`` are the CSV header and JSON keys.
-A hedging step or frame report is itself the value tuple of its CSV row
-template, and in JSON one ``%.12g`` template writes a hedging step's
-floats. A sweep render formats each value only once (see ``_sweep_lines``),
-so a row of ``threshold_sweep`` formats two floats. A ``%.12g`` text with a
-``.`` and no exponent is already the float's JSON text; any other float (a
-whole number, one below 1e-4 or from 1e12 up, or a non-finite one) is
-written through ``_jnum_text``, which rejects non-finite values. A config,
-region or summary block writes each plain ``int`` field as a float, and
-each bool as a bool.
+Each schema is written out here. Every record is a named tuple, and the
+``_fields`` of a sweep row, hedging step or frame report are its CSV header
+and JSON keys. A hedging step or frame report is itself the value tuple of
+its CSV row template, and in JSON one ``%.12g`` template writes a hedging
+step's floats. A sweep render formats each value only once (see
+``_sweep_lines``), so a row of ``threshold_sweep`` formats two floats. A
+``%.12g`` text with a ``.`` and no exponent is already the float's JSON
+text; any other float (a whole number, one below 1e-4 or from 1e12 up, or a
+non-finite one) is written through ``_jnum_text``, which rejects non-finite
+values. A config, region or summary block writes its ``_asdict()``, each
+plain ``int`` field as a float and each bool as a bool.
 
 The writers read record fields and need only the record types of ``game``
 and ``hedging``, so the ``sweep`` and ``hedge`` commands load neither the
-world models nor the scenario runner. ``scenario_io`` re-exports the
-report, dialogue, sweep and hedge ``render_*`` functions, which the
-benchmark reads there; import everything else from this module.
+world models, the scenario runner, ``dataclasses`` nor ``typing``.
+``scenario_io`` re-exports the report, dialogue, sweep and hedge
+``render_*`` functions, which the benchmark reads there; import everything
+else from this module.
 """
 
 from __future__ import annotations
 
 import math
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING
 
 from .game import GAME_RANGES, SweepRow
 from .hedging import HESITATION, HedgingStep
 
+TYPE_CHECKING = False  # true only for a type checker; ``typing`` stays unloaded
 if TYPE_CHECKING:
     from .hedging import HedgingTrace
     from .scenario_io import DialogueStep, RunReport, Scenario
@@ -194,7 +195,7 @@ def _as_floats(record) -> dict:
     """The fields of a game config, region report or hedging summary, each
     plain ``int`` as a float: those records hold no int field, so an int
     there stands for a float. Bools stay bools."""
-    return {name: float(v) if type(v) is int else v for name, v in vars(record).items()}
+    return {name: float(v) if type(v) is int else v for name, v in record._asdict().items()}
 
 
 def scenario_payload(scenario: Scenario) -> dict:

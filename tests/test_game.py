@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -229,6 +230,61 @@ def test_boundary_flip_generalized_tau():
     assert equilibrium_region(GameConfig(delta=delta, gamma=bound + 1e-9, tau=tau)).region == "none"
 
 
+def test_a_tie_at_tau_is_no_region():
+    # (1 - 0.25) * (1 - 0.6) is 0.3 exactly; in floats it is 0.30000000000000004.
+    report = equilibrium_region(GameConfig(delta=0.25, gamma=0.6, tau=0.3))
+    assert report.region == "none"
+    assert threshold_sweep([0.25], [0.6], tau=0.3)[0].region == "none"
+    ties = 0
+    for tau in ("0.25", "0.3", "0.5", "0.6"):
+        for row in threshold_sweep(grid(19), grid(19), tau=float(tau)):
+            mass = max(Fraction(row.delta), 1 - Fraction(row.delta)) * (1 - Fraction(row.gamma))
+            if abs(mass - Fraction(tau)) < Fraction(1, 10**12):
+                ties += 1
+                assert row.region == "none", row
+    assert ties == 10
+
+
+def exact_region(delta: Fraction, gamma: Fraction, tau: Fraction) -> str:
+    """The region in exact arithmetic: the world of the majority unanimous
+    judgment holds when its prior mass is above tau."""
+    if delta == 1 - delta:
+        return "none"
+    side, share = ("AA", delta) if delta > 1 - delta else ("BB", 1 - delta)
+    return side if share * (1 - gamma) > tau else "none"
+
+
+def region_by_bounds(delta: float, gamma: float, report) -> str:
+    """The region that a report's own gamma bounds give, under the tie rule."""
+    if delta > 1.0 - delta and report.gamma_bound_a - gamma > game.ROUNDING:
+        return "AA"
+    if 1.0 - delta > delta and report.gamma_bound_b - gamma > game.ROUNDING:
+        return "BB"
+    return "none"
+
+
+# Taus as decimal texts, and as i/(m+1) like the grids. With denominators
+# this small, a row that is not an exact tie misses tau by far more than
+# ROUNDING, so the float rule must give the exact answer everywhere.
+rational_taus = st.one_of(
+    st.sampled_from(("0.1", "0.25", "0.3", "0.5", "0.6", "0.7")).map(Fraction),
+    st.integers(1, 120).flatmap(lambda m: st.integers(1, m).map(lambda i: Fraction(i, m + 1))),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 40), st.integers(1, 40), rational_taus)
+def test_regions_on_rational_grids_equal_the_exact_answer(delta_steps, gamma_steps, tau):
+    rows = threshold_sweep(grid(delta_steps), grid(gamma_steps), tau=float(tau))
+    assert len(rows) == delta_steps * gamma_steps
+    for index, row in enumerate(rows):
+        i, j = divmod(index, gamma_steps)
+        want = exact_region(Fraction(i + 1, delta_steps + 1), Fraction(j + 1, gamma_steps + 1), tau)
+        report = equilibrium_region(GameConfig(delta=row.delta, gamma=row.gamma, tau=float(tau)))
+        assert (row.region, report.region) == (want, want), row
+        assert region_by_bounds(row.delta, row.gamma, report) == want
+
+
 # --- sweeps -----------------------------------------------------------------
 
 
@@ -333,7 +389,7 @@ def test_sweep_builds_no_config_or_prior_per_row(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(
-        game.GameConfig, "__post_init__", counting("GameConfig", game.GameConfig.__post_init__)
+        game.GameConfig, "_checked", counting("GameConfig", game.GameConfig._checked)
     )
     for name in ("world_priors", "check_parameter"):
         monkeypatch.setattr(game, name, counting(name, getattr(game, name)))

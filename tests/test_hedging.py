@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import random
 import tracemalloc
@@ -174,7 +173,7 @@ def test_hesitation_is_a_fixed_seed_not_an_option():
     for function in (propensity_sequence, propensities_at_step, stepwise_eu, run_hedging):
         assert "hesitation" not in inspect.signature(function).parameters
     assert "hesitation" not in hedging.HEDGING_RANGES
-    assert "hesitation" not in {field.name for field in dataclasses.fields(hedging.HedgingTrace)}
+    assert "hesitation" not in hedging.HedgingTrace._fields
     assert propensity_sequence(1)[1] == hedging.HESITATION == 0.5
 
 

@@ -85,19 +85,33 @@ print(json.dumps([loaded, listed, game.__name__, sio.__name__]))
     assert (game, sio) == ("hedgesim.game", "hedgesim.scenario_io")
 
 
-def test_hedge_and_sweep_import_only_what_they_run(tmp_path):
-    code = f"""
-import json, sys
-from hedgesim.cli import main
-out = {str(tmp_path)!r}
-assert main(["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "5", "--out", out + "/h"]) == 0
-assert main(["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "5",
-             "--format", "json", "--out", out + "/hj"]) == 0
-assert main(["sweep", "--delta-steps", "3", "--gamma-steps", "3", "--out", out + "/s"]) == 0
-assert main(["sweep", "--delta-steps", "3", "--gamma-steps", "3",
-             "--format", "json", "--out", out + "/sj"]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("hedgesim"))))
-"""
-    loaded = set(json.loads(run_python(code)))
-    assert loaded == {"hedgesim", "hedgesim.cli", "hedgesim.game", "hedgesim.hedging",
-                      "hedgesim.writers"}
+# The modules that ``dataclasses`` and ``inspect`` bring in, which the cold
+# commands must not load at all, and ``typing``, which they may load only
+# where the interpreter's own start-up does (this ``site`` may).
+HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+TYPING = {"typing", "_typing"}
+PRINT_MODULES = "print(' '.join(sorted(sys.modules)))"
+
+
+@pytest.mark.parametrize(
+    "arguments",
+    [
+        ["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "5"],
+        ["sweep", "--delta-steps", "3", "--gamma-steps", "3"],
+    ],
+    ids=["hedge", "sweep"],
+)
+def test_hedge_and_sweep_import_only_what_they_run(tmp_path, arguments):
+    # Started like the command children, so it loads what start-up loads.
+    baseline = set(run_python(f"import sys; {PRINT_MODULES}").split())
+    assert not baseline & HEAVY
+    for fmt in ("csv", "json"):
+        argv = [*arguments, "--format", fmt, "--out", str(tmp_path / fmt)]
+        code = f"import sys\nfrom hedgesim.cli import main\nassert main({argv!r}) == 0\n{PRINT_MODULES}"
+        loaded = set(run_python(code).split())
+        assert {m for m in loaded if m.startswith("hedgesim")} == {
+            "hedgesim", "hedgesim.cli", "hedgesim.game", "hedgesim.hedging", "hedgesim.writers"
+        }
+        assert not loaded & HEAVY, fmt
+        assert loaded & TYPING <= baseline, fmt
+        assert (tmp_path / fmt).stat().st_size > 0

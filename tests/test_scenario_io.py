@@ -1,7 +1,6 @@
 import json
 from collections import Counter
 from pathlib import Path
-from typing import get_type_hints
 
 import pytest
 
@@ -319,10 +318,15 @@ def test_sweep_csv_schema():
     assert middle and all(line.endswith(",none") for line in middle)
 
 
+SWEEP_FLOAT_FIELDS = ["delta", "gamma", "p_w1", "p_w2", "p_w3", "eu_a", "eu_b"]
+
+
+def test_sweep_float_fields_are_every_field_but_the_region():
+    assert SweepRow._fields == (*SWEEP_FLOAT_FIELDS, "region")
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-@pytest.mark.parametrize(
-    "field", [name for name in SweepRow._fields if get_type_hints(SweepRow)[name] is float]
-)
+@pytest.mark.parametrize("field", SWEEP_FLOAT_FIELDS)
 def test_json_rejects_non_finite_numbers(field, value):
     row = SweepRow(delta=0.5, gamma=0.1, p_w1=0.45, p_w2=0.1, p_w3=0.45, eu_a=0.45, eu_b=0.45,
                    region="none")

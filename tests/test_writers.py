@@ -11,7 +11,6 @@ import math
 import operator
 import tracemalloc
 from pathlib import Path
-from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings
@@ -106,12 +105,12 @@ def test_json_text_equals_json_dumps(value):
 
 def hedging_payload(trace) -> dict:
     return {
-        **dataclasses.asdict(trace.config),
+        **trace.config._asdict(),
         "max_steps": trace.max_steps,
         "tolerance": trace.tolerance,
         "hesitation": 0.5,  # the fixed seed f(1)
         "steps": [step._asdict() for step in trace.steps],
-        "summary": dataclasses.asdict(trace.summary),
+        "summary": trace.summary._asdict(),
     }
 
 
@@ -150,14 +149,21 @@ record_floats = st.one_of(
 )
 
 
-def float_fields(record_type) -> list[str]:
-    hints = get_type_hints(record_type)
-    return [name for name in record_type._fields if hints[name] is float]
+# The float fields of each row record, in field order.
+FLOAT_FIELDS = {
+    SweepRow: ["delta", "gamma", "p_w1", "p_w2", "p_w3", "eu_a", "eu_b"],
+    HedgingStep: ["p_speaker_a", "p_listener_a", "eu_a", "eu_b"],
+}
+
+
+def test_float_fields_are_every_field_but_the_region_or_step_index():
+    assert SweepRow._fields == (*FLOAT_FIELDS[SweepRow], "region")
+    assert HedgingStep._fields == ("n", *FLOAT_FIELDS[HedgingStep])
 
 
 def record_lists(record_type, **others):
     """Records of ``record_type`` with every float field from ``record_floats``."""
-    floats = {name: record_floats for name in float_fields(record_type)}
+    floats = {name: record_floats for name in FLOAT_FIELDS[record_type]}
     return st.lists(st.builds(record_type, **floats, **others), min_size=1, max_size=8)
 
 
@@ -225,16 +231,16 @@ def test_sweep_writers_on_shared_floats(rows):
 @settings(deadline=None)
 @given(record_lists(HedgingStep, n=st.integers(0, 10**5)))
 def test_hedging_writers_on_any_floats(steps):
-    trace = dataclasses.replace(HEDGING, steps=tuple(steps))
+    trace = HEDGING._replace(steps=tuple(steps))
     assert render_hedging_csv(trace) == csv_text(steps)
     assert render_hedging_json(trace) == dumps(hedging_payload(trace))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("field", float_fields(HedgingStep))
+@pytest.mark.parametrize("field", FLOAT_FIELDS[HedgingStep])
 def test_hedging_json_rejects_non_finite_numbers(field, value):
     bad = HEDGING.steps[-1]._replace(**{field: value})
-    trace = dataclasses.replace(HEDGING, steps=(*HEDGING.steps, bad))
+    trace = HEDGING._replace(steps=(*HEDGING.steps, bad))
     with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
         render_hedging_json(trace)
 
@@ -339,19 +345,19 @@ def test_float_fields_given_ints_are_written_as_floats():
     assert render_sweep_json(int_rows) == render_sweep_json(float_rows)
     assert render_sweep_csv(int_rows) == render_sweep_csv(float_rows)
 
-    int_steps = dataclasses.replace(HEDGING, steps=(HedgingStep(0, 1, 0, 1, 0),))
-    float_steps = dataclasses.replace(HEDGING, steps=(HedgingStep(0, 1.0, 0.0, 1.0, 0.0),))
+    int_steps = HEDGING._replace(steps=(HedgingStep(0, 1, 0, 1, 0),))
+    float_steps = HEDGING._replace(steps=(HedgingStep(0, 1.0, 0.0, 1.0, 0.0),))
     assert '"p_speaker_a": 1.0' in render_hedging_json(int_steps)
     assert render_hedging_json(int_steps) == render_hedging_json(float_steps)
     assert render_hedging_csv(int_steps) == render_hedging_csv(float_steps)
 
     def report(eu_a, pair_sum_gap):
         report = run_scenario(load_scenario(DATA_DIR / "canonical.scn"))
-        summary = dataclasses.replace(report.hedging.summary, pair_sum_gap=pair_sum_gap)
+        summary = report.hedging.summary._replace(pair_sum_gap=pair_sum_gap)
         return dataclasses.replace(
             report,
-            region=dataclasses.replace(report.region, eu_a=eu_a),
-            hedging=dataclasses.replace(report.hedging, summary=summary),
+            region=report.region._replace(eu_a=eu_a),
+            hedging=report.hedging._replace(summary=summary),
         )
 
     text = render_report_json(report(1, 0))
@@ -363,7 +369,7 @@ def test_final_eus_given_ints_are_written_as_floats():
     report = run_scenario(load_scenario(DATA_DIR / "canonical.scn"))
     steps = (*report.hedging.steps[:-1], HedgingStep(report.hedging.max_steps, 1, 0, 1, 0))
     text = render_report_json(
-        dataclasses.replace(report, hedging=dataclasses.replace(report.hedging, steps=steps))
+        dataclasses.replace(report, hedging=report.hedging._replace(steps=steps))
     )
     assert '"final_eu_a": 1.0' in text and '"final_eu_b": 0.0' in text
 
