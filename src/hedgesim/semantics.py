@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .worlds import NOT_PHI, PHI, WorldModel, accessible
+from .worlds import NOT_PHI, PHI, WorldModel, accessible, everyone_thinks
 
 
 class TruthValue(enum.Enum):
@@ -74,10 +74,17 @@ def evaluate(model: WorldModel, formula: Formula, world: str) -> TruthValue:
 
 
 def extension(model: WorldModel, formula: Formula) -> frozenset[str]:
-    """The worlds where the formula evaluates to true."""
-    return frozenset(
-        w for w in model.worlds if evaluate(model, formula, w) is TruthValue.TRUE
-    )
+    """The worlds where the formula is true, read off the model as sets.
+
+    An atom's extension is its valuation. ``might A`` fails at w exactly
+    when every agent's cell at w misses A, so its extension, the union of
+    the agents' cells that meet A, is the complement of everyone thinking
+    not-A. :func:`evaluate` is the per-world definition checked against it.
+    """
+    atom = frozenset(model.valuation[formula.atom.text])
+    if not formula.is_modal:
+        return atom
+    return model.world_set - everyone_thinks(model, model.world_set - atom)
 
 
 class FrameReport(NamedTuple):

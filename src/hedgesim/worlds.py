@@ -176,44 +176,36 @@ def world_pools(series: SoritesSeries) -> dict[str, range]:
 
 
 def pool_states(series: SoritesSeries) -> WorldModel:
-    """Pool a forced march into the worlds of :func:`world_pools` and induce
-    agent partitions.
+    """Pool a forced march into the worlds of :func:`world_pools` and derive
+    the model by set algebra over each agent's q-worlds.
 
     An agent judges a pooled world the way it judges that pool's earliest
-    state; a partition cell groups the worlds the agent judges alike. The
-    atoms hold where the judgment is unanimous: phi at all-q worlds,
-    not-phi at all-qbar worlds, a gap at contested ones.
+    state. Its partition is (its q-worlds, the other worlds), dropping an
+    empty cell. Phi holds on the worlds every agent judges q, not phi outside
+    every agent's q-worlds, and the contested worlds in between are gaps.
     """
     pools = world_pools(series)
-    worlds = tuple(pools)
-    members = {name: tuple(states) for name, states in pools.items()}
-    judgments = {
-        agent: {name: series.judgment(agent, states[0]) for name, states in pools.items()}
+    everything = frozenset(pools)
+    q_worlds = {
+        agent: frozenset(w for w, states in pools.items() if series.judges_q(agent, states[0]))
         for agent in series.agents
-    }
-    partitions: dict[str, tuple[frozenset[str], ...]] = {}
-    for agent in series.agents:
-        cells = [
-            frozenset(w for w in worlds if judgments[agent][w] == value)
-            for value in (Q, QBAR)
-        ]
-        # Every flip is at state 2 or later, so the q cell holds w1 and comes first.
-        partitions[agent] = tuple(cell for cell in cells if cell)
-    valuation = {
-        PHI: frozenset(
-            w for w in worlds if all(judgments[a][w] == Q for a in series.agents)
-        ),
-        NOT_PHI: frozenset(
-            w for w in worlds if all(judgments[a][w] == QBAR for a in series.agents)
-        ),
     }
     return WorldModel(
         agents=series.agents,
-        worlds=worlds,
-        partitions=partitions,
-        valuation=valuation,
-        judgments=judgments,
-        members=members,
+        worlds=tuple(pools),
+        # Every flip is at state 2 or later, so the q cell holds w1 and comes first.
+        partitions={
+            agent: tuple(cell for cell in (q, everything - q) if cell)
+            for agent, q in q_worlds.items()
+        },
+        valuation={
+            PHI: everything.intersection(*q_worlds.values()),
+            NOT_PHI: everything.difference(*q_worlds.values()),
+        },
+        judgments={
+            agent: {w: Q if w in q else QBAR for w in pools} for agent, q in q_worlds.items()
+        },
+        members={name: tuple(states) for name, states in pools.items()},
     )
 
 
@@ -248,16 +240,15 @@ def everyone_thinks(
     """Worlds inside the restriction where every agent thinks ``prop``.
 
     Cells are cut down to the restriction first, so belief is evaluated
-    against the live possibilities only; worlds whose restricted cell is
-    empty cannot occur (every live world sits in its own cell).
+    against the live possibilities only. By set algebra, that is the
+    restriction minus every restricted cell that is not inside ``prop``;
+    :func:`thinks` is the per-world definition it is checked against.
     """
     prop_set = _world_subset(model, prop)
     live = model.world_set if restriction is None else _world_subset(model, restriction)
-    return frozenset(
-        w
-        for w in live
-        if all((model.cell(agent, w) & live) <= prop_set for agent in model.agents)
-    )
+    outside = live - prop_set
+    every_cell = (cell for cells in model.partitions.values() for cell in cells)
+    return live.difference(*(cell for cell in every_cell if not cell.isdisjoint(outside)))
 
 
 def common_belief(

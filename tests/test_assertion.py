@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from conftest import random_model
 
 from hedgesim import assertion
 from hedgesim.assertion import (
@@ -18,14 +19,7 @@ from hedgesim.assertion import (
     update,
 )
 from hedgesim.semantics import STRENGTH_ORDER, Formula, TruthValue, evaluate, extension
-from hedgesim.worlds import NOT_PHI, SoritesSeries, common_belief, pool_states
-
-
-def random_model(rng, max_n=20, max_agents=4):
-    n = rng.randint(3, max_n)
-    agents = rng.randint(2, max_agents)
-    flips = {f"a{i}": rng.randint(2, n) for i in range(agents)}
-    return pool_states(SoritesSeries(n, flips))
+from hedgesim.worlds import NOT_PHI, common_belief
 
 
 # --- common ground ----------------------------------------------------------

@@ -23,7 +23,7 @@ from hedgesim.scenario_io import (
     run_scenario,
 )
 from hedgesim.semantics import Formula, check_frame
-from hedgesim.worlds import SoritesSeries, pool_states
+from hedgesim.worlds import SoritesSeries, WorldModel, pool_states
 from hedgesim.writers import fmt_float, render_frame_csv, render_frame_json
 
 CANONICAL_TEXT = """\
@@ -215,13 +215,15 @@ def test_a_run_pools_its_series_once(monkeypatch):
     assert len(calls) == 1
 
 
-# evaluate, extension and accessible calls per run: the deterministic
-# operation counts that gate the semantic and assertion layers.
+# evaluate, extension, accessible and WorldModel.cell calls per run: the
+# deterministic operation counts that gate the semantic and assertion layers.
+# A run reads sentences and beliefs as sets, so it evaluates no world and
+# reads one cell, the speaker's.
 RUN_OP_COUNTS = {
-    "canonical": (24, 8, 12),
-    "speaker_l": (27, 9, 15),
-    "equal_flips": (21, 7, 0),
-    "two_world": (16, 8, 8),
+    "canonical": (0, 8, 0, 1),
+    "speaker_l": (0, 9, 0, 1),
+    "equal_flips": (0, 7, 0, 1),
+    "two_world": (0, 8, 0, 1),
 }
 
 
@@ -239,11 +241,14 @@ def test_a_run_makes_the_pinned_semantic_calls(name, monkeypatch):
 
     monkeypatch.setattr(semantics, "evaluate", counting("evaluate", semantics.evaluate))
     monkeypatch.setattr(semantics, "accessible", counting("accessible", semantics.accessible))
+    monkeypatch.setattr(WorldModel, "cell", counting("cell", WorldModel.cell))
     extension = counting("extension", semantics.extension)
     for module in (assertion, scenario_io):
         monkeypatch.setattr(module, "extension", extension)
     run_scenario(scenario)
-    assert (counts["evaluate"], counts["extension"], counts["accessible"]) == RUN_OP_COUNTS[name]
+    assert tuple(counts[label] for label in ("evaluate", "extension", "accessible", "cell")) == (
+        RUN_OP_COUNTS[name]
+    )
 
 
 def test_audit_rejects_tampered_report():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from conftest import models, random_model
+from hypothesis import given, settings
 
 from hedgesim import semantics
 from hedgesim.semantics import (
@@ -23,13 +25,6 @@ from hedgesim.worlds import (
     pool_states,
     thinks,
 )
-
-
-def random_model(rng, max_n=20, max_agents=4):
-    n = rng.randint(3, max_n)
-    agents = rng.randint(2, max_agents)
-    flips = {f"a{i}": rng.randint(2, n) for i in range(agents)}
-    return pool_states(SoritesSeries(n, flips))
 
 
 # --- formulas ---------------------------------------------------------------
@@ -74,6 +69,14 @@ def test_extension_examples(canonical_model):
     assert extension(canonical_model, Formula.PHI) == frozenset({"w1"})
     assert extension(canonical_model, Formula.MIGHT_NOT_PHI) == frozenset({"w2", "w3"})
     assert extension(canonical_model, Formula.NOT_PHI) == frozenset({"w3"})
+
+
+@settings(deadline=None)
+@given(models)
+def test_extension_is_where_evaluate_is_true(model):
+    for formula in Formula:
+        true_at = {w for w in model.worlds if evaluate(model, formula, w) is TruthValue.TRUE}
+        assert extension(model, formula) == true_at, formula
 
 
 def test_might_bivalent_random():

@@ -3,15 +3,16 @@
 Pooling a march of n = 5 states with flips (S, L) yields one of six shapes:
 flip.S is below, equal to or above flip.L, and the later flip is at n or
 not. Each row below was worked out by hand from the definitions, with no
-code run: pool the march (``worlds.world_pools``, judged at each pool's
-earliest state), read the partitions and the atoms' unanimous worlds, take
-R(w) as the union of the agents' cells at w, pick the strongest sentence
-true throughout the speaker's cell, keep the worlds where it is true,
-designate at each survivor the first of (phi, not phi, signal) true there,
-apply Bayes at epsilon = 0.01 over a uniform base rate, and take the
-greatest fixpoint of everyone-thinks on the signal's atom within the
-survivors. The profile and region columns are still to come: the game
-stage does not yet read the pooled model.
+code run. The profile column pools the march (``worlds.world_pools``,
+judged at each pool's earliest state) and reads each agent's q-worlds, its
+partition (q-worlds against the rest) and the atoms' unanimous worlds. The
+run columns take R(w) as the union of the agents' cells at w, pick the
+strongest sentence true throughout the speaker's cell, keep the worlds
+where it is true, designate at each survivor the first of (phi, not phi,
+signal) true there, apply Bayes at epsilon = 0.01 over a uniform base rate,
+and take the greatest fixpoint of everyone-thinks on the signal's atom
+within the survivors. The region column is still to come: the game stage
+does not yet read the pooled model.
 """
 
 import pytest
@@ -19,7 +20,7 @@ import pytest
 from hedgesim.game import GameConfig
 from hedgesim.scenario_io import Scenario, run_scenario
 from hedgesim.semantics import Formula, check_frame
-from hedgesim.worlds import SoritesSeries, pool_states
+from hedgesim.worlds import Q, SoritesSeries, judgment_proposition, pool_states
 
 PHI, NOT_PHI = Formula.PHI, Formula.NOT_PHI
 MIGHT_PHI, MIGHT_NOT_PHI = Formula.MIGHT_PHI, Formula.MIGHT_NOT_PHI
@@ -29,10 +30,49 @@ ONLY_W1 = (PHI, ("w1",), {"w1": 1.0}, {"w1"})
 POSITIVE_HEDGE = (MIGHT_PHI, ("w1", "w2"), {"w1": 0.01, "w2": 0.99}, set())
 NEGATIVE_HEDGE = (MIGHT_NOT_PHI, ("w2", "w3"), {"w2": 0.99, "w3": 0.01}, set())
 
+# (flip.S, flip.L) -> ({agent: (its q-worlds, its partition cells)}, phi worlds, not-phi worlds).
+PROFILES = {
+    # w1 = {1}, w2 = {2..4}, w3 = {5}; at w2 (state 2) S judges qbar, L q.
+    (2, 4): (
+        {"S": ({"w1"}, [{"w1"}, {"w2", "w3"}]), "L": ({"w1", "w2"}, [{"w1", "w2"}, {"w3"}])},
+        {"w1"},
+        {"w3"},
+    ),
+    # w1 = {1}, w2 = {2..5}; at w2 (state 2) S judges qbar, L q.
+    (2, 5): (
+        {"S": ({"w1"}, [{"w1"}, {"w2"}]), "L": ({"w1", "w2"}, [{"w1", "w2"}])},
+        {"w1"},
+        set(),
+    ),
+    # w1 = {1, 2}, w2 = {3}, w3 = {4, 5}; at w2 (state 3) both judge qbar.
+    (3, 3): (
+        {agent: ({"w1"}, [{"w1"}, {"w2", "w3"}]) for agent in "SL"},
+        {"w1"},
+        {"w2", "w3"},
+    ),
+    # w1 = {1..4}, w2 = {5}; at w2 (state 5) both judge qbar.
+    (5, 5): (
+        {agent: ({"w1"}, [{"w1"}, {"w2"}]) for agent in "SL"},
+        {"w1"},
+        {"w2"},
+    ),
+    # The canonical march. w1 = {1}, w2 = {2..4}, w3 = {5}; at w2 (state 2) S judges q, L qbar.
+    (4, 2): (
+        {"S": ({"w1", "w2"}, [{"w1", "w2"}, {"w3"}]), "L": ({"w1"}, [{"w1"}, {"w2", "w3"}])},
+        {"w1"},
+        {"w3"},
+    ),
+    # w1 = {1}, w2 = {2..5}; at w2 (state 2) S judges q, L qbar.
+    (5, 2): (
+        {"S": ({"w1", "w2"}, [{"w1", "w2"}]), "L": ({"w1"}, [{"w1"}, {"w2"}])},
+        {"w1"},
+        set(),
+    ),
+}
+
 # (flip.S, flip.L) -> (frame witness, or None when transitive; {(speaker, world): row}).
 SHAPES = {
-    # w1 = {1}, w2 = {2..4}, w3 = {5}. S: {w1} | {w2, w3}; L: {w1, w2} | {w3}.
-    # phi at w1, not phi at w3; R(w1) = {w1, w2}, R(w2) = all, R(w3) = {w2, w3}.
+    # R(w1) = {w1, w2}, R(w2) = all, R(w3) = {w2, w3}.
     (2, 4): (
         ("w1", "w2", "w3"),
         {
@@ -44,8 +84,7 @@ SHAPES = {
             ("L", "w3"): (NOT_PHI, ("w3",), {"w3": 1.0}, {"w3"}),
         },
     ),
-    # w1 = {1}, w2 = {2..5}. S: {w1} | {w2}; L: {w1, w2}.
-    # phi at w1, not phi nowhere; R is total.
+    # R is total.
     (2, 5): (
         None,
         {
@@ -55,8 +94,7 @@ SHAPES = {
             ("L", "w2"): POSITIVE_HEDGE,
         },
     ),
-    # w1 = {1, 2}, w2 = {3}, w3 = {4, 5}. Both: {w1} | {w2, w3}.
-    # phi at w1, not phi at w2 and w3; R is that partition.
+    # R is the agents' shared partition.
     (3, 3): (
         None,
         {
@@ -69,8 +107,7 @@ SHAPES = {
             )
         },
     ),
-    # w1 = {1..4}, w2 = {5}. Both: {w1} | {w2}.
-    # phi at w1, not phi at w2; R is the identity.
+    # R is the identity.
     (5, 5): (
         None,
         {
@@ -82,8 +119,7 @@ SHAPES = {
             )
         },
     ),
-    # The canonical march. w1 = {1}, w2 = {2..4}, w3 = {5}.
-    # S: {w1, w2} | {w3}; L: {w1} | {w2, w3}. R as for (2, 4).
+    # The canonical march. R as for (2, 4).
     (4, 2): (
         ("w1", "w2", "w3"),
         {
@@ -95,7 +131,7 @@ SHAPES = {
             ("L", "w3"): NEGATIVE_HEDGE,
         },
     ),
-    # w1 = {1}, w2 = {2..5}. S: {w1, w2}; L: {w1} | {w2}. R is total.
+    # R is total.
     (5, 2): (
         None,
         {
@@ -120,9 +156,21 @@ def shape_series(flips):
 
 def test_the_table_holds_every_speaker_at_every_pooled_world():
     assert len(RUNS) == 30
+    assert set(PROFILES) == set(SHAPES)
     for flips, (_, rows) in SHAPES.items():
         model = pool_states(shape_series(flips))
         assert set(rows) == {(a, w) for a in model.agents for w in model.worlds}, flips
+
+
+@pytest.mark.parametrize("flips", list(PROFILES), ids=lambda f: f"S{f[0]}L{f[1]}")
+def test_shape_profile(flips):
+    agents, phi, not_phi = PROFILES[flips]
+    model = pool_states(shape_series(flips))
+    assert set(agents) == set(model.agents)
+    for agent, (q_worlds, cells) in agents.items():
+        assert judgment_proposition(model, agent, Q) == q_worlds, agent
+        assert list(model.partitions[agent]) == cells, agent
+    assert (model.valuation[PHI.text], model.valuation[NOT_PHI.text]) == (phi, not_phi)
 
 
 @pytest.mark.parametrize("flips", list(SHAPES), ids=lambda f: f"S{f[0]}L{f[1]}")

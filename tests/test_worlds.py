@@ -1,6 +1,9 @@
 import random
 
 import pytest
+from conftest import marches, models, random_model, random_series
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hedgesim.worlds import (
     NOT_PHI,
@@ -19,13 +22,6 @@ from hedgesim.worlds import (
     thinks,
     world_pools,
 )
-
-
-def random_series(rng, max_n=50, max_agents=5):
-    n = rng.randint(3, max_n)
-    agents = rng.randint(2, max_agents)
-    flips = {f"a{i}": rng.randint(2, n) for i in range(agents)}
-    return SoritesSeries(n, flips)
 
 
 # --- forced march -----------------------------------------------------------
@@ -183,6 +179,35 @@ def test_partition_validity_random():
             assert union == everything
 
 
+def pooled_per_world(series):
+    """Pooling world by world: judge each pool at its earliest state, group
+    the worlds each agent judges alike, and put the atoms where the
+    judgment is unanimous."""
+    pools = world_pools(series)
+    judgments = {
+        agent: {w: series.judgment(agent, states[0]) for w, states in pools.items()}
+        for agent in series.agents
+    }
+    partitions = {}
+    for agent in series.agents:
+        cells = (frozenset(w for w in pools if judgments[agent][w] == value) for value in (Q, QBAR))
+        partitions[agent] = tuple(cell for cell in cells if cell)
+    valuation = {
+        key: frozenset(w for w in pools if all(judgments[a][w] == value for a in series.agents))
+        for key, value in ((PHI, Q), (NOT_PHI, QBAR))
+    }
+    return judgments, partitions, valuation
+
+
+@settings(deadline=None)
+@given(marches())
+def test_pooling_by_sets_equals_pooling_world_by_world(series):
+    model = pool_states(series)
+    assert (model.judgments, model.partitions, model.valuation) == pooled_per_world(series)
+    for agent in model.agents:
+        assert judgment_proposition(model, agent, Q) == model.partitions[agent][0]
+
+
 def test_model_validation_rejects_bad_partitions():
     with pytest.raises(ValueError):
         WorldModel(
@@ -223,7 +248,7 @@ def test_thinks_errors(canonical_model):
 def test_thinks_monotone_random():
     rng = random.Random(99)
     for _ in range(100):
-        model = pool_states(random_series(rng, max_n=20, max_agents=4))
+        model = random_model(rng)
         worlds = list(model.worlds)
         small = {w for w in worlds if rng.random() < 0.5}
         large = small | {w for w in worlds if rng.random() < 0.5}
@@ -244,13 +269,35 @@ def test_common_belief_examples(canonical_model):
 def test_common_belief_is_fixpoint_random():
     rng = random.Random(123)
     for _ in range(100):
-        model = pool_states(random_series(rng, max_n=20, max_agents=4))
+        model = random_model(rng)
         worlds = list(model.worlds)
         prop = {w for w in worlds if rng.random() < 0.6}
         live = {w for w in worlds if rng.random() < 0.8} or set(worlds)
         result = common_belief(model, prop, live)
         assert result <= (prop & live)
         assert everyone_thinks(model, result, live) == result
+
+
+def everyone_thinks_per_world(model, prop, live):
+    return {w for w in live if all(model.cell(agent, w) & live <= prop for agent in model.agents)}
+
+
+def common_belief_per_world(model, prop, live):
+    current = prop & live
+    while (shrunk := everyone_thinks_per_world(model, current, live)) != current:
+        current = shrunk
+    return current
+
+
+@settings(deadline=None)
+@given(models, st.data())
+def test_belief_by_sets_equals_belief_world_by_world(model, data):
+    subsets = st.sets(st.sampled_from(model.worlds))
+    prop = data.draw(subsets)
+    restriction = data.draw(st.none() | subsets)
+    live = model.world_set if restriction is None else restriction
+    assert everyone_thinks(model, prop, restriction) == everyone_thinks_per_world(model, prop, live)
+    assert common_belief(model, prop, restriction) == common_belief_per_world(model, prop, live)
 
 
 def test_everyone_thinks_restriction(canonical_model):
@@ -273,7 +320,7 @@ def test_accessible_examples(canonical_model):
 def test_accessibility_reflexive_symmetric_random():
     rng = random.Random(5)
     for _ in range(100):
-        model = pool_states(random_series(rng, max_n=20, max_agents=4))
+        model = random_model(rng)
         for u in model.worlds:
             assert u in accessible(model, u)
             for v in model.worlds:
