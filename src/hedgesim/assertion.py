@@ -62,7 +62,11 @@ def base_rate(cg: CommonGround) -> dict[str, float]:
 
 def update(cg: CommonGround, formula: Formula) -> CommonGround:
     """Assertion as elimination: keep the live worlds where the sentence is true."""
-    true_at = extension(cg.model, formula)
+    return _update(cg, formula, extension(cg.model, formula))
+
+
+def _update(cg: CommonGround, formula: Formula, true_at: frozenset[str]) -> CommonGround:
+    """:func:`update`, given the sentence's extension."""
     surviving = tuple(w for w in cg.live if w in true_at)
     if not surviving:
         raise AbsurdUpdateError(
@@ -84,10 +88,19 @@ def speaker_signal(
     always offers some assertable sentence; a restricted repertoire (say,
     bare atoms only) can leave the speaker with nothing to say.
     """
+    return _speaker_signal(model, speaker, world, repertoire)[0]
+
+
+def _speaker_signal(
+    model: WorldModel, speaker: str, world: str, repertoire: tuple[Formula, ...]
+) -> tuple[Formula, dict[Formula, frozenset[str]]]:
+    """:func:`speaker_signal`, and the extension of each sentence it tried."""
     cell = model.cell(speaker, world)
+    extensions = {}
     for formula in repertoire:
-        if cell <= extension(model, formula):
-            return formula
+        extensions[formula] = true_at = extension(model, formula)
+        if cell <= true_at:
+            return formula, extensions
     raise NoAssertableSignalError(
         f"no sentence in {[f.text for f in repertoire]} is true throughout "
         f"{speaker!r}'s cell {sorted(cell)}"
@@ -130,6 +143,14 @@ class SignalLikelihoods:
         world, giving a negative hedge zero probability).
         """
         extensions = [(formula, extension(cg.model, formula)) for formula in repertoire]
+        return cls._designate(cg, epsilon, extensions)
+
+    @classmethod
+    def _designate(
+        cls, cg: CommonGround, epsilon: float, extensions: list[tuple[Formula, frozenset[str]]]
+    ) -> "SignalLikelihoods":
+        """:meth:`for_common_ground`, given each repertoire sentence with its
+        extension, in repertoire order."""
         designated: dict[str, Formula] = {}
         for world in cg.live:
             for formula, true_at in extensions:

@@ -14,8 +14,10 @@ pair sums approach 1 and the step-indexed expected utility never drops
 below its step-0 value.
 
 ``run_hedging`` makes one forward pass, so N steps (``steps``, in [4, 100000])
-cost O(N) time, and nothing is kept between calls. Its records are named
-tuples, like those of ``game``.
+cost O(N) time, and nothing is kept between calls. The same pass keeps the
+summary as running reductions (the lowest EU of each action, whether the
+pair sums descend, the last pair sum), so no step is read back. Its records
+are named tuples, like those of ``game``.
 """
 
 from __future__ import annotations
@@ -102,8 +104,9 @@ class HedgingSummary(namedtuple(
     index parity. ``pair_sum_gap`` is |f(m-1) + f(m) - 1| at the end of the
     run, and ``pair_sums_converged`` whether that gap is within tolerance.
     ``pair_sums_descending`` reports whether consecutive pair sums stay
-    at or above 1 and non-increasing from step 2 on. ``eu_never_below_step0``
-    is the monotonicity claim eu^0(x) <= eu^n(x) over the recorded steps.
+    at or above 1 and non-increasing from step 3, f(2) + f(3), on.
+    ``eu_never_below_step0`` is the monotonicity claim eu^0(x) <= eu^n(x)
+    over the recorded steps.
     """
 
     __slots__ = ()
@@ -126,29 +129,37 @@ def run_hedging(
     check_parameter(HEDGING_RANGES, "tolerance", tolerance)
     base_a = expected_utility(config, "S", "a")
     base_b = expected_utility(config, "S", "b")
+    gamma, new_step = config.gamma, tuple.__new__
     steps = []
+    append = steps.append
+    # The summary's running reductions: the lowest EUs, whether the pair
+    # sums seen from step 3 on stay at or above 1 and do not rise, and the
+    # last pair sum. From step 1 on, each step holds the pair f(n-1), f(n).
+    low_a = low_b = previous = math.inf
+    descending = True
     # Same association as stepwise_eu, so each step equals its closed form.
     for n, (speaker, listener) in enumerate(islice(_propensities(), max_steps + 1)):
-        eu_a = base_a + config.gamma * speaker * listener
-        eu_b = base_b + config.gamma * (1.0 - speaker) * (1.0 - listener)
-        steps.append(HedgingStep(n, speaker, listener, eu_a, eu_b))
-    # From step 1 on, each step holds the pair f(n-1), f(n).
-    pair_sums = [step.p_speaker_a + step.p_listener_a for step in steps[1:]]
-    gap = abs(pair_sums[-1] - 1.0)
-    descending = all(s >= 1.0 - 1e-12 for s in pair_sums[2:]) and all(
-        later <= earlier + 1e-12
-        for earlier, later in zip(pair_sums[2:], pair_sums[3:])
-    )
-    first, last = steps[0], steps[-1]
+        eu_a = base_a + gamma * speaker * listener
+        eu_b = base_b + gamma * (1.0 - speaker) * (1.0 - listener)
+        append(new_step(HedgingStep, (n, speaker, listener, eu_a, eu_b)))
+        if eu_a < low_a:
+            low_a = eu_a
+        if eu_b < low_b:
+            low_b = eu_b
+        pair_sum = speaker + listener
+        if n > 2:
+            if not 1.0 - 1e-12 <= pair_sum <= previous + 1e-12:
+                descending = False
+            previous = pair_sum
+    first = steps[0]
+    gap = abs(pair_sum - 1.0)
     summary = HedgingSummary(
-        even_tail=last.p_speaker_a,
-        odd_tail=last.p_listener_a,
+        even_tail=speaker,
+        odd_tail=listener,
         pair_sum_gap=gap,
         pair_sums_converged=gap <= tolerance,
         pair_sums_descending=descending,
-        eu_never_below_step0=all(
-            step.eu_a >= first.eu_a and step.eu_b >= first.eu_b for step in steps
-        ),
+        eu_never_below_step0=low_a >= first.eu_a and low_b >= first.eu_b,
     )
     return HedgingTrace(
         config=config,

@@ -38,11 +38,11 @@ from typing import Callable, Mapping
 
 from .assertion import (
     SignalLikelihoods,
+    _speaker_signal,
+    _update,
     base_rate,
     initial_common_ground,
     listener_posterior,
-    speaker_signal,
-    update,
 )
 from .game import (
     GAME_RANGES,
@@ -59,7 +59,7 @@ from .hedging import (
     HedgingTrace,
     run_hedging,
 )
-from .semantics import Formula, extension
+from .semantics import STRENGTH_ORDER, Formula, extension
 from .worlds import (
     CANONICAL_FLIPS,
     CANONICAL_N,
@@ -291,12 +291,18 @@ def run_scenario(scenario: Scenario) -> RunReport:
             f"the game stage needs exactly two agents, got {len(model.agents)}"
         )
     cg0 = initial_common_ground(model)
-    signal = speaker_signal(model, scenario.speaker, scenario.world)
-    cg1 = update(cg0, signal)
-    likelihoods = SignalLikelihoods.for_common_ground(
+    # Each sentence's extension is built once and handed to each stage. The
+    # speaker tries the sentences strongest first, so only a phi signal
+    # leaves the extension of not phi to build for the likelihoods.
+    signal, extensions = _speaker_signal(model, scenario.speaker, scenario.world, STRENGTH_ORDER)
+    cg1 = _update(cg0, signal, extensions[signal])
+    likelihoods = SignalLikelihoods._designate(
         cg1,
         scenario.config.epsilon,
-        repertoire=(Formula.PHI, Formula.NOT_PHI, signal),
+        [
+            (formula, extensions[formula] if formula in extensions else extension(model, formula))
+            for formula in (Formula.PHI, Formula.NOT_PHI, signal)
+        ],
     )
     posterior = listener_posterior(cg1, signal, likelihoods)
     dialogue = (
@@ -319,14 +325,18 @@ def run_scenario(scenario: Scenario) -> RunReport:
         public_belief_worlds=public_worlds,
         public_belief=bool(public_worlds),
     )
-    audit_report(report)
+    _audit_report(report, extensions[signal])
     return report
 
 
 def audit_report(report: RunReport) -> None:
     """Internal consistency: the signal holds at the actual world and at every
     surviving world, and the posterior is a distribution over the survivors."""
-    signal_worlds = extension(report.model, report.signal)
+    _audit_report(report, extension(report.model, report.signal))
+
+
+def _audit_report(report: RunReport, signal_worlds: frozenset[str]) -> None:
+    """:func:`audit_report`, given the signal's extension."""
     if report.scenario.world not in signal_worlds:
         raise ReportAuditError("signal is not true at the actual world")
     final_live = set(report.dialogue[-1].live)

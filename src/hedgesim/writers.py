@@ -1,56 +1,45 @@
 """Deterministic CSV, JSON and JSON-lines text for every report hedgesim writes.
 
 CSV uses ``.`` decimals, no grouping and 12 significant digits; JSON carries
-the same rounded numbers, so both formats stay byte-stable. One writer,
-``_json_text``, lays out every JSON document and JSON line from the
-payload's raw values, rounding each float as it writes it.
+the same rounded numbers, so both formats stay byte-stable. A run report or
+hedging run is one JSON template, built once with the records' fields as its
+keys. ``_json_text`` lays out the blocks whose shape varies, writing each
+scalar from a table keyed by its type and rounding each float as it goes.
 
-Each schema is written out here. Every record is a named tuple, and the
-``_fields`` of a sweep row, hedging step or frame report are its CSV header
-and JSON keys. A hedging step or frame report is itself the value tuple of
-its CSV row template, and in JSON one ``%.12g`` template writes a hedging
-step's floats. A sweep render formats each value only once (see
-``_sweep_lines``), so a row of ``threshold_sweep`` formats two floats. A
-``%.12g`` text with a ``.`` and no exponent is already the float's JSON
-text; any other float (a whole number, one below 1e-4 or from 1e12 up, or a
-non-finite one) is written through ``_jnum_text``, which rejects non-finite
-values. A config, region or summary block writes its ``_asdict()``, each
-plain ``int`` field as a float and each bool as a bool.
+Every record is a named tuple, and the ``_fields`` of a sweep row, hedging
+step or frame report are its CSV header and JSON keys. A hedging step or
+frame report is itself the value tuple of its CSV row template, and in JSON
+one ``%.12g`` template writes a hedging step's floats. A sweep render formats
+each value only once (see ``_sweep_lines``). A ``%.12g`` text with a ``.``
+and no exponent is already the float's JSON text; any other float is written
+through ``_jnum_text``, which rejects non-finite values.
 
-The writers read record fields and need only the record types of ``game``
-and ``hedging``, so the ``sweep`` and ``hedge`` commands load neither the
-world models, the scenario runner, ``dataclasses`` nor ``typing``.
-``scenario_io`` re-exports the report, dialogue, sweep and hedge
-``render_*`` functions, which the benchmark reads there; import everything
-else from this module.
+The writers need only the record types of ``game`` and ``hedging``, so
+``sweep`` and ``hedge`` load neither the world models, the scenario runner,
+``dataclasses`` nor ``typing``, and CSV output never loads ``json``.
+``scenario_io`` re-exports the writers the benchmark reads there.
 """
 
 from __future__ import annotations
 
 import math
-from json.encoder import encode_basestring_ascii
 
-from .game import GAME_RANGES, SweepRow
-from .hedging import HESITATION, HedgingStep
+from .game import GAME_RANGES, RegionReport, SweepRow
+from .hedging import HESITATION, HedgingStep, HedgingSummary
 
 TYPE_CHECKING = False  # true only for a type checker; ``typing`` stays unloaded
 if TYPE_CHECKING:
     from .hedging import HedgingTrace
-    from .scenario_io import DialogueStep, RunReport, Scenario
+    from .scenario_io import DialogueStep, RunReport
     from .semantics import FrameReport
     from .worlds import WorldModel
 
 # The [game] keys are the GameConfig fields and the [run] keys the Scenario
 # fields of the same name, in the order files and reports list them.
-_SCENARIO_KEYS = {
-    "game": tuple(GAME_RANGES),
-    "run": ("speaker", "world", "steps", "tolerance"),
-}
+_SCENARIO_KEYS = {"game": tuple(GAME_RANGES), "run": ("speaker", "world", "steps", "tolerance")}
 
-# The CSV row of a hedging step and of a frame report, field by field; the
-# hedging step's row is also its JSON float text.
+# The CSV row of a hedging step, field by field, which is also its JSON float text.
 _STEP_ROW = "%d,%.12g,%.12g,%.12g,%.12g"
-_FRAME_ROW = "%s,%s,%s,%s"
 # The text before each field of a sweep's CSV row.
 _SWEEP_CSV_LABELS = ("",) + (",",) * 7
 
@@ -78,6 +67,20 @@ def _jnum_text(value: float) -> str:
 
 def _bool_text(value: bool) -> str:
     return str(value).lower()
+
+
+def _quote(text: str) -> str:
+    """``text`` as a JSON string. The first call loads ``json``'s encoder, which
+    CSV output never needs, and puts its C function here and in ``_SCALAR_TEXT``."""
+    global _quote
+    from json.encoder import encode_basestring_ascii as _quote
+    _SCALAR_TEXT[str] = _quote
+    return _quote(text)
+
+
+# The JSON text of each scalar type; ``_json_text`` writes a subclass as its base type.
+_SCALAR_TEXT = {str: _quote, float: _jnum_text, int: int.__repr__, bool: _bool_text,
+                type(None): lambda _: "null"}
 
 
 def _number_text(value: float, json: bool) -> str:
@@ -114,7 +117,7 @@ def _sweep_lines(rows, labels: tuple, end: str, json: bool) -> list[str]:
                 memo[gamma] = g
         w1, w3 = _number_text(p_w1, json), _number_text(p_w3, json)
         if json:
-            region = encode_basestring_ascii(region)
+            region = _quote(region)
         w2 = g if p_w2 is gamma else _number_text(p_w2, json)
         a = w1 if eu_a is p_w1 else _number_text(eu_a, json)
         b = w3 if eu_b is p_w3 else _number_text(eu_b, json)
@@ -144,69 +147,78 @@ def _layout(depth: int | None) -> tuple:
 
 def _json_text(value, depth: int | None = 0) -> str:
     """``value`` as the standard JSON encoder writes it with ``indent=2`` at
-    nesting ``depth``, or with no indent when ``depth`` is None, each float
-    as ``_jnum_text``. Dicts have text keys; tuples are lists.
-
-    A list of sweep rows or hedging steps is a list of objects of their
-    fields, whose keys and layout are built once per list; it is
-    recognised before a tuple is taken for a list. The brackets ride on
-    the first and last items, so the join is the only full copy of the text.
+    nesting ``depth``, or on one line when ``depth`` is None, each float as
+    ``_jnum_text``. Dicts have text keys; tuples are lists. Scalar items are
+    written in place from ``_SCALAR_TEXT``; only containers recurse. A list
+    of sweep rows or hedging steps fills one object template per record. The
+    brackets ride on the first and last items, so the join is the only full
+    copy of the text.
     """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, float):
-        return _jnum_text(value)
-    if isinstance(value, int):
-        return _bool_text(value) if isinstance(value, bool) else int.__repr__(value)
-    if value is None:
-        return "null"
+    scalars = _SCALAR_TEXT
+    text = scalars.get(type(value))
+    if text is not None:
+        return text(value)
+    if not isinstance(value, (dict, list, tuple)):
+        for kind in (str, int, float):
+            if isinstance(value, kind):
+                return scalars[kind](value)
     brackets = "{}" if isinstance(value, dict) else "[]"
     if not value:
         return brackets
     inner, opening, separator, closing = _layout(depth)
     if brackets == "{}":
         items = [
-            f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+            f"{_quote(key)}: "
+            + (text(item) if (text := scalars.get(type(item))) else _json_text(item, inner))
             for key, item in value.items()
         ]
     elif type(value[0]) in (SweepRow, HedgingStep):
-        _, record_opening, record_separator, record_closing = _layout(inner)
-        keys = [f"{encode_basestring_ascii(name)}: " for name in value[0]._fields]
-        labels = ("{" + record_opening + keys[0], *(record_separator + key for key in keys[1:]))
-        end = record_closing + "}"
+        template = _template(dict.fromkeys(value[0]._fields), inner)
         if type(value[0]) is SweepRow:
+            *labels, end = template.split("%s")
             items = _sweep_lines(value, labels, end, json=True)
         else:
-            template = "%s".join((*labels, end))
             items = [template % _step_json(step) for step in value]
     else:
-        items = [_json_text(item, inner) for item in value]
+        items = [
+            text(item) if (text := scalars.get(type(item))) else _json_text(item, inner)
+            for item in value
+        ]
     items[0] = brackets[0] + opening + items[0]
     items[-1] += closing + brackets[1]
     return separator.join(items)
 
 
-def _render_csv(names: tuple[str, ...], row: str, records) -> str:
-    """A header of the field names, then ``row % record`` per record."""
-    return "\n".join([",".join(names), *[row % record for record in records]]) + "\n"
+def _template(blocks: dict, depth: int = 0) -> str:
+    """A JSON object at nesting ``depth``: a ``%s`` slot for a value of None, an
+    object of slots for a tuple of field names. A field name quoted is its JSON."""
+    _, opening, separator, closing = _layout(depth)
+    items = (
+        f'"{key}": ' + ("%s" if fields is None else _template(dict.fromkeys(fields), depth + 1))
+        for key, fields in blocks.items()
+    )
+    return "{" + opening + separator.join(items) + closing + "}"
 
 
-def _as_floats(record) -> dict:
-    """The fields of a game config, region report or hedging summary, each
-    plain ``int`` as a float: those records hold no int field, so an int
-    there stands for a float. Bools stay bools."""
-    return {name: float(v) if type(v) is int else v for name, v in record._asdict().items()}
+def _float_fields(record) -> list[str]:
+    """The JSON text of each field of a game config, region report or hedging
+    summary: they hold no int field, so a plain ``int`` there stands for a float."""
+    scalars = _SCALAR_TEXT
+    return [(_jnum_text if type(v) is int else scalars.get(type(v), _json_text))(v) for v in record]
 
 
-def scenario_payload(scenario: Scenario) -> dict:
-    return {
-        "canonical": scenario.canonical,
-        "n": scenario.series.n,
-        "flips": dict(scenario.series.flips),
-        **_as_floats(scenario.config),
-        **{name: getattr(scenario, name) for name in _SCENARIO_KEYS["run"]},
-        "tolerance": float(scenario.tolerance),
-    }
+# The fixed blocks are written out; the rest are one slot each.
+_REPORT_JSON = _template({
+    "scenario": ("canonical", "n", "flips", *_SCENARIO_KEYS["game"], *_SCENARIO_KEYS["run"]),
+    **dict.fromkeys(("model", "signal", "dialogue", "posterior")),
+    "equilibrium": RegionReport._fields,
+    "hedging": ("max_steps", "tolerance", *HedgingSummary._fields, "final_eu_a", "final_eu_b"),
+    "public_belief": ("proposition", "worlds", "holds"),
+}) + "\n"
+_HEDGING_JSON = _template({
+    **dict.fromkeys((*GAME_RANGES, "max_steps", "tolerance", "hesitation", "steps")),
+    "summary": HedgingSummary._fields,
+}) + "\n"
 
 
 def model_payload(model: WorldModel) -> dict:
@@ -220,9 +232,7 @@ def model_payload(model: WorldModel) -> dict:
         "valuation": {key: model.sort_worlds(worlds) for key, worlds in model.valuation.items()},
     }
     if model.judgments is not None:
-        payload["judgments"] = {
-            agent: dict(per_world) for agent, per_world in model.judgments.items()
-        }
+        payload["judgments"] = {agent: dict(worlds) for agent, worlds in model.judgments.items()}
     if model.members is not None:
         payload["members"] = dict(model.members)
     return payload
@@ -237,31 +247,25 @@ def _dialogue_record(step: DialogueStep) -> dict:
     }
 
 
-def report_payload(report: RunReport) -> dict:
-    return {
-        "scenario": scenario_payload(report.scenario),
-        "model": model_payload(report.model),
-        "signal": report.signal.text,
-        "dialogue": [_dialogue_record(step) for step in report.dialogue],
-        "posterior": dict(report.posterior),
-        "equilibrium": _as_floats(report.region),
-        "hedging": {
-            "max_steps": report.hedging.max_steps,
-            "tolerance": float(report.hedging.tolerance),
-            **_as_floats(report.hedging.summary),
-            "final_eu_a": float(report.hedging.steps[-1].eu_a),
-            "final_eu_b": float(report.hedging.steps[-1].eu_b),
-        },
-        "public_belief": {
-            "proposition": report.model.sort_worlds(report.public_belief_proposition),
-            "worlds": report.model.sort_worlds(report.public_belief_worlds),
-            "holds": report.public_belief,
-        },
-    }
-
-
 def render_report_json(report: RunReport) -> str:
-    return _json_text(report_payload(report)) + "\n"
+    scenario, model, hedging = report.scenario, report.model, report.hedging
+    last = hedging.steps[-1]
+    return _REPORT_JSON % (
+        _json_text(scenario.canonical), _json_text(scenario.series.n),
+        _json_text(dict(scenario.series.flips), 2), *_float_fields(scenario.config),
+        _json_text(scenario.speaker), _json_text(scenario.world), _json_text(scenario.steps),
+        _jnum_text(scenario.tolerance),
+        _json_text(model_payload(model), 1),
+        _json_text(report.signal.text),
+        _json_text([_dialogue_record(step) for step in report.dialogue], 1),
+        _json_text(dict(report.posterior), 1),
+        *_float_fields(report.region),
+        _json_text(hedging.max_steps), _jnum_text(hedging.tolerance),
+        *_float_fields(hedging.summary), _jnum_text(last.eu_a), _jnum_text(last.eu_b),
+        _json_text(model.sort_worlds(report.public_belief_proposition), 2),
+        _json_text(model.sort_worlds(report.public_belief_worlds), 2),
+        _json_text(report.public_belief),
+    )
 
 
 def render_report_csv(report: RunReport) -> str:
@@ -289,27 +293,23 @@ def render_sweep_json(rows: list[SweepRow]) -> str:
 
 
 def render_hedging_csv(trace: HedgingTrace) -> str:
-    return _render_csv(HedgingStep._fields, _STEP_ROW, trace.steps)
+    lines = [_STEP_ROW % step for step in trace.steps]
+    return "\n".join([",".join(HedgingStep._fields), *lines]) + "\n"
 
 
 def render_hedging_json(trace: HedgingTrace) -> str:
     """The game, the run settings, the steps and the summary."""
-    payload = {
-        **_as_floats(trace.config),
-        "max_steps": trace.max_steps,
-        "tolerance": float(trace.tolerance),
-        "hesitation": HESITATION,
-        "steps": trace.steps,
-        "summary": _as_floats(trace.summary),
-    }
-    return _json_text(payload) + "\n"
+    return _HEDGING_JSON % (
+        *_float_fields(trace.config), _json_text(trace.max_steps), _jnum_text(trace.tolerance),
+        _jnum_text(HESITATION), _json_text(trace.steps, 1), *_float_fields(trace.summary),
+    )
 
 
 def render_frame_csv(frame: FrameReport) -> str:
     """The flags as ``true`` or ``false``, and the witness unquoted as
     ``(u,v,x)``, or empty when there is none."""
     witness = "" if frame.witness is None else "({})".format(",".join(frame.witness))
-    return _render_csv(frame._fields, _FRAME_ROW, [(*map(_bool_text, frame[:3]), witness)])
+    return ",".join(frame._fields) + "\n" + ",".join((*map(_bool_text, frame[:3]), witness)) + "\n"
 
 
 def render_frame_json(frame: FrameReport) -> str:

@@ -1,9 +1,11 @@
 import inspect
 import random
 import tracemalloc
+from itertools import islice
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hedgesim import hedging
@@ -196,6 +198,68 @@ def test_run_hedging_steps_match_their_oracles(delta, gamma, max_steps):
         assert (step.p_speaker_a, step.p_listener_a) == expected
         assert step.eu_a == stepwise_eu(config, n, "a")
         assert step.eu_b == stepwise_eu(config, n, "b")
+
+
+def multi_pass_summary(steps, tolerance) -> tuple:
+    """The summary read back from the steps, pass by pass: the pair sums
+    f(n-1) + f(n) from step 1 on, then one pass per check."""
+    pair_sums = [step.p_speaker_a + step.p_listener_a for step in steps[1:]]
+    gap = abs(pair_sums[-1] - 1.0)
+    descending = all(s >= 1.0 - 1e-12 for s in pair_sums[2:]) and all(
+        later <= earlier + 1e-12 for earlier, later in zip(pair_sums[2:], pair_sums[3:])
+    )
+    first, last = steps[0], steps[-1]
+    never_below = all(step.eu_a >= first.eu_a and step.eu_b >= first.eu_b for step in steps)
+    return (last.p_speaker_a, last.p_listener_a, gap, gap <= tolerance, descending, never_below)
+
+
+@settings(deadline=None)
+@given(
+    delta=st.floats(0.01, 0.99),
+    gamma=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+    max_steps=st.integers(4, 300),
+    tolerance=st.sampled_from((1e-12, 1e-6, 1.0)),
+)
+def test_run_hedging_summary_equals_the_multi_pass_summary(delta, gamma, max_steps, tolerance):
+    trace = run_hedging(GameConfig(delta=delta, gamma=gamma), max_steps, tolerance)
+    assert trace.summary == multi_pass_summary(trace.steps, tolerance)
+    assert all(type(flag) is bool for flag in trace.summary[3:])
+
+
+# The recurrence's pairs for 40 steps, whose summary flags are all true.
+RECURRENCE = list(islice(hedging._propensities(), 41))
+
+
+def nudged(pairs, index, d_speaker, d_listener):
+    """``pairs`` with the pair at ``index`` moved by the two nudges."""
+    speaker, listener = pairs[index]
+    return [*pairs[:index], (speaker + d_speaker, listener + d_listener), *pairs[index + 1:]]
+
+
+nudges = st.sampled_from((0.0, -0.1, -1e-9, -1e-13, 1e-13, 1e-9, 0.1)) | st.floats(-1.0, 1.0)
+
+
+@st.composite
+def nudged_propensities(draw):
+    """The recurrence's pairs for 4 to 40 steps with one pair nudged, which
+    can make a pair sum rise or fall just below 1, or an EU dip."""
+    pairs = RECURRENCE[: draw(st.integers(5, len(RECURRENCE)))]
+    return nudged(pairs, draw(st.integers(0, len(pairs) - 1)), draw(nudges), draw(nudges))
+
+
+@settings(deadline=None)
+@given(pairs=nudged_propensities(), tolerance=st.sampled_from((1e-12, 1e-6, 1.0)))
+@example(pairs=nudged(RECURRENCE, 2, 0.0, -0.1), tolerance=1e-6)  # before the checks start
+@example(pairs=nudged(RECURRENCE, 3, 0.0, -0.1), tolerance=1e-6)  # below 1 at the first check
+@example(pairs=nudged(RECURRENCE, 40, 0.0, -1e-9), tolerance=1e-6)  # just below 1
+@example(pairs=nudged(RECURRENCE, 40, 0.0, 1e-9), tolerance=1e-6)  # just rising
+@example(pairs=nudged(RECURRENCE, 5, 0.0, -0.5), tolerance=1e-6)  # eu_a dips
+@example(pairs=nudged(RECURRENCE, 5, 0.5, 0.0), tolerance=1e-6)  # eu_b dips
+def test_running_summary_equals_the_multi_pass_summary_on_other_propensities(pairs, tolerance):
+    with mock.patch.object(hedging, "_propensities", lambda: iter(pairs)):
+        trace = run_hedging(GameConfig(delta=0.7, gamma=0.2), len(pairs) - 1, tolerance)
+    assert trace.summary == multi_pass_summary(trace.steps, tolerance)
+    assert all(type(flag) is bool for flag in trace.summary[3:])
 
 
 def test_run_hedging_evaluates_expected_utility_a_constant_number_of_times(monkeypatch):

@@ -90,6 +90,8 @@ print(json.dumps([loaded, listed, game.__name__, sio.__name__]))
 # where the interpreter's own start-up does (this ``site`` may).
 HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 TYPING = {"typing", "_typing"}
+# What ``json`` brings in, which only a JSON render may load.
+JSON = {"json", "json.decoder", "json.scanner", "json.encoder", "_json"}
 PRINT_MODULES = "print(' '.join(sorted(sys.modules)))"
 
 
@@ -104,7 +106,7 @@ PRINT_MODULES = "print(' '.join(sorted(sys.modules)))"
 def test_hedge_and_sweep_import_only_what_they_run(tmp_path, arguments):
     # Started like the command children, so it loads what start-up loads.
     baseline = set(run_python(f"import sys; {PRINT_MODULES}").split())
-    assert not baseline & HEAVY
+    assert not baseline & (HEAVY | JSON)
     for fmt in ("csv", "json"):
         argv = [*arguments, "--format", fmt, "--out", str(tmp_path / fmt)]
         code = f"import sys\nfrom hedgesim.cli import main\nassert main({argv!r}) == 0\n{PRINT_MODULES}"
@@ -114,4 +116,6 @@ def test_hedge_and_sweep_import_only_what_they_run(tmp_path, arguments):
         }
         assert not loaded & HEAVY, fmt
         assert loaded & TYPING <= baseline, fmt
+        if fmt == "csv":
+            assert not loaded & JSON
         assert (tmp_path / fmt).stat().st_size > 0

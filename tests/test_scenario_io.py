@@ -218,12 +218,13 @@ def test_a_run_pools_its_series_once(monkeypatch):
 # evaluate, extension, accessible and WorldModel.cell calls per run: the
 # deterministic operation counts that gate the semantic and assertion layers.
 # A run reads sentences and beliefs as sets, so it evaluates no world and
-# reads one cell, the speaker's.
+# reads one cell, the speaker's. It builds the extension of each sentence the
+# speaker tries once: the signal's and those of every stronger sentence.
 RUN_OP_COUNTS = {
-    "canonical": (0, 8, 0, 1),
-    "speaker_l": (0, 9, 0, 1),
-    "equal_flips": (0, 7, 0, 1),
-    "two_world": (0, 8, 0, 1),
+    "canonical": (0, 3, 0, 1),
+    "speaker_l": (0, 4, 0, 1),
+    "equal_flips": (0, 2, 0, 1),
+    "two_world": (0, 3, 0, 1),
 }
 
 

@@ -1,6 +1,6 @@
 """The JSON writer against ``json.dumps``, the record writers on any
-floats, JSON float text, and digests of reports from non-canonical
-scenarios."""
+floats, the report writers on random runs, JSON float text, and digests of
+reports from non-canonical scenarios."""
 
 import collections
 import dataclasses
@@ -13,15 +13,16 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hedgesim import scenario_io, writers
+from hedgesim.assertion import UnexpectedSignalError
 from hedgesim.game import GameConfig, SweepRow, grid, threshold_sweep
 from hedgesim.hedging import HedgingStep, run_hedging
 from hedgesim.scenario_io import Scenario, load_scenario, run_scenario
 from hedgesim.semantics import FrameReport, check_frame
-from hedgesim.worlds import SoritesSeries, pool_states
+from hedgesim.worlds import SoritesSeries, pool_states, world_pools
 from hedgesim.writers import (
     _jnum_text,
     _json_text,
@@ -85,12 +86,26 @@ def dumps(value) -> str:
     return json.dumps(rounded(value), indent=2, allow_nan=False) + "\n"
 
 
+class Label(str):
+    """A str subclass, which JSON writes as its text."""
+
+
+class Count(int):
+    """An int subclass, which JSON writes as its digits."""
+
+
+class Share(float):
+    """A float subclass, which JSON writes as its number."""
+
+
+texts = st.text() | st.text().map(Label)
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-(2**64), 2**64) | finite_floats | st.text(),
+    st.none() | st.booleans() | st.integers(-(2**64), 2**64) | finite_floats | texts
+    | st.integers(-(2**64), 2**64).map(Count) | finite_floats.map(Share),
     lambda children: (
         st.lists(children)
         | st.lists(children).map(tuple)
-        | st.dictionaries(st.text(), children)
+        | st.dictionaries(texts, children)
     ),
     max_leaves=40,
 )
@@ -98,6 +113,9 @@ json_values = st.recursive(
 
 @settings(deadline=None)
 @given(json_values)
+@example(("w\u00e9", 1, 2.0, None, True, ("x",), {}))
+@example({Label("k\u00fc"): (Label("v\n"), Count(7), Share(0.5)), "": []})
+@example(Label('a "quoted" \\ label'))
 def test_json_text_equals_json_dumps(value):
     assert _json_text(value) == json.dumps(rounded(value), indent=2)
     assert _json_text(value, None) == json.dumps(rounded(value))
@@ -372,6 +390,103 @@ def test_final_eus_given_ints_are_written_as_floats():
         dataclasses.replace(report, hedging=report.hedging._replace(steps=steps))
     )
     assert '"final_eu_a": 1.0' in text and '"final_eu_b": 0.0' in text
+
+
+def as_floats(record) -> dict:
+    """The fields of a game config, region report or hedging summary, each
+    plain ``int`` as a float: those records hold no int field."""
+    return {name: float(v) if type(v) is int else v for name, v in record._asdict().items()}
+
+
+def dialogue_record(step) -> dict:
+    return {
+        "time": step.time,
+        "signal": None if step.signal is None else step.signal.text,
+        "live": step.live,
+        "posterior": dict(step.posterior),
+    }
+
+
+def report_payload(report) -> dict:
+    """The run report as one dict, in the order the report JSON lists it."""
+    scenario, model, hedging = report.scenario, report.model, report.hedging
+    return {
+        "scenario": {
+            "canonical": scenario.canonical,
+            "n": scenario.series.n,
+            "flips": dict(scenario.series.flips),
+            **as_floats(scenario.config),
+            "speaker": scenario.speaker,
+            "world": scenario.world,
+            "steps": scenario.steps,
+            "tolerance": float(scenario.tolerance),
+        },
+        "model": writers.model_payload(model),
+        "signal": report.signal.text,
+        "dialogue": [dialogue_record(step) for step in report.dialogue],
+        "posterior": dict(report.posterior),
+        "equilibrium": as_floats(report.region),
+        "hedging": {
+            "max_steps": hedging.max_steps,
+            "tolerance": float(hedging.tolerance),
+            **as_floats(hedging.summary),
+            "final_eu_a": float(hedging.steps[-1].eu_a),
+            "final_eu_b": float(hedging.steps[-1].eu_b),
+        },
+        "public_belief": {
+            "proposition": model.sort_worlds(report.public_belief_proposition),
+            "worlds": model.sort_worlds(report.public_belief_worlds),
+            "holds": report.public_belief,
+        },
+    }
+
+
+# Agent labels, non-ASCII ones among them, and parameters that are whole
+# numbers, given as floats or as ints.
+agent_labels = st.sampled_from(
+    ("S", "L", "\u00dc", "caf\u00e9", "\u65e5\u672c", "\U0001f600", 'a "b"')
+)
+whole_zero = st.sampled_from((0, 0.0))
+tolerances = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.integers(1, 10**15),
+    st.integers(1, 10**15).map(float),
+)
+
+
+@st.composite
+def run_reports(draw):
+    """Reports of runs over two-agent pooled marches."""
+    n = draw(st.integers(3, 12))
+    agents = draw(st.lists(agent_labels, min_size=2, max_size=2, unique=True))
+    series = SoritesSeries(n, {agent: draw(st.integers(2, n)) for agent in agents})
+    config = GameConfig(
+        delta=draw(st.one_of(st.sampled_from((0.25, 0.5, 0.7)), deltas)),
+        gamma=draw(whole_zero | gammas),
+        epsilon=draw(whole_zero | st.floats(0.0, 0.5, exclude_max=True)),
+    )
+    scenario = Scenario(
+        series=series,
+        canonical=draw(st.booleans()),
+        config=config,
+        speaker=draw(st.sampled_from(agents)),
+        world=draw(st.sampled_from(tuple(world_pools(series)))),
+        steps=draw(st.integers(4, 60)),
+        tolerance=draw(tolerances),
+    )
+    try:
+        return run_scenario(scenario)
+    except UnexpectedSignalError:  # epsilon 0 can leave the signal no chance
+        assume(False)
+
+
+@settings(deadline=None, max_examples=200)
+@given(run_reports())
+def test_report_writers_equal_json_dumps(report):
+    assert render_report_json(report) == dumps(report_payload(report))
+    assert render_dialogue_jsonl(report) == "".join(
+        json.dumps(rounded(dialogue_record(step))) + "\n" for step in report.dialogue
+    )
 
 
 def render_all(path: Path) -> dict[str, str]:
