@@ -4,8 +4,11 @@ A common ground is an immutable snapshot of the worlds still treated as
 live at a conversation step. Asserting a sentence intersects the live set
 with the sentence's extension. The listener then re-weights the survivors
 by Bayes' rule against an idealized signal-choice model: at each live
-world the speaker is imagined to send the strongest sentence true there,
-with ``epsilon`` probability mass spread over the alternatives.
+world the speaker is imagined to send the first of phi, not phi and the
+heard sentence that is true there, with ``epsilon`` probability mass
+spread over the alternatives. A listener who imagined the strongest
+sentence true there would impute the positive hedge wherever both hedges
+hold, and so give a heard negative hedge zero probability.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ class UnexpectedSignalError(ValueError):
 
 
 class NoAssertableSignalError(ValueError):
-    """No sentence in the repertoire can be asserted."""
+    """No sentence the rule tries is true where it must be."""
 
 
 @dataclass(frozen=True)
@@ -75,34 +78,29 @@ def _update(cg: CommonGround, formula: Formula, true_at: frozenset[str]) -> Comm
     return CommonGround(time=cg.time + 1, live=surviving, model=cg.model)
 
 
-def speaker_signal(
-    model: WorldModel,
-    speaker: str,
-    world: str,
-    repertoire: tuple[Formula, ...] = STRENGTH_ORDER,
-) -> Formula:
+def speaker_signal(model: WorldModel, speaker: str, world: str) -> Formula:
     """The strongest sentence true throughout the speaker's cell at ``world``.
 
     Truthfulness is built in: the speaker asserts only what holds at every
-    world she cannot rule out. With the full repertoire a pooled model
-    always offers some assertable sentence; a restricted repertoire (say,
-    bare atoms only) can leave the speaker with nothing to say.
+    world the speaker cannot rule out. A pooled model always offers some
+    assertable sentence; a hand-built model whose atoms are both empty
+    offers none.
     """
-    return _speaker_signal(model, speaker, world, repertoire)[0]
+    return _speaker_signal(model, speaker, world)[0]
 
 
 def _speaker_signal(
-    model: WorldModel, speaker: str, world: str, repertoire: tuple[Formula, ...]
+    model: WorldModel, speaker: str, world: str
 ) -> tuple[Formula, dict[Formula, frozenset[str]]]:
     """:func:`speaker_signal`, and the extension of each sentence it tried."""
     cell = model.cell(speaker, world)
     extensions = {}
-    for formula in repertoire:
+    for formula in STRENGTH_ORDER:
         extensions[formula] = true_at = extension(model, formula)
         if cell <= true_at:
             return formula, extensions
     raise NoAssertableSignalError(
-        f"no sentence in {[f.text for f in repertoire]} is true throughout "
+        f"no sentence in {[f.text for f in STRENGTH_ORDER]} is true throughout "
         f"{speaker!r}'s cell {sorted(cell)}"
     )
 
@@ -111,11 +109,12 @@ def _speaker_signal(
 class SignalLikelihoods:
     """Per-world sending probabilities over the signals live in a common ground.
 
-    ``designated`` maps each live world to its strongest-true signal; the
-    designated signals are the live ones. Row rule: the designated signal
-    carries 1 - epsilon and the other live signals split epsilon evenly; with
-    a single live signal the row is degenerate at 1. Every row sums to 1, and
-    off the live worlds and signals the probability is 0.
+    ``designated`` maps each live world to the signal the listener imagines
+    sent there; the designated signals are the live ones. Row rule: the
+    designated signal carries 1 - epsilon and the other live signals split
+    epsilon evenly; with a single live signal the row is degenerate at 1.
+    Every row sums to 1, and off the live worlds and signals the probability
+    is 0.
     """
 
     designated: Mapping[str, Formula]
@@ -127,39 +126,39 @@ class SignalLikelihoods:
 
     @classmethod
     def for_common_ground(
-        cls,
-        cg: CommonGround,
-        epsilon: float,
-        repertoire: tuple[Formula, ...] = STRENGTH_ORDER,
+        cls, cg: CommonGround, epsilon: float, observed: Formula
     ) -> "SignalLikelihoods":
-        """Build the listener's likelihood model for the given live set.
+        """Build the listener's likelihood model after hearing ``observed``.
 
-        Each live world gets the first repertoire sentence true there, the
-        one a fully informed speaker would send. `repertoire` bounds the
-        sentences the listener imagines the speaker choosing among; after
-        observing a hedge, passing the atoms plus the observed sentence
-        keeps the imagined alternatives on the observed hedge's side (the
-        full order would impute the positive hedge at every contested
-        world, giving a negative hedge zero probability).
+        Each live world gets the first of phi, not phi and ``observed`` that
+        is true there: a speaker sure of an atom asserts it, and otherwise
+        sends what was heard.
         """
-        extensions = [(formula, extension(cg.model, formula)) for formula in repertoire]
-        return cls._designate(cg, epsilon, extensions)
+        return cls._designate(cg, epsilon, observed, {})
 
     @classmethod
     def _designate(
-        cls, cg: CommonGround, epsilon: float, extensions: list[tuple[Formula, frozenset[str]]]
+        cls,
+        cg: CommonGround,
+        epsilon: float,
+        observed: Formula,
+        extensions: Mapping[Formula, frozenset[str]],
     ) -> "SignalLikelihoods":
-        """:meth:`for_common_ground`, given each repertoire sentence with its
-        extension, in repertoire order."""
+        """:meth:`for_common_ground`, given the extensions already built; it
+        builds only the missing ones."""
+        tried = [
+            (f, extensions[f] if f in extensions else extension(cg.model, f))
+            for f in dict.fromkeys((Formula.PHI, Formula.NOT_PHI, observed))
+        ]
         designated: dict[str, Formula] = {}
         for world in cg.live:
-            for formula, true_at in extensions:
+            for formula, true_at in tried:
                 if world in true_at:
                     designated[world] = formula
                     break
             else:
                 raise NoAssertableSignalError(
-                    f"no sentence in {[f.text for f, _ in extensions]} is true at {world!r}"
+                    f"no sentence in {[f.text for f, _ in tried]} is true at {world!r}"
                 )
         return cls(designated=designated, epsilon=epsilon)
 

@@ -59,7 +59,7 @@ from .hedging import (
     HedgingTrace,
     run_hedging,
 )
-from .semantics import STRENGTH_ORDER, Formula, extension
+from .semantics import Formula, extension
 from .worlds import (
     CANONICAL_FLIPS,
     CANONICAL_N,
@@ -291,19 +291,10 @@ def run_scenario(scenario: Scenario) -> RunReport:
             f"the game stage needs exactly two agents, got {len(model.agents)}"
         )
     cg0 = initial_common_ground(model)
-    # Each sentence's extension is built once and handed to each stage. The
-    # speaker tries the sentences strongest first, so only a phi signal
-    # leaves the extension of not phi to build for the likelihoods.
-    signal, extensions = _speaker_signal(model, scenario.speaker, scenario.world, STRENGTH_ORDER)
+    # Each sentence's extension is built once and handed to each stage.
+    signal, extensions = _speaker_signal(model, scenario.speaker, scenario.world)
     cg1 = _update(cg0, signal, extensions[signal])
-    likelihoods = SignalLikelihoods._designate(
-        cg1,
-        scenario.config.epsilon,
-        [
-            (formula, extensions[formula] if formula in extensions else extension(model, formula))
-            for formula in (Formula.PHI, Formula.NOT_PHI, signal)
-        ],
-    )
+    likelihoods = SignalLikelihoods._designate(cg1, scenario.config.epsilon, signal, extensions)
     posterior = listener_posterior(cg1, signal, likelihoods)
     dialogue = (
         DialogueStep(time=cg0.time, signal=None, live=cg0.live, posterior=base_rate(cg0)),

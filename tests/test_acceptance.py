@@ -86,11 +86,11 @@ def test_criterion_03_posterior_reproduction():
         cg1 = update(initial_common_ground(model), Formula.MIGHT_PHI)
         assert cg1.live == ("w1", "w2")
         exact = listener_posterior(
-            cg1, Formula.MIGHT_PHI, SignalLikelihoods.for_common_ground(cg1, 0.0)
+            cg1, Formula.MIGHT_PHI, SignalLikelihoods.for_common_ground(cg1, 0.0, Formula.MIGHT_PHI)
         )
         assert exact["w2"] == 1.0
         noisy = listener_posterior(
-            cg1, Formula.MIGHT_PHI, SignalLikelihoods.for_common_ground(cg1, 0.01)
+            cg1, Formula.MIGHT_PHI, SignalLikelihoods.for_common_ground(cg1, 0.01, Formula.MIGHT_PHI)
         )
         assert abs(noisy["w2"] - 0.99) <= 1e-12
 

@@ -407,6 +407,28 @@ def dialogue_record(step) -> dict:
     }
 
 
+def in_world_order(model, worlds) -> list:
+    return [world for world in model.worlds if world in worlds]
+
+
+def model_record(model) -> dict:
+    """The model block, read off the model's fields."""
+    record = {
+        "agents": model.agents,
+        "worlds": model.worlds,
+        "partitions": {
+            agent: [in_world_order(model, cell) for cell in cells]
+            for agent, cells in model.partitions.items()
+        },
+        "valuation": {key: in_world_order(model, worlds) for key, worlds in model.valuation.items()},
+    }
+    if model.judgments is not None:
+        record["judgments"] = {agent: dict(worlds) for agent, worlds in model.judgments.items()}
+    if model.members is not None:
+        record["members"] = dict(model.members)
+    return record
+
+
 def report_payload(report) -> dict:
     """The run report as one dict, in the order the report JSON lists it."""
     scenario, model, hedging = report.scenario, report.model, report.hedging
@@ -421,7 +443,7 @@ def report_payload(report) -> dict:
             "steps": scenario.steps,
             "tolerance": float(scenario.tolerance),
         },
-        "model": writers.model_payload(model),
+        "model": model_record(model),
         "signal": report.signal.text,
         "dialogue": [dialogue_record(step) for step in report.dialogue],
         "posterior": dict(report.posterior),
