@@ -2,7 +2,7 @@
 
 A common ground is an immutable snapshot of the worlds still treated as
 live at a conversation step. Asserting a sentence intersects the live set
-with the sentence's extension. The listener then re-weights the survivors
+with the sentence's extension, a set the model already holds. The listener then re-weights the survivors
 by Bayes' rule against an idealized signal-choice model: at each live
 world the speaker is imagined to send the first of phi, not phi and the
 heard sentence that is true there, with ``epsilon`` probability mass
@@ -65,11 +65,7 @@ def base_rate(cg: CommonGround) -> dict[str, float]:
 
 def update(cg: CommonGround, formula: Formula) -> CommonGround:
     """Assertion as elimination: keep the live worlds where the sentence is true."""
-    return _update(cg, formula, extension(cg.model, formula))
-
-
-def _update(cg: CommonGround, formula: Formula, true_at: frozenset[str]) -> CommonGround:
-    """:func:`update`, given the sentence's extension."""
+    true_at = extension(cg.model, formula)
     surviving = tuple(w for w in cg.live if w in true_at)
     if not surviving:
         raise AbsurdUpdateError(
@@ -86,19 +82,10 @@ def speaker_signal(model: WorldModel, speaker: str, world: str) -> Formula:
     assertable sentence; a hand-built model whose atoms are both empty
     offers none.
     """
-    return _speaker_signal(model, speaker, world)[0]
-
-
-def _speaker_signal(
-    model: WorldModel, speaker: str, world: str
-) -> tuple[Formula, dict[Formula, frozenset[str]]]:
-    """:func:`speaker_signal`, and the extension of each sentence it tried."""
     cell = model.cell(speaker, world)
-    extensions = {}
     for formula in STRENGTH_ORDER:
-        extensions[formula] = true_at = extension(model, formula)
-        if cell <= true_at:
-            return formula, extensions
+        if cell <= extension(model, formula):
+            return formula
     raise NoAssertableSignalError(
         f"no sentence in {[f.text for f in STRENGTH_ORDER]} is true throughout "
         f"{speaker!r}'s cell {sorted(cell)}"
@@ -132,22 +119,11 @@ class SignalLikelihoods:
 
         Each live world gets the first of phi, not phi and ``observed`` that
         is true there: a speaker sure of an atom asserts it, and otherwise
-        sends what was heard.
+        sends what was heard. Each of those sentences' extensions is read
+        off the model once.
         """
-        return cls._designate(cg, epsilon, observed, {})
-
-    @classmethod
-    def _designate(
-        cls,
-        cg: CommonGround,
-        epsilon: float,
-        observed: Formula,
-        extensions: Mapping[Formula, frozenset[str]],
-    ) -> "SignalLikelihoods":
-        """:meth:`for_common_ground`, given the extensions already built; it
-        builds only the missing ones."""
         tried = [
-            (f, extensions[f] if f in extensions else extension(cg.model, f))
+            (f, extension(cg.model, f))
             for f in dict.fromkeys((Formula.PHI, Formula.NOT_PHI, observed))
         ]
         designated: dict[str, Formula] = {}

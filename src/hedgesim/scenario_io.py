@@ -24,7 +24,8 @@ Unknown sections or keys, duplicates, bad values, and range violations are
 errors that name the offending key and line. Ranges are checked by the
 objects that own them (GameConfig, run_hedging, SoritesSeries), and number
 text is read by ``game.parse_number``, as the CLI flags read it, so a bad
-value gets the same message here as from the API and the flags.
+value gets the same message here as from the API and the flags. A scenario
+file is read as UTF-8, with or without a byte-order mark.
 
 The CSV and JSON text of a run lives in ``writers``. This module re-exports
 only the seven ``render_*`` functions the benchmark reads through it (the
@@ -38,11 +39,11 @@ from typing import Callable, Mapping
 
 from .assertion import (
     SignalLikelihoods,
-    _speaker_signal,
-    _update,
     base_rate,
     initial_common_ground,
     listener_posterior,
+    speaker_signal,
+    update,
 )
 from .game import (
     GAME_RANGES,
@@ -249,7 +250,7 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_scenario(handle.read())
 
 
@@ -282,8 +283,12 @@ class RunReport:
 def run_scenario(scenario: Scenario) -> RunReport:
     """Deterministic end-to-end run: pool, signal, update, infer, classify, hedge.
 
-    The public-belief flag reports whether the asserted polarity's unanimous
-    worlds are publicly believed once the common ground has been updated.
+    Each stage is its module's public function, called once: speaker_signal,
+    update, SignalLikelihoods.for_common_ground, listener_posterior and
+    audit_report. None of them builds a sentence's extension; each reads
+    the set the pooled model holds. The public-belief flag reports whether
+    the asserted polarity's unanimous worlds are publicly believed once the
+    common ground has been updated.
     """
     model = pool_states(scenario.series)
     if len(model.agents) != 2:
@@ -291,10 +296,9 @@ def run_scenario(scenario: Scenario) -> RunReport:
             f"the game stage needs exactly two agents, got {len(model.agents)}"
         )
     cg0 = initial_common_ground(model)
-    # Each sentence's extension is built once and handed to each stage.
-    signal, extensions = _speaker_signal(model, scenario.speaker, scenario.world)
-    cg1 = _update(cg0, signal, extensions[signal])
-    likelihoods = SignalLikelihoods._designate(cg1, scenario.config.epsilon, signal, extensions)
+    signal = speaker_signal(model, scenario.speaker, scenario.world)
+    cg1 = update(cg0, signal)
+    likelihoods = SignalLikelihoods.for_common_ground(cg1, scenario.config.epsilon, signal)
     posterior = listener_posterior(cg1, signal, likelihoods)
     dialogue = (
         DialogueStep(time=cg0.time, signal=None, live=cg0.live, posterior=base_rate(cg0)),
@@ -316,18 +320,14 @@ def run_scenario(scenario: Scenario) -> RunReport:
         public_belief_worlds=public_worlds,
         public_belief=bool(public_worlds),
     )
-    _audit_report(report, extensions[signal])
+    audit_report(report)
     return report
 
 
 def audit_report(report: RunReport) -> None:
     """Internal consistency: the signal holds at the actual world and at every
     surviving world, and the posterior is a distribution over the survivors."""
-    _audit_report(report, extension(report.model, report.signal))
-
-
-def _audit_report(report: RunReport, signal_worlds: frozenset[str]) -> None:
-    """:func:`audit_report`, given the signal's extension."""
+    signal_worlds = extension(report.model, report.signal)
     if report.scenario.world not in signal_worlds:
         raise ReportAuditError("signal is not true at the actual world")
     final_live = set(report.dialogue[-1].live)

@@ -3,6 +3,8 @@
 The repertoire is closed: a positive atom, its negation, and an epistemic
 "might" over either. Atoms can be gappy at contested worlds; might-sentences
 quantify existentially over accessible worlds and are always bivalent.
+Each sentence's extension is a set the model already holds, so reading it
+builds nothing; :func:`evaluate` is the per-world oracle behind it.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .worlds import NOT_PHI, PHI, WorldModel, accessible, everyone_thinks
+from .worlds import NOT_PHI, PHI, WorldModel, accessible
 
 
 class TruthValue(enum.Enum):
@@ -53,6 +55,11 @@ class Formula(enum.Enum):
 #: All formulas in decreasing strength.
 STRENGTH_ORDER: tuple[Formula, ...] = tuple(Formula)
 
+#: Where each formula's extension lives on a model: whether it is modal (a
+#: might-set) or not (a valuation), and its atom key. One lookup here costs
+#: less than the enum properties it stands for.
+_EXTENSION_KEY = {formula: (formula.is_modal, formula.atom.text) for formula in Formula}
+
 
 def evaluate(model: WorldModel, formula: Formula, world: str) -> TruthValue:
     """Three-valued for atoms, two-valued for might-sentences.
@@ -74,17 +81,15 @@ def evaluate(model: WorldModel, formula: Formula, world: str) -> TruthValue:
 
 
 def extension(model: WorldModel, formula: Formula) -> frozenset[str]:
-    """The worlds where the formula is true, read off the model as sets.
+    """The worlds where the formula is true, read off the model.
 
-    An atom's extension is its valuation. ``might A`` fails at w exactly
-    when every agent's cell at w misses A, so its extension, the union of
-    the agents' cells that meet A, is the complement of everyone thinking
-    not-A. :func:`evaluate` is the per-world definition checked against it.
+    An atom's extension is its valuation, and ``might A``'s is the model's
+    might-set for A: the union of the agents' cells that meet A, built once
+    with the model. Either way the result is one of the model's own sets.
+    :func:`evaluate` is the per-world definition checked against it.
     """
-    atom = frozenset(model.valuation[formula.atom.text])
-    if not formula.is_modal:
-        return atom
-    return model.world_set - everyone_thinks(model, model.world_set - atom)
+    modal, key = _EXTENSION_KEY[formula]
+    return (model.might if modal else model.valuation)[key]
 
 
 class FrameReport(NamedTuple):

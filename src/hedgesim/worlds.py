@@ -5,12 +5,13 @@ predicate (``q`` vs ``qbar``) at every state. Pooling compresses a series
 into at most three coarse worlds (all judge q / contested / all judge qbar)
 and induces one partition per agent from that agent's judgment pattern.
 The doxastic operators (thinks, everyone-thinks, common belief) and the
-accessibility relation between worlds live here.
+accessibility relation between worlds live here. A model also holds, for
+each atom, the worlds where "might" that atom is true, built once with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 Q = "q"
@@ -96,9 +97,14 @@ class WorldModel:
     """Worlds, one partition per agent, and extensions for the two atoms.
 
     ``valuation`` maps the atom keys :data:`PHI` / :data:`NOT_PHI` to the
-    world sets where they are true. ``judgments`` and ``members`` are
-    provenance from pooling (None for hand-built models): the per-agent
-    judgment at each world, and the original states each world pools.
+    world sets where they are true, kept as frozensets. ``judgments`` and
+    ``members`` are provenance from pooling (None for hand-built models):
+    the per-agent judgment at each world, and the original states each
+    world pools.
+    ``might`` is derived, not passed: for each atom key, the union of the
+    agents' cells that meet the atom, that is, where ``might`` the atom is
+    true. It is built once after validation (so ``dataclasses.replace``
+    rebuilds it) and takes no part in equality.
     """
 
     agents: tuple[str, ...]
@@ -107,6 +113,7 @@ class WorldModel:
     valuation: Mapping[str, frozenset[str]]
     judgments: Mapping[str, Mapping[str, str]] | None = None
     members: Mapping[str, tuple[int, ...]] | None = None
+    might: Mapping[str, frozenset[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.worlds:
@@ -128,13 +135,19 @@ class WorldModel:
                 seen |= cell
             if seen != everything:
                 raise ValueError(f"partition for agent {agent!r} does not cover the world set")
+        object.__setattr__(self, "valuation", {k: frozenset(v) for k, v in self.valuation.items()})
         for key in (PHI, NOT_PHI):
             if key not in self.valuation:
                 raise ValueError(f"valuation must assign {key!r}")
-            if not frozenset(self.valuation[key]) <= everything:
+            if not self.valuation[key] <= everything:
                 raise ValueError(f"valuation of {key!r} mentions unknown worlds")
         if self.valuation[PHI] & self.valuation[NOT_PHI]:
             raise ValueError("atom extensions overlap (a gap is permitted, overlap is not)")
+        every_cell = [cell for cells in self.partitions.values() for cell in cells]
+        object.__setattr__(self, "might", {
+            key: frozenset().union(*[c for c in every_cell if not c.isdisjoint(self.valuation[key])])
+            for key in (PHI, NOT_PHI)
+        })
 
     @property
     def world_set(self) -> frozenset[str]:

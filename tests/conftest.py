@@ -44,18 +44,24 @@ def marches(draw):
     return SoritesSeries(n, {f"a{i}": flip for i, flip in enumerate(flips)})
 
 
+def draw_partitions(draw, worlds, agents):
+    """One partition of ``worlds`` per agent, each into any number of cells."""
+    per_world = st.lists(st.integers(0, len(worlds) - 1), min_size=len(worlds), max_size=len(worlds))
+    partitions = {}
+    for agent in agents:
+        cells = {}
+        for world, label in zip(worlds, draw(per_world)):
+            cells.setdefault(label, set()).add(world)
+        partitions[agent] = tuple(frozenset(cell) for cell in cells.values())
+    return partitions
+
+
 @st.composite
 def hand_built_models(draw):
     """Models that pooling never builds: 1..6 worlds, 1..3 agents, each with
     a partition into any number of cells, and disjoint atoms with gaps."""
     worlds = tuple(f"w{i}" for i in range(1, draw(st.integers(1, 6)) + 1))
-    per_world = st.lists(st.integers(0, len(worlds) - 1), min_size=len(worlds), max_size=len(worlds))
-    partitions = {}
-    for agent in (f"a{i}" for i in range(draw(st.integers(1, 3)))):
-        cells = {}
-        for world, label in zip(worlds, draw(per_world)):
-            cells.setdefault(label, set()).add(world)
-        partitions[agent] = tuple(frozenset(cell) for cell in cells.values())
+    partitions = draw_partitions(draw, worlds, [f"a{i}" for i in range(draw(st.integers(1, 3)))])
     atoms = draw(st.lists(st.sampled_from((PHI, NOT_PHI, None)), min_size=len(worlds), max_size=len(worlds)))
     return WorldModel(
         agents=tuple(partitions),

@@ -326,6 +326,16 @@ def test_simulate_golden_byte_stable(tmp_path):
     assert first.read_bytes() == golden
 
 
+def test_commands_read_a_scenario_saved_with_a_byte_order_mark(tmp_path, capsys):
+    scenario = tmp_path / "canonical.scn"
+    scenario.write_bytes(b"\xef\xbb\xbf" + CANONICAL.read_bytes())
+    for command, golden in (("simulate", "canonical_simulate.json"), ("frame-check", "canonical_frame.json")):
+        out = tmp_path / golden
+        assert main([command, str(scenario), "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
+    assert capsys.readouterr().err == ""
+
+
 def test_simulate_golden_csv_and_trace(tmp_path):
     out = tmp_path / "report.csv"
     trace = tmp_path / "dialogue.jsonl"

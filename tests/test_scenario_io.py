@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from hedgesim import assertion, scenario_io, semantics
+from hedgesim.assertion import SignalLikelihoods
 from hedgesim.game import GameConfig, SweepRow, grid, threshold_sweep
 from hedgesim.hedging import run_hedging
 from hedgesim.scenario_io import (
@@ -72,6 +73,12 @@ def test_parse_canonical_flag():
 def test_parse_comments_and_blank_lines(canonical_scenario_path):
     scenario = load_scenario(canonical_scenario_path)
     assert scenario.series.flips == {"S": 4, "L": 2}
+
+
+def test_load_reads_a_file_saved_with_a_byte_order_mark(tmp_path, canonical_scenario_path):
+    bom = tmp_path / "canonical.scn"
+    bom.write_bytes(b"\xef\xbb\xbf" + canonical_scenario_path.read_bytes())
+    assert load_scenario(bom) == load_scenario(canonical_scenario_path)
 
 
 def test_parse_overrides():
@@ -215,16 +222,28 @@ def test_a_run_pools_its_series_once(monkeypatch):
     assert len(calls) == 1
 
 
+def counting(counts, label, function):
+    """``function``, counting its calls in ``counts[label]``."""
+
+    def counted(*args, **kwargs):
+        counts[label] += 1
+        return function(*args, **kwargs)
+
+    return counted
+
+
 # evaluate, extension, accessible and WorldModel.cell calls per run: the
 # deterministic operation counts that gate the semantic and assertion layers.
 # A run reads sentences and beliefs as sets, so it evaluates no world and
-# reads one cell, the speaker's. It builds the extension of each sentence the
-# speaker tries once: the signal's and those of every stronger sentence.
+# reads one cell, the speaker's. Pooling builds both might-sets once, and
+# each stage reads the extensions it needs off the model: the speaker the
+# signal's and every stronger sentence's, update and the audit the signal's,
+# and the listener's likelihoods those of phi, not phi and the signal.
 RUN_OP_COUNTS = {
-    "canonical": (0, 3, 0, 1),
-    "speaker_l": (0, 4, 0, 1),
-    "equal_flips": (0, 2, 0, 1),
-    "two_world": (0, 3, 0, 1),
+    "canonical": (0, 8, 0, 1),
+    "speaker_l": (0, 9, 0, 1),
+    "equal_flips": (0, 6, 0, 1),
+    "two_world": (0, 8, 0, 1),
 }
 
 
@@ -232,23 +251,38 @@ RUN_OP_COUNTS = {
 def test_a_run_makes_the_pinned_semantic_calls(name, monkeypatch):
     scenario = load_scenario(Path(__file__).parent / "data" / f"{name}.scn")
     counts = Counter()
+    read = []
 
-    def counting(label, function):
-        def counted(*args):
-            counts[label] += 1
-            return function(*args)
+    def extension(model, formula):
+        read.append(semantics.extension(model, formula))
+        return read[-1]
 
-        return counted
-
-    monkeypatch.setattr(semantics, "evaluate", counting("evaluate", semantics.evaluate))
-    monkeypatch.setattr(semantics, "accessible", counting("accessible", semantics.accessible))
-    monkeypatch.setattr(WorldModel, "cell", counting("cell", WorldModel.cell))
-    extension = counting("extension", semantics.extension)
+    monkeypatch.setattr(semantics, "evaluate", counting(counts, "evaluate", semantics.evaluate))
+    monkeypatch.setattr(semantics, "accessible", counting(counts, "accessible", semantics.accessible))
+    monkeypatch.setattr(WorldModel, "cell", counting(counts, "cell", WorldModel.cell))
     for module in (assertion, scenario_io):
-        monkeypatch.setattr(module, "extension", extension)
-    run_scenario(scenario)
+        monkeypatch.setattr(module, "extension", counting(counts, "extension", extension))
+    model = run_scenario(scenario).model
     assert tuple(counts[label] for label in ("evaluate", "extension", "accessible", "cell")) == (
         RUN_OP_COUNTS[name]
+    )
+    # Every extension read is one of the model's own sets, none built anew.
+    own = [*model.valuation.values(), *model.might.values()]
+    assert all(any(worlds is mine for mine in own) for worlds in read)
+
+
+@pytest.mark.parametrize("name", sorted(RUN_OP_COUNTS))
+def test_a_run_calls_each_public_stage_once(name, monkeypatch):
+    """The runner calls the stages under the names ``scenario_io`` holds,
+    the names a tracer swaps, so each stage's time shows in a trace."""
+    counts = Counter()
+    for stage in ("speaker_signal", "update", "listener_posterior", "audit_report"):
+        monkeypatch.setattr(scenario_io, stage, counting(counts, stage, getattr(scenario_io, stage)))
+    likelihoods = counting(counts, "for_common_ground", SignalLikelihoods.for_common_ground)
+    monkeypatch.setattr(SignalLikelihoods, "for_common_ground", staticmethod(likelihoods))
+    run_scenario(load_scenario(Path(__file__).parent / "data" / f"{name}.scn"))
+    assert counts == dict.fromkeys(
+        ("speaker_signal", "update", "for_common_ground", "listener_posterior", "audit_report"), 1
     )
 
 

@@ -1,8 +1,10 @@
+import dataclasses
 import random
 
 import pytest
-from conftest import models, random_model
+from conftest import draw_partitions, models, random_model
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hedgesim import semantics
 from hedgesim.semantics import (
@@ -77,6 +79,49 @@ def test_extension_is_where_evaluate_is_true(model):
     for formula in Formula:
         true_at = {w for w in model.worlds if evaluate(model, formula, w) is TruthValue.TRUE}
         assert extension(model, formula) == true_at, formula
+
+
+@st.composite
+def replaced_models(draw):
+    """Pooled and hand-built models rebuilt by ``dataclasses.replace``, with
+    their atoms swapped or a new partition per agent."""
+    model = draw(models)
+    if draw(st.booleans()):
+        swapped = {PHI: model.valuation[NOT_PHI], NOT_PHI: model.valuation[PHI]}
+        return dataclasses.replace(model, valuation=swapped)
+    return dataclasses.replace(model, partitions=draw_partitions(draw, model.worlds, model.agents))
+
+
+@settings(deadline=None)
+@given(replaced_models())
+def test_might_sets_follow_a_replaced_model(model):
+    for formula in (Formula.MIGHT_PHI, Formula.MIGHT_NOT_PHI):
+        true_at = {w for w in model.worlds if evaluate(model, formula, w) is TruthValue.TRUE}
+        assert extension(model, formula) == true_at, formula
+
+
+def test_replace_rebuilds_the_might_sets(canonical_model):
+    swapped = dataclasses.replace(
+        canonical_model, valuation={PHI: frozenset({"w3"}), NOT_PHI: frozenset({"w1"})}
+    )
+    assert swapped.might == {PHI: {"w2", "w3"}, NOT_PHI: {"w1", "w2"}}
+    singletons = tuple(frozenset({w}) for w in canonical_model.worlds)
+    fine = dataclasses.replace(
+        canonical_model, partitions=dict.fromkeys(canonical_model.agents, singletons)
+    )
+    assert fine.might == {PHI: {"w1"}, NOT_PHI: {"w3"}}
+    assert canonical_model.might == {PHI: {"w1", "w2"}, NOT_PHI: {"w2", "w3"}}
+
+
+def test_extensions_are_frozen_whatever_sets_a_model_is_given():
+    model = WorldModel(
+        agents=("S",),
+        worlds=("w1", "w2"),
+        partitions={"S": (frozenset({"w1"}), frozenset({"w2"}))},
+        valuation={PHI: {"w1"}, NOT_PHI: set()},
+    )
+    assert [extension(model, formula) for formula in Formula] == [{"w1"}, set(), {"w1"}, set()]
+    assert all(type(extension(model, formula)) is frozenset for formula in Formula)
 
 
 def test_might_bivalent_random():
