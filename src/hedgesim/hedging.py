@@ -9,9 +9,11 @@ f(1) = 1/2 is fixed (``HESITATION``), not a setting:
     f(0) = 1,  f(1) = 1/2,  f(n) = f(n-2) / (f(n-1) + f(n-2))
 
 Even indices track the speaker, odd indices the listener. The sequence
-oscillates (roughly 0.6 vs 0.4) rather than converging, but consecutive
-pair sums approach 1 and the step-indexed expected utility never drops
-below its step-0 value.
+does not converge: in doubles, f(n) alternates between 0.5915936234817635
+(even n) and 0.4084063765182366 (odd n) from n = 50 on, so every (speaker,
+listener) pair from step 51 on is that same pair (checked to step 100000 on
+Python 3.11.7). Consecutive pair sums approach 1, and the step-indexed
+expected utility never drops below its step-0 value.
 
 ``run_hedging`` makes one forward pass, so N steps (``steps``, in [4, 100000])
 cost O(N) time, and nothing is kept between calls. The same pass keeps the

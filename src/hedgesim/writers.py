@@ -1,10 +1,11 @@
 """Deterministic CSV, JSON and JSON-lines text for every report hedgesim writes.
 
 CSV uses ``.`` decimals, no grouping and 12 significant digits; JSON carries
-the same rounded numbers, so both formats stay byte-stable. A run report or
-hedging run is one JSON template, built once with the records' fields as its
-keys. ``_json_text`` lays out the blocks whose shape varies, writing each
-scalar from a table keyed by its type and rounding each float as it goes.
+the same rounded numbers, so both formats stay byte-stable. Each JSON object
+of fixed keys is a template built once. The blocks whose length varies are
+written straight from the records' fields by ``_list`` and ``_object``, with
+layouts built once per depth; a world subset is listed by filtering the
+model's worlds, with no sort.
 
 Every record is a named tuple, and the ``_fields`` of a sweep row, hedging
 step or frame report are its CSV header and JSON keys. A hedging step or
@@ -56,7 +57,7 @@ def _jnum_text(value: float) -> str:
     12 significant digits name a single float), short of the ``.0`` a whole
     number gets. Exponents, ``nan`` and ``inf`` take the parse-back path.
     """
-    text = fmt_float(value)
+    text = "%.12g" % value
     if "e" not in text and "n" not in text:
         return text if "." in text else text + ".0"
     number = float(text)
@@ -66,21 +67,15 @@ def _jnum_text(value: float) -> str:
 
 
 def _bool_text(value: bool) -> str:
-    return str(value).lower()
+    return "true" if value else "false"
 
 
 def _quote(text: str) -> str:
-    """``text`` as a JSON string. The first call loads ``json``'s encoder, which
-    CSV output never needs, and puts its C function here and in ``_SCALAR_TEXT``."""
+    """``text`` as a JSON string. The first call loads ``json``'s encoder,
+    which CSV output never needs, and rebinds this name to its C function."""
     global _quote
     from json.encoder import encode_basestring_ascii as _quote
-    _SCALAR_TEXT[str] = _quote
     return _quote(text)
-
-
-# The JSON text of each scalar type; ``_json_text`` writes a subclass as its base type.
-_SCALAR_TEXT = {str: _quote, float: _jnum_text, int: int.__repr__, bool: _bool_text,
-                type(None): lambda _: "null"}
 
 
 def _number_text(value: float, json: bool) -> str:
@@ -136,75 +131,51 @@ def _step_json(step: HedgingStep) -> tuple:
     return tuple(numbers.split(","))
 
 
-def _layout(depth: int | None) -> tuple:
-    """(inner depth, opening, separator, closing) around the items of a
-    non-empty list or object at nesting ``depth``; ``None`` is one line."""
-    if depth is None:
-        return None, "", ", ", ""
-    indent = "\n" + "  " * (depth + 1)
-    return depth + 1, indent, "," + indent, "\n" + "  " * depth
+def _layouts(left: str, right: str) -> dict:
+    """(opening, separator, closing) of a list or object at each nesting depth
+    (the report nests four deep) as ``json.dumps`` writes it with ``indent=2``;
+    ``None`` is one line."""
+    indent = ["\n" + "  " * depth for depth in range(6)]
+    return {None: (left, ", ", right)} | {
+        d: (left + indent[d + 1], "," + indent[d + 1], indent[d] + right) for d in range(5)}
 
 
-def _json_text(value, depth: int | None = 0) -> str:
-    """``value`` as the standard JSON encoder writes it with ``indent=2`` at
-    nesting ``depth``, or on one line when ``depth`` is None, each float as
-    ``_jnum_text``. Dicts have text keys; tuples are lists. Scalar items are
-    written in place from ``_SCALAR_TEXT``; only containers recurse. A list
-    of sweep rows or hedging steps fills one object template per record. The
-    brackets ride on the first and last items, so the join is the only full
-    copy of the text.
-    """
-    scalars = _SCALAR_TEXT
-    text = scalars.get(type(value))
-    if text is not None:
-        return text(value)
-    if not isinstance(value, (dict, list, tuple)):
-        for kind in (str, int, float):
-            if isinstance(value, kind):
-                return scalars[kind](value)
-    brackets = "{}" if isinstance(value, dict) else "[]"
-    if not value:
-        return brackets
-    inner, opening, separator, closing = _layout(depth)
-    if brackets == "{}":
-        items = [
-            f"{_quote(key)}: "
-            + (text(item) if (text := scalars.get(type(item))) else _json_text(item, inner))
-            for key, item in value.items()
-        ]
-    elif type(value[0]) in (SweepRow, HedgingStep):
-        template = _template(dict.fromkeys(value[0]._fields), inner)
-        if type(value[0]) is SweepRow:
-            *labels, end = template.split("%s")
-            items = _sweep_lines(value, labels, end, json=True)
-        else:
-            items = [template % _step_json(step) for step in value]
-    else:
-        items = [
-            text(item) if (text := scalars.get(type(item))) else _json_text(item, inner)
-            for item in value
-        ]
-    items[0] = brackets[0] + opening + items[0]
-    items[-1] += closing + brackets[1]
-    return separator.join(items)
+_LIST, _OBJECT = _layouts("[", "]"), _layouts("{", "}")
 
 
-def _template(blocks: dict, depth: int = 0) -> str:
+def _list(texts: list[str], depth: int | None, layouts: dict = _LIST) -> str:
+    """``texts`` as the items of a JSON list, or object with ``_OBJECT``, at
+    ``depth``. The brackets ride on the end items: the join is the only copy."""
+    opening, separator, closing = layouts[depth]
+    if not texts:
+        return opening[0] + closing[-1]
+    texts[0] = opening + texts[0]
+    texts[-1] += closing
+    return separator.join(texts)
+
+
+def _object(keys, texts, depth: int | None) -> str:
+    """A JSON object of the text ``keys`` and their value ``texts``."""
+    return _list([f"{_quote(key)}: {text}" for key, text in zip(keys, texts)], depth, _OBJECT)
+
+
+def _template(blocks: dict, depth: int | None = 0) -> str:
     """A JSON object at nesting ``depth``: a ``%s`` slot for a value of None, an
     object of slots for a tuple of field names. A field name quoted is its JSON."""
-    _, opening, separator, closing = _layout(depth)
-    items = (
+    items = [
         f'"{key}": ' + ("%s" if fields is None else _template(dict.fromkeys(fields), depth + 1))
         for key, fields in blocks.items()
-    )
-    return "{" + opening + separator.join(items) + closing + "}"
+    ]
+    return _list(items, depth, _OBJECT)
 
 
 def _float_fields(record) -> list[str]:
     """The JSON text of each field of a game config, region report or hedging
-    summary: they hold no int field, so a plain ``int`` there stands for a float."""
-    scalars = _SCALAR_TEXT
-    return [(_jnum_text if type(v) is int else scalars.get(type(v), _json_text))(v) for v in record]
+    summary: they hold no int field, so any value but a bool or text is a float."""
+    return [
+        _bool_text(v) if type(v) is bool else _quote(v) if type(v) is str else _jnum_text(v)
+        for v in record
+    ]
 
 
 # The fixed blocks are written out; the rest are one slot each.
@@ -219,52 +190,74 @@ _HEDGING_JSON = _template({
     **dict.fromkeys((*GAME_RANGES, "max_steps", "tolerance", "hesitation", "steps")),
     "summary": HedgingSummary._fields,
 }) + "\n"
+_FRAME_JSON = _template(dict.fromkeys(
+    ("reflexive", "symmetric", "transitive", "witness", "summary"))) + "\n"
+# A hedging step, a sweep row's labels, and a dialogue step in the report
+# (depth 2) and as a JSON line (None).
+_HEDGING_STEP_JSON = _template(dict.fromkeys(HedgingStep._fields), 2)
+*_SWEEP_JSON_LABELS, _SWEEP_JSON_END = _template(dict.fromkeys(SweepRow._fields), 1).split("%s")
+_DIALOGUE_JSON = {d: _template(dict.fromkeys(("time", "signal", "live", "posterior")), d)
+                  for d in (2, None)}
 
 
-def model_payload(model: WorldModel) -> dict:
-    payload = {
-        "agents": model.agents,
-        "worlds": model.worlds,
-        "partitions": {
-            agent: [model.sort_worlds(cell) for cell in cells]
-            for agent, cells in model.partitions.items()
-        },
-        "valuation": {key: model.sort_worlds(worlds) for key, worlds in model.valuation.items()},
+def _worlds_json(model: WorldModel, worlds, depth: int | None) -> str:
+    """A world subset as a JSON list in the model's world order."""
+    return _list([_quote(w) for w in model.worlds if w in worlds], depth)
+
+
+def _model_json(model: WorldModel) -> str:
+    """The model block, with the pooling provenance it has."""
+    blocks = {
+        "agents": _list(list(map(_quote, model.agents)), 2),
+        "worlds": _list(list(map(_quote, model.worlds)), 2),
+        "partitions": _object(model.partitions, [
+            _list([_worlds_json(model, cell, 4) for cell in cells], 3)
+            for cells in model.partitions.values()
+        ], 2),
+        "valuation": _object(model.valuation, [
+            _worlds_json(model, worlds, 3) for worlds in model.valuation.values()
+        ], 2),
     }
     if model.judgments is not None:
-        payload["judgments"] = {agent: dict(worlds) for agent, worlds in model.judgments.items()}
+        blocks["judgments"] = _object(model.judgments, [
+            _object(judged, map(_quote, judged.values()), 3)
+            for judged in model.judgments.values()
+        ], 2)
     if model.members is not None:
-        payload["members"] = dict(model.members)
-    return payload
+        blocks["members"] = _object(model.members, [
+            _list(list(map(str, states)), 3) for states in model.members.values()
+        ], 2)
+    return _object(blocks, blocks.values(), 1)
 
 
-def _dialogue_record(step: DialogueStep) -> dict:
-    return {
-        "time": step.time,
-        "signal": None if step.signal is None else step.signal.text,
-        "live": step.live,
-        "posterior": dict(step.posterior),
-    }
+def _dialogue_json(step: DialogueStep, depth: int | None) -> str:
+    """A dialogue step as a JSON object at nesting ``depth``; ``None`` is one line."""
+    inner = None if depth is None else depth + 1
+    return _DIALOGUE_JSON[depth] % (
+        step.time, "null" if step.signal is None else _quote(step.signal.text),
+        _list(list(map(_quote, step.live)), inner),
+        _object(step.posterior, map(_jnum_text, step.posterior.values()), inner),
+    )
 
 
 def render_report_json(report: RunReport) -> str:
     scenario, model, hedging = report.scenario, report.model, report.hedging
-    last = hedging.steps[-1]
+    flips, posterior, last = scenario.series.flips, report.posterior, hedging.steps[-1]
     return _REPORT_JSON % (
-        _json_text(scenario.canonical), _json_text(scenario.series.n),
-        _json_text(dict(scenario.series.flips), 2), *_float_fields(scenario.config),
-        _json_text(scenario.speaker), _json_text(scenario.world), _json_text(scenario.steps),
+        _bool_text(scenario.canonical), scenario.series.n,
+        _object(flips, map(str, flips.values()), 2), *_float_fields(scenario.config),
+        _quote(scenario.speaker), _quote(scenario.world), scenario.steps,
         _jnum_text(scenario.tolerance),
-        _json_text(model_payload(model), 1),
-        _json_text(report.signal.text),
-        _json_text([_dialogue_record(step) for step in report.dialogue], 1),
-        _json_text(dict(report.posterior), 1),
+        _model_json(model),
+        _quote(report.signal.text),
+        _list([_dialogue_json(step, 2) for step in report.dialogue], 1),
+        _object(posterior, map(_jnum_text, posterior.values()), 1),
         *_float_fields(report.region),
-        _json_text(hedging.max_steps), _jnum_text(hedging.tolerance),
+        hedging.max_steps, _jnum_text(hedging.tolerance),
         *_float_fields(hedging.summary), _jnum_text(last.eu_a), _jnum_text(last.eu_b),
-        _json_text(model.sort_worlds(report.public_belief_proposition), 2),
-        _json_text(model.sort_worlds(report.public_belief_worlds), 2),
-        _json_text(report.public_belief),
+        _worlds_json(model, report.public_belief_proposition, 2),
+        _worlds_json(model, report.public_belief_worlds, 2),
+        _bool_text(report.public_belief),
     )
 
 
@@ -280,7 +273,7 @@ def render_report_csv(report: RunReport) -> str:
 
 def render_dialogue_jsonl(report: RunReport) -> str:
     """The dialogue trace as JSON lines: one record per step."""
-    return "".join(_json_text(_dialogue_record(step), None) + "\n" for step in report.dialogue)
+    return "".join(_dialogue_json(step, None) + "\n" for step in report.dialogue)
 
 
 def render_sweep_csv(rows: list[SweepRow]) -> str:
@@ -289,7 +282,8 @@ def render_sweep_csv(rows: list[SweepRow]) -> str:
 
 
 def render_sweep_json(rows: list[SweepRow]) -> str:
-    return _json_text(rows) + "\n"
+    # The lines are freed once joined, before the newline's copy.
+    return _list(_sweep_lines(rows, _SWEEP_JSON_LABELS, _SWEEP_JSON_END, json=True), 0) + "\n"
 
 
 def render_hedging_csv(trace: HedgingTrace) -> str:
@@ -300,8 +294,10 @@ def render_hedging_csv(trace: HedgingTrace) -> str:
 def render_hedging_json(trace: HedgingTrace) -> str:
     """The game, the run settings, the steps and the summary."""
     return _HEDGING_JSON % (
-        *_float_fields(trace.config), _json_text(trace.max_steps), _jnum_text(trace.tolerance),
-        _jnum_text(HESITATION), _json_text(trace.steps, 1), *_float_fields(trace.summary),
+        *_float_fields(trace.config), trace.max_steps, _jnum_text(trace.tolerance),
+        _jnum_text(HESITATION),
+        _list([_HEDGING_STEP_JSON % _step_json(step) for step in trace.steps], 1),
+        *_float_fields(trace.summary),
     )
 
 
@@ -313,4 +309,5 @@ def render_frame_csv(frame: FrameReport) -> str:
 
 
 def render_frame_json(frame: FrameReport) -> str:
-    return _json_text({**frame._asdict(), "summary": frame.summary()}) + "\n"
+    witness = "null" if frame.witness is None else _list(list(map(_quote, frame.witness)), 1)
+    return _FRAME_JSON % (*map(_bool_text, frame[:3]), witness, _quote(frame.summary()))

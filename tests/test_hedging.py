@@ -72,6 +72,28 @@ def test_pair_sums_descend_toward_one():
         assert abs(sums[n] - 1.0) <= 1e-2
 
 
+# The pair of doubles the recurrence settles on: f(n) alternates between
+# them from n = 50 on, and each step's (speaker, listener) pair is this one
+# from step 51 on.
+FIXED_PAIR = (0.5915936234817635, 0.4084063765182366)
+
+
+def test_the_recurrence_settles_on_the_fixed_pair():
+    f = propensity_sequence(100_000)
+    assert f[49] != FIXED_PAIR[1]
+    assert all(value == FIXED_PAIR[n % 2] for n, value in enumerate(f[50:], start=50))
+    steps = run_hedging(GameConfig(delta=0.7, gamma=0.2), max_steps=200).steps
+    pairs = [(step.p_speaker_a, step.p_listener_a) for step in steps]
+    assert pairs[50] != FIXED_PAIR
+    assert set(pairs[51:]) == {FIXED_PAIR}
+
+
+def test_step_52_is_the_first_step_equal_to_its_predecessor():
+    steps = run_hedging(GameConfig(delta=0.7, gamma=0.2), max_steps=200).steps
+    repeats = [step.n for previous, step in zip(steps, steps[1:]) if step[1:] == previous[1:]]
+    assert repeats[0] == 52
+
+
 def test_propensity_rejects_bad_arguments():
     with pytest.raises(ValueError):
         propensities_at_step(-1)

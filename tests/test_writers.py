@@ -1,4 +1,4 @@
-"""The JSON writer against ``json.dumps``, the record writers on any
+"""The JSON writers against ``json.dumps``, the record writers on any
 floats, the report writers on random runs, JSON float text, and digests of
 reports from non-canonical scenarios."""
 
@@ -22,10 +22,9 @@ from hedgesim.game import GameConfig, SweepRow, grid, threshold_sweep
 from hedgesim.hedging import HedgingStep, run_hedging
 from hedgesim.scenario_io import Scenario, load_scenario, run_scenario
 from hedgesim.semantics import FrameReport, check_frame
-from hedgesim.worlds import SoritesSeries, pool_states, world_pools
+from hedgesim.worlds import SoritesSeries, WorldModel, pool_states, world_pools
 from hedgesim.writers import (
     _jnum_text,
-    _json_text,
     render_dialogue_jsonl,
     render_frame_csv,
     render_frame_json,
@@ -99,26 +98,17 @@ class Share(float):
 
 
 texts = st.text() | st.text().map(Label)
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-(2**64), 2**64) | finite_floats | texts
-    | st.integers(-(2**64), 2**64).map(Count) | finite_floats.map(Share),
-    lambda children: (
-        st.lists(children)
-        | st.lists(children).map(tuple)
-        | st.dictionaries(texts, children)
-    ),
-    max_leaves=40,
-)
 
 
 @settings(deadline=None)
-@given(json_values)
-@example(("w\u00e9", 1, 2.0, None, True, ("x",), {}))
-@example({Label("k\u00fc"): (Label("v\n"), Count(7), Share(0.5)), "": []})
-@example(Label('a "quoted" \\ label'))
-def test_json_text_equals_json_dumps(value):
-    assert _json_text(value) == json.dumps(rounded(value), indent=2)
-    assert _json_text(value, None) == json.dumps(rounded(value))
+@given(st.tuples(st.booleans(), st.booleans(), st.booleans()),
+       st.none() | st.tuples(texts, texts, texts))
+@example((True, False, True), ("w\u00e9", Label("k\u00fc"), "v\n"))
+@example((False, True, False), (Label('a "quoted" \\ label'), "", "\u65e5"))
+def test_frame_json_equals_json_dumps_on_any_labels(flags, witness):
+    frame = FrameReport(*flags, witness)
+    payload = {**frame._asdict(), "summary": frame.summary()}
+    assert render_frame_json(frame) == json.dumps(payload, indent=2) + "\n"
 
 
 def hedging_payload(trace) -> dict:
@@ -145,7 +135,6 @@ def test_sweep_json_equals_json_dumps(delta_steps, gamma_steps, tau):
     rows = threshold_sweep(grid(delta_steps), grid(gamma_steps), tau=tau)
     records = [row._asdict() for row in rows]
     assert render_sweep_json(rows) == dumps(records)
-    assert _json_text(rows, None) == json.dumps(rounded(records))
 
 
 def test_empty_sweep_json_equals_json_dumps():
@@ -207,7 +196,6 @@ def test_sweep_writers_on_any_floats(rows):
     assert render_sweep_csv(rows) == csv_text(rows)
     objects = [row._asdict() for row in rows]
     assert render_sweep_json(rows) == dumps(objects)
-    assert _json_text(rows, None) == json.dumps(rounded(objects))
 
 
 # Floats where a text memo can go wrong: signed zeros are equal keys with
@@ -240,7 +228,6 @@ def test_sweep_writers_on_shared_floats(rows):
     if all(map(math.isfinite, itertools.chain.from_iterable(row[:7] for row in rows))):
         objects = [row._asdict() for row in rows]
         assert render_sweep_json(rows) == dumps(objects)
-        assert _json_text(rows, None) == json.dumps(rounded(objects))
     else:
         with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
             render_sweep_json(rows)
@@ -464,13 +451,16 @@ def report_payload(report) -> dict:
 
 
 # Agent labels, non-ASCII ones among them, and parameters that are whole
-# numbers, given as floats or as ints.
+# numbers, given as floats or as ints; labels, counts and tolerances are
+# sometimes of a subclass of their type.
 agent_labels = st.sampled_from(
     ("S", "L", "\u00dc", "caf\u00e9", "\u65e5\u672c", "\U0001f600", 'a "b"')
 )
+agent_labels |= agent_labels.map(Label)
 whole_zero = st.sampled_from((0, 0.0))
 tolerances = st.one_of(
     st.floats(min_value=1e-300, max_value=1e300),
+    st.floats(min_value=1e-300, max_value=1e300).map(Share),
     st.integers(1, 10**15),
     st.integers(1, 10**15).map(float),
 )
@@ -478,10 +468,13 @@ tolerances = st.one_of(
 
 @st.composite
 def run_reports(draw):
-    """Reports of runs over two-agent pooled marches."""
-    n = draw(st.integers(3, 12))
+    """Reports of runs over two-agent pooled marches, some with the model
+    stripped of its pooling provenance, as a hand-built model has none."""
+    counts = st.sampled_from((int, Count))
+    n = draw(counts)(draw(st.integers(3, 12)))
     agents = draw(st.lists(agent_labels, min_size=2, max_size=2, unique=True))
-    series = SoritesSeries(n, {agent: draw(st.integers(2, n)) for agent in agents})
+    flips = {agent: draw(counts)(draw(st.integers(2, n))) for agent in agents}
+    series = SoritesSeries(n, flips)
     config = GameConfig(
         delta=draw(st.one_of(st.sampled_from((0.25, 0.5, 0.7)), deltas)),
         gamma=draw(whole_zero | gammas),
@@ -497,9 +490,13 @@ def run_reports(draw):
         tolerance=draw(tolerances),
     )
     try:
-        return run_scenario(scenario)
+        report = run_scenario(scenario)
     except UnexpectedSignalError:  # epsilon 0 can leave the signal no chance
         assume(False)
+    if draw(st.booleans()):
+        model = dataclasses.replace(report.model, judgments=None, members=None)
+        report = dataclasses.replace(report, model=model)
+    return report
 
 
 @settings(deadline=None, max_examples=200)
@@ -509,6 +506,23 @@ def test_report_writers_equal_json_dumps(report):
     assert render_dialogue_jsonl(report) == "".join(
         json.dumps(rounded(dialogue_record(step))) + "\n" for step in report.dialogue
     )
+
+
+def test_report_writers_sort_no_worlds(monkeypatch):
+    """The report JSON and JSON lines list each world subset by filtering
+    the model's worlds, never through ``WorldModel.sort_worlds``."""
+    calls = collections.Counter()
+    sort_worlds = WorldModel.sort_worlds
+
+    def counted(model, worlds):
+        calls["sort_worlds"] += 1
+        return sort_worlds(model, worlds)
+
+    monkeypatch.setattr(WorldModel, "sort_worlds", counted)
+    for path in sorted(DATA_DIR.glob("*.scn")):
+        report = run_scenario(load_scenario(path))
+        assert render_report_json(report) and render_dialogue_jsonl(report)
+    assert not calls, calls
 
 
 def render_all(path: Path) -> dict[str, str]:
