@@ -13,10 +13,9 @@ hold, and so give a heard negative hedge zero probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from collections import namedtuple
 
-from .game import GAME_RANGES, check_parameter
+from .game import GAME_RANGES, Checked, check_parameter
 from .semantics import STRENGTH_ORDER, Formula, extension
 from .worlds import WorldModel
 
@@ -33,15 +32,12 @@ class NoAssertableSignalError(ValueError):
     """No sentence the rule tries is true where it must be."""
 
 
-@dataclass(frozen=True)
-class CommonGround:
-    """The live worlds at conversation step ``time``, in model world order."""
+class CommonGround(Checked, namedtuple("CommonGround", "time live model")):
+    """The live worlds of ``model`` at conversation step ``time``, in its world order."""
 
-    time: int
-    live: tuple[str, ...]
-    model: WorldModel
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _checked(self) -> CommonGround:
         if self.time < 0:
             raise ValueError(f"time must be non-negative, got {self.time!r}")
         if not self.live:
@@ -50,6 +46,7 @@ class CommonGround:
             raise ValueError("duplicate worlds in common ground")
         for world in self.live:
             self.model.index(world)
+        return self
 
 
 def initial_common_ground(model: WorldModel) -> CommonGround:
@@ -92,24 +89,22 @@ def speaker_signal(model: WorldModel, speaker: str, world: str) -> Formula:
     )
 
 
-@dataclass(frozen=True)
-class SignalLikelihoods:
+class SignalLikelihoods(Checked, namedtuple("SignalLikelihoods", "designated epsilon")):
     """Per-world sending probabilities over the signals live in a common ground.
 
     ``designated`` maps each live world to the signal the listener imagines
-    sent there; the designated signals are the live ones. Row rule: the
-    designated signal carries 1 - epsilon and the other live signals split
-    epsilon evenly; with a single live signal the row is degenerate at 1.
-    Every row sums to 1, and off the live worlds and signals the probability
-    is 0.
+    sent there, and is kept as a copy; the designated signals are the live
+    ones. Row rule: the designated signal carries 1 - epsilon and the other
+    live signals split epsilon evenly; with a single live signal the row is
+    degenerate at 1. Every row sums to 1, and off the live worlds and
+    signals the probability is 0.
     """
 
-    designated: Mapping[str, Formula]
-    epsilon: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _checked(self) -> SignalLikelihoods:
         check_parameter(GAME_RANGES, "epsilon", self.epsilon)
-        object.__setattr__(self, "designated", dict(self.designated))
+        return tuple.__new__(type(self), (dict(self.designated), self.epsilon))
 
     @classmethod
     def for_common_ground(

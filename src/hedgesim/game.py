@@ -6,7 +6,8 @@ the action. The prior over the three pooled worlds is driven by two
 numbers: gamma, the chance the two sides judge the vague matter differently,
 and delta, which splits the remaining mass between the two unanimous worlds.
 Player labels are roles: "S" sends the signal, "L" receives it. Records
-are named tuples, so ``sweep`` and ``hedge`` load no ``dataclasses``.
+are named tuples, as in every hedgesim module; :class:`Checked` is the one
+way a record checks its values.
 """
 
 from __future__ import annotations
@@ -74,18 +75,10 @@ def check_parameter(ranges: Mapping[str, tuple], name: str, value):
     return value
 
 
-class GameConfig(namedtuple("GameConfig", GAME_RANGES, defaults=(DEFAULT_TAU, DEFAULT_EPSILON))):
-    """Game parameters, a named tuple whose fields are the ``GAME_RANGES`` keys.
-
-    delta: split of the unanimous mass toward the all-q world, strictly
-    inside (0, 1) (either endpoint would delete a world from the game).
-    gamma: chance of a split judgment, in [0, 1).
-    tau: tipping threshold a coordinated outcome must clear, in (0, 1).
-    epsilon: listener-side signal noise, in [0, 0.5).
-    A delta so small that tau/delta overflows is rejected too: the gamma
-    bound 1 - tau/delta of :func:`equilibrium_region` would not be a number.
-    Construction, ``_make`` and ``_replace`` all run these checks.
-    """
+class Checked:
+    """Mixed in ahead of a named tuple, it makes construction, ``_make`` and
+    ``_replace`` all run the record's ``_checked``, which raises on a bad
+    value and returns the record to keep: itself, or a normalised copy."""
 
     __slots__ = ()
 
@@ -96,6 +89,23 @@ class GameConfig(namedtuple("GameConfig", GAME_RANGES, defaults=(DEFAULT_TAU, DE
     def _make(cls, iterable):
         # ``_replace`` builds through ``_make``, which skips ``__new__``.
         return super()._make(iterable)._checked()
+
+
+class GameConfig(
+    Checked, namedtuple("GameConfig", GAME_RANGES, defaults=(DEFAULT_TAU, DEFAULT_EPSILON))
+):
+    """Game parameters, a named tuple whose fields are the ``GAME_RANGES`` keys.
+
+    delta: split of the unanimous mass toward the all-q world, strictly
+    inside (0, 1) (either endpoint would delete a world from the game).
+    gamma: chance of a split judgment, in [0, 1).
+    tau: tipping threshold a coordinated outcome must clear, in (0, 1).
+    epsilon: listener-side signal noise, in [0, 0.5).
+    A delta so small that tau/delta overflows is rejected too: the gamma
+    bound 1 - tau/delta of :func:`equilibrium_region` would not be a number.
+    """
+
+    __slots__ = ()
 
     def _checked(self) -> GameConfig:
         for name, value in zip(GAME_RANGES, self):

@@ -34,8 +34,8 @@ same objects, not wrappers); everything else is imported from ``writers``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from collections import namedtuple
+from collections.abc import Callable, Mapping
 
 from .assertion import (
     SignalLikelihoods,
@@ -48,7 +48,6 @@ from .assertion import (
 from .game import (
     GAME_RANGES,
     GameConfig,
-    RegionReport,
     check_parameter,
     equilibrium_region,
     parse_number,
@@ -57,24 +56,22 @@ from .hedging import (
     DEFAULT_STEPS,
     DEFAULT_TOLERANCE,
     HEDGING_RANGES,
-    HedgingTrace,
     run_hedging,
 )
-from .semantics import Formula, extension
+from .semantics import extension
 from .worlds import (
     CANONICAL_FLIPS,
     CANONICAL_N,
     SoritesSeries,
-    WorldModel,
     check_flip,
     check_states,
     common_belief,
     pool_states,
     world_pools,
 )
+from .writers import _SCENARIO_KEYS
 # The render_* names are the writers the benchmark reads through this module.
 from .writers import (  # noqa: F401  (re-exported)
-    _SCENARIO_KEYS,
     render_dialogue_jsonl,
     render_hedging_csv,
     render_hedging_json,
@@ -96,17 +93,14 @@ class ReportAuditError(RuntimeError):
     """A run report failed its internal consistency audit."""
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """A parsed scenario: the march, the game parameters, and the run plan."""
+class Scenario(namedtuple(
+    "Scenario", "series canonical config speaker world steps tolerance",
+    defaults=(DEFAULT_STEPS, DEFAULT_TOLERANCE),
+)):
+    """A parsed scenario: the ``SoritesSeries`` and whether it is the
+    canonical one, the ``GameConfig``, and the run plan."""
 
-    series: SoritesSeries
-    canonical: bool
-    config: GameConfig
-    speaker: str
-    world: str
-    steps: int = DEFAULT_STEPS
-    tolerance: float = DEFAULT_TOLERANCE
+    __slots__ = ()
 
 
 _FIXED_KEYS = {"series": ("n", "canonical"), **_SCENARIO_KEYS}
@@ -254,30 +248,25 @@ def load_scenario(path) -> Scenario:
         return parse_scenario(handle.read())
 
 
-@dataclass(frozen=True)
-class DialogueStep:
-    """One conversation step: what was said and where belief stands after it."""
+class DialogueStep(namedtuple("DialogueStep", "time signal live posterior")):
+    """One conversation step: what was said (a ``Formula``, None before the
+    first assertion) and where belief stands after it."""
 
-    time: int
-    signal: Formula | None
-    live: tuple[str, ...]
-    posterior: Mapping[str, float]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """Everything a single end-to-end run produced."""
+class RunReport(namedtuple(
+    "RunReport",
+    "scenario model signal dialogue posterior region hedging "
+    "public_belief_proposition public_belief_worlds public_belief",
+)):
+    """Everything a single end-to-end run produced: the ``Scenario``, the
+    pooled ``WorldModel``, the ``Formula`` asserted, the ``DialogueStep``
+    tuple, the listener posterior, the ``RegionReport``, the
+    ``HedgingTrace``, and the public-belief proposition, the worlds where it
+    is public, and whether there are any."""
 
-    scenario: Scenario
-    model: WorldModel
-    signal: Formula
-    dialogue: tuple[DialogueStep, ...]
-    posterior: Mapping[str, float]
-    region: RegionReport
-    hedging: HedgingTrace
-    public_belief_proposition: frozenset[str]
-    public_belief_worlds: frozenset[str]
-    public_belief: bool
+    __slots__ = ()
 
 
 def run_scenario(scenario: Scenario) -> RunReport:

@@ -9,56 +9,52 @@ builds nothing; :func:`evaluate` is the per-world oracle behind it.
 
 from __future__ import annotations
 
-import enum
-from typing import NamedTuple
+from collections import namedtuple
 
 from .worlds import NOT_PHI, PHI, WorldModel, accessible
 
 
-class TruthValue(enum.Enum):
+class TruthValue:
+    """The three values :func:`evaluate` returns."""
+
     TRUE = "true"
     FALSE = "false"
     GAP = "gap"
 
 
-class Formula(enum.Enum):
-    """The assertable sentences, strongest first.
+class Formula:
+    """An assertable sentence: one of the four constants below.
 
-    Bare atoms outrank might-sentences: a speaker confident enough for the
-    atom would never fall back to the hedge, so hearers read the hedge as
-    meaningful. Member order is the strength order.
+    Each carries its ``text``, whether it ``is_modal``, and its ``atom``:
+    the bare atom under the modal, itself for an atom.
     """
 
-    PHI = PHI
-    NOT_PHI = NOT_PHI
-    MIGHT_PHI = "might " + PHI
-    MIGHT_NOT_PHI = "might " + NOT_PHI
+    __slots__ = ("text", "is_modal", "atom")
 
-    @property
-    def text(self) -> str:
-        return self.value
+    def __init__(self, text: str, atom: Formula | None = None):
+        self.text = text
+        self.is_modal = atom is not None
+        self.atom = self if atom is None else atom
 
-    @property
-    def is_modal(self) -> bool:
-        return self in (Formula.MIGHT_PHI, Formula.MIGHT_NOT_PHI)
+    def __repr__(self) -> str:
+        return f"<Formula {self.text!r}>"
 
-    @property
-    def atom(self) -> "Formula":
-        """The bare atom under the modal; identity for atoms."""
-        if self is Formula.MIGHT_PHI:
-            return Formula.PHI
-        if self is Formula.MIGHT_NOT_PHI:
-            return Formula.NOT_PHI
-        return self
+    def __reduce__(self) -> str:
+        # The constant's name, so ``copy`` and ``pickle`` hand back the constant.
+        return "Formula." + self.text.upper().replace(" ", "_")
 
 
-#: All formulas in decreasing strength.
-STRENGTH_ORDER: tuple[Formula, ...] = tuple(Formula)
+Formula.PHI = Formula(PHI)
+Formula.NOT_PHI = Formula(NOT_PHI)
+Formula.MIGHT_PHI = Formula("might " + PHI, Formula.PHI)
+Formula.MIGHT_NOT_PHI = Formula("might " + NOT_PHI, Formula.NOT_PHI)
 
-#: Where each formula's extension lives on a model: whether it is modal (a
-#: might-set) or not (a valuation), and its atom key. One lookup here costs
-#: less than the enum properties it stands for.
-_EXTENSION_KEY = {formula: (formula.is_modal, formula.atom.text) for formula in Formula}
+#: All formulas in decreasing strength. Bare atoms outrank might-sentences:
+#: a speaker confident enough for the atom would never fall back to the
+#: hedge, so hearers read the hedge as meaningful.
+STRENGTH_ORDER: tuple[Formula, ...] = (
+    Formula.PHI, Formula.NOT_PHI, Formula.MIGHT_PHI, Formula.MIGHT_NOT_PHI
+)
 
 
 def evaluate(model: WorldModel, formula: Formula, world: str) -> TruthValue:
@@ -88,19 +84,15 @@ def extension(model: WorldModel, formula: Formula) -> frozenset[str]:
     with the model. Either way the result is one of the model's own sets.
     :func:`evaluate` is the per-world definition checked against it.
     """
-    modal, key = _EXTENSION_KEY[formula]
-    return (model.might if modal else model.valuation)[key]
+    return (model.might if formula.is_modal else model.valuation)[formula.atom.text]
 
 
-class FrameReport(NamedTuple):
-    """Frame properties of the accessibility relation, with a witness triple
-    (u, v, x) such that u reaches v and v reaches x but u does not reach x
-    whenever transitivity fails."""
+class FrameReport(namedtuple("FrameReport", "reflexive symmetric transitive witness")):
+    """Frame properties of the accessibility relation: three flags, and a
+    witness triple (u, v, x) such that u reaches v and v reaches x but u does
+    not reach x whenever transitivity fails, else None."""
 
-    reflexive: bool
-    symmetric: bool
-    transitive: bool
-    witness: tuple[str, str, str] | None
+    __slots__ = ()
 
     def summary(self) -> str:
         parts = [

@@ -7,12 +7,15 @@ and induces one partition per agent from that agent's judgment pattern.
 The doxastic operators (thinks, everyone-thinks, common belief) and the
 accessibility relation between worlds live here. A model also holds, for
 each atom, the worlds where "might" that atom is true, built once with it.
+Both records are named tuples that check their values with ``game.Checked``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
+
+from .game import Checked
 
 Q = "q"
 QBAR = "qbar"
@@ -49,25 +52,24 @@ def check_flip(agent: str, flip: int, n: int) -> None:
         raise InvalidSeriesError(f"flip.{agent} must be in [2, {n}], got {flip!r}")
 
 
-@dataclass(frozen=True)
-class SoritesSeries:
+class SoritesSeries(Checked, namedtuple("SoritesSeries", "n flips")):
     """A forced march over states 1..n with one flip index per agent.
 
-    An agent judges q strictly before its flip index and qbar from the flip
+    ``flips`` maps each agent to its flip index and is kept as a copy. An
+    agent judges q strictly before its flip index and qbar from the flip
     index on, so per-agent judgments are monotone along the series. Flips
     must lie in [2, n]: everyone judges q at state 1 and qbar at state n.
     """
 
-    n: int
-    flips: Mapping[str, int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _checked(self) -> SoritesSeries:
         check_states(self.n)
         if not self.flips:
             raise InvalidSeriesError("at least one flip.<agent> is required")
         for agent, flip in self.flips.items():
             check_flip(agent, flip, self.n)
-        object.__setattr__(self, "flips", dict(self.flips))
+        return tuple.__new__(type(self), (self.n, dict(self.flips)))
 
     @property
     def agents(self) -> tuple[str, ...]:
@@ -92,8 +94,9 @@ class SoritesSeries:
         return tuple(self.judgment(agent, t) for agent in self.agents)
 
 
-@dataclass(frozen=True)
-class WorldModel:
+class WorldModel(Checked, namedtuple(
+    "WorldModel", "agents worlds partitions valuation judgments members might"
+)):
     """Worlds, one partition per agent, and extensions for the two atoms.
 
     ``valuation`` maps the atom keys :data:`PHI` / :data:`NOT_PHI` to the
@@ -103,19 +106,24 @@ class WorldModel:
     world pools.
     ``might`` is derived, not passed: for each atom key, the union of the
     agents' cells that meet the atom, that is, where ``might`` the atom is
-    true. It is built once after validation (so ``dataclasses.replace``
-    rebuilds it) and takes no part in equality.
+    true. The checks build it, so ``_make`` and ``_replace`` rebuild it from
+    the other fields; being derived from them, it adds nothing to equality.
     """
 
-    agents: tuple[str, ...]
-    worlds: tuple[str, ...]
-    partitions: Mapping[str, tuple[frozenset[str], ...]]
-    valuation: Mapping[str, frozenset[str]]
-    judgments: Mapping[str, Mapping[str, str]] | None = None
-    members: Mapping[str, tuple[int, ...]] | None = None
-    might: Mapping[str, frozenset[str]] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls,
+        agents: tuple[str, ...],
+        worlds: tuple[str, ...],
+        partitions: Mapping[str, tuple[frozenset[str], ...]],
+        valuation: Mapping[str, frozenset[str]],
+        judgments: Mapping[str, Mapping[str, str]] | None = None,
+        members: Mapping[str, tuple[int, ...]] | None = None,
+    ) -> WorldModel:
+        return super().__new__(cls, agents, worlds, partitions, valuation, judgments, members, None)
+
+    def _checked(self) -> WorldModel:
         if not self.worlds:
             raise ValueError("model needs at least one world")
         if len(set(self.worlds)) != len(self.worlds):
@@ -135,19 +143,22 @@ class WorldModel:
                 seen |= cell
             if seen != everything:
                 raise ValueError(f"partition for agent {agent!r} does not cover the world set")
-        object.__setattr__(self, "valuation", {k: frozenset(v) for k, v in self.valuation.items()})
+        valuation = {k: frozenset(v) for k, v in self.valuation.items()}
         for key in (PHI, NOT_PHI):
-            if key not in self.valuation:
+            if key not in valuation:
                 raise ValueError(f"valuation must assign {key!r}")
-            if not self.valuation[key] <= everything:
+            if not valuation[key] <= everything:
                 raise ValueError(f"valuation of {key!r} mentions unknown worlds")
-        if self.valuation[PHI] & self.valuation[NOT_PHI]:
+        if valuation[PHI] & valuation[NOT_PHI]:
             raise ValueError("atom extensions overlap (a gap is permitted, overlap is not)")
         every_cell = [cell for cells in self.partitions.values() for cell in cells]
-        object.__setattr__(self, "might", {
-            key: frozenset().union(*[c for c in every_cell if not c.isdisjoint(self.valuation[key])])
+        might = {
+            key: frozenset().union(*[c for c in every_cell if not c.isdisjoint(valuation[key])])
             for key in (PHI, NOT_PHI)
-        })
+        }
+        return tuple.__new__(type(self), (
+            self.agents, self.worlds, self.partitions, valuation, self.judgments, self.members, might
+        ))
 
     @property
     def world_set(self) -> frozenset[str]:

@@ -16,8 +16,8 @@ and no exponent is already the float's JSON text; any other float is written
 through ``_jnum_text``, which rejects non-finite values.
 
 The writers need only the record types of ``game`` and ``hedging``, so
-``sweep`` and ``hedge`` load neither the world models, the scenario runner,
-``dataclasses`` nor ``typing``, and CSV output never loads ``json``.
+``sweep`` and ``hedge`` load neither the world models nor the scenario
+runner, and CSV output never loads ``json``.
 ``scenario_io`` re-exports the writers the benchmark reads there.
 """
 

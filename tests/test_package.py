@@ -12,6 +12,7 @@ import pytest
 import hedgesim
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+SCENARIO = str(Path(__file__).resolve().parent / "data" / "canonical.scn")
 SUBMODULES = ("assertion", "game", "hedging", "scenario_io", "semantics", "worlds", "writers")
 
 # The public names: the pipeline's, and the oracles the tests check it with.
@@ -34,11 +35,11 @@ REMOVED = [
 ]
 
 
-def run_python(code: str) -> str:
+def run_python(code: str, *flags: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()[-1]
@@ -85,37 +86,54 @@ print(json.dumps([loaded, listed, game.__name__, sio.__name__]))
     assert (game, sio) == ("hedgesim.game", "hedgesim.scenario_io")
 
 
-# The modules that ``dataclasses`` and ``inspect`` bring in, which the cold
-# commands must not load at all, and ``typing``, which they may load only
+# The modules that ``dataclasses`` and ``inspect`` bring in, which no
+# command may load at all, and ``typing``, which a command may load only
 # where the interpreter's own start-up does (this ``site`` may).
 HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 TYPING = {"typing", "_typing"}
 # What ``json`` brings in, which only a JSON render may load.
 JSON = {"json", "json.decoder", "json.scanner", "json.encoder", "_json"}
 PRINT_MODULES = "print(' '.join(sorted(sys.modules)))"
+# The modules ``sweep`` and ``hedge`` run on, and the rest of the package,
+# which the commands that read a scenario also load.
+COLD = {"hedgesim", "hedgesim.cli", "hedgesim.game", "hedgesim.hedging", "hedgesim.writers"}
+EVERY = COLD | {f"hedgesim.{name}" for name in ("assertion", "scenario_io", "semantics", "worlds")}
 
 
 @pytest.mark.parametrize(
-    "arguments",
+    "arguments, modules",
     [
-        ["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "5"],
-        ["sweep", "--delta-steps", "3", "--gamma-steps", "3"],
+        (["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "5"], COLD),
+        (["sweep", "--delta-steps", "3", "--gamma-steps", "3"], COLD),
+        (["simulate", SCENARIO], EVERY),
+        (["frame-check", SCENARIO], EVERY),
     ],
-    ids=["hedge", "sweep"],
+    ids=["hedge", "sweep", "simulate", "frame-check"],
 )
-def test_hedge_and_sweep_import_only_what_they_run(tmp_path, arguments):
+def test_commands_import_only_what_they_run(tmp_path, arguments, modules):
     # Started like the command children, so it loads what start-up loads.
     baseline = set(run_python(f"import sys; {PRINT_MODULES}").split())
     assert not baseline & (HEAVY | JSON)
     for fmt in ("csv", "json"):
         argv = [*arguments, "--format", fmt, "--out", str(tmp_path / fmt)]
+        if arguments[0] == "simulate" and fmt == "json":
+            argv += ["--trace", str(tmp_path / "trace")]
         code = f"import sys\nfrom hedgesim.cli import main\nassert main({argv!r}) == 0\n{PRINT_MODULES}"
         loaded = set(run_python(code).split())
-        assert {m for m in loaded if m.startswith("hedgesim")} == {
-            "hedgesim", "hedgesim.cli", "hedgesim.game", "hedgesim.hedging", "hedgesim.writers"
-        }
+        assert {m for m in loaded if m.startswith("hedgesim")} == modules
         assert not loaded & HEAVY, fmt
         assert loaded & TYPING <= baseline, fmt
         if fmt == "csv":
             assert not loaded & JSON
         assert (tmp_path / fmt).stat().st_size > 0
+    if arguments[0] == "simulate":
+        assert (tmp_path / "trace").stat().st_size > 0
+
+
+def test_library_loads_no_record_or_enum_machinery():
+    # Without ``site`` the interpreter's start-up loads none of these, so any
+    # found here came with the package: ``dataclasses`` brings all the others
+    # but ``typing``, which brings ``re`` and ``enum``.
+    code = f"import sys, hedgesim.scenario_io, hedgesim.semantics\n{PRINT_MODULES}"
+    loaded = set(run_python(code, "-S").split())
+    assert not loaded & {"dataclasses", "inspect", "enum", "typing", "re"}

@@ -288,12 +288,7 @@ def test_a_run_calls_each_public_stage_once(name, monkeypatch):
 
 def test_audit_rejects_tampered_report():
     report = run_scenario(canonical_scenario())
-    tampered = report.__class__(
-        **{
-            **{field: getattr(report, field) for field in report.__dataclass_fields__},
-            "posterior": {"w3": 1.0},
-        }
-    )
+    tampered = report._replace(posterior={"w3": 1.0})
     with pytest.raises(ReportAuditError):
         audit_report(tampered)
 

@@ -1,4 +1,5 @@
-import dataclasses
+import copy
+import pickle
 import random
 
 import pytest
@@ -33,11 +34,9 @@ from hedgesim.worlds import (
 
 
 def test_formula_parse_and_text():
-    assert [formula.text for formula in Formula] == [
+    assert [formula.text for formula in STRENGTH_ORDER] == [
         "phi", "not phi", "might phi", "might not phi"
     ]
-    for formula in Formula:
-        assert Formula(formula.text) is formula
 
 
 def test_formula_structure():
@@ -46,6 +45,12 @@ def test_formula_structure():
     assert Formula.PHI.atom is Formula.PHI
     assert [f.is_modal for f in STRENGTH_ORDER] == [False, False, True, True]
     assert STRENGTH_ORDER[0] is Formula.PHI  # atoms outrank modals
+
+
+def test_formulas_survive_copy_and_pickle():
+    for formula in STRENGTH_ORDER:
+        assert copy.copy(formula) is copy.deepcopy(formula) is formula
+        assert pickle.loads(pickle.dumps(formula)) is formula
 
 
 # --- evaluation -------------------------------------------------------------
@@ -76,20 +81,20 @@ def test_extension_examples(canonical_model):
 @settings(deadline=None)
 @given(models)
 def test_extension_is_where_evaluate_is_true(model):
-    for formula in Formula:
+    for formula in STRENGTH_ORDER:
         true_at = {w for w in model.worlds if evaluate(model, formula, w) is TruthValue.TRUE}
         assert extension(model, formula) == true_at, formula
 
 
 @st.composite
 def replaced_models(draw):
-    """Pooled and hand-built models rebuilt by ``dataclasses.replace``, with
+    """Pooled and hand-built models rebuilt by ``_replace``, with
     their atoms swapped or a new partition per agent."""
     model = draw(models)
     if draw(st.booleans()):
         swapped = {PHI: model.valuation[NOT_PHI], NOT_PHI: model.valuation[PHI]}
-        return dataclasses.replace(model, valuation=swapped)
-    return dataclasses.replace(model, partitions=draw_partitions(draw, model.worlds, model.agents))
+        return model._replace(valuation=swapped)
+    return model._replace(partitions=draw_partitions(draw, model.worlds, model.agents))
 
 
 @settings(deadline=None)
@@ -101,13 +106,13 @@ def test_might_sets_follow_a_replaced_model(model):
 
 
 def test_replace_rebuilds_the_might_sets(canonical_model):
-    swapped = dataclasses.replace(
-        canonical_model, valuation={PHI: frozenset({"w3"}), NOT_PHI: frozenset({"w1"})}
+    swapped = canonical_model._replace(
+        valuation={PHI: frozenset({"w3"}), NOT_PHI: frozenset({"w1"})}
     )
     assert swapped.might == {PHI: {"w2", "w3"}, NOT_PHI: {"w1", "w2"}}
     singletons = tuple(frozenset({w}) for w in canonical_model.worlds)
-    fine = dataclasses.replace(
-        canonical_model, partitions=dict.fromkeys(canonical_model.agents, singletons)
+    fine = canonical_model._replace(
+        partitions=dict.fromkeys(canonical_model.agents, singletons)
     )
     assert fine.might == {PHI: {"w1"}, NOT_PHI: {"w3"}}
     assert canonical_model.might == {PHI: {"w1", "w2"}, NOT_PHI: {"w2", "w3"}}
@@ -120,8 +125,8 @@ def test_extensions_are_frozen_whatever_sets_a_model_is_given():
         partitions={"S": (frozenset({"w1"}), frozenset({"w2"}))},
         valuation={PHI: {"w1"}, NOT_PHI: set()},
     )
-    assert [extension(model, formula) for formula in Formula] == [{"w1"}, set(), {"w1"}, set()]
-    assert all(type(extension(model, formula)) is frozenset for formula in Formula)
+    assert [extension(model, formula) for formula in STRENGTH_ORDER] == [{"w1"}, set(), {"w1"}, set()]
+    assert all(type(extension(model, formula)) is frozenset for formula in STRENGTH_ORDER)
 
 
 def test_might_bivalent_random():

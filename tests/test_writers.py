@@ -3,7 +3,6 @@ floats, the report writers on random runs, JSON float text, and digests of
 reports from non-canonical scenarios."""
 
 import collections
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -359,8 +358,7 @@ def test_float_fields_given_ints_are_written_as_floats():
     def report(eu_a, pair_sum_gap):
         report = run_scenario(load_scenario(DATA_DIR / "canonical.scn"))
         summary = report.hedging.summary._replace(pair_sum_gap=pair_sum_gap)
-        return dataclasses.replace(
-            report,
+        return report._replace(
             region=report.region._replace(eu_a=eu_a),
             hedging=report.hedging._replace(summary=summary),
         )
@@ -373,9 +371,7 @@ def test_float_fields_given_ints_are_written_as_floats():
 def test_final_eus_given_ints_are_written_as_floats():
     report = run_scenario(load_scenario(DATA_DIR / "canonical.scn"))
     steps = (*report.hedging.steps[:-1], HedgingStep(report.hedging.max_steps, 1, 0, 1, 0))
-    text = render_report_json(
-        dataclasses.replace(report, hedging=report.hedging._replace(steps=steps))
-    )
+    text = render_report_json(report._replace(hedging=report.hedging._replace(steps=steps)))
     assert '"final_eu_a": 1.0' in text and '"final_eu_b": 0.0' in text
 
 
@@ -494,8 +490,7 @@ def run_reports(draw):
     except UnexpectedSignalError:  # epsilon 0 can leave the signal no chance
         assume(False)
     if draw(st.booleans()):
-        model = dataclasses.replace(report.model, judgments=None, members=None)
-        report = dataclasses.replace(report, model=model)
+        report = report._replace(model=report.model._replace(judgments=None, members=None))
     return report
 
 
