@@ -40,15 +40,7 @@ _EXPORTS = {
         "threshold_sweep",
         "world_priors",
     ),
-    "hedging": (
-        "HedgingStep",
-        "HedgingSummary",
-        "HedgingTrace",
-        "propensities_at_step",
-        "propensity_sequence",
-        "run_hedging",
-        "stepwise_eu",
-    ),
+    "hedging": ("HedgingStep", "HedgingSummary", "HedgingTrace", "run_hedging"),
     "scenario_io": (
         "ReportAuditError",
         "RunReport",
@@ -59,7 +51,7 @@ _EXPORTS = {
         "parse_scenario",
         "run_scenario",
     ),
-    "semantics": ("Formula", "FrameReport", "TruthValue", "check_frame", "evaluate", "extension"),
+    "semantics": ("Formula", "FrameReport", "check_frame", "extension"),
     "worlds": (
         "InvalidSeriesError",
         "SoritesSeries",
@@ -70,7 +62,6 @@ _EXPORTS = {
         "everyone_thinks",
         "judgment_proposition",
         "pool_states",
-        "thinks",
     ),
     "writers": (),
 }

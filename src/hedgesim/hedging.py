@@ -36,14 +36,16 @@ HESITATION = 0.5
 
 # Admissible hedging settings, in the form of ``game.GAME_RANGES``.
 HEDGING_RANGES = {
-    "step index": integer_range(0, 100_000),
     "steps": integer_range(4, 100_000),
     "tolerance": (lambda v: 0.0 < v < math.inf, "positive and finite"),
 }
 
 
 def _propensities():
-    """Yield ``propensities_at_step(n)`` for n = 0, 1, 2, ..."""
+    """Yield the (speaker, listener) propensities for action a at steps
+    n = 0, 1, 2, ...: the recurrence at the largest even and the largest odd
+    index up to n. Before any adjustment (n = 0) the listener's is 0, not a
+    recurrence value."""
     speaker, listener = 1.0, 0.0
     yield speaker, listener
     listener = HESITATION
@@ -52,42 +54,6 @@ def _propensities():
         speaker = speaker / (listener + speaker)
         yield speaker, listener
         listener = listener / (speaker + listener)
-
-
-def propensity_sequence(last: int) -> list[float]:
-    """Recurrence values for steps 0..last, with ``last`` in [0, 100000]."""
-    check_parameter(HEDGING_RANGES, "step index", last)
-    pairs = islice(_propensities(), last + 1)
-    return [pair[n % 2] for n, pair in enumerate(pairs)]
-
-
-def propensities_at_step(n: int) -> tuple[float, float]:
-    """(speaker, listener) propensities for the matching action at step ``n``.
-
-    The speaker reads the recurrence at the largest even index so far, the
-    listener at the largest odd index; before any adjustment (n = 0) the
-    listener's propensity is 0, not a recurrence value.
-    """
-    check_parameter(HEDGING_RANGES, "step index", n)
-    return next(islice(_propensities(), n, None))
-
-
-def stepwise_eu(config: GameConfig, n: int, action: str) -> float:
-    """Expected utility of an action after ``n`` adjustment steps.
-
-    The base expected utility, the same for both players, gains a correction
-    for the contested world: its prior mass gamma times the chance both sides
-    nevertheless take the action, where a match pays 1. Action-b propensities
-    are the complements of the action-a propensities at every step, so at
-    n = 0 the correction vanishes for both actions.
-    """
-    base = expected_utility(config, "S", action)
-    speaker_a, listener_a = propensities_at_step(n)
-    if action == "a":
-        speaker, listener = speaker_a, listener_a
-    else:
-        speaker, listener = 1.0 - speaker_a, 1.0 - listener_a
-    return base + config.gamma * speaker * listener
 
 
 class HedgingStep(namedtuple("HedgingStep", "n p_speaker_a p_listener_a eu_a eu_b")):
@@ -139,7 +105,8 @@ def run_hedging(
     # last pair sum. From step 1 on, each step holds the pair f(n-1), f(n).
     low_a = low_b = previous = math.inf
     descending = True
-    # Same association as stepwise_eu, so each step equals its closed form.
+    # Keep this association: the tests compare each EU exactly against a
+    # per-step oracle that computes base + gamma * speaker * listener.
     for n, (speaker, listener) in enumerate(islice(_propensities(), max_steps + 1)):
         eu_a = base_a + gamma * speaker * listener
         eu_b = base_b + gamma * (1.0 - speaker) * (1.0 - listener)

@@ -4,7 +4,7 @@ The repertoire is closed: a positive atom, its negation, and an epistemic
 "might" over either. Atoms can be gappy at contested worlds; might-sentences
 quantify existentially over accessible worlds and are always bivalent.
 Each sentence's extension is a set the model already holds, so reading it
-builds nothing; :func:`evaluate` is the per-world oracle behind it.
+builds nothing.
 """
 
 from __future__ import annotations
@@ -12,14 +12,6 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .worlds import NOT_PHI, PHI, WorldModel, accessible
-
-
-class TruthValue:
-    """The three values :func:`evaluate` returns."""
-
-    TRUE = "true"
-    FALSE = "false"
-    GAP = "gap"
 
 
 class Formula:
@@ -57,32 +49,12 @@ STRENGTH_ORDER: tuple[Formula, ...] = (
 )
 
 
-def evaluate(model: WorldModel, formula: Formula, world: str) -> TruthValue:
-    """Three-valued for atoms, two-valued for might-sentences.
-
-    An atom is true where the valuation puts it, false where it puts the
-    opposite atom, and gappy elsewhere. ``might A`` is true at w iff R(w),
-    the worlds accessible from w, meets the extension of A, else false.
-    """
-    if formula.is_modal:
-        meets = not accessible(model, world).isdisjoint(model.valuation[formula.atom.text])
-        return TruthValue.TRUE if meets else TruthValue.FALSE
-    model.index(world)
-    if world in model.valuation[formula.text]:
-        return TruthValue.TRUE
-    opposite = NOT_PHI if formula is Formula.PHI else PHI
-    if world in model.valuation[opposite]:
-        return TruthValue.FALSE
-    return TruthValue.GAP
-
-
 def extension(model: WorldModel, formula: Formula) -> frozenset[str]:
     """The worlds where the formula is true, read off the model.
 
     An atom's extension is its valuation, and ``might A``'s is the model's
     might-set for A: the union of the agents' cells that meet A, built once
     with the model. Either way the result is one of the model's own sets.
-    :func:`evaluate` is the per-world definition checked against it.
     """
     return (model.might if formula.is_modal else model.valuation)[formula.atom.text]
 

@@ -4,7 +4,7 @@ Agents walk a linearly ordered series of states and must judge a vague
 predicate (``q`` vs ``qbar``) at every state. Pooling compresses a series
 into at most three coarse worlds (all judge q / contested / all judge qbar)
 and induces one partition per agent from that agent's judgment pattern.
-The doxastic operators (thinks, everyone-thinks, common belief) and the
+The doxastic operators (everyone-thinks, common belief) and the
 accessibility relation between worlds live here. A model also holds, for
 each atom, the worlds where "might" that atom is true, built once with it.
 Both records are named tuples that check their values with ``game.Checked``.
@@ -86,13 +86,6 @@ class SoritesSeries(Checked, namedtuple("SoritesSeries", "n flips")):
             raise UnknownLabelError(f"state {t!r} outside 1..{self.n}")
         return t < self.flips[agent]
 
-    def judgment(self, agent: str, t: int) -> str:
-        return Q if self.judges_q(agent, t) else QBAR
-
-    def judgment_vector(self, t: int) -> tuple[str, ...]:
-        """All agents' judgments at state t, in agent order."""
-        return tuple(self.judgment(agent, t) for agent in self.agents)
-
 
 class WorldModel(Checked, namedtuple(
     "WorldModel", "agents worlds partitions valuation judgments members might"
@@ -108,6 +101,7 @@ class WorldModel(Checked, namedtuple(
     agents' cells that meet the atom, that is, where ``might`` the atom is
     true. The checks build it, so ``_make`` and ``_replace`` rebuild it from
     the other fields; being derived from them, it adds nothing to equality.
+    ``_replace`` and ``copy.replace`` reject a ``might`` of their own.
     """
 
     __slots__ = ()
@@ -122,6 +116,15 @@ class WorldModel(Checked, namedtuple(
         members: Mapping[str, tuple[int, ...]] | None = None,
     ) -> WorldModel:
         return super().__new__(cls, agents, worlds, partitions, valuation, judgments, members, None)
+
+    def _replace(self, **changes) -> WorldModel:
+        if "might" in changes:
+            raise ValueError("might is derived from the partitions and valuation; replace those")
+        return super()._replace(**changes)
+
+    # ``copy.replace`` (Python 3.13+) calls ``__replace__``, which the named
+    # tuple binds to its own ``_replace``.
+    __replace__ = _replace
 
     def _checked(self) -> WorldModel:
         if not self.worlds:
@@ -179,10 +182,6 @@ class WorldModel(Checked, namedtuple(
             if world in cell:
                 return cell
         raise UnknownLabelError(f"world {world!r} missing from {agent!r}'s partition")
-
-    def sort_worlds(self, worlds: Iterable[str]) -> tuple[str, ...]:
-        """Order a world subset by the model's world order."""
-        return tuple(sorted(worlds, key=self.index))
 
 
 def world_pools(series: SoritesSeries) -> dict[str, range]:
@@ -252,12 +251,6 @@ def _world_subset(model: WorldModel, worlds: Iterable[str]) -> frozenset[str]:
     return subset
 
 
-def thinks(model: WorldModel, agent: str, prop: Iterable[str], world: str) -> bool:
-    """True when every world the agent cannot tell apart from ``world`` is in ``prop``."""
-    prop_set = _world_subset(model, prop)
-    return model.cell(agent, world) <= prop_set
-
-
 def everyone_thinks(
     model: WorldModel, prop: Iterable[str], restriction: Iterable[str] | None = None
 ) -> frozenset[str]:
@@ -265,8 +258,7 @@ def everyone_thinks(
 
     Cells are cut down to the restriction first, so belief is evaluated
     against the live possibilities only. By set algebra, that is the
-    restriction minus every restricted cell that is not inside ``prop``;
-    :func:`thinks` is the per-world definition it is checked against.
+    restriction minus every restricted cell that is not inside ``prop``.
     """
     prop_set = _world_subset(model, prop)
     live = model.world_set if restriction is None else _world_subset(model, restriction)

@@ -78,15 +78,6 @@ def _quote(text: str) -> str:
     return _quote(text)
 
 
-def _number_text(value: float, json: bool) -> str:
-    """``value``'s ``%.12g`` text, or with ``json`` its ``_jnum_text``,
-    which differs only for a text with an exponent or no ``.``."""
-    text = "%.12g" % value
-    if json and ("e" in text or "." not in text):
-        return _jnum_text(value)
-    return text
-
-
 def _sweep_lines(rows, labels: tuple, end: str, json: bool) -> list[str]:
     """Each sweep row's text: each field's label, then its value's text,
     then ``end``; JSON text (a quoted region) with ``json``.
@@ -99,23 +90,24 @@ def _sweep_lines(rows, labels: tuple, end: str, json: bool) -> list[str]:
     ``p_w3`` objects when they are those objects, as in ``threshold_sweep``.
     """
     k0, k1, k2, k3, k4, k5, k6, k7 = labels
+    text = _jnum_text if json else fmt_float
     lines = []
     memo = {}
     last_delta = object()
     for delta, gamma, p_w1, p_w2, p_w3, eu_a, eu_b, region in rows:
         if delta is not last_delta:
-            last_delta, d = delta, _number_text(delta, json)
+            last_delta, d = delta, text(delta)
         g = memo.get(gamma) if gamma else None
         if g is None:
-            g = _number_text(gamma, json)
+            g = text(gamma)
             if gamma:
                 memo[gamma] = g
-        w1, w3 = _number_text(p_w1, json), _number_text(p_w3, json)
+        w1, w3 = text(p_w1), text(p_w3)
         if json:
             region = _quote(region)
-        w2 = g if p_w2 is gamma else _number_text(p_w2, json)
-        a = w1 if eu_a is p_w1 else _number_text(eu_a, json)
-        b = w3 if eu_b is p_w3 else _number_text(eu_b, json)
+        w2 = g if p_w2 is gamma else text(p_w2)
+        a = w1 if eu_a is p_w1 else text(eu_a)
+        b = w3 if eu_b is p_w3 else text(eu_b)
         lines.append(f"{k0}{d}{k1}{g}{k2}{w1}{k3}{w2}{k4}{w3}{k5}{a}{k6}{b}{k7}{region}{end}")
     return lines
 

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from hedgesim.game import GameConfig  # noqa: E402
+from hedgesim.hedging import run_hedging  # noqa: E402
 from hedgesim.worlds import NOT_PHI, PHI, SoritesSeries, WorldModel, pool_states  # noqa: E402
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -21,6 +23,13 @@ def canonical_model():
 @pytest.fixture
 def canonical_scenario_path():
     return DATA_DIR / "canonical.scn"
+
+
+def reported_recurrence(last):
+    """f(0..last) as ``run_hedging`` reports it: each step's speaker value
+    at an even step and its listener value at an odd one."""
+    steps = run_hedging(GameConfig(delta=0.7, gamma=0.2), max_steps=max(last, 4)).steps
+    return [step[1 + n % 2] for n, step in enumerate(steps[: last + 1])]
 
 
 def random_series(rng, max_n=50, max_agents=5):

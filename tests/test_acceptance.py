@@ -13,6 +13,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import oracles
+from conftest import reported_recurrence
+
 from hedgesim.assertion import (
     SignalLikelihoods,
     initial_common_ground,
@@ -29,7 +32,7 @@ from hedgesim.game import (
     grid,
     threshold_sweep,
 )
-from hedgesim.hedging import propensity_sequence, stepwise_eu
+from hedgesim.hedging import run_hedging
 from hedgesim.semantics import Formula, check_frame, extension
 from hedgesim.worlds import (
     NOT_PHI,
@@ -61,7 +64,7 @@ def canonical_model():
 
 def test_criterion_01_recurrence_reproduction():
     with criterion(1, "recurrence seeds exact, early values within 1e-3"):
-        values = propensity_sequence(3)
+        values = reported_recurrence(3)
         assert values[0] == 1.0
         assert values[1] == 0.5
         assert abs(values[2] - 0.666) <= 1e-3
@@ -70,7 +73,7 @@ def test_criterion_01_recurrence_reproduction():
 
 def test_criterion_02_oscillation_bands():
     with criterion(2, "even/odd bands on [4,200], pair sums near 1 from 40"):
-        values = propensity_sequence(200)
+        values = reported_recurrence(200)
         for n in range(4, 201):
             if n % 2 == 0:
                 assert 0.55 <= values[n] <= 0.70, f"even f({n})={values[n]}"
@@ -133,13 +136,11 @@ def test_criterion_06_stepwise_monotonicity():
         gammas = grid(20)
         for delta in deltas:
             for gamma in gammas:
-                config = GameConfig(delta=delta, gamma=gamma)
-                for action in ACTIONS:
-                    floor = stepwise_eu(config, 0, action)
-                    for n in range(0, 101):
-                        assert stepwise_eu(config, n, action) >= floor
-        config = GameConfig(delta=0.7, gamma=0.2)
-        n3 = stepwise_eu(config, 3, "a")
+                steps = run_hedging(GameConfig(delta=delta, gamma=gamma), max_steps=100).steps
+                for step in steps:
+                    assert step.eu_a >= steps[0].eu_a
+                    assert step.eu_b >= steps[0].eu_b
+        n3 = run_hedging(GameConfig(delta=0.7, gamma=0.2), max_steps=4).steps[3].eu_a
         assert abs(n3 - (0.7 * 0.8 + 0.2 * 0.285)) <= 2e-3
 
 
@@ -175,8 +176,9 @@ def test_criterion_09_pooling_soundness():
             series = SoritesSeries(n, flips)
             model = pool_states(series)
             lo, hi = min(flips.values()), max(flips.values())
-            all_q = {t for t in series.states if set(series.judgment_vector(t)) == {Q}}
-            all_qbar = {t for t in series.states if set(series.judgment_vector(t)) == {QBAR}}
+            vectors = {t: oracles.judgment_vector(series, t) for t in series.states}
+            all_q = {t for t in series.states if set(vectors[t]) == {Q}}
+            all_qbar = {t for t in series.states if set(vectors[t]) == {QBAR}}
             # w1 pools exactly the unanimous-q states; w3 the unanimous-qbar
             # states except the last flip state, which the closed-interval
             # rule keeps in w2; w2 pools the rest.
@@ -188,9 +190,7 @@ def test_criterion_09_pooling_soundness():
                 assert not expected_w3
             assert set(model.members["w2"]) == set(series.states) - all_q - expected_w3
             if agents == 2:
-                middle_vectors = {
-                    series.judgment_vector(t) for t in model.members["w2"] if t != hi
-                }
+                middle_vectors = {vectors[t] for t in model.members["w2"] if t != hi}
                 assert len(middle_vectors) <= 1
             # might-phi holds exactly where some agent judges q
             someone_q = frozenset(

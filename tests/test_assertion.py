@@ -3,6 +3,7 @@ import random
 
 import pytest
 from conftest import random_model
+from oracles import TRUE, evaluate
 
 from hedgesim import assertion
 from hedgesim.assertion import (
@@ -17,7 +18,7 @@ from hedgesim.assertion import (
     speaker_signal,
     update,
 )
-from hedgesim.semantics import STRENGTH_ORDER, Formula, TruthValue, evaluate, extension
+from hedgesim.semantics import STRENGTH_ORDER, Formula, extension
 from hedgesim.worlds import NOT_PHI, PHI, WorldModel, common_belief
 
 
@@ -102,9 +103,9 @@ def test_speaker_signal_truthful_random():
         for agent in model.agents:
             for world in model.worlds:
                 signal = speaker_signal(model, agent, world)
-                assert evaluate(model, signal, world) is TruthValue.TRUE
+                assert evaluate(model, signal, world) is TRUE
                 for cell_world in model.cell(agent, world):
-                    assert evaluate(model, signal, cell_world) is TruthValue.TRUE
+                    assert evaluate(model, signal, cell_world) is TRUE
 
 
 def test_speaker_signal_without_an_assertable_sentence():
@@ -204,7 +205,7 @@ def oracle_designations(cg, observed):
     for w in cg.live:
         true_there = [
             f for f in (Formula.PHI, Formula.NOT_PHI, observed)
-            if evaluate(cg.model, f, w) is TruthValue.TRUE
+            if evaluate(cg.model, f, w) is TRUE
         ]
         if not true_there:
             return None

@@ -9,7 +9,7 @@ import pytest
 
 from hedgesim.cli import main
 from hedgesim.game import GameConfig, grid, parse_number, threshold_sweep
-from hedgesim.hedging import propensities_at_step, propensity_sequence, run_hedging
+from hedgesim.hedging import run_hedging
 from hedgesim.scenario_io import ScenarioParseError, parse_scenario
 from hedgesim.worlds import SoritesSeries
 
@@ -88,6 +88,24 @@ def test_hedge_json(tmp_path):
     assert payload["max_steps"] == 10
     assert len(payload["steps"]) == 11
     assert payload["summary"]["eu_never_below_step0"] is True
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_hedge_rows_after_51_repeat_row_51_up_to_the_step_bound(tmp_path, fmt):
+    # From step 51 on every (speaker, listener) pair is the fixed pair, so
+    # the EUs stop moving too; the goldens stop at step 50. (At 12 digits
+    # the rows repeat some steps earlier than that.)
+    out = tmp_path / f"hedge.{fmt}"
+    argv = ["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "100000"]
+    assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    if fmt == "csv":
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+    else:
+        rows = [list(step.values()) for step in json.loads(text)["steps"]]
+    assert [int(row[0]) for row in rows] == list(range(100_001))
+    assert all(row[1:] == rows[51][1:] for row in rows[52:])
+    assert [float(value) for value in rows[51][1:3]] == [0.591593623482, 0.408406376518]
 
 
 def test_sweep_csv(tmp_path):
@@ -258,15 +276,15 @@ CONFIG = GameConfig(delta=0.7, gamma=0.2)
          "grid size must be an integer in [1, 1000], got 3.0"),
         ("steps", None, lambda: run_hedging(CONFIG, max_steps=10.0), None,
          "steps must be an integer in [4, 100000], got 10.0"),
-        ("step index", None, lambda: propensity_sequence(3.0), None,
-         "step index must be an integer in [0, 100000], got 3.0"),
-        ("step index", None, lambda: propensities_at_step(2.0), None,
-         "step index must be an integer in [0, 100000], got 2.0"),
+        ("n", None, lambda: SoritesSeries(n=5.0, flips={"S": 2}), None,
+         "n must be an integer in [3, 100000], got 5.0"),
+        ("flip.S", None, lambda: SoritesSeries(n=5, flips={"S": 4.0}), None,
+         "flip.S must be an integer, got 4.0"),
         # A bool is an int subclass, but not a count.
         ("grid size", None, lambda: grid(True), None,
          "grid size must be an integer in [1, 1000], got True"),
-        ("step index", None, lambda: propensity_sequence(True), None,
-         "step index must be an integer in [0, 100000], got True"),
+        ("steps", None, lambda: run_hedging(CONFIG, max_steps=True), None,
+         "steps must be an integer in [4, 100000], got True"),
         # Nor is a bool a number in any float range.
         ("gamma", None, lambda: GameConfig(delta=0.7, gamma=False), None,
          "gamma must be at least 0 and strictly below 1, got False"),

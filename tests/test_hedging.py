@@ -4,18 +4,15 @@ import tracemalloc
 from itertools import islice
 from unittest import mock
 
+import oracles
 import pytest
+from conftest import reported_recurrence
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hedgesim import hedging
 from hedgesim.game import GameConfig, expected_utility
-from hedgesim.hedging import (
-    propensities_at_step,
-    propensity_sequence,
-    run_hedging,
-    stepwise_eu,
-)
+from hedgesim.hedging import HedgingStep, run_hedging
 
 # Frozen by iterating the recurrence independently before these tests were
 # written (fractions cross-check agrees to 1 ulp).
@@ -24,11 +21,11 @@ F11 = 0.40847316103951686
 
 
 def test_recurrence_seeds_exact():
-    assert propensity_sequence(1) == [1.0, 0.5]
+    assert reported_recurrence(1) == oracles.propensity_sequence(1) == [1.0, 0.5]
 
 
 def test_recurrence_early_values():
-    f = propensity_sequence(4)
+    f = reported_recurrence(4)
     assert abs(f[2] - 2 / 3) <= 1e-12
     assert f[3] == 0.5 / (0.5 + f[2])
     assert abs(f[3] - 3 / 7) <= 1e-12
@@ -38,7 +35,7 @@ def test_recurrence_early_values():
 
 
 def test_recurrence_frozen_tail_values():
-    f = propensity_sequence(11)
+    f = reported_recurrence(11)
     assert abs(f[10] - F10) <= 1e-12
     assert abs(f[11] - F11) <= 1e-12
     assert abs(f[10] - 0.592) <= 1e-3
@@ -46,14 +43,14 @@ def test_recurrence_frozen_tail_values():
 
 
 def test_recurrence_stays_in_unit_interval_far_out():
-    values = propensity_sequence(10_000)
+    values = reported_recurrence(10_000)
     assert all(0.0 < v <= 1.0 for v in values)
     denominators = [values[n - 1] + values[n - 2] for n in range(2, len(values))]
     assert min(denominators) >= 0.9
 
 
 def test_oscillation_bands():
-    values = propensity_sequence(200)
+    values = reported_recurrence(200)
     for n in range(4, 201):
         if n % 2 == 0:
             assert 0.55 <= values[n] <= 0.70
@@ -62,7 +59,7 @@ def test_oscillation_bands():
 
 
 def test_pair_sums_descend_toward_one():
-    values = propensity_sequence(200)
+    values = reported_recurrence(200)
     sums = [values[n] + values[n + 1] for n in range(200)]
     for n in range(2, 49):
         assert sums[n] >= 1.0 - 1e-12
@@ -79,10 +76,10 @@ FIXED_PAIR = (0.5915936234817635, 0.4084063765182366)
 
 
 def test_the_recurrence_settles_on_the_fixed_pair():
-    f = propensity_sequence(100_000)
+    f = reported_recurrence(100_000)
     assert f[49] != FIXED_PAIR[1]
     assert all(value == FIXED_PAIR[n % 2] for n, value in enumerate(f[50:], start=50))
-    steps = run_hedging(GameConfig(delta=0.7, gamma=0.2), max_steps=200).steps
+    steps = run_hedging(GameConfig(delta=0.7, gamma=0.2), max_steps=100_000).steps
     pairs = [(step.p_speaker_a, step.p_listener_a) for step in steps]
     assert pairs[50] != FIXED_PAIR
     assert set(pairs[51:]) == {FIXED_PAIR}
@@ -94,68 +91,43 @@ def test_step_52_is_the_first_step_equal_to_its_predecessor():
     assert repeats[0] == 52
 
 
-def test_propensity_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        propensities_at_step(-1)
-    with pytest.raises(ValueError):
-        propensity_sequence(-1)
-
-
-@pytest.mark.parametrize("call", [propensity_sequence, propensities_at_step])
-def test_step_index_is_bounded_before_any_work(call):
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=r"^step index must be an integer in \[0, 100000\], got 100001$"):
-            call(100_001)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 1024  # a list of 100002 floats alone takes about 3 MB
-    assert len(propensity_sequence(100_000)) == 100_001
-
-
 def test_propensities_at_step():
-    assert propensities_at_step(0) == (1.0, 0.0)
-    assert propensities_at_step(1) == (1.0, 0.5)
-    assert propensities_at_step(2) == (propensity_sequence(2)[2], 0.5)
-    speaker, listener = propensities_at_step(3)
+    steps = run_hedging(GameConfig(delta=0.7, gamma=0.2), max_steps=4).steps
+    pairs = [(step.p_speaker_a, step.p_listener_a) for step in steps]
+    assert pairs[:3] == [(1.0, 0.0), (1.0, 0.5), (reported_recurrence(2)[2], 0.5)]
+    speaker, listener = pairs[3]
     assert abs(speaker - 0.666) <= 1e-3
     assert abs(listener - 0.428) <= 1e-3
 
 
 def test_stepwise_eu_examples():
     config = GameConfig(delta=0.7, gamma=0.2)
-    assert stepwise_eu(config, 0, "a") == expected_utility(config, "S", "a")
-    assert stepwise_eu(config, 0, "b") == expected_utility(config, "S", "b")
-    value = stepwise_eu(config, 3, "a")
+    steps = run_hedging(config, max_steps=4).steps
+    assert steps[0].eu_a == expected_utility(config, "S", "a")
+    assert steps[0].eu_b == expected_utility(config, "S", "b")
+    value = steps[3].eu_a
     assert value == pytest.approx(0.56 + 0.2 * (2 / 3) * (3 / 7), abs=1e-12)
     assert abs(value - (0.56 + 0.2 * 0.285)) <= 2e-3
 
-    other = GameConfig(delta=0.6, gamma=0.3)
-    assert stepwise_eu(other, 3, "a") == pytest.approx(0.42 + 0.3 * (2 / 7), abs=1e-12)
-    assert abs(stepwise_eu(other, 3, "a") - 0.5055) <= 2e-3
+    other = run_hedging(GameConfig(delta=0.6, gamma=0.3), max_steps=4).steps
+    assert other[3].eu_a == pytest.approx(0.42 + 0.3 * (2 / 7), abs=1e-12)
+    assert abs(other[3].eu_a - 0.5055) <= 2e-3
 
 
 def test_stepwise_eu_no_borderline_mass_changes_nothing():
-    config = GameConfig(delta=0.4, gamma=0.0)
-    for n in range(0, 60):
-        for action in ("a", "b"):
-            assert stepwise_eu(config, n, action) == stepwise_eu(config, 0, action)
+    steps = run_hedging(GameConfig(delta=0.4, gamma=0.0), max_steps=59).steps
+    for step in steps:
+        assert (step.eu_a, step.eu_b) == (steps[0].eu_a, steps[0].eu_b)
 
 
 def test_stepwise_eu_never_below_step_zero_random():
     rng = random.Random(131)
     for _ in range(40):
         config = GameConfig(delta=rng.uniform(0.01, 0.99), gamma=rng.uniform(0.0, 0.99))
-        for action in ("a", "b"):
-            floor = stepwise_eu(config, 0, action)
-            for n in range(0, 101, 7):
-                assert stepwise_eu(config, n, action) >= floor
-
-
-def test_stepwise_eu_rejects_bad_action():
-    with pytest.raises(ValueError):
-        stepwise_eu(GameConfig(delta=0.5, gamma=0.1), 3, "c")
+        steps = run_hedging(config, max_steps=100).steps
+        for step in steps[::7]:
+            assert step.eu_a >= steps[0].eu_a
+            assert step.eu_b >= steps[0].eu_b
 
 
 def test_run_hedging_trace():
@@ -194,11 +166,27 @@ def test_run_hedging_rejects_bad_arguments():
 
 
 def test_hesitation_is_a_fixed_seed_not_an_option():
-    for function in (propensity_sequence, propensities_at_step, stepwise_eu, run_hedging):
-        assert "hesitation" not in inspect.signature(function).parameters
+    assert "hesitation" not in inspect.signature(run_hedging).parameters
     assert "hesitation" not in hedging.HEDGING_RANGES
     assert "hesitation" not in hedging.HedgingTrace._fields
-    assert propensity_sequence(1)[1] == hedging.HESITATION == 0.5
+    assert reported_recurrence(1)[1] == hedging.HESITATION == 0.5
+
+
+# f(0..100000), the recurrence as ``oracles`` runs it, for every bound below.
+ORACLE_VALUES = oracles.propensity_sequence(100_000)
+
+
+def oracle_steps(config, max_steps):
+    """Steps 0..max_steps worked out one at a time by the oracles."""
+    return tuple(
+        HedgingStep(
+            n,
+            *oracles.propensities_at_step(n, ORACLE_VALUES),
+            oracles.stepwise_eu(config, n, "a", ORACLE_VALUES),
+            oracles.stepwise_eu(config, n, "b", ORACLE_VALUES),
+        )
+        for n in range(max_steps + 1)
+    )
 
 
 @settings(deadline=None)
@@ -209,17 +197,27 @@ def test_hesitation_is_a_fixed_seed_not_an_option():
 )
 def test_run_hedging_steps_match_their_oracles(delta, gamma, max_steps):
     config = GameConfig(delta=delta, gamma=gamma)
-    trace = run_hedging(config, max_steps=max_steps)
-    values = [1.0, 0.5]
-    while len(values) <= max_steps:
-        values.append(values[-2] / (values[-1] + values[-2]))
-    assert [step.n for step in trace.steps] == list(range(max_steps + 1))
-    for step in trace.steps:
-        n = step.n
-        expected = (1.0, 0.0) if n == 0 else (values[n - n % 2], values[n - 1 + n % 2])
-        assert (step.p_speaker_a, step.p_listener_a) == expected
-        assert step.eu_a == stepwise_eu(config, n, "a")
-        assert step.eu_b == stepwise_eu(config, n, "b")
+    assert run_hedging(config, max_steps=max_steps).steps == oracle_steps(config, max_steps)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.2, 0.9])
+def test_run_hedging_equals_the_oracles_for_every_small_bound(gamma):
+    config = GameConfig(delta=0.7, gamma=gamma)
+    for max_steps in range(4, 121):
+        assert run_hedging(config, max_steps=max_steps).steps == oracle_steps(config, max_steps)
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    delta=st.floats(0.01, 0.99),
+    gamma=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+    max_steps=st.integers(4, 100_000),
+)
+@example(delta=0.7, gamma=0.0, max_steps=100_000)
+@example(delta=0.7, gamma=0.2, max_steps=100_000)
+def test_run_hedging_equals_the_oracles_up_to_the_step_bound(delta, gamma, max_steps):
+    config = GameConfig(delta=delta, gamma=gamma)
+    assert run_hedging(config, max_steps=max_steps).steps == oracle_steps(config, max_steps)
 
 
 def multi_pass_summary(steps, tolerance) -> tuple:

@@ -1,5 +1,6 @@
 """The package surface, resolved lazily, and what each CLI command imports."""
 
+import ast
 import importlib
 import json
 import os
@@ -13,25 +14,29 @@ import hedgesim
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 SCENARIO = str(Path(__file__).resolve().parent / "data" / "canonical.scn")
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 SUBMODULES = ("assertion", "game", "hedging", "scenario_io", "semantics", "worlds", "writers")
 
-# The public names: the pipeline's, and the oracles the tests check it with.
+# The public names: the pipeline's stages, their records and errors, and the
+# brute-force game oracle, which ``perfbench`` also calls.
 PUBLIC = [
     "AbsurdUpdateError", "CommonGround", "Formula", "FrameReport", "GameConfig", "HedgingStep",
     "HedgingSummary", "HedgingTrace", "InvalidSeriesError", "NoAssertableSignalError",
     "RegionReport", "ReportAuditError", "RunReport", "Scenario", "ScenarioParseError",
-    "SignalLikelihoods", "SoritesSeries", "SweepRow", "TruthValue", "UnexpectedSignalError",
+    "SignalLikelihoods", "SoritesSeries", "SweepRow", "UnexpectedSignalError",
     "UnknownLabelError", "WorldModel", "accessible", "audit_report", "base_rate",
-    "brute_force_eu", "check_frame", "common_belief", "equilibrium_region", "evaluate",
+    "brute_force_eu", "check_frame", "common_belief", "equilibrium_region",
     "everyone_thinks", "expected_utility", "extension", "grid", "initial_common_ground",
     "judgment_proposition", "listener_posterior", "load_scenario", "parse_scenario",
-    "pool_states", "propensities_at_step", "propensity_sequence", "run_hedging", "run_scenario",
-    "speaker_signal", "stepwise_eu", "thinks", "threshold_sweep", "update", "world_priors",
+    "pool_states", "run_hedging", "run_scenario", "speaker_signal", "threshold_sweep",
+    "update", "world_priors",
 ]
 # Names the package once exported and has deleted, with no alias left behind.
+# The per-world and per-step definitions among them live in ``tests/oracles.py``.
 REMOVED = [
     "PayoffMatrix", "WorldPrior", "JudgmentProposition", "build_forced_march", "propensity",
-    "render_scenario", "ideal_signal",
+    "render_scenario", "ideal_signal", "evaluate", "TruthValue", "thinks",
+    "propensity_sequence", "propensities_at_step", "stepwise_eu",
 ]
 
 
@@ -69,6 +74,30 @@ def test_unknown_names_raise_attribute_error():
             getattr(hedgesim, name)
         assert name not in dir(hedgesim)
     assert not hasattr(hedgesim, "cli_main")
+
+
+def test_the_oracles_are_not_shipped():
+    worlds, hedging = hedgesim.worlds, hedgesim.hedging
+    assert not {"judgment", "judgment_vector"} & set(dir(worlds.SoritesSeries))
+    assert not hasattr(worlds.WorldModel, "sort_worlds")
+    assert set(hedging.HEDGING_RANGES) == {"steps", "tolerance"}
+
+
+def test_the_oracles_take_only_records_and_constants_from_the_package():
+    # An oracle that called the function it is compared with would check
+    # nothing, so ``tests/oracles.py`` may import classes and constants from
+    # ``hedgesim``, but no function and no module to reach one through.
+    taken = []
+    for node in ast.walk(ast.parse(ORACLES.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            assert not [a.name for a in node.names if a.name.partition(".")[0] == "hedgesim"]
+        elif isinstance(node, ast.ImportFrom) and node.module.partition(".")[0] == "hedgesim":
+            module = importlib.import_module(node.module)
+            taken += [(node.module, a.name, getattr(module, a.name)) for a in node.names]
+    assert taken
+    for module, name, value in taken:
+        assert module != "hedgesim" or name not in SUBMODULES, name
+        assert isinstance(value, type) or not callable(value), (module, name)
 
 
 def test_bare_import_loads_nothing_and_resolves_on_use():

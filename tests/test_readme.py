@@ -1,4 +1,5 @@
-"""The README's library quick tour runs and gives the values its comments state."""
+"""The README's library quick tour runs and gives the values its comments
+state, and the README's public surface and fixed pair are the package's."""
 
 import contextlib
 import io
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from hedgesim import Formula
+import hedgesim
+from hedgesim import Formula, GameConfig, run_hedging
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -28,3 +30,19 @@ def test_readme_quick_tour_matches_its_comments():
     even_tail, odd_tail = map(float, printed.getvalue().split())
     assert even_tail == pytest.approx(0.5916, abs=5e-5)
     assert odd_tail == pytest.approx(0.4084, abs=5e-5)
+
+
+def test_readme_lists_the_public_surface():
+    section = README.read_text(encoding="utf-8").split("## Public surface", 1)[1]
+    exported = section.split("The tests own", 1)[0]
+    assert f"`hedgesim.__all__` holds {len(hedgesim.__all__)} names" in exported
+    assert sorted(re.findall(r"`(\w+)`", exported)) == hedgesim.__all__
+
+
+def test_readme_states_the_fixed_pair_the_trace_reaches():
+    pair = (0.5915936234817635, 0.4084063765182366)
+    words = " ".join(README.read_text(encoding="utf-8").split())
+    assert f"from step 51 on every (speaker, listener) pair is {pair}" in words
+    steps = run_hedging(GameConfig(delta=0.7, gamma=0.2), max_steps=200).steps
+    assert (steps[50].p_speaker_a, steps[50].p_listener_a) != pair
+    assert {(step.p_speaker_a, step.p_listener_a) for step in steps[51:]} == {pair}

@@ -142,6 +142,25 @@ def test_the_model_is_rebuilt_not_given_its_might_sets():
     assert stale == MODEL and stale.might == MODEL.might
 
 
+DERIVED = r"^might is derived from the partitions and valuation; replace those$"
+
+
+def test_replace_rejects_the_derived_might_sets():
+    # ``__replace__`` is what ``copy.replace`` calls from Python 3.13 on.
+    empty = {PHI: frozenset(), NOT_PHI: frozenset()}
+    for replace in (MODEL._replace, MODEL.__replace__):
+        for changes in ({"might": empty}, {"might": MODEL.might}, {"members": None, "might": empty}):
+            with pytest.raises(ValueError, match=DERIVED):
+                replace(**changes)
+        assert replace(members=None) == MODEL._make([*MODEL[:5], None, None])
+
+
+@pytest.mark.skipif(not hasattr(copy, "replace"), reason="copy.replace is new in Python 3.13")
+def test_copy_replace_rejects_the_derived_might_sets():
+    with pytest.raises(ValueError, match=DERIVED):
+        copy.replace(MODEL, might={PHI: frozenset(), NOT_PHI: frozenset()})
+
+
 def test_game_config_defaults():
     assert GameConfig(0.7, 0.2) == GameConfig(delta=0.7, gamma=0.2, tau=0.5, epsilon=0.01)
     assert GameConfig._field_defaults == {"tau": 0.5, "epsilon": 0.01}

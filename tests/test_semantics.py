@@ -2,20 +2,15 @@ import copy
 import pickle
 import random
 
+import oracles
 import pytest
 from conftest import draw_partitions, models, random_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import FALSE, GAP, TRUE, evaluate, thinks
 
 from hedgesim import semantics
-from hedgesim.semantics import (
-    STRENGTH_ORDER,
-    Formula,
-    TruthValue,
-    check_frame,
-    evaluate,
-    extension,
-)
+from hedgesim.semantics import STRENGTH_ORDER, Formula, check_frame, extension
 from hedgesim.worlds import (
     NOT_PHI,
     PHI,
@@ -24,9 +19,9 @@ from hedgesim.worlds import (
     SoritesSeries,
     UnknownLabelError,
     WorldModel,
+    accessible,
     judgment_proposition,
     pool_states,
-    thinks,
 )
 
 
@@ -57,13 +52,13 @@ def test_formulas_survive_copy_and_pickle():
 
 
 def test_evaluate_examples(canonical_model):
-    assert evaluate(canonical_model, Formula.MIGHT_PHI, "w1") is TruthValue.TRUE
-    assert evaluate(canonical_model, Formula.MIGHT_PHI, "w2") is TruthValue.TRUE
-    assert evaluate(canonical_model, Formula.MIGHT_PHI, "w3") is TruthValue.FALSE
-    assert evaluate(canonical_model, Formula.PHI, "w2") is TruthValue.GAP
-    assert evaluate(canonical_model, Formula.PHI, "w1") is TruthValue.TRUE
-    assert evaluate(canonical_model, Formula.PHI, "w3") is TruthValue.FALSE
-    assert evaluate(canonical_model, Formula.NOT_PHI, "w3") is TruthValue.TRUE
+    assert evaluate(canonical_model, Formula.MIGHT_PHI, "w1") is TRUE
+    assert evaluate(canonical_model, Formula.MIGHT_PHI, "w2") is TRUE
+    assert evaluate(canonical_model, Formula.MIGHT_PHI, "w3") is FALSE
+    assert evaluate(canonical_model, Formula.PHI, "w2") is GAP
+    assert evaluate(canonical_model, Formula.PHI, "w1") is TRUE
+    assert evaluate(canonical_model, Formula.PHI, "w3") is FALSE
+    assert evaluate(canonical_model, Formula.NOT_PHI, "w3") is TRUE
 
 
 def test_evaluate_unknown_world(canonical_model):
@@ -82,7 +77,7 @@ def test_extension_examples(canonical_model):
 @given(models)
 def test_extension_is_where_evaluate_is_true(model):
     for formula in STRENGTH_ORDER:
-        true_at = {w for w in model.worlds if evaluate(model, formula, w) is TruthValue.TRUE}
+        true_at = {w for w in model.worlds if evaluate(model, formula, w) is TRUE}
         assert extension(model, formula) == true_at, formula
 
 
@@ -101,7 +96,7 @@ def replaced_models(draw):
 @given(replaced_models())
 def test_might_sets_follow_a_replaced_model(model):
     for formula in (Formula.MIGHT_PHI, Formula.MIGHT_NOT_PHI):
-        true_at = {w for w in model.worlds if evaluate(model, formula, w) is TruthValue.TRUE}
+        true_at = {w for w in model.worlds if evaluate(model, formula, w) is TRUE}
         assert extension(model, formula) == true_at, formula
 
 
@@ -135,7 +130,7 @@ def test_might_bivalent_random():
         model = random_model(rng)
         for world in model.worlds:
             for formula in (Formula.MIGHT_PHI, Formula.MIGHT_NOT_PHI):
-                assert evaluate(model, formula, world) in (TruthValue.TRUE, TruthValue.FALSE)
+                assert evaluate(model, formula, world) in (TRUE, FALSE)
 
 
 def test_might_false_set_is_complement(canonical_model):
@@ -143,7 +138,7 @@ def test_might_false_set_is_complement(canonical_model):
     for formula in (Formula.MIGHT_PHI, Formula.MIGHT_NOT_PHI):
         true_set = extension(canonical_model, formula)
         false_set = {
-            w for w in canonical_model.worlds if evaluate(canonical_model, formula, w) is TruthValue.FALSE
+            w for w in canonical_model.worlds if evaluate(canonical_model, formula, w) is FALSE
         }
         assert true_set | false_set == canonical_model.world_set
 
@@ -201,29 +196,35 @@ def test_might_not_phi_tracks_someone_judging_qbar():
         assert extension(model, Formula.MIGHT_NOT_PHI) == expected
 
 
-def counting(monkeypatch, name):
-    """Count calls to ``semantics.<name>``, recursive ones included."""
+def counting(monkeypatch, module, name):
+    """Count calls to ``module.<name>``, recursive ones included."""
     calls = []
-    original = getattr(semantics, name)
+    original = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(semantics, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 @pytest.mark.parametrize("formula", [Formula.MIGHT_PHI, Formula.MIGHT_NOT_PHI])
 def test_might_reads_accessible_once_without_recursion(monkeypatch, canonical_model, formula):
-    evaluate_calls = counting(monkeypatch, "evaluate")
-    accessible_calls = counting(monkeypatch, "accessible")
+    # The per-world definition reads R(w) once and the atom's valuation,
+    # never itself; the library reads the might-set off the model.
+    evaluate_calls = counting(monkeypatch, oracles, "evaluate")
+    reach_calls = counting(monkeypatch, oracles, "reach")
+    accessible_calls = counting(monkeypatch, semantics, "accessible")
     for world in canonical_model.worlds:
         evaluate_calls.clear()
-        accessible_calls.clear()
-        semantics.evaluate(canonical_model, formula, world)
+        reach_calls.clear()
+        oracles.evaluate(canonical_model, formula, world)
         assert len(evaluate_calls) == 1
-        assert accessible_calls == [(canonical_model, world)]
+        assert reach_calls == [(canonical_model, world)]
+        assert set(oracles.reach(canonical_model, world)) == accessible(canonical_model, world)
+    assert extension(canonical_model, formula) is canonical_model.might[formula.atom.text]
+    assert accessible_calls == []
 
 
 # --- frames -----------------------------------------------------------------
@@ -315,6 +316,6 @@ def test_frame_witness_follows_world_order_over_v_then_x():
 
 
 def test_frame_reads_accessible_once_per_world(monkeypatch, canonical_model):
-    calls = counting(monkeypatch, "accessible")
+    calls = counting(monkeypatch, semantics, "accessible")
     check_frame(canonical_model)
     assert calls == [(canonical_model, world) for world in canonical_model.worlds]

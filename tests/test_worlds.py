@@ -4,6 +4,7 @@ import pytest
 from conftest import marches, models, random_model, random_series
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import judgment, judgment_vector, reach, thinks
 
 from hedgesim.worlds import (
     NOT_PHI,
@@ -19,7 +20,6 @@ from hedgesim.worlds import (
     everyone_thinks,
     judgment_proposition,
     pool_states,
-    thinks,
     world_pools,
 )
 
@@ -29,25 +29,29 @@ from hedgesim.worlds import (
 
 def test_forced_march_judgments():
     series = SoritesSeries(5, {"S": 4, "L": 2})
-    assert [series.judgment("S", t) for t in series.states] == [Q, Q, Q, QBAR, QBAR]
-    assert [series.judgment("L", t) for t in series.states] == [Q, QBAR, QBAR, QBAR, QBAR]
+    assert [judgment(series, "S", t) for t in series.states] == [Q, Q, Q, QBAR, QBAR]
+    assert [judgment(series, "L", t) for t in series.states] == [Q, QBAR, QBAR, QBAR, QBAR]
+    for agent in series.agents:
+        assert [series.judges_q(agent, t) for t in series.states] == [
+            judgment(series, agent, t) == Q for t in series.states
+        ]
 
 
 def test_forced_march_identical_flips_no_disagreement():
     series = SoritesSeries(3, {"S": 2, "L": 2})
     for t in series.states:
-        vector = series.judgment_vector(t)
+        vector = judgment_vector(series, t)
         assert len(set(vector)) == 1
 
 
 def test_forced_march_disagreement_window():
     series = SoritesSeries(10, {"S": 7, "L": 3})
-    disagree = [t for t in series.states if len(set(series.judgment_vector(t))) > 1]
+    disagree = [t for t in series.states if len(set(judgment_vector(series, t))) > 1]
     assert disagree == [3, 4, 5, 6]
     # earlier flipper says qbar there, later flipper still says q
     for t in disagree:
-        assert series.judgment("L", t) == QBAR
-        assert series.judgment("S", t) == Q
+        assert judgment(series, "L", t) == QBAR
+        assert judgment(series, "S", t) == Q
 
 
 def test_forced_march_judgments_monotone_random():
@@ -151,8 +155,8 @@ def test_pooling_soundness_random():
         model = pool_states(series)
         lo = min(series.flips.values())
         hi = max(series.flips.values())
-        all_q = {t for t in series.states if set(series.judgment_vector(t)) == {Q}}
-        all_qbar = {t for t in series.states if set(series.judgment_vector(t)) == {QBAR}}
+        all_q = {t for t in series.states if set(judgment_vector(series, t)) == {Q}}
+        all_qbar = {t for t in series.states if set(judgment_vector(series, t)) == {QBAR}}
         assert set(model.members["w1"]) == all_q == set(range(1, lo))
         if "w3" in model.worlds:
             assert set(model.members["w3"]) == all_qbar - {hi}
@@ -161,7 +165,7 @@ def test_pooling_soundness_random():
         assert set(model.members["w2"]) == set(series.states) - all_q - (all_qbar - {hi})
         # two-agent middle pools are judgment-homogeneous except the last flip state
         if len(series.agents) == 2:
-            vectors = {series.judgment_vector(t) for t in model.members["w2"] if t != hi}
+            vectors = {judgment_vector(series, t) for t in model.members["w2"] if t != hi}
             assert len(vectors) <= 1
 
 
@@ -185,7 +189,7 @@ def pooled_per_world(series):
     judgment is unanimous."""
     pools = world_pools(series)
     judgments = {
-        agent: {w: series.judgment(agent, states[0]) for w, states in pools.items()}
+        agent: {w: judgment(series, agent, states[0]) for w, states in pools.items()}
         for agent in series.agents
     }
     partitions = {}
@@ -300,6 +304,14 @@ def test_belief_by_sets_equals_belief_world_by_world(model, data):
     assert common_belief(model, prop, restriction) == common_belief_per_world(model, prop, live)
 
 
+@settings(deadline=None)
+@given(models, st.data())
+def test_everyone_thinks_where_every_agent_thinks(model, data):
+    prop = data.draw(st.sets(st.sampled_from(model.worlds)))
+    every_agent = {w for w in model.worlds if all(thinks(model, a, prop, w) for a in model.agents)}
+    assert everyone_thinks(model, prop) == every_agent
+
+
 def test_everyone_thinks_restriction(canonical_model):
     # with all worlds live, nobody can publicise {w3}; restricted to {w3} it holds
     assert everyone_thinks(canonical_model, {"w3"}) == frozenset()
@@ -328,6 +340,13 @@ def test_accessibility_reflexive_symmetric_random():
                     u in cell and v in cell for cells in model.partitions.values() for cell in cells
                 )
                 assert (v in accessible(model, u)) == (u in accessible(model, v)) == shares_a_cell
+
+
+@settings(deadline=None)
+@given(models)
+def test_accessible_is_every_world_sharing_a_cell(model):
+    for world in model.worlds:
+        assert accessible(model, world) == reach(model, world)
 
 
 def test_canonical_transitivity_failure(canonical_model):

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracles import sort_worlds
 
 from hedgesim import scenario_io, writers
 from hedgesim.assertion import UnexpectedSignalError
@@ -21,7 +22,7 @@ from hedgesim.game import GameConfig, SweepRow, grid, threshold_sweep
 from hedgesim.hedging import HedgingStep, run_hedging
 from hedgesim.scenario_io import Scenario, load_scenario, run_scenario
 from hedgesim.semantics import FrameReport, check_frame
-from hedgesim.worlds import SoritesSeries, WorldModel, pool_states, world_pools
+from hedgesim.worlds import SoritesSeries, pool_states, world_pools
 from hedgesim.writers import (
     _jnum_text,
     render_dialogue_jsonl,
@@ -313,17 +314,19 @@ def float_text_calls(monkeypatch):
 
 
 def test_record_writers_format_floats_per_record(float_text_calls):
-    """2500 sweep rows and 1001 hedging steps in both formats take a few
-    calls of the per-float writers, for the hedging header and the
-    whole-number first steps, not one per field."""
-    rows = threshold_sweep(grid(50), grid(50))
+    """1001 hedging steps in both formats take a few calls of the per-float
+    writers, for the hedging header and the whole-number first steps, not
+    one per field. 2500 sweep rows take one call per delta, one per nonzero
+    gamma and two per row (``p_w1`` and ``p_w3``), of ``fmt_float`` in CSV
+    and of ``_jnum_text`` in JSON."""
     trace = run_hedging(GameConfig(delta=0.7, gamma=0.2), max_steps=1000)
-    for text in (
-        render_sweep_csv(rows), render_sweep_json(rows),
-        render_hedging_csv(trace), render_hedging_json(trace),
-    ):
-        assert text
+    assert render_hedging_csv(trace) and render_hedging_json(trace)
     assert sum(float_text_calls.values()) <= 50, float_text_calls
+    rows = threshold_sweep(grid(50), grid(50))
+    for render, name in ((render_sweep_csv, "fmt_float"), (render_sweep_json, "_jnum_text")):
+        float_text_calls.clear()
+        assert render(rows)
+        assert float_text_calls == {name: 50 + 50 + 2 * len(rows)}
 
 
 def test_float_fields_given_ints_are_written_as_floats():
@@ -439,8 +442,8 @@ def report_payload(report) -> dict:
             "final_eu_b": float(hedging.steps[-1].eu_b),
         },
         "public_belief": {
-            "proposition": model.sort_worlds(report.public_belief_proposition),
-            "worlds": model.sort_worlds(report.public_belief_worlds),
+            "proposition": sort_worlds(model, report.public_belief_proposition),
+            "worlds": sort_worlds(model, report.public_belief_worlds),
             "holds": report.public_belief,
         },
     }
@@ -505,15 +508,14 @@ def test_report_writers_equal_json_dumps(report):
 
 def test_report_writers_sort_no_worlds(monkeypatch):
     """The report JSON and JSON lines list each world subset by filtering
-    the model's worlds, never through ``WorldModel.sort_worlds``."""
+    the model's worlds, never through ``sorted``."""
     calls = collections.Counter()
-    sort_worlds = WorldModel.sort_worlds
 
-    def counted(model, worlds):
-        calls["sort_worlds"] += 1
-        return sort_worlds(model, worlds)
+    def counted(*args, **kwargs):
+        calls["sorted"] += 1
+        return sorted(*args, **kwargs)
 
-    monkeypatch.setattr(WorldModel, "sort_worlds", counted)
+    monkeypatch.setattr(writers, "sorted", counted, raising=False)
     for path in sorted(DATA_DIR.glob("*.scn")):
         report = run_scenario(load_scenario(path))
         assert render_report_json(report) and render_dialogue_jsonl(report)
