@@ -9,7 +9,7 @@ fields, and none calls the library function it is compared with (see
 ``hedgesim``.
 """
 
-from hedgesim.worlds import NOT_PHI, PHI, Q, QBAR, UnknownLabelError
+from hedgesim.worlds import NOT_PHI, PHI, Q, QBAR
 
 # The three truth values of :func:`evaluate`.
 TRUE = "true"
@@ -17,14 +17,8 @@ FALSE = "false"
 GAP = "gap"
 
 
-def _known_world(model, world):
-    if world not in model.worlds:
-        raise UnknownLabelError(f"unknown world {world!r}")
-
-
 def reach(model, world):
     """R(w): every world that shares some agent's cell with ``world``."""
-    _known_world(model, world)
     return {
         other
         for cells in model.partitions.values()
@@ -44,7 +38,6 @@ def evaluate(model, formula, world):
     if formula.is_modal:
         atom_true = model.valuation[formula.atom.text]
         return TRUE if any(w in atom_true for w in reach(model, world)) else FALSE
-    _known_world(model, world)
     opposite = NOT_PHI if formula.text == PHI else PHI
     if world in model.valuation[formula.text]:
         return TRUE
@@ -55,13 +48,7 @@ def evaluate(model, formula, world):
 
 def thinks(model, agent, prop, world):
     """True when every world the agent cannot tell apart from ``world`` is in ``prop``."""
-    if agent not in model.partitions:
-        raise UnknownLabelError(f"unknown agent {agent!r}")
-    _known_world(model, world)
     prop = set(prop)
-    stray = prop - set(model.worlds)
-    if stray:
-        raise UnknownLabelError(f"unknown worlds {sorted(stray)!r}")
     (cell,) = [cell for cell in model.partitions[agent] if world in cell]
     return all(w in prop for w in cell)
 

@@ -90,24 +90,6 @@ def test_hedge_json(tmp_path):
     assert payload["summary"]["eu_never_below_step0"] is True
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_hedge_rows_after_51_repeat_row_51_up_to_the_step_bound(tmp_path, fmt):
-    # From step 51 on every (speaker, listener) pair is the fixed pair, so
-    # the EUs stop moving too; the goldens stop at step 50. (At 12 digits
-    # the rows repeat some steps earlier than that.)
-    out = tmp_path / f"hedge.{fmt}"
-    argv = ["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "100000"]
-    assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
-    text = out.read_text(encoding="utf-8")
-    if fmt == "csv":
-        rows = [line.split(",") for line in text.splitlines()[1:]]
-    else:
-        rows = [list(step.values()) for step in json.loads(text)["steps"]]
-    assert [int(row[0]) for row in rows] == list(range(100_001))
-    assert all(row[1:] == rows[51][1:] for row in rows[52:])
-    assert [float(value) for value in rows[51][1:3]] == [0.591593623482, 0.408406376518]
-
-
 def test_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--delta-steps", "9", "--gamma-steps", "9", "--out", str(out)]) == 0

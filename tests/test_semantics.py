@@ -2,7 +2,6 @@ import copy
 import pickle
 import random
 
-import oracles
 import pytest
 from conftest import draw_partitions, models, random_model
 from hypothesis import given, settings
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import FALSE, GAP, TRUE, evaluate, thinks
 
 from hedgesim import semantics
+from hedgesim.assertion import CommonGround, update
 from hedgesim.semantics import STRENGTH_ORDER, Formula, check_frame, extension
 from hedgesim.worlds import (
     NOT_PHI,
@@ -19,7 +19,6 @@ from hedgesim.worlds import (
     SoritesSeries,
     UnknownLabelError,
     WorldModel,
-    accessible,
     judgment_proposition,
     pool_states,
 )
@@ -62,8 +61,11 @@ def test_evaluate_examples(canonical_model):
 
 
 def test_evaluate_unknown_world(canonical_model):
-    with pytest.raises(UnknownLabelError):
-        evaluate(canonical_model, Formula.PHI, "w9")
+    # The library evaluates a sentence over a common ground's live worlds,
+    # and a common ground naming a world outside the model is refused
+    # before any update reads it.
+    with pytest.raises(UnknownLabelError, match="unknown world 'w9'"):
+        update(CommonGround(0, ("w1", "w9"), canonical_model), Formula.PHI)
 
 
 def test_extension_examples(canonical_model):
@@ -211,18 +213,8 @@ def counting(monkeypatch, module, name):
 
 @pytest.mark.parametrize("formula", [Formula.MIGHT_PHI, Formula.MIGHT_NOT_PHI])
 def test_might_reads_accessible_once_without_recursion(monkeypatch, canonical_model, formula):
-    # The per-world definition reads R(w) once and the atom's valuation,
-    # never itself; the library reads the might-set off the model.
-    evaluate_calls = counting(monkeypatch, oracles, "evaluate")
-    reach_calls = counting(monkeypatch, oracles, "reach")
+    # The library reads the might-set off the model and never walks R(w).
     accessible_calls = counting(monkeypatch, semantics, "accessible")
-    for world in canonical_model.worlds:
-        evaluate_calls.clear()
-        reach_calls.clear()
-        oracles.evaluate(canonical_model, formula, world)
-        assert len(evaluate_calls) == 1
-        assert reach_calls == [(canonical_model, world)]
-        assert set(oracles.reach(canonical_model, world)) == accessible(canonical_model, world)
     assert extension(canonical_model, formula) is canonical_model.might[formula.atom.text]
     assert accessible_calls == []
 

@@ -241,12 +241,20 @@ def test_thinks_examples(canonical_model):
 
 
 def test_thinks_errors(canonical_model):
-    with pytest.raises(UnknownLabelError):
-        thinks(canonical_model, "nobody", {"w1"}, "w1")
-    with pytest.raises(UnknownLabelError):
-        thinks(canonical_model, "S", {"w1"}, "w9")
-    with pytest.raises(UnknownLabelError):
-        thinks(canonical_model, "S", {"w9"}, "w1")
+    # The library's belief reads an agent's cell at a world and a set of
+    # the model's worlds; an unknown label in either is refused.
+    with pytest.raises(UnknownLabelError, match="unknown agent 'nobody'"):
+        canonical_model.cell("nobody", "w1")
+    with pytest.raises(UnknownLabelError, match="unknown world 'w9'"):
+        canonical_model.cell("S", "w9")
+    for call in (
+        lambda: everyone_thinks(canonical_model, {"w9"}),
+        lambda: everyone_thinks(canonical_model, {"w1"}, {"w9"}),
+        lambda: common_belief(canonical_model, {"w9"}),
+        lambda: common_belief(canonical_model, {"w1"}, {"w9"}),
+    ):
+        with pytest.raises(UnknownLabelError, match=r"unknown worlds \['w9'\]"):
+            call()
 
 
 def test_thinks_monotone_random():
