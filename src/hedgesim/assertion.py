@@ -2,7 +2,8 @@
 
 A common ground is an immutable snapshot of the worlds still treated as
 live at a conversation step. Asserting a sentence intersects the live set
-with the sentence's extension, a set the model already holds. The listener then re-weights the survivors
+with the sentence's extension, which ``semantics.extension`` works out
+without visiting a world. The listener then re-weights the survivors
 by Bayes' rule against an idealized signal-choice model: at each live
 world the speaker is imagined to send the first of phi, not phi and the
 heard sentence that is true there, with ``epsilon`` probability mass
@@ -114,8 +115,8 @@ class SignalLikelihoods(Checked, namedtuple("SignalLikelihoods", "designated eps
 
         Each live world gets the first of phi, not phi and ``observed`` that
         is true there: a speaker sure of an atom asserts it, and otherwise
-        sends what was heard. Each of those sentences' extensions is read
-        off the model once.
+        sends what was heard. Each of those sentences' extensions is worked
+        out once.
         """
         tried = [
             (f, extension(cg.model, f))

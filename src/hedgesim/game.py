@@ -252,9 +252,10 @@ def threshold_sweep(
     then every gamma, then tau is checked once, with the message
     :class:`GameConfig` gives, so a bad value raises even when a grid is
     empty. ``1 - delta`` and the region that can hold are worked out once
-    per delta, so a row costs its two unanimous masses, their
-    :func:`world_priors` check (every mass >= 0, the sum within ``ROUNDING``
-    of 1) and its region, by :func:`equilibrium_region`'s rule. ``p_w2`` is
+    per delta, so a row costs its two unanimous masses and its region, by
+    :func:`equilibrium_region`'s rule. Checked values make both masses
+    non-negative and their sum with gamma 1 within a few ulp, far inside
+    ``ROUNDING``, so a row's prior needs no check of its own. ``p_w2`` is
     the row's gamma object and the sender's utilities ``eu_a``/``eu_b`` are
     its ``p_w1``/``p_w3`` objects, which the writers format once.
     """
@@ -270,9 +271,6 @@ def threshold_sweep(
         for gamma in gamma_grid:
             keep = 1.0 - gamma
             p_w1, p_w3 = delta * keep, rest * keep
-            if not (p_w1 >= 0 and gamma >= 0 and p_w3 >= 0
-                    and -slack <= p_w1 + gamma + p_w3 - 1.0 <= slack):
-                _prior(delta, gamma)  # raises with the single-config message
             region = side if share * keep - tau > slack else "none"
             append(new(SweepRow, (delta, gamma, p_w1, gamma, p_w3, p_w1, p_w3, region)))
     return rows

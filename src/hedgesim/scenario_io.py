@@ -274,10 +274,10 @@ def run_scenario(scenario: Scenario) -> RunReport:
 
     Each stage is its module's public function, called once: speaker_signal,
     update, SignalLikelihoods.for_common_ground, listener_posterior and
-    audit_report. None of them builds a sentence's extension; each reads
-    the set the pooled model holds. The public-belief flag reports whether
-    the asserted polarity's unanimous worlds are publicly believed once the
-    common ground has been updated.
+    audit_report. A stage that needs a sentence's extension asks
+    ``extension``, which visits no world. The public-belief flag reports
+    whether the asserted polarity's unanimous worlds are publicly believed
+    once the common ground has been updated.
     """
     model = pool_states(scenario.series)
     if len(model.agents) != 2:

@@ -3,8 +3,8 @@
 The repertoire is closed: a positive atom, its negation, and an epistemic
 "might" over either. Atoms can be gappy at contested worlds; might-sentences
 quantify existentially over accessible worlds and are always bivalent.
-Each sentence's extension is a set the model already holds, so reading it
-builds nothing.
+An atom's extension is the model's own valuation set; a might-sentence's
+is worked out from the agents' cells in one pass, visiting no world.
 """
 
 from __future__ import annotations
@@ -50,13 +50,18 @@ STRENGTH_ORDER: tuple[Formula, ...] = (
 
 
 def extension(model: WorldModel, formula: Formula) -> frozenset[str]:
-    """The worlds where the formula is true, read off the model.
+    """The worlds where the formula is true.
 
-    An atom's extension is its valuation, and ``might A``'s is the model's
-    might-set for A: the union of the agents' cells that meet A, built once
-    with the model. Either way the result is one of the model's own sets.
+    An atom's extension is its valuation, the model's own set. ``might A``
+    holds at w when R(w) meets A, that is, when some agent's cell at w
+    meets A, so its extension is the union of the agents' cells that meet A.
     """
-    return (model.might if formula.is_modal else model.valuation)[formula.atom.text]
+    atom = model.valuation[formula.atom.text]
+    if not formula.is_modal:
+        return atom
+    return frozenset().union(*[
+        cell for cells in model.partitions.values() for cell in cells if not cell.isdisjoint(atom)
+    ])
 
 
 class FrameReport(namedtuple("FrameReport", "reflexive symmetric transitive witness")):

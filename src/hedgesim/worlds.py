@@ -5,15 +5,15 @@ predicate (``q`` vs ``qbar``) at every state. Pooling compresses a series
 into at most three coarse worlds (all judge q / contested / all judge qbar)
 and induces one partition per agent from that agent's judgment pattern.
 The doxastic operators (everyone-thinks, common belief) and the
-accessibility relation between worlds live here. A model also holds, for
-each atom, the worlds where "might" that atom is true, built once with it.
-Both records are named tuples that check their values with ``game.Checked``.
+accessibility relation between worlds live here; what the sentences mean
+over a model lives in ``semantics``. Both records are named tuples that
+check their values with ``game.Checked``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 
 from .game import Checked
 
@@ -88,7 +88,7 @@ class SoritesSeries(Checked, namedtuple("SoritesSeries", "n flips")):
 
 
 class WorldModel(Checked, namedtuple(
-    "WorldModel", "agents worlds partitions valuation judgments members might"
+    "WorldModel", "agents worlds partitions valuation judgments members", defaults=(None, None)
 )):
     """Worlds, one partition per agent, and extensions for the two atoms.
 
@@ -97,34 +97,9 @@ class WorldModel(Checked, namedtuple(
     ``members`` are provenance from pooling (None for hand-built models):
     the per-agent judgment at each world, and the original states each
     world pools.
-    ``might`` is derived, not passed: for each atom key, the union of the
-    agents' cells that meet the atom, that is, where ``might`` the atom is
-    true. The checks build it, so ``_make`` and ``_replace`` rebuild it from
-    the other fields; being derived from them, it adds nothing to equality.
-    ``_replace`` and ``copy.replace`` reject a ``might`` of their own.
     """
 
     __slots__ = ()
-
-    def __new__(
-        cls,
-        agents: tuple[str, ...],
-        worlds: tuple[str, ...],
-        partitions: Mapping[str, tuple[frozenset[str], ...]],
-        valuation: Mapping[str, frozenset[str]],
-        judgments: Mapping[str, Mapping[str, str]] | None = None,
-        members: Mapping[str, tuple[int, ...]] | None = None,
-    ) -> WorldModel:
-        return super().__new__(cls, agents, worlds, partitions, valuation, judgments, members, None)
-
-    def _replace(self, **changes) -> WorldModel:
-        if "might" in changes:
-            raise ValueError("might is derived from the partitions and valuation; replace those")
-        return super()._replace(**changes)
-
-    # ``copy.replace`` (Python 3.13+) calls ``__replace__``, which the named
-    # tuple binds to its own ``_replace``.
-    __replace__ = _replace
 
     def _checked(self) -> WorldModel:
         if not self.worlds:
@@ -154,13 +129,8 @@ class WorldModel(Checked, namedtuple(
                 raise ValueError(f"valuation of {key!r} mentions unknown worlds")
         if valuation[PHI] & valuation[NOT_PHI]:
             raise ValueError("atom extensions overlap (a gap is permitted, overlap is not)")
-        every_cell = [cell for cells in self.partitions.values() for cell in cells]
-        might = {
-            key: frozenset().union(*[c for c in every_cell if not c.isdisjoint(valuation[key])])
-            for key in (PHI, NOT_PHI)
-        }
         return tuple.__new__(type(self), (
-            self.agents, self.worlds, self.partitions, valuation, self.judgments, self.members, might
+            self.agents, self.worlds, self.partitions, valuation, self.judgments, self.members
         ))
 
     @property
@@ -178,10 +148,10 @@ class WorldModel(Checked, namedtuple(
         if agent not in self.partitions:
             raise UnknownLabelError(f"unknown agent {agent!r}")
         self.index(world)
+        # The checks make the agent's cells cover the worlds, so the loop returns.
         for cell in self.partitions[agent]:
             if world in cell:
                 return cell
-        raise UnknownLabelError(f"world {world!r} missing from {agent!r}'s partition")
 
 
 def world_pools(series: SoritesSeries) -> dict[str, range]:

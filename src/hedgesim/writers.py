@@ -8,10 +8,11 @@ layouts built once per depth; a world subset is listed by filtering the
 model's worlds, with no sort.
 
 Every record is a named tuple, and the ``_fields`` of a sweep row, hedging
-step or frame report are its CSV header and JSON keys. A hedging step or
-frame report is itself the value tuple of its CSV row template, and in JSON
-one ``%.12g`` template writes a hedging step's floats. A sweep render formats
-each value only once (see ``_sweep_lines``). A ``%.12g`` text with a ``.``
+step or frame report are its CSV header and JSON keys. A hedging step is
+itself the value tuple of its CSV row template, and in JSON one ``%.12g``
+template writes its floats. A sweep render writes a row field by field and
+formats each value only once (see ``_sweep_lines``); the frame CSV joins the
+three flags and the witness. A ``%.12g`` text with a ``.``
 and no exponent is already the float's JSON text; any other float is written
 through ``_jnum_text``, which rejects non-finite values.
 

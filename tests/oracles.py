@@ -1,8 +1,8 @@
 """The per-world and per-step definitions the tests check hedgesim against.
 
 The library computes each of these facts in bulk: a sentence's extension
-as one of the model's own sets, belief by set algebra over the agents'
-cells, and the hedging trace in one forward pass. The definitions here
+and belief by set algebra over the valuation and the agents' cells, and
+the hedging trace in one forward pass. The definitions here
 compute them one world or one step at a time, straight from the records'
 fields, and none calls the library function it is compared with (see
 ``tests/test_package.py``): they take only records and constants from

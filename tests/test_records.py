@@ -17,7 +17,7 @@ from hedgesim.assertion import CommonGround, SignalLikelihoods, initial_common_g
 from hedgesim.game import GameConfig, RegionReport, SweepRow, equilibrium_region, threshold_sweep
 from hedgesim.hedging import HedgingStep, HedgingSummary, HedgingTrace, run_hedging
 from hedgesim.scenario_io import DialogueStep, RunReport, Scenario, load_scenario, run_scenario
-from hedgesim.semantics import STRENGTH_ORDER, FrameReport, check_frame
+from hedgesim.semantics import STRENGTH_ORDER, FrameReport, Formula, check_frame, extension
 from hedgesim.worlds import NOT_PHI, PHI, SoritesSeries, WorldModel, pool_states
 
 CONFIG = GameConfig(0.7, 0.2)
@@ -28,8 +28,8 @@ REPORT = run_scenario(load_scenario(Path(__file__).parent / "data" / "canonical.
 HEARD = update(initial_common_ground(MODEL), REPORT.signal)
 LIKELIHOODS = SignalLikelihoods.for_common_ground(HEARD, 0.01, REPORT.signal)
 
-# Each record type, its fields in order, the values it is built from (all
-# but the derived ``WorldModel.might``), and a change that makes it unequal.
+# Each record type, its fields in order, the values it is built from, and a
+# change that makes it unequal.
 RECORDS = {
     GameConfig: (("delta", "gamma", "tau", "epsilon"), tuple(CONFIG), {"delta": 0.2}),
     RegionReport: (
@@ -56,8 +56,8 @@ RECORDS = {
     ),
     SoritesSeries: (("n", "flips"), tuple(SERIES), {"n": 6}),
     WorldModel: (
-        ("agents", "worlds", "partitions", "valuation", "judgments", "members", "might"),
-        tuple(MODEL)[:-1],
+        ("agents", "worlds", "partitions", "valuation", "judgments", "members"),
+        tuple(MODEL),
         {"members": None},
     ),
     CommonGround: (("time", "live", "model"), tuple(HEARD), {"time": 2}),
@@ -99,8 +99,7 @@ def test_positional_and_keyword_construction_agree(record_type):
     by_position = record_type(*values)
     by_keyword = record_type(**dict(zip(fields, values)))
     assert type(by_position) is type(by_keyword) is record_type
-    assert tuple(by_position) == tuple(by_keyword)
-    assert tuple(by_keyword)[:len(values)] == values
+    assert tuple(by_position) == tuple(by_keyword) == values
     assert [getattr(by_keyword, name) for name in fields] == list(by_keyword)
     assert by_keyword._asdict() == dict(zip(fields, by_keyword))
 
@@ -115,7 +114,7 @@ def test_records_are_immutable(record_type):
     with pytest.raises(AttributeError):
         record.extra = 1
     assert not hasattr(record, "__dict__")
-    assert tuple(record)[:len(values)] == values
+    assert tuple(record) == values
 
 
 @pytest.mark.parametrize("record_type", RECORDS, ids=lambda t: t.__name__)
@@ -134,30 +133,35 @@ def test_equality_and_hash_by_value(record_type):
     assert changed != first
 
 
+MIGHTS = (Formula.MIGHT_PHI, Formula.MIGHT_NOT_PHI)
+MIGHT_SETS = [{"w1", "w2"}, {"w2", "w3"}]
+
+
 def test_the_model_is_rebuilt_not_given_its_might_sets():
-    assert MODEL.might == {PHI: {"w1", "w2"}, NOT_PHI: {"w2", "w3"}}
-    with pytest.raises(TypeError):
-        WorldModel(*MODEL)
-    stale = MODEL._make([*MODEL[:-1], {PHI: frozenset(), NOT_PHI: frozenset()}])
-    assert stale == MODEL and stale.might == MODEL.might
+    # A model is the six fields it is given; ``extension`` works out where
+    # ``might`` holds, and the named tuple's own machinery builds the model.
+    assert WorldModel(*MODEL) == MODEL
+    assert not {"__new__", "_replace", "__replace__"} & WorldModel.__dict__.keys()
+    assert [extension(MODEL, formula) for formula in MIGHTS] == MIGHT_SETS
 
 
-DERIVED = r"^might is derived from the partitions and valuation; replace those$"
+# The named tuple's own error for a field it lacks: ValueError, and
+# TypeError from Python 3.13 on.
+UNKNOWN_FIELD = TypeError if sys.version_info >= (3, 13) else ValueError
+UNEXPECTED = r"^Got unexpected field names: \['might'\]$"
 
 
 def test_replace_rejects_the_derived_might_sets():
-    # ``__replace__`` is what ``copy.replace`` calls from Python 3.13 on.
     empty = {PHI: frozenset(), NOT_PHI: frozenset()}
-    for replace in (MODEL._replace, MODEL.__replace__):
-        for changes in ({"might": empty}, {"might": MODEL.might}, {"members": None, "might": empty}):
-            with pytest.raises(ValueError, match=DERIVED):
-                replace(**changes)
-        assert replace(members=None) == MODEL._make([*MODEL[:5], None, None])
+    for changes in ({"might": empty}, {"members": None, "might": empty}):
+        with pytest.raises(UNKNOWN_FIELD, match=UNEXPECTED):
+            MODEL._replace(**changes)
+    assert MODEL._replace(members=None) == MODEL._make([*MODEL[:5], None])
 
 
 @pytest.mark.skipif(not hasattr(copy, "replace"), reason="copy.replace is new in Python 3.13")
 def test_copy_replace_rejects_the_derived_might_sets():
-    with pytest.raises(ValueError, match=DERIVED):
+    with pytest.raises(UNKNOWN_FIELD, match=UNEXPECTED):
         copy.replace(MODEL, might={PHI: frozenset(), NOT_PHI: frozenset()})
 
 
@@ -168,7 +172,7 @@ def test_game_config_defaults():
         GameConfig(0.7)
     with pytest.raises(TypeError):
         GameConfig._make([0.7, 0.2, 0.5])
-    with pytest.raises(ValueError, match="unexpected field names"):
+    with pytest.raises(UNKNOWN_FIELD, match=r"^Got unexpected field names: \['payoffs'\]$"):
         CONFIG._replace(payoffs=None)
 
 
@@ -283,16 +287,14 @@ def built(build):
 @given(data=st.data())
 def test_checked_records_reject_alike_however_built(record_type, data):
     starts, strategies = CHANGES[record_type]
-    assert tuple(strategies) == record_type._fields[:len(strategies)]
+    assert tuple(strategies) == record_type._fields
     start = data.draw(starts)
     names = data.draw(st.sets(st.sampled_from(tuple(strategies)), min_size=1))
     changes = {name: data.draw(strategies[name]) for name in names}
     given_values = {**dict(zip(strategies, start)), **changes}
     want = built(lambda: record_type(**given_values))
     assert built(lambda: record_type(*given_values.values())) == want
-    # ``_make`` takes every field, a derived one too, and rebuilds what is derived.
-    every_value = [*given_values.values(), *start[len(strategies):]]
-    assert built(lambda: record_type._make(every_value)) == want
+    assert built(lambda: record_type._make(given_values.values())) == want
     assert built(lambda: start._replace(**changes)) == want
 
 
@@ -309,6 +311,6 @@ def test_make_takes_exactly_one_value_per_field(record_type):
 @pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")
 def test_copy_replace_runs_the_checks():
     swapped = copy.replace(MODEL, valuation={PHI: frozenset({"w3"}), NOT_PHI: frozenset({"w1"})})
-    assert swapped.might == {PHI: {"w2", "w3"}, NOT_PHI: {"w1", "w2"}}
+    assert [extension(swapped, formula) for formula in MIGHTS] == MIGHT_SETS[::-1]
     with pytest.raises(ValueError, match=r"^n must be an integer in \[3, 100000\], got 2$"):
         copy.replace(SoritesSeries(5, {"S": 4}), n=2)

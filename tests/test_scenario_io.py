@@ -61,13 +61,18 @@ def test_parse_canonical_text():
 
 
 def test_parse_canonical_flag():
-    scenario = parse_scenario(
-        "[series]\ncanonical = true\n"
-        "[game]\ndelta = 0.7\ngamma = 0.2\n"
-        "[run]\nspeaker = S\nworld = w2\n"
-    )
-    assert scenario.canonical is True
-    assert scenario.series == SoritesSeries(n=5, flips={"S": 4, "L": 2})
+    rest = "[game]\ndelta = 0.7\ngamma = 0.2\n[run]\nspeaker = S\nworld = w2\n"
+    for value in ("true", "YES", "1"):
+        scenario = parse_scenario(f"[series]\ncanonical = {value}\n" + rest)
+        assert scenario.canonical is True
+        assert scenario.series == SoritesSeries(n=5, flips={"S": 4, "L": 2})
+    # A false flag falls through to the explicit march, which needs its keys.
+    for value in ("no", "0"):
+        scenario = parse_scenario(f"[series]\ncanonical = {value}\nn = 4\nflip.S = 3\n" + rest)
+        assert scenario.canonical is False
+        assert scenario.series == SoritesSeries(n=4, flips={"S": 3})
+        with pytest.raises(ScenarioParseError, match="^missing required key 'n' in \\[series\\]$"):
+            parse_scenario(f"[series]\ncanonical = {value}\n" + rest)
 
 
 def test_parse_comments_and_blank_lines(canonical_scenario_path):
@@ -134,6 +139,8 @@ def test_parse_overrides():
         ("[series]\ncanonical = true\n[game]\ndelta = .5\ngamma = .1\n[run]\nspeaker = S\nworld = w2\ntolerance = inf\n",
          "tolerance must be positive and finite, got inf", 9),
         ("[series\nn = 5\n", "unterminated section header", 1),
+        ("[series]\ncanonical = maybe\n", "canonical must be true or false, got 'maybe'", 2),
+        ("[series]\n= 5\n", "empty key", 2),
     ],
 )
 def test_parse_errors(text, fragment, line):
@@ -235,10 +242,11 @@ def counting(counts, label, function):
 # extension, accessible and WorldModel.cell calls per run: the deterministic
 # operation counts that gate the semantic and assertion layers. A run reads
 # sentences and beliefs as sets, so it reaches no world and reads one cell,
-# the speaker's. Pooling builds both might-sets once, and
-# each stage reads the extensions it needs off the model: the speaker the
-# signal's and every stronger sentence's, update and the audit the signal's,
-# and the listener's likelihoods those of phi, not phi and the signal.
+# the speaker's. Each stage asks ``extension`` for the sentences it needs:
+# the speaker for the signal and every stronger sentence, update and the
+# audit for the signal, and the listener's likelihoods for phi, not phi and
+# the signal. An atom's extension is the model's own valuation set, and a
+# might-sentence's is the union of the cells that meet its atom.
 RUN_OP_COUNTS = {
     "canonical": (8, 0, 1),
     "speaker_l": (9, 0, 1),
@@ -254,8 +262,8 @@ def test_a_run_makes_the_pinned_semantic_calls(name, monkeypatch):
     read = []
 
     def extension(model, formula):
-        read.append(semantics.extension(model, formula))
-        return read[-1]
+        read.append((formula, semantics.extension(model, formula)))
+        return read[-1][1]
 
     monkeypatch.setattr(semantics, "accessible", counting(counts, "accessible", semantics.accessible))
     monkeypatch.setattr(WorldModel, "cell", counting(counts, "cell", WorldModel.cell))
@@ -265,9 +273,10 @@ def test_a_run_makes_the_pinned_semantic_calls(name, monkeypatch):
     assert tuple(counts[label] for label in ("extension", "accessible", "cell")) == (
         RUN_OP_COUNTS[name]
     )
-    # Every extension read is one of the model's own sets, none built anew.
-    own = [*model.valuation.values(), *model.might.values()]
-    assert all(any(worlds is mine for mine in own) for worlds in read)
+    # Every atom read is one of the model's own valuation sets, none built anew.
+    own = model.valuation.values()
+    atoms = [worlds for formula, worlds in read if not formula.is_modal]
+    assert atoms and all(any(worlds is mine for mine in own) for worlds in atoms)
 
 
 @pytest.mark.parametrize("name", sorted(RUN_OP_COUNTS))

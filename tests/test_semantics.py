@@ -103,16 +103,19 @@ def test_might_sets_follow_a_replaced_model(model):
 
 
 def test_replace_rebuilds_the_might_sets(canonical_model):
+    def might_sets(model):
+        return [extension(model, formula) for formula in (Formula.MIGHT_PHI, Formula.MIGHT_NOT_PHI)]
+
     swapped = canonical_model._replace(
         valuation={PHI: frozenset({"w3"}), NOT_PHI: frozenset({"w1"})}
     )
-    assert swapped.might == {PHI: {"w2", "w3"}, NOT_PHI: {"w1", "w2"}}
+    assert might_sets(swapped) == [{"w2", "w3"}, {"w1", "w2"}]
     singletons = tuple(frozenset({w}) for w in canonical_model.worlds)
     fine = canonical_model._replace(
         partitions=dict.fromkeys(canonical_model.agents, singletons)
     )
-    assert fine.might == {PHI: {"w1"}, NOT_PHI: {"w3"}}
-    assert canonical_model.might == {PHI: {"w1", "w2"}, NOT_PHI: {"w2", "w3"}}
+    assert might_sets(fine) == [{"w1"}, {"w3"}]
+    assert might_sets(canonical_model) == [{"w1", "w2"}, {"w2", "w3"}]
 
 
 def test_extensions_are_frozen_whatever_sets_a_model_is_given():
@@ -213,10 +216,12 @@ def counting(monkeypatch, module, name):
 
 @pytest.mark.parametrize("formula", [Formula.MIGHT_PHI, Formula.MIGHT_NOT_PHI])
 def test_might_reads_accessible_once_without_recursion(monkeypatch, canonical_model, formula):
-    # The library reads the might-set off the model and never walks R(w).
+    # ``extension`` unions the cells that meet the atom and never walks R(w).
+    true_at = {w for w in canonical_model.worlds if evaluate(canonical_model, formula, w) is TRUE}
     accessible_calls = counting(monkeypatch, semantics, "accessible")
-    assert extension(canonical_model, formula) is canonical_model.might[formula.atom.text]
-    assert accessible_calls == []
+    cell_calls = counting(monkeypatch, WorldModel, "cell")
+    assert extension(canonical_model, formula) == true_at
+    assert accessible_calls == cell_calls == []
 
 
 # --- frames -----------------------------------------------------------------

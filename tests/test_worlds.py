@@ -212,21 +212,48 @@ def test_pooling_by_sets_equals_pooling_world_by_world(series):
         assert judgment_proposition(model, agent, Q) == model.partitions[agent][0]
 
 
+ONE_CELL = {"S": (frozenset({"w1", "w2"}),)}
+# Each rejection of a model's checks, in the order they run: the fields
+# that differ from a valid two-world, one-agent model, and the message.
+MODEL_REJECTIONS = [
+    ({"worlds": ()}, "model needs at least one world"),
+    ({"worlds": ("w1", "w1")}, "duplicate world labels"),
+    ({"agents": (), "partitions": {}}, "agents must be non-empty and unique"),
+    ({"agents": ("S", "S")}, "agents must be non-empty and unique"),
+    ({"agents": ("S", "L")}, "partitions must cover exactly the model's agents"),
+    ({"partitions": {"S": ONE_CELL["S"], "L": ONE_CELL["S"]}},
+     "partitions must cover exactly the model's agents"),
+    ({"partitions": {"S": (frozenset({"w1", "w2"}), frozenset())}},
+     "empty partition cell for agent 'S'"),
+    ({"partitions": {"S": (frozenset({"w1", "w2"}), frozenset({"w2"}))}},
+     "overlapping partition cells for agent 'S'"),
+    ({"partitions": {"S": (frozenset({"w1"}),)}},
+     "partition for agent 'S' does not cover the world set"),
+    ({"partitions": {"S": (frozenset({"w1", "w2", "w9"}),)}},
+     "partition for agent 'S' does not cover the world set"),
+    ({"valuation": {PHI: frozenset()}}, "valuation must assign 'not phi'"),
+    ({"valuation": {NOT_PHI: frozenset()}}, "valuation must assign 'phi'"),
+    ({"valuation": {PHI: frozenset({"w9"}), NOT_PHI: frozenset()}},
+     "valuation of 'phi' mentions unknown worlds"),
+    ({"valuation": {PHI: frozenset(), NOT_PHI: frozenset({"w9"})}},
+     "valuation of 'not phi' mentions unknown worlds"),
+    ({"valuation": {PHI: frozenset({"w1"}), NOT_PHI: frozenset({"w1", "w2"})}},
+     "atom extensions overlap (a gap is permitted, overlap is not)"),
+]
+
+
 def test_model_validation_rejects_bad_partitions():
-    with pytest.raises(ValueError):
-        WorldModel(
-            agents=("S",),
-            worlds=("w1", "w2"),
-            partitions={"S": (frozenset({"w1"}),)},
-            valuation={PHI: frozenset(), NOT_PHI: frozenset()},
-        )
-    with pytest.raises(ValueError):
-        WorldModel(
-            agents=("S",),
-            worlds=("w1",),
-            partitions={"S": (frozenset({"w1"}),)},
-            valuation={PHI: frozenset({"w1"}), NOT_PHI: frozenset({"w1"})},
-        )
+    valid = {
+        "agents": ("S",),
+        "worlds": ("w1", "w2"),
+        "partitions": ONE_CELL,
+        "valuation": {PHI: frozenset(), NOT_PHI: frozenset()},
+    }
+    assert WorldModel(**valid).worlds == ("w1", "w2")
+    for changes, message in MODEL_REJECTIONS:
+        with pytest.raises(ValueError) as excinfo:
+            WorldModel(**{**valid, **changes})
+        assert str(excinfo.value) == message, changes
 
 
 # --- doxastic operators -----------------------------------------------------
