@@ -20,12 +20,14 @@ Scenario format: three sections (``[series]``, ``[game]``, ``[run]``) of
     steps = 50          # optional, default hedging.DEFAULT_STEPS
     tolerance = 1e-6    # optional, default hedging.DEFAULT_TOLERANCE
 
-Unknown sections or keys, duplicates, bad values, and range violations are
-errors that name the offending key and line. Ranges are checked by the
-objects that own them (GameConfig, run_hedging, SoritesSeries), and number
-text is read by ``game.parse_number``, as the CLI flags read it, so a bad
-value gets the same message here as from the API and the flags. A scenario
-file is read as UTF-8, with or without a byte-order mark.
+One table, ``_READERS``, gives each key its reader: the canonical flag,
+plain text, or number text read by ``game.parse_number`` (as the CLI flags
+read it) and checked by its owner (``GAME_RANGES``, ``HEDGING_RANGES`` or
+``check_states``), so a bad value gets the API's and the flags' message.
+Values are read line by line: of several faults, the first faulty line is
+reported, with its key and line. The checks that span keys come after, by
+section: canonical extras, missing keys, flips against n, delta against
+tau, speaker and world. A file is read as UTF-8, with or without a BOM.
 
 The CSV and JSON text of a run lives in ``writers``. This module re-exports
 only the seven ``render_*`` functions the benchmark reads through it (the
@@ -70,7 +72,6 @@ from .worlds import (
     world_pools,
 )
 from .writers import _SCENARIO_KEYS
-# The render_* names are the writers the benchmark reads through this module.
 from .writers import (  # noqa: F401  (re-exported)
     render_dialogue_jsonl,
     render_hedging_csv,
@@ -103,51 +104,34 @@ class Scenario(namedtuple(
     __slots__ = ()
 
 
-_FIXED_KEYS = {"series": ("n", "canonical"), **_SCENARIO_KEYS}
-
-_Entry = tuple[str, int]  # raw value, line number
-
-
-def _tokenize(text: str) -> dict[str, dict[str, _Entry]]:
-    entries: dict[str, dict[str, _Entry]] = {name: {} for name in _FIXED_KEYS}
-    section: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ScenarioParseError("unterminated section header", lineno)
-            name = line[1:-1].strip().lower()
-            if name not in _FIXED_KEYS:
-                raise ScenarioParseError(f"unknown section [{name}]", lineno)
-            section = name
-            continue
-        if "=" not in line:
-            raise ScenarioParseError(f"expected `key = value`, got {line!r}", lineno)
-        if section is None:
-            raise ScenarioParseError("key before any [section] header", lineno)
-        key, _, value = (part.strip() for part in line.partition("="))
-        if not key:
-            raise ScenarioParseError("empty key", lineno)
-        if not value:
-            raise ScenarioParseError(f"missing value for key {key!r}", lineno)
-        is_flip = section == "series" and key.startswith("flip.") and len(key) > len("flip.")
-        if key not in _FIXED_KEYS[section] and not is_flip:
-            raise ScenarioParseError(f"unknown key {key!r} in [{section}]", lineno)
-        if key in entries[section]:
-            raise ScenarioParseError(f"duplicate key {key!r}", lineno)
-        entries[section][key] = (value, lineno)
-    return entries
+def _ranged(ranges: Mapping, kind: type = float) -> Callable[[str, str], int | float]:
+    """A reader of number text whose owner checks it against ``ranges``."""
+    return lambda key, text: check_parameter(ranges, key, parse_number(key, text, kind))
 
 
-def _number(key: str, entry: _Entry, kind: type, ranges: Mapping | None = None) -> int | float:
-    """Convert a value and, given the ``ranges`` of its owner, check it there."""
-    value, lineno = entry
-    number = _owned(lineno, parse_number, key, value, kind)
-    if ranges is None:
-        return number
-    return _owned(lineno, check_parameter, ranges, key, number)
+def _flag(key: str, text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("true", "yes", "1"):
+        return True
+    if lowered in ("false", "no", "0"):
+        return False
+    raise ValueError(f"{key} must be true or false, got {text!r}")
+
+
+# Each key's reader, which returns its value or raises ValueError; ``flip.<agent>`` reads any flip.
+_READERS = {
+    "series": {
+        "n": lambda key, text: check_states(parse_number(key, text, int)),
+        "canonical": _flag,
+        "flip.<agent>": lambda key, text: parse_number(key, text, int),
+    },
+    "game": dict.fromkeys(_SCENARIO_KEYS["game"], _ranged(GAME_RANGES)),
+    "run": {
+        **dict.fromkeys(("speaker", "world"), lambda key, text: text),
+        "steps": _ranged(HEDGING_RANGES, int),
+        "tolerance": _ranged(HEDGING_RANGES),
+    },
+}
 
 
 def _owned(lineno: int | None, check: Callable, *args, **kwargs):
@@ -158,89 +142,86 @@ def _owned(lineno: int | None, check: Callable, *args, **kwargs):
         raise ScenarioParseError(str(exc), lineno) from None
 
 
-def _bool_value(key: str, entry: _Entry) -> bool:
-    value, lineno = entry
-    lowered = value.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ScenarioParseError(f"{key} must be true or false, got {value!r}", lineno)
+def _read(text: str) -> tuple[dict[str, dict], dict[str, dict[str, int]]]:
+    """Each section's values, read as their lines are met, and their lines."""
+    values: dict[str, dict] = {name: {} for name in _READERS}
+    lines: dict[str, dict[str, int]] = {name: {} for name in _READERS}
+    section: str | None = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("["):
+            if not line.endswith("]"):
+                raise ScenarioParseError("unterminated section header", lineno)
+            section = line[1:-1].strip().lower()
+            if section not in _READERS:
+                raise ScenarioParseError(f"unknown section [{section}]", lineno)
+            continue
+        if "=" not in line:
+            raise ScenarioParseError(f"expected `key = value`, got {line!r}", lineno)
+        if section is None:
+            raise ScenarioParseError("key before any [section] header", lineno)
+        key, _, value = (part.strip() for part in line.partition("="))
+        if not key:
+            raise ScenarioParseError("empty key", lineno)
+        if not value:
+            raise ScenarioParseError(f"missing value for key {key!r}", lineno)
+        pattern = "flip.<agent>" if key.startswith("flip.") and key != "flip." else key
+        reader = _READERS[section].get(pattern)
+        if reader is None:
+            raise ScenarioParseError(f"unknown key {key!r} in [{section}]", lineno)
+        if key in values[section]:
+            raise ScenarioParseError(f"duplicate key {key!r}", lineno)
+        values[section][key] = _owned(lineno, reader, key, value)
+        lines[section][key] = lineno
+    return values, lines
 
 
-def _require(section: Mapping[str, _Entry], name: str, key: str) -> _Entry:
-    if key not in section:
-        raise ScenarioParseError(f"missing required key {key!r} in [{name}]")
-    return section[key]
+def _require(values: Mapping[str, Mapping], section: str, *keys: str) -> None:
+    for key in keys:
+        if key not in values[section]:
+            raise ScenarioParseError(f"missing required key {key!r} in [{section}]")
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text; see the module docstring for the grammar."""
-    entries = _tokenize(text)
-    series_entries, game_entries, run_entries = (
-        entries["series"],
-        entries["game"],
-        entries["run"],
-    )
-
-    canonical = False
-    if "canonical" in series_entries:
-        canonical = _bool_value("canonical", series_entries["canonical"])
+    values, lines = _read(text)
+    march, game, run = values["series"], values["game"], values["run"]
+    canonical = march.get("canonical", False)
     if canonical:
-        extras = [key for key in series_entries if key != "canonical"]
+        extras = [key for key in march if key != "canonical"]
         if extras:
             raise ScenarioParseError(
                 f"canonical series takes no other [series] keys, got {extras[0]!r}",
-                series_entries[extras[0]][1],
+                lines["series"][extras[0]],
             )
-        series = SoritesSeries(n=CANONICAL_N, flips=dict(CANONICAL_FLIPS))
+        series = SoritesSeries(CANONICAL_N, CANONICAL_FLIPS)
     else:
-        n_entry = _require(series_entries, "series", "n")
-        n = _number("n", n_entry, int)
-        _owned(n_entry[1], check_states, n)
-        flips: dict[str, int] = {}
-        for key, entry in series_entries.items():
-            if key.startswith("flip."):
-                agent = key[len("flip."):]
-                flips[agent] = _number(key, entry, int)
-                _owned(entry[1], check_flip, agent, flips[agent], n)
-        series = _owned(None, SoritesSeries, n, flips)
+        _require(values, "series", "n")
+        flips = {key[len("flip."):]: flip for key, flip in march.items() if key.startswith("flip.")}
+        for agent, flip in flips.items():
+            _owned(lines["series"]["flip." + agent], check_flip, agent, flip, march["n"])
+        series = _owned(None, SoritesSeries, march["n"], flips)
 
-    delta_entry = _require(game_entries, "game", "delta")
-    _require(game_entries, "game", "gamma")
-    game = {key: _number(key, entry, float, GAME_RANGES) for key, entry in game_entries.items()}
+    _require(values, "game", "delta", "gamma")
     # Each value is in range, so GameConfig can only reject a delta too small for tau.
-    config = _owned(delta_entry[1], GameConfig, **game)
+    config = _owned(lines["game"]["delta"], GameConfig, **game)
 
-    speaker_entry = _require(run_entries, "run", "speaker")
-    speaker = speaker_entry[0]
-    world_entry = _require(run_entries, "run", "world")
-    world = world_entry[0]
-    run = {}
-    for key, kind in (("steps", int), ("tolerance", float)):
-        if key in run_entries:
-            run[key] = _number(key, run_entries[key], kind, HEDGING_RANGES)
-
-    if speaker not in series.flips:
+    _require(values, "run", "speaker", "world")
+    if run["speaker"] not in series.flips:
         raise ScenarioParseError(
-            f"speaker {speaker!r} is not an agent of the series "
+            f"speaker {run['speaker']!r} is not an agent of the series "
             f"(agents: {', '.join(series.agents)})",
-            speaker_entry[1],
+            lines["run"]["speaker"],
         )
     worlds = world_pools(series)
-    if world not in worlds:
+    if run["world"] not in worlds:
         raise ScenarioParseError(
-            f"world {world!r} not in the pooled model (worlds: {', '.join(worlds)})",
-            world_entry[1],
+            f"world {run['world']!r} not in the pooled model (worlds: {', '.join(worlds)})",
+            lines["run"]["world"],
         )
-    return Scenario(
-        series=series,
-        canonical=canonical,
-        config=config,
-        speaker=speaker,
-        world=world,
-        **run,
-    )
+    return Scenario(series, canonical, config, **run)
 
 
 def load_scenario(path) -> Scenario:

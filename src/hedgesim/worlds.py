@@ -37,11 +37,12 @@ class UnknownLabelError(KeyError):
     """An agent or world label that is not part of the model."""
 
 
-def check_states(n: int) -> None:
-    """Reject a state count that is not an integer in [3, 100000]: pooling
+def check_states(n: int) -> int:
+    """Return ``n`` if it is an integer in [3, 100000], else raise: pooling
     keeps every state, so the bound also bounds the model and its report."""
     if not isinstance(n, int) or not 3 <= n <= 100_000:
         raise InvalidSeriesError(f"n must be an integer in [3, 100000], got {n!r}")
+    return n
 
 
 def check_flip(agent: str, flip: int, n: int) -> None:
@@ -93,10 +94,11 @@ class WorldModel(Checked, namedtuple(
     """Worlds, one partition per agent, and extensions for the two atoms.
 
     ``valuation`` maps the atom keys :data:`PHI` / :data:`NOT_PHI` to the
-    world sets where they are true, kept as frozensets. ``judgments`` and
-    ``members`` are provenance from pooling (None for hand-built models):
-    the per-agent judgment at each world, and the original states each
-    world pools.
+    world sets where they are true. ``judgments`` and ``members`` are
+    provenance from pooling (None for hand-built models): the per-agent
+    judgment at each world, and the original states each world pools.
+    Every field is kept as a copy: labels and member lists as tuples, cells
+    and atom extensions as frozensets.
     """
 
     __slots__ = ()
@@ -109,9 +111,10 @@ class WorldModel(Checked, namedtuple(
         if not self.agents or len(set(self.agents)) != len(self.agents):
             raise ValueError("agents must be non-empty and unique")
         everything = frozenset(self.worlds)
-        if set(self.partitions) != set(self.agents):
+        partitions = {a: tuple(map(frozenset, cells)) for a, cells in self.partitions.items()}
+        if set(partitions) != set(self.agents):
             raise ValueError("partitions must cover exactly the model's agents")
-        for agent, cells in self.partitions.items():
+        for agent, cells in partitions.items():
             seen: set[str] = set()
             for cell in cells:
                 if not cell:
@@ -130,7 +133,9 @@ class WorldModel(Checked, namedtuple(
         if valuation[PHI] & valuation[NOT_PHI]:
             raise ValueError("atom extensions overlap (a gap is permitted, overlap is not)")
         return tuple.__new__(type(self), (
-            self.agents, self.worlds, self.partitions, valuation, self.judgments, self.members
+            tuple(self.agents), tuple(self.worlds), partitions, valuation,
+            None if self.judgments is None else {a: dict(j) for a, j in self.judgments.items()},
+            None if self.members is None else {w: tuple(m) for w, m in self.members.items()},
         ))
 
     @property

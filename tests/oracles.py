@@ -6,10 +6,16 @@ the hedging trace in one forward pass. The definitions here
 compute them one world or one step at a time, straight from the records'
 fields, and none calls the library function it is compared with (see
 ``tests/test_package.py``): they take only records and constants from
-``hedgesim``.
+``hedgesim``. The recurrence is also run in ``decimal`` arithmetic, to
+check how the library's floats round.
 """
 
+from decimal import Decimal, localcontext
+
 from hedgesim.worlds import NOT_PHI, PHI, Q, QBAR
+
+# The significant digits of the decimal recurrence.
+EXACT_DIGITS = 100
 
 # The three truth values of :func:`evaluate`.
 TRUE = "true"
@@ -73,6 +79,17 @@ def propensity_sequence(last):
     values = [1.0, 0.5]
     while len(values) <= last:
         values.append(values[-2] / (values[-1] + values[-2]))
+    return values[: last + 1]
+
+
+def exact_propensities(last):
+    """f(0..last) of the recurrence at ``EXACT_DIGITS`` significant digits.
+    Not ``Fraction``: its terms' digit counts grow geometrically."""
+    with localcontext() as context:
+        context.prec = EXACT_DIGITS
+        values = [Decimal(1), Decimal(1) / 2]
+        while len(values) <= last:
+            values.append(values[-2] / (values[-1] + values[-2]))
     return values[: last + 1]
 
 

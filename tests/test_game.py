@@ -65,17 +65,6 @@ def test_config_has_no_payoffs_field():
     assert "PayoffMatrix" not in hedgesim.__all__
 
 
-def test_prior_rejects_negative_mass():
-    with pytest.raises(ValueError, match="negative probability"):
-        game._prior(1.5, 0.0)
-
-
-@pytest.mark.parametrize("delta, gamma", [(math.nan, 0.0), (0.5, math.nan)])
-def test_prior_rejects_nan_mass(delta, gamma):
-    with pytest.raises(ValueError, match="non-numeric probability nan at 'w1'"):
-        game._prior(delta, gamma)
-
-
 # --- priors -----------------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
 import inspect
+import math
 import random
 import tracemalloc
+from decimal import Decimal
 from itertools import islice
 from unittest import mock
 
@@ -89,6 +91,27 @@ def test_step_52_is_the_first_step_equal_to_its_predecessor():
     steps = run_hedging(GameConfig(delta=0.7, gamma=0.2), max_steps=200).steps
     repeats = [step.n for previous, step in zip(steps, steps[1:]) if step[1:] == previous[1:]]
     assert repeats[0] == 52
+
+
+# The most a float propensity through step 150 is off the decimal one, in
+# units in the last place of the float; the measured worst is 4.41 ulp, at f(17).
+ULP_BOUND = 4.5
+
+
+def test_propensities_round_close_to_the_exact_recurrence():
+    floats = reported_recurrence(150)
+    exact = oracles.exact_propensities(1000)
+    worst = max(abs(Decimal(x) - e) / Decimal(math.ulp(x)) for x, e in zip(floats, exact))
+    assert worst <= ULP_BOUND
+    # At 100 digits the decimal recurrence has stopped moving by f(1000):
+    # its last two values are the exact (even, odd) limit.
+    assert exact[-4:-2] == exact[-2:]
+    limit = {n % 2: float(value) for n, value in enumerate(exact[-2:], start=len(exact) - 2)}
+    # From the first pair of floats that repeats on, each float is the
+    # double nearest the limit.
+    first = next(n for n in range(2, 150) if floats[n : n + 2] == floats[n - 2 : n]) - 2
+    assert first == 50
+    assert all(value == limit[n % 2] for n, value in enumerate(floats[first:], start=first))
 
 
 def test_propensities_at_step():

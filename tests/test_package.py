@@ -40,9 +40,11 @@ REMOVED = [
 ]
 
 
-def run_python(code: str, *flags: str) -> str:
+def run_python(code: str, *flags: str, path: tuple = ()) -> str:
+    """Run ``code`` in a child interpreter that finds the package, and the
+    directories ``path`` after it; return the last line it printed."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC_DIR), *map(str, path), env.get("PYTHONPATH", "")])
     done = subprocess.run(
         [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
@@ -115,9 +117,9 @@ print(json.dumps([loaded, listed, game.__name__, sio.__name__]))
     assert (game, sio) == ("hedgesim.game", "hedgesim.scenario_io")
 
 
-# The modules that ``dataclasses`` and ``inspect`` bring in, which no
-# command may load at all, and ``typing``, which a command may load only
-# where the interpreter's own start-up does (this ``site`` may).
+# The modules that ``dataclasses`` and ``inspect`` bring in, and ``typing``,
+# none of which a command may load beyond what the interpreter's start-up
+# loads (some start-ups, such as Python 3.13.13's, load all but ``typing``).
 HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 TYPING = {"typing", "_typing"}
 # What ``json`` brings in, which only a JSON render may load.
@@ -127,36 +129,49 @@ PRINT_MODULES = "print(' '.join(sorted(sys.modules)))"
 # which the commands that read a scenario also load.
 COLD = {"hedgesim", "hedgesim.cli", "hedgesim.game", "hedgesim.hedging", "hedgesim.writers"}
 EVERY = COLD | {f"hedgesim.{name}" for name in ("assertion", "scenario_io", "semantics", "worlds")}
+COMMANDS = {
+    "hedge": (["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "5"], COLD),
+    "sweep": (["sweep", "--delta-steps", "3", "--gamma-steps", "3"], COLD),
+    "simulate": (["simulate", SCENARIO], EVERY),
+    "frame-check": (["frame-check", SCENARIO], EVERY),
+}
 
 
-@pytest.mark.parametrize(
-    "arguments, modules",
-    [
-        (["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "5"], COLD),
-        (["sweep", "--delta-steps", "3", "--gamma-steps", "3"], COLD),
-        (["simulate", SCENARIO], EVERY),
-        (["frame-check", SCENARIO], EVERY),
-    ],
-    ids=["hedge", "sweep", "simulate", "frame-check"],
-)
-def test_commands_import_only_what_they_run(tmp_path, arguments, modules):
-    # Started like the command children, so it loads what start-up loads.
-    baseline = set(run_python(f"import sys; {PRINT_MODULES}").split())
-    assert not baseline & (HEAVY | JSON)
+def check_imports(tmp_path, arguments, modules, path=()):
+    """Run a command in both formats, in children started like the command's
+    own (with ``path`` on ``PYTHONPATH``), and check what it loads beyond
+    what a bare child loads."""
+    baseline = set(run_python(f"import sys; {PRINT_MODULES}", path=path).split())
     for fmt in ("csv", "json"):
         argv = [*arguments, "--format", fmt, "--out", str(tmp_path / fmt)]
         if arguments[0] == "simulate" and fmt == "json":
             argv += ["--trace", str(tmp_path / "trace")]
         code = f"import sys\nfrom hedgesim.cli import main\nassert main({argv!r}) == 0\n{PRINT_MODULES}"
-        loaded = set(run_python(code).split())
+        loaded = set(run_python(code, path=path).split())
         assert {m for m in loaded if m.startswith("hedgesim")} == modules
-        assert not loaded & HEAVY, fmt
-        assert loaded & TYPING <= baseline, fmt
+        added = loaded - baseline
+        assert not added & (HEAVY | TYPING), fmt
         if fmt == "csv":
-            assert not loaded & JSON
+            assert not added & JSON
         assert (tmp_path / fmt).stat().st_size > 0
     if arguments[0] == "simulate":
         assert (tmp_path / "trace").stat().st_size > 0
+    return baseline
+
+
+@pytest.mark.parametrize("arguments, modules", COMMANDS.values(), ids=list(COMMANDS))
+def test_commands_import_only_what_they_run(tmp_path, arguments, modules):
+    check_imports(tmp_path, arguments, modules)
+
+
+def test_commands_pass_the_import_check_where_start_up_loads_heavy_modules(tmp_path):
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text("import ast, dis, inspect, tokenize\n", encoding="utf-8")
+    for name, (arguments, modules) in COMMANDS.items():
+        (tmp_path / name).mkdir()
+        baseline = check_imports(tmp_path / name, arguments, modules, path=(site,))
+        assert {"ast", "dis", "inspect", "tokenize"} <= baseline, name
 
 
 def test_library_loads_no_record_or_enum_machinery():

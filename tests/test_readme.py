@@ -1,8 +1,10 @@
 """The README's library quick tour runs and gives the values its comments
-state, and the README's public surface and fixed pair are the package's."""
+state, and the README's public surface, fixed pair and parameter ranges
+are the package's."""
 
 import contextlib
 import io
+import math
 import re
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import pytest
 from test_hedging import FIXED_PAIR
 
 import hedgesim
-from hedgesim import Formula
+from hedgesim import Formula, GameConfig, SoritesSeries, grid, run_hedging
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -44,3 +46,51 @@ def test_readme_states_the_fixed_pair_the_trace_reaches():
     # test_hedging checks that run_hedging reaches FIXED_PAIR at step 51.
     words = " ".join(README.read_text(encoding="utf-8").split())
     assert f"from step 51 on every (speaker, listener) pair is {FIXED_PAIR}" in words
+
+
+# Each range the README states, with the object that owns it and the kind
+# of its values.
+RANGE_OWNERS = {
+    "n": (int, lambda n: SoritesSeries(n, {"S": 2})),
+    "delta": (float, lambda v: GameConfig(delta=v, gamma=0.5)),
+    "gamma": (float, lambda v: GameConfig(delta=0.5, gamma=v)),
+    "tau": (float, lambda v: GameConfig(delta=0.5, gamma=0.5, tau=v)),
+    "epsilon": (float, lambda v: GameConfig(delta=0.5, gamma=0.5, epsilon=v)),
+    "steps": (int, lambda v: run_hedging(GameConfig(0.7, 0.2), max_steps=v)),
+    "tolerance": (float, lambda v: run_hedging(GameConfig(0.7, 0.2), max_steps=4, tolerance=v)),
+    "grid size": (int, grid),
+}
+INTERVAL = r"([\[(])(\S+), (\S+?)([\])])"
+
+
+def stated_ranges():
+    """Each interval the scenario-file block and the grid flags' text state,
+    as (closed at lo, lo, hi, closed at hi) in text."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Scenario files", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    ranges = {}
+    for line in block.splitlines():
+        key, _, comment = line.partition("#")
+        found = re.search(f"in {INTERVAL}", comment)
+        if "positive and finite" in comment:
+            ranges[key.partition("=")[0].strip()] = ("(", "0", "inf", ")")
+        elif found:
+            ranges[key.partition("=")[0].strip()] = found.groups()
+    words = " ".join(text.split())
+    flags = re.search(f"`--delta-steps` and `--gamma-steps` are each an integer in {INTERVAL}", words)
+    ranges["grid size"] = flags.groups()
+    return ranges
+
+
+def test_readme_ranges_are_the_owners_ranges():
+    ranges = stated_ranges()
+    assert set(ranges) == set(RANGE_OWNERS)
+    for key, (opening, lo, hi, closing) in ranges.items():
+        kind, owner = RANGE_OWNERS[key]
+        for end, closed, outward in ((kind(lo), opening == "[", -1), (kind(hi), closing == "]", 1)):
+            beyond = end
+            if closed:
+                owner(end)
+                beyond = end + outward if kind is int else math.nextafter(end, outward * math.inf)
+            with pytest.raises(ValueError, match=f"^{re.escape(key)} must be"):
+                owner(beyond)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from hedgesim import assertion, scenario_io, semantics
+from hedgesim import assertion, scenario_io, semantics, writers
 from hedgesim.assertion import SignalLikelihoods
 from hedgesim.game import GameConfig, SweepRow, grid, threshold_sweep
 from hedgesim.hedging import run_hedging
@@ -150,6 +150,47 @@ def test_parse_errors(text, fragment, line):
     assert excinfo.value.line == line
     if line is not None:
         assert f"line {line}:" in str(excinfo.value)
+
+
+GAME_AND_RUN = "[game]\ndelta = .5\ngamma = .1\n[run]\nspeaker = S\nworld = w2\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # A bad value comes before a later malformed or duplicate line ...
+        ("[series]\nn = five\n[bogus]\n", "line 2: n must be an integer, got 'five'"),
+        ("[series]\nflip.S = 4.0\nflip.S = 3\n", "line 2: flip.S must be an integer, got '4.0'"),
+        # ... and before every check that spans keys.
+        ("[series]\ncanonical = true\nn = 1\n" + GAME_AND_RUN,
+         "line 3: n must be an integer in [3, 100000], got 1"),
+        ("[series]\ncanonical = true\n[game]\ngamma = 2\n[run]\nspeaker = S\nworld = w2\n",
+         "line 4: gamma must be at least 0 and strictly below 1, got 2.0"),
+        ("[series]\nn = 5\nflip.S = 9\nflip.L = 2\n[game]\ndelta = 2\ngamma = .1\n",
+         "line 6: delta must be strictly between 0 and 1, got 2.0"),
+        ("[series]\ncanonical = true\n[game]\ndelta = .5\ngamma = .1\n[run]\nsteps = 1\n",
+         "line 7: steps must be an integer in [4, 100000], got 1"),
+    ],
+    ids=["unknown-section", "duplicate", "canonical-extras", "missing-delta", "flip-range",
+         "missing-speaker"],
+)
+def test_of_several_faults_the_first_faulty_line_is_reported(text, message):
+    # Each value is read when its line is, so a file's first unknown,
+    # duplicate, malformed or bad line is the fault reported; the checks
+    # that span keys (canonical extras, flips against n, required keys,
+    # speaker and world) run only on a file whose every line reads.
+    with pytest.raises(ScenarioParseError) as excinfo:
+        parse_scenario(text)
+    assert str(excinfo.value) == message
+
+
+def test_one_table_reads_every_key():
+    readers = scenario_io._READERS
+    assert list(readers) == ["series", "game", "run"]
+    assert list(readers["series"]) == ["n", "canonical", "flip.<agent>"]
+    for section in ("game", "run"):
+        assert tuple(readers[section]) == writers._SCENARIO_KEYS[section]
+    assert not {"_number", "_bool_value", "_tokenize", "_FIXED_KEYS"} & set(dir(scenario_io))
 
 
 # --- running ----------------------------------------------------------------

@@ -256,6 +256,29 @@ def test_model_validation_rejects_bad_partitions():
         assert str(excinfo.value) == message, changes
 
 
+def test_the_model_keeps_its_own_copies():
+    # Changing what a model was built from afterwards leaves the checked model as it was.
+    worlds, cell = ["w1", "w2"], {"w1", "w2"}
+    partitions = {"S": [cell]}
+    judgments = {"S": {"w1": Q, "w2": Q}}
+    members = {"w1": [1], "w2": [2, 3]}
+    model = WorldModel(
+        ["S"], worlds, partitions, {PHI: {"w1", "w2"}, NOT_PHI: set()}, judgments, members
+    )
+    worlds.append("w9")
+    cell.discard("w2")
+    partitions["S"] = [{"w1"}]
+    judgments["S"]["w2"] = QBAR
+    members["w2"].append(4)
+    assert model.cell("S", "w2") == frozenset({"w1", "w2"})
+    assert (model.agents, model.worlds) == (("S",), ("w1", "w2"))
+    assert model.partitions == {"S": (frozenset({"w1", "w2"}),)}
+    assert model.judgments is not judgments
+    assert model.judgments == {"S": {"w1": Q, "w2": Q}}
+    assert model.members == {"w1": (1,), "w2": (2, 3)}
+    assert model._replace(worlds=("w1", "w2")) == model
+
+
 # --- doxastic operators -----------------------------------------------------
 
 
