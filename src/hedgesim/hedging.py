@@ -15,18 +15,20 @@ listener) pair from step 51 on is that same pair (checked to step 100000 on
 Python 3.11.7). Consecutive pair sums approach 1, and the step-indexed
 expected utility never drops below its step-0 value.
 
-``run_hedging`` makes one forward pass, so N steps (``steps``, in [4, 100000])
-cost O(N) time, and nothing is kept between calls. The same pass keeps the
-summary as running reductions (the lowest EU of each action, whether the
-pair sums descend, the last pair sum), so no step is read back. Its records
-are named tuples, like those of ``game``.
+``_propensities`` detects that fixed point and stops there, so ``run_hedging``
+computes only the steps up to it, whatever N (``steps``, in [4, 100000]). It
+keeps the summary as running reductions (the lowest EU of each action, whether
+the pair sums descend, the last pair sum), which a repeated step cannot change.
+Each later step is one tuple of the last step's value objects, which the
+writers format once. Nothing is kept between calls. Its records are named
+tuples, like those of ``game``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import islice
+from itertools import islice, repeat
 
 from .game import GameConfig, check_parameter, expected_utility, integer_range
 
@@ -45,15 +47,19 @@ def _propensities():
     """Yield the (speaker, listener) propensities for action a at steps
     n = 0, 1, 2, ...: the recurrence at the largest even and the largest odd
     index up to n. Before any adjustment (n = 0) the listener's is 0, not a
-    recurrence value."""
+    recurrence value. Stop at a pair that a speaker update and the following
+    listener update both leave unchanged, which every later step repeats."""
     speaker, listener = 1.0, 0.0
     yield speaker, listener
     listener = HESITATION
     while True:
         yield speaker, listener
-        speaker = speaker / (listener + speaker)
-        yield speaker, listener
-        listener = listener / (speaker + listener)
+        next_speaker = speaker / (listener + speaker)
+        yield next_speaker, listener
+        next_listener = listener / (next_speaker + listener)
+        if next_speaker == speaker and next_listener == listener:
+            return
+        speaker, listener = next_speaker, next_listener
 
 
 class HedgingStep(namedtuple("HedgingStep", "n p_speaker_a p_listener_a eu_a eu_b")):
@@ -92,7 +98,8 @@ def run_hedging(
     max_steps: int = DEFAULT_STEPS,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> HedgingTrace:
-    """Full propensity and expected-utility trace for steps 0..max_steps."""
+    """Full propensity and expected-utility trace for steps 0..max_steps:
+    every step, though those past the fixed point repeat the last computed one."""
     check_parameter(HEDGING_RANGES, "steps", max_steps)
     check_parameter(HEDGING_RANGES, "tolerance", tolerance)
     base_a = expected_utility(config, "S", "a")
@@ -120,6 +127,9 @@ def run_hedging(
             if not 1.0 - 1e-12 <= pair_sum <= previous + 1e-12:
                 descending = False
             previous = pair_sum
+    # Past the fixed point every step repeats the last one but for n.
+    steps += map(new_step, repeat(HedgingStep), zip(
+        range(n + 1, max_steps + 1), repeat(speaker), repeat(listener), repeat(eu_a), repeat(eu_b)))
     first = steps[0]
     gap = abs(pair_sum - 1.0)
     summary = HedgingSummary(

@@ -8,13 +8,15 @@ layouts built once per depth; a world subset is listed by filtering the
 model's worlds, with no sort.
 
 Every record is a named tuple, and the ``_fields`` of a sweep row, hedging
-step or frame report are its CSV header and JSON keys. A hedging step is
-itself the value tuple of its CSV row template, and in JSON one ``%.12g``
-template writes its floats. A sweep render writes a row field by field and
-formats each value only once (see ``_sweep_lines``); the frame CSV joins the
-three flags and the witness. A ``%.12g`` text with a ``.``
-and no exponent is already the float's JSON text; any other float is written
-through ``_jnum_text``, which rejects non-finite values.
+step or frame report are its CSV header and JSON keys. A run of hedging
+steps that hold the same value objects, as the steps past the recurrence's
+fixed point do, is written from one per-``n`` template, whose floats one
+``%.12g`` pass writes in CSV and in JSON (see ``_step_lines``). A sweep
+render writes a row field by field and formats each value only once (see
+``_sweep_lines``); the frame CSV joins the three flags and the witness. A
+``%.12g`` text with a ``.`` and no exponent is already the float's JSON
+text; any other float is written through ``_jnum_text``, which rejects
+non-finite values.
 
 The writers need only the record types of ``game`` and ``hedging``, so
 ``sweep`` and ``hedge`` load neither the world models nor the scenario
@@ -40,8 +42,8 @@ if TYPE_CHECKING:
 # fields of the same name, in the order files and reports list them.
 _SCENARIO_KEYS = {"game": tuple(GAME_RANGES), "run": ("speaker", "world", "steps", "tolerance")}
 
-# The CSV row of a hedging step, field by field, which is also its JSON float text.
-_STEP_ROW = "%d,%.12g,%.12g,%.12g,%.12g"
+# The CSV text of a hedging step's values, which is also their JSON float text.
+_STEP_FLOATS = "%.12g,%.12g,%.12g,%.12g"
 # The text before each field of a sweep's CSV row.
 _SWEEP_CSV_LABELS = ("",) + (",",) * 7
 
@@ -113,15 +115,36 @@ def _sweep_lines(rows, labels: tuple, end: str, json: bool) -> list[str]:
     return lines
 
 
-def _step_json(step: HedgingStep) -> tuple:
-    """The JSON text of a hedging step's values: its floats from one
-    ``%.12g`` pass when that text is their ``_jnum_text``, that is when it
-    has no exponent and a ``.`` in every number (``nan`` and ``inf`` have
-    none), else float by float."""
-    numbers = _STEP_ROW % step
+def _step_csv(values: tuple) -> str:
+    """The CSV row of a hedging step's values, with a ``%d`` slot for ``n``."""
+    return "%d," + _STEP_FLOATS % values
+
+
+def _step_json(values: tuple) -> str:
+    """The JSON object of a hedging step's values, with a ``%d`` slot for
+    ``n``: its floats from one ``%.12g`` pass when that text is their
+    ``_jnum_text``, that is when it has no exponent and a ``.`` in every
+    number (``nan`` and ``inf`` have none), else float by float."""
+    numbers = _STEP_FLOATS % values
     if "e" in numbers or numbers.count(".") != 4:
-        return (str(step.n), *map(_jnum_text, step[1:]))
-    return tuple(numbers.split(","))
+        return _HEDGING_STEP_JSON % ("%d", *map(_jnum_text, values))
+    return _HEDGING_STEP_JSON % ("%d", *numbers.split(","))
+
+
+def _step_lines(steps, template) -> list[str]:
+    """Each hedging step's text: the ``template`` of its values, built once
+    per run of steps that hold the same value objects, filled with its
+    ``n``. A run goes by identity, not equality: 0.0 == -0.0, and their
+    texts differ."""
+    lines = []
+    append = lines.append
+    speaker = listener = eu_a = eu_b = object()  # held by no step
+    for n, p, q, a, b in steps:
+        if p is not speaker or q is not listener or a is not eu_a or b is not eu_b:
+            speaker, listener, eu_a, eu_b = p, q, a, b
+            text = template((p, q, a, b))
+        append(text % n)
+    return lines
 
 
 def _layouts(left: str, right: str) -> dict:
@@ -280,8 +303,8 @@ def render_sweep_json(rows: list[SweepRow]) -> str:
 
 
 def render_hedging_csv(trace: HedgingTrace) -> str:
-    lines = [_STEP_ROW % step for step in trace.steps]
-    return "\n".join([",".join(HedgingStep._fields), *lines]) + "\n"
+    # The empty last line ends the text with a newline without copying it.
+    return "\n".join([",".join(HedgingStep._fields), *_step_lines(trace.steps, _step_csv), ""])
 
 
 def render_hedging_json(trace: HedgingTrace) -> str:
@@ -289,7 +312,7 @@ def render_hedging_json(trace: HedgingTrace) -> str:
     return _HEDGING_JSON % (
         *_float_fields(trace.config), trace.max_steps, _jnum_text(trace.tolerance),
         _jnum_text(HESITATION),
-        _list([_HEDGING_STEP_JSON % _step_json(step) for step in trace.steps], 1),
+        _list(_step_lines(trace.steps, _step_json), 1),
         *_float_fields(trace.summary),
     )
 

@@ -74,9 +74,9 @@ def judgment_vector(series, t):
     return tuple(judgment(series, agent, t) for agent in series.flips)
 
 
-def propensity_sequence(last):
-    """f(0..last) of f(0) = 1, f(1) = 1/2, f(n) = f(n-2) / (f(n-1) + f(n-2))."""
-    values = [1.0, 0.5]
+def propensity_sequence(last, seed=0.5):
+    """f(0..last) of f(0) = 1, f(1) = ``seed``, f(n) = f(n-2) / (f(n-1) + f(n-2))."""
+    values = [1.0, seed]
     while len(values) <= last:
         values.append(values[-2] / (values[-1] + values[-2]))
     return values[: last + 1]

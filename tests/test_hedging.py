@@ -87,6 +87,15 @@ def test_the_recurrence_settles_on_the_fixed_pair():
     assert set(pairs[51:]) == {FIXED_PAIR}
 
 
+def test_the_recurrence_stops_at_its_first_repeated_step():
+    # The bound only keeps a recurrence that never stops from hanging the test.
+    pairs = list(islice(hedging._propensities(), 10_000))
+    assert len(pairs) < 10_000
+    repeats = [n for n in range(1, len(pairs)) if pairs[n] == pairs[n - 1]]
+    assert repeats == [len(pairs) - 1]
+    assert pairs[-1] == FIXED_PAIR
+
+
 def test_step_52_is_the_first_step_equal_to_its_predecessor():
     steps = run_hedging(GameConfig(delta=0.7, gamma=0.2), max_steps=200).steps
     repeats = [step.n for previous, step in zip(steps, steps[1:]) if step[1:] == previous[1:]]
@@ -199,14 +208,15 @@ def test_hesitation_is_a_fixed_seed_not_an_option():
 ORACLE_VALUES = oracles.propensity_sequence(100_000)
 
 
-def oracle_steps(config, max_steps):
-    """Steps 0..max_steps worked out one at a time by the oracles."""
+def oracle_steps(config, max_steps, values=ORACLE_VALUES):
+    """Steps 0..max_steps worked out one at a time by the oracles from the
+    recurrence ``values``."""
     return tuple(
         HedgingStep(
             n,
-            *oracles.propensities_at_step(n, ORACLE_VALUES),
-            oracles.stepwise_eu(config, n, "a", ORACLE_VALUES),
-            oracles.stepwise_eu(config, n, "b", ORACLE_VALUES),
+            *oracles.propensities_at_step(n, values),
+            oracles.stepwise_eu(config, n, "a", values),
+            oracles.stepwise_eu(config, n, "b", values),
         )
         for n in range(max_steps + 1)
     )
@@ -267,6 +277,22 @@ def test_run_hedging_summary_equals_the_multi_pass_summary(delta, gamma, max_ste
     trace = run_hedging(GameConfig(delta=delta, gamma=gamma), max_steps, tolerance)
     assert trace.summary == multi_pass_summary(trace.steps, tolerance)
     assert all(type(flag) is bool for flag in trace.summary[3:])
+
+
+@pytest.mark.parametrize("seed", [0.0, 0.25, 0.9])
+def test_run_hedging_follows_the_recurrence_from_other_seeds(seed):
+    """From another seed f(1) the recurrence stops at another step: at step
+    2 from 0, and from 0.25 and 0.9 one step after the first repeat, where
+    the listener settles before the speaker. The trace still equals the
+    recurrence run to the end."""
+    values = oracles.propensity_sequence(3000, seed)
+    config = GameConfig(delta=0.7, gamma=0.2)
+    with mock.patch.object(hedging, "HESITATION", seed):
+        assert len(list(islice(hedging._propensities(), 3001))) < 60
+        for max_steps in [*range(4, 121), 1000, 2999, 3000]:
+            trace = run_hedging(config, max_steps)
+            assert trace.steps == oracle_steps(config, max_steps, values)
+            assert trace.summary == multi_pass_summary(trace.steps, trace.tolerance)
 
 
 # The recurrence's pairs for 40 steps, whose summary flags are all true.

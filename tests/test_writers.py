@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import sort_worlds
 
-from hedgesim import scenario_io, writers
+from hedgesim import hedging, scenario_io, writers
 from hedgesim.assertion import UnexpectedSignalError
 from hedgesim.game import GameConfig, SweepRow, grid, threshold_sweep
 from hedgesim.hedging import HedgingStep, run_hedging
@@ -241,6 +241,36 @@ def test_hedging_writers_on_any_floats(steps):
     assert render_hedging_json(trace) == dumps(hedging_payload(trace))
 
 
+@st.composite
+def shared_float_steps(draw):
+    """Hedging steps in runs that hold the same value objects, as the steps
+    past the fixed point do. The objects come from one small pool, and each
+    run keeps some of the last run's objects and often swaps a zero for the
+    other zero, so that neighbouring runs can differ only in an equal
+    object of another text."""
+    pool = st.sampled_from(draw(st.lists(record_floats, max_size=3)) + list(MEMO_TRAPS))
+    values = [draw(pool) for _ in FLOAT_FIELDS[HedgingStep]]
+    steps = []
+    for _ in range(draw(st.integers(1, 6))):
+        values = [draw(st.just(v) | st.sampled_from((0.0, -0.0)) | pool) for v in values]
+        for _ in range(draw(st.integers(1, 4))):
+            steps.append(HedgingStep(draw(st.integers(0, 10**5)), *values))
+    return steps
+
+
+@settings(deadline=None, max_examples=300)
+@given(shared_float_steps())
+@example([HedgingStep(n, 0.5, zero, 0.5, 0.5) for n, zero in enumerate((0.0, 0.0, -0.0, -0.0, 0.0))])
+def test_hedging_writers_on_shared_floats(steps):
+    trace = HEDGING._replace(steps=tuple(steps))
+    assert render_hedging_csv(trace) == csv_text(steps)
+    if all(map(math.isfinite, itertools.chain.from_iterable(step[1:] for step in steps))):
+        assert render_hedging_json(trace) == dumps(hedging_payload(trace))
+    else:
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            render_hedging_json(trace)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", FLOAT_FIELDS[HedgingStep])
 def test_hedging_json_rejects_non_finite_numbers(field, value):
@@ -327,6 +357,37 @@ def test_record_writers_format_floats_per_record(float_text_calls):
         float_text_calls.clear()
         assert render(rows)
         assert float_text_calls == {name: 50 + 50 + 2 * len(rows)}
+
+
+def test_hedging_work_does_not_grow_past_the_fixed_point(monkeypatch):
+    """The recurrence steps ``run_hedging`` computes and the step texts the
+    writers format are as many at 100000 steps as at 1000: each step past
+    the recurrence's fixed point holds the last computed step's values, and
+    is written from that step's text."""
+    counts = collections.Counter()
+    propensities = hedging._propensities
+
+    def counted_propensities():
+        for pair in propensities():
+            counts["recurrence"] += 1
+            yield pair
+
+    monkeypatch.setattr(hedging, "_propensities", counted_propensities)
+    for name in ("_step_csv", "_step_json"):
+        def counted(values, original=getattr(writers, name), name=name):
+            counts[name] += 1
+            return original(values)
+
+        monkeypatch.setattr(writers, name, counted)
+    seen = []
+    for max_steps in (1000, 100_000):
+        counts.clear()
+        trace = run_hedging(GameConfig(delta=0.7, gamma=0.2), max_steps=max_steps)
+        assert render_hedging_csv(trace).count("\n") == max_steps + 2
+        assert render_hedging_json(trace).count('"n": ') == max_steps + 1
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert set(seen[0]) == {"recurrence", "_step_csv", "_step_json"}
 
 
 def test_float_fields_given_ints_are_written_as_floats():
