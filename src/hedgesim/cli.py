@@ -11,18 +11,19 @@ never load the world models, the semantics or the scenario runner.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from pathlib import Path
+from itertools import chain
 
 from .game import (
     DEFAULT_TAU,
     GAME_RANGES,
     GRID_RANGES,
     GameConfig,
+    _sweep_runs,
     check_parameter,
     grid,
     parse_number,
-    threshold_sweep,
 )
 from .hedging import DEFAULT_TOLERANCE, HEDGING_RANGES, run_hedging
 
@@ -40,11 +41,23 @@ def _checked(ranges: dict, name: str, kind: type = float):
     return convert
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(pieces, out: str | None) -> None:
+    """Write the text ``pieces`` to the file ``out``, or to stdout. When a
+    reader closes stdout early, stdout is pointed at the null device before
+    the error goes on, so that the exit's flush of what is still buffered
+    cannot fail again."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+        with open(out, "w", encoding="utf-8") as file:
+            file.writelines(pieces)
+        return
+    try:
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise
 
 
 def _add_output_flags(parser: argparse.ArgumentParser, default_format: str) -> None:
@@ -63,18 +76,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     report = run_scenario(load_scenario(args.scenario))
     text = render_report_json(report) if args.format == "json" else render_report_csv(report)
-    _emit(text, args.out)
+    _emit([text], args.out)
     if args.trace:
-        Path(args.trace).write_text(render_dialogue_jsonl(report), encoding="utf-8")
+        _emit([render_dialogue_jsonl(report)], args.trace)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .writers import render_sweep_csv, render_sweep_json
+    """Build, write and drop the rows one delta at a time."""
+    from .writers import _sweep_chunks
 
-    rows = threshold_sweep(grid(args.delta_steps), grid(args.gamma_steps), tau=args.tau)
-    text = render_sweep_json(rows) if args.format == "json" else render_sweep_csv(rows)
-    _emit(text, args.out)
+    runs = _sweep_runs(grid(args.delta_steps), grid(args.gamma_steps), args.tau)
+    _emit(_sweep_chunks(chain.from_iterable(runs), args.format == "json"), args.out)
     return 0
 
 
@@ -84,7 +97,7 @@ def _cmd_hedge(args: argparse.Namespace) -> int:
     config = GameConfig(delta=args.delta, gamma=args.gamma)
     trace = run_hedging(config, max_steps=args.steps, tolerance=args.tolerance)
     text = render_hedging_json(trace) if args.format == "json" else render_hedging_csv(trace)
-    _emit(text, args.out)
+    _emit([text], args.out)
     return 0
 
 
@@ -96,10 +109,10 @@ def _cmd_frame_check(args: argparse.Namespace) -> int:
 
     scenario = load_scenario(args.scenario)
     frame = check_frame(pool_states(scenario.series))
-    print(frame.summary())
+    _emit([frame.summary(), "\n"], None)
     if args.out:
         text = render_frame_json(frame) if args.format == "json" else render_frame_csv(frame)
-        _emit(text, args.out)
+        _emit([text], args.out)
     return 0
 
 

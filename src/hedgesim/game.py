@@ -228,8 +228,8 @@ def equilibrium_region(config: GameConfig) -> RegionReport:
 
 
 class SweepRow(namedtuple("SweepRow", "delta gamma p_w1 p_w2 p_w3 eu_a eu_b region")):
-    """One grid point of :func:`threshold_sweep`, which builds it with
-    ``tuple.__new__``, skipping the generated ``__new__``."""
+    """One grid point of :func:`threshold_sweep`, built with ``tuple.__new__``,
+    skipping the generated ``__new__``."""
 
     __slots__ = ()
 
@@ -244,28 +244,42 @@ def threshold_sweep(
     Each grid is read once, so a generator works like a list. Every delta,
     then every gamma, then tau is checked once, with the message
     :class:`GameConfig` gives, so a bad value raises even when a grid is
-    empty. ``1 - delta`` and the region that can hold are worked out once
-    per delta, so a row costs its two unanimous masses and its region, by
-    :func:`equilibrium_region`'s rule. Checked values make both masses
-    non-negative and their sum with gamma 1 within a few ulp, far inside
-    ``ROUNDING``, so a row's prior needs no check of its own. ``p_w2`` is
-    the row's gamma object and the sender's utilities ``eu_a``/``eu_b`` are
-    its ``p_w1``/``p_w3`` objects, which the writers format once.
+    empty. The rows are built one delta at a time, as ``sweep`` writes them.
     """
+    rows: list[SweepRow] = []
+    for run in _sweep_runs(delta_grid, gamma_grid, tau):
+        rows += run
+    return rows
+
+
+def _sweep_runs(delta_grid: Iterable[float], gamma_grid: Iterable[float], tau: float):
+    """Check the grids and tau as :func:`threshold_sweep` states, then return
+    an iterator of each delta's rows in grid order: that function's path,
+    and the ``sweep`` command's, which holds one delta's rows at a time."""
     delta_grid, gamma_grid = tuple(delta_grid), tuple(gamma_grid)
     for name, values in (("delta", delta_grid), ("gamma", gamma_grid), ("tau", (tau,))):
         for value in values:
             check_parameter(GAME_RANGES, name, value)
+    return map(functools.partial(_delta_rows, gamma_grid, tau), delta_grid)
+
+
+def _delta_rows(gamma_grid: tuple, tau: float, delta: float) -> list[SweepRow]:
+    """One checked delta's rows over the checked gammas. ``1 - delta`` and the
+    region that can hold are worked out once, so a row costs its two
+    unanimous masses and its region, by :func:`equilibrium_region`'s rule.
+    Checked values keep those masses a distribution within a few ulp, far
+    inside ``ROUNDING``, so a row needs no check of its own. ``p_w2`` is the
+    row's gamma object and ``eu_a``/``eu_b`` are its ``p_w1``/``p_w3``
+    objects, which the writers format once."""
+    rest = 1.0 - delta
+    side, share = _contender(delta)
     rows: list[SweepRow] = []
     append, new, slack = rows.append, tuple.__new__, ROUNDING
-    for delta in delta_grid:
-        rest = 1.0 - delta
-        side, share = _contender(delta)
-        for gamma in gamma_grid:
-            keep = 1.0 - gamma
-            p_w1, p_w3 = delta * keep, rest * keep
-            region = side if share * keep - tau > slack else "none"
-            append(new(SweepRow, (delta, gamma, p_w1, gamma, p_w3, p_w1, p_w3, region)))
+    for gamma in gamma_grid:
+        keep = 1.0 - gamma
+        p_w1, p_w3 = delta * keep, rest * keep
+        region = side if share * keep - tau > slack else "none"
+        append(new(SweepRow, (delta, gamma, p_w1, gamma, p_w3, p_w1, p_w3, region)))
     return rows
 
 

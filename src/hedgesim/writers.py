@@ -4,19 +4,13 @@ CSV uses ``.`` decimals, no grouping and 12 significant digits; JSON carries
 the same rounded numbers, so both formats stay byte-stable. Each JSON object
 of fixed keys is a template built once. The blocks whose length varies are
 written straight from the records' fields by ``_list`` and ``_object``, with
-layouts built once per depth; a world subset is listed by filtering the
-model's worlds, with no sort.
-
-Every record is a named tuple, and the ``_fields`` of a sweep row, hedging
-step or frame report are its CSV header and JSON keys. A run of hedging
-steps that hold the same value objects, as the steps past the recurrence's
-fixed point do, is written from one per-``n`` template, whose floats one
-``%.12g`` pass writes in CSV and in JSON (see ``_step_lines``). A sweep
-render writes a row field by field and formats each value only once (see
-``_sweep_lines``); the frame CSV joins the three flags and the witness. A
-``%.12g`` text with a ``.`` and no exponent is already the float's JSON
-text; any other float is written through ``_jnum_text``, which rejects
-non-finite values.
+layouts built once per depth, and joined into the rest in one copy. The
+``_fields`` of a sweep row, hedging step or frame report are its CSV header
+and JSON keys. A run of hedging steps that hold the same value objects is
+written from one template (see ``_step_lines``), and a sweep one chunk per
+delta (see ``_sweep_chunks``). A ``%.12g`` text with a ``.`` and no
+exponent is already the float's JSON text; any other float goes through
+``_jnum_text``, which rejects non-finite values.
 
 The writers need only the record types of ``game`` and ``hedging``, so
 ``sweep`` and ``hedge`` load neither the world models nor the scenario
@@ -44,8 +38,6 @@ _SCENARIO_KEYS = {"game": tuple(GAME_RANGES), "run": ("speaker", "world", "steps
 
 # The CSV text of a hedging step's values, which is also their JSON float text.
 _STEP_FLOATS = "%.12g,%.12g,%.12g,%.12g"
-# The text before each field of a sweep's CSV row.
-_SWEEP_CSV_LABELS = ("",) + (",",) * 7
 
 
 def fmt_float(value: float) -> str:
@@ -81,38 +73,42 @@ def _quote(text: str) -> str:
     return _quote(text)
 
 
-def _sweep_lines(rows, labels: tuple, end: str, json: bool) -> list[str]:
-    """Each sweep row's text: each field's label, then its value's text,
-    then ``end``; JSON text (a quoted region) with ``json``.
-
-    A delta is formatted once per run of rows that hold it, so once per
-    delta in delta-major order, and each distinct nonzero gamma once per
-    call: the memo holds only gammas, keyed by value, and zeros skip it
-    because 0.0 and -0.0 are equal keys with different texts. ``p_w2``,
-    ``eu_a`` and ``eu_b`` reuse the text of the gamma, ``p_w1`` and
-    ``p_w3`` objects when they are those objects, as in ``threshold_sweep``.
-    """
-    k0, k1, k2, k3, k4, k5, k6, k7 = labels
+def _sweep_chunks(rows, json: bool):
+    """A sweep's text in pieces that join to the whole: one per run of rows
+    that hold the same delta object, the first opened and the last closed.
+    Each run's delta, each distinct nonzero gamma (0.0 == -0.0, and their
+    texts differ) and each region is formatted once per call. ``p_w2``,
+    ``eu_a`` and ``eu_b`` reuse the text of the gamma, ``p_w1`` and ``p_w3``
+    objects when they are those objects, as in ``threshold_sweep``."""
+    lead, separator, closing, (k0, k1, k2, k3, k4, k5, k6, k7, end) = _SWEEP[json]
     text = _jnum_text if json else fmt_float
-    lines = []
-    memo = {}
+    memo, tails, lines = {}, {}, []
     last_delta = object()
     for delta, gamma, p_w1, p_w2, p_w3, eu_a, eu_b, region in rows:
         if delta is not last_delta:
-            last_delta, d = delta, text(delta)
-        g = memo.get(gamma) if gamma else None
+            if lines:
+                lines[0] = lead + lines[0]
+                yield separator.join(lines)
+                lines, lead = [], separator
+            last_delta, head = delta, k0 + text(delta) + k1
+        g = memo.get(gamma) if gamma else text(gamma)
         if g is None:
-            g = text(gamma)
-            if gamma:
-                memo[gamma] = g
-        w1, w3 = text(p_w1), text(p_w3)
-        if json:
-            region = _quote(region)
+            g = memo[gamma] = text(gamma)
+        w1, w3 = "%.12g" % p_w1, "%.12g" % p_w3
+        if json and ("." not in w1 or "e" in w1 or "." not in w3 or "e" in w3):
+            w1, w3 = _jnum_text(p_w1), _jnum_text(p_w3)
         w2 = g if p_w2 is gamma else text(p_w2)
         a = w1 if eu_a is p_w1 else text(eu_a)
         b = w3 if eu_b is p_w3 else text(eu_b)
-        lines.append(f"{k0}{d}{k1}{g}{k2}{w1}{k3}{w2}{k4}{w3}{k5}{a}{k6}{b}{k7}{region}{end}")
-    return lines
+        tail = tails.get(region) or tails.setdefault(
+            region, f"{k7}{_quote(region) if json else region}{end}")
+        lines.append(f"{head}{g}{k2}{w1}{k3}{w2}{k4}{w3}{k5}{a}{k6}{b}{tail}")
+    if not lines:
+        yield "[]\n" if json else lead
+        return
+    lines[0] = lead + lines[0]
+    lines[-1] += closing
+    yield separator.join(lines)
 
 
 def _step_csv(values: tuple) -> str:
@@ -159,14 +155,15 @@ def _layouts(left: str, right: str) -> dict:
 _LIST, _OBJECT = _layouts("[", "]"), _layouts("{", "}")
 
 
-def _list(texts: list[str], depth: int | None, layouts: dict = _LIST) -> str:
-    """``texts`` as the items of a JSON list, or object with ``_OBJECT``, at
-    ``depth``. The brackets ride on the end items: the join is the only copy."""
+def _list(texts: list[str], depth: int | None, layouts: dict = _LIST,
+          head: str = "", tail: str = "") -> str:
+    """``texts`` as a JSON list, or object with ``_OBJECT``, at ``depth``, between
+    ``head`` and ``tail``. All ride on the end items: the join is the only copy."""
     opening, separator, closing = layouts[depth]
     if not texts:
-        return opening[0] + closing[-1]
-    texts[0] = opening + texts[0]
-    texts[-1] += closing
+        return head + opening[0] + closing[-1] + tail
+    texts[0] = head + opening + texts[0]
+    texts[-1] += closing + tail
     return separator.join(texts)
 
 
@@ -202,16 +199,23 @@ _REPORT_JSON = _template({
     "hedging": ("max_steps", "tolerance", *HedgingSummary._fields, "final_eu_a", "final_eu_b"),
     "public_belief": ("proposition", "worlds", "holds"),
 }) + "\n"
-_HEDGING_JSON = _template({
+# The hedging JSON, cut after its "steps" key.
+_HEDGING_HEAD, _HEDGING_TAIL = (_template({
     **dict.fromkeys((*GAME_RANGES, "max_steps", "tolerance", "hesitation", "steps")),
     "summary": HedgingSummary._fields,
-}) + "\n"
+}) + "\n").split('"steps": %s')
+_HEDGING_HEAD += '"steps": '
 _FRAME_JSON = _template(dict.fromkeys(
     ("reflexive", "symmetric", "transitive", "witness", "summary"))) + "\n"
-# A hedging step, a sweep row's labels, and a dialogue step in the report
-# (depth 2) and as a JSON line (None).
+# A hedging step, and a dialogue step in the report (depth 2) and as a JSON
+# line (None).
 _HEDGING_STEP_JSON = _template(dict.fromkeys(HedgingStep._fields), 2)
-*_SWEEP_JSON_LABELS, _SWEEP_JSON_END = _template(dict.fromkeys(SweepRow._fields), 1).split("%s")
+# By ``json``: what opens, separates and closes sweep rows; a row's field labels.
+_SWEEP = {
+    False: (",".join(SweepRow._fields) + "\n", "\n", "\n", ("",) + (",",) * 7 + ("",)),
+    True: (*_LIST[0][:2], _LIST[0][2] + "\n",
+           _template(dict.fromkeys(SweepRow._fields), 1).split("%s")),
+}
 _DIALOGUE_JSON = {d: _template(dict.fromkeys(("time", "signal", "live", "posterior")), d)
                   for d in (2, None)}
 
@@ -293,13 +297,11 @@ def render_dialogue_jsonl(report: RunReport) -> str:
 
 
 def render_sweep_csv(rows: list[SweepRow]) -> str:
-    lines = _sweep_lines(rows, _SWEEP_CSV_LABELS, "", json=False)
-    return "\n".join([",".join(SweepRow._fields), *lines]) + "\n"
+    return "".join(_sweep_chunks(rows, json=False))
 
 
 def render_sweep_json(rows: list[SweepRow]) -> str:
-    # The lines are freed once joined, before the newline's copy.
-    return _list(_sweep_lines(rows, _SWEEP_JSON_LABELS, _SWEEP_JSON_END, json=True), 0) + "\n"
+    return "".join(_sweep_chunks(rows, json=True))
 
 
 def render_hedging_csv(trace: HedgingTrace) -> str:
@@ -308,13 +310,11 @@ def render_hedging_csv(trace: HedgingTrace) -> str:
 
 
 def render_hedging_json(trace: HedgingTrace) -> str:
-    """The game, the run settings, the steps and the summary."""
-    return _HEDGING_JSON % (
-        *_float_fields(trace.config), trace.max_steps, _jnum_text(trace.tolerance),
-        _jnum_text(HESITATION),
-        _list(_step_lines(trace.steps, _step_json), 1),
-        *_float_fields(trace.summary),
-    )
+    """The game, the run settings, the steps and the summary, joined in one copy."""
+    head = _HEDGING_HEAD % (*_float_fields(trace.config), trace.max_steps,
+                            _jnum_text(trace.tolerance), _jnum_text(HESITATION))
+    tail = _HEDGING_TAIL % tuple(_float_fields(trace.summary))
+    return _list(_step_lines(trace.steps, _step_json), 1, head=head, tail=tail)
 
 
 def render_frame_csv(frame: FrameReport) -> str:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -19,14 +20,23 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 CANONICAL = DATA_DIR / "canonical.scn"
 
 
-def run_cli(*argv):
+def child_env(unbuffered: bool = False) -> dict:
+    """The environment of a CLI child that finds the package, its stdout
+    buffered unless ``unbuffered``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "hedgesim", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
     )
 
 
@@ -396,6 +406,78 @@ def test_sweep_400_200_digest(tmp_path, steps, tau, fmt, digest):
     argv = ["sweep", "--delta-steps", str(steps), "--gamma-steps", str(steps), "--tau", tau]
     assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def sweep_peak(steps: int, fmt: str) -> int:
+    """The ``tracemalloc`` peak, in bytes, of a steps x steps ``sweep``
+    written to the null device."""
+    argv = ["sweep", "--delta-steps", str(steps), "--gamma-steps", str(steps), "--format", fmt]
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--out", os.devnull]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_holds_one_delta_row_at_a_time(fmt):
+    """A 400 x 400 sweep peaks within 512 KB of a 100 x 100 one: the command
+    holds one delta's rows and text, not the grid's (about 85 MB and 100 MB
+    more at 400 x 400 when it held them all)."""
+    sweep_peak(1, fmt)  # loads the writers, and json's encoder, before the measures
+    small, large = sweep_peak(100, fmt), sweep_peak(400, fmt)
+    assert large - small < 512 * 1024, (small, large)
+
+
+BROKEN_PIPE = ["error: [Errno 32] Broken pipe"]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_to_a_reader_that_closes_early(fmt, unbuffered):
+    """The reader takes the first 100 bytes of a 400 x 400 sweep and closes
+    the pipe: the command exits 1 with one line on stderr, no traceback and
+    no error from the exit's flush of stdout."""
+    argv = ["sweep", "--delta-steps", "400", "--gamma-steps", "400", "--format", fmt]
+    with subprocess.Popen(
+        [sys.executable, "-m", "hedgesim", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(unbuffered),
+    ) as child:
+        start = child.stdout.read(100)
+        child.stdout.close()
+        stderr = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 1
+    assert start.startswith(b"delta,gamma," if fmt == "csv" else b'[\n  {\n    "delta": ')
+    assert stderr.splitlines() == BROKEN_PIPE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--delta-steps", "3", "--gamma-steps", "3"],
+        ["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "5"],
+        ["simulate", str(CANONICAL)],
+        ["frame-check", str(CANONICAL)],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_command_to_a_pipe_whose_reader_is_gone(argv):
+    """A short text waits in the stdout buffer, so the pipe's closed end shows
+    only when the buffer is flushed: that flush is the command's own, with
+    one line on stderr and exit 1, not the exit's, which would add an
+    ``Exception ignored`` report and exit 120."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "hedgesim", *argv],
+            stdout=write, stderr=subprocess.PIPE, env=child_env(), timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 1
+    assert done.stderr.decode().splitlines() == BROKEN_PIPE
 
 
 # Recorded from the quadratic hedging recurrence before the steps came from

@@ -124,6 +124,8 @@ HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 TYPING = {"typing", "_typing"}
 # What ``json`` brings in, which only a JSON render may load.
 JSON = {"json", "json.decoder", "json.scanner", "json.encoder", "_json"}
+# What no command needs: the CLI writes its files through ``open``.
+PATHLIB = {"pathlib"}
 PRINT_MODULES = "print(' '.join(sorted(sys.modules)))"
 # The modules ``sweep`` and ``hedge`` run on, and the rest of the package,
 # which the commands that read a scenario also load.
@@ -137,20 +139,20 @@ COMMANDS = {
 }
 
 
-def check_imports(tmp_path, arguments, modules, path=()):
+def check_imports(tmp_path, arguments, modules, path=(), flags=()):
     """Run a command in both formats, in children started like the command's
-    own (with ``path`` on ``PYTHONPATH``), and check what it loads beyond
-    what a bare child loads."""
-    baseline = set(run_python(f"import sys; {PRINT_MODULES}", path=path).split())
+    own (with ``path`` on ``PYTHONPATH`` and the interpreter ``flags``), and
+    check what it loads beyond what a bare child loads."""
+    baseline = set(run_python(f"import sys; {PRINT_MODULES}", *flags, path=path).split())
     for fmt in ("csv", "json"):
         argv = [*arguments, "--format", fmt, "--out", str(tmp_path / fmt)]
         if arguments[0] == "simulate" and fmt == "json":
             argv += ["--trace", str(tmp_path / "trace")]
         code = f"import sys\nfrom hedgesim.cli import main\nassert main({argv!r}) == 0\n{PRINT_MODULES}"
-        loaded = set(run_python(code, path=path).split())
+        loaded = set(run_python(code, *flags, path=path).split())
         assert {m for m in loaded if m.startswith("hedgesim")} == modules
         added = loaded - baseline
-        assert not added & (HEAVY | TYPING), fmt
+        assert not added & (HEAVY | TYPING | PATHLIB), fmt
         if fmt == "csv":
             assert not added & JSON
         assert (tmp_path / fmt).stat().st_size > 0
@@ -162,6 +164,14 @@ def check_imports(tmp_path, arguments, modules, path=()):
 @pytest.mark.parametrize("arguments, modules", COMMANDS.values(), ids=list(COMMANDS))
 def test_commands_import_only_what_they_run(tmp_path, arguments, modules):
     check_imports(tmp_path, arguments, modules)
+
+
+@pytest.mark.parametrize("arguments, modules", COMMANDS.values(), ids=list(COMMANDS))
+def test_commands_import_only_what_they_run_without_site(tmp_path, arguments, modules):
+    # ``site`` may load ``pathlib`` itself (through a ``.pth`` file), which
+    # would hide the command's own import from the check above.
+    baseline = check_imports(tmp_path, arguments, modules, flags=("-S",))
+    assert not baseline & PATHLIB
 
 
 def test_commands_pass_the_import_check_where_start_up_loads_heavy_modules(tmp_path):

@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import sort_worlds
 
-from hedgesim import hedging, scenario_io, writers
+from hedgesim import game, hedging, scenario_io, writers
 from hedgesim.assertion import UnexpectedSignalError
 from hedgesim.game import GameConfig, SweepRow, grid, threshold_sweep
 from hedgesim.hedging import HedgingStep, run_hedging
@@ -139,6 +139,34 @@ def test_sweep_json_equals_json_dumps(delta_steps, gamma_steps, tau):
 
 def test_empty_sweep_json_equals_json_dumps():
     assert render_sweep_json([]) == json.dumps([], indent=2) + "\n"
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(deltas, max_size=6), st.lists(st.sampled_from((0.0, -0.0)) | gammas, max_size=6),
+       taus)
+@example([], [0.5], 0.5)
+@example([0.3, 0.7], [], 0.5)
+@example([0.3, 0.7], [0.0, -0.0, 0.5, 0.0], 0.5)
+@example([0.25, float("0.25")], [0.5], 0.5)  # equal deltas, two objects: two runs
+def test_sweep_chunks_join_to_the_text_one_chunk_per_delta(delta_grid, gamma_grid, tau):
+    """The chunks of ``threshold_sweep``'s rows and of the ``sweep``
+    command's path (each delta's rows built as they are written) join to
+    the oracles' text and to ``render_sweep_*``, one chunk per run of rows
+    that hold the same delta object, or one for an empty sweep."""
+    rows = threshold_sweep(delta_grid, gamma_grid, tau=tau)
+    runs = sum(1 for i, delta in enumerate(delta_grid) if i == 0 or delta is not delta_grid[i - 1])
+    oracles = {  # by ``json``; with no row the CSV is its header alone
+        False: csv_text(rows) if rows else ",".join(SweepRow._fields) + "\n",
+        True: dumps([row._asdict() for row in rows]),
+    }
+    assert render_sweep_csv(rows) == oracles[False]
+    assert render_sweep_json(rows) == oracles[True]
+    for json_text, oracle in oracles.items():
+        chunks = list(writers._sweep_chunks(iter(rows), json_text))
+        assert "".join(chunks) == oracle
+        assert len(chunks) == (runs if rows else 1)
+        streamed = itertools.chain.from_iterable(game._sweep_runs(delta_grid, gamma_grid, tau))
+        assert list(writers._sweep_chunks(streamed, json_text)) == chunks
 
 
 # Floats that reach both branches of the JSON record writer: any finite
@@ -346,9 +374,9 @@ def float_text_calls(monkeypatch):
 def test_record_writers_format_floats_per_record(float_text_calls):
     """1001 hedging steps in both formats take a few calls of the per-float
     writers, for the hedging header and the whole-number first steps, not
-    one per field. 2500 sweep rows take one call per delta, one per nonzero
-    gamma and two per row (``p_w1`` and ``p_w3``), of ``fmt_float`` in CSV
-    and of ``_jnum_text`` in JSON."""
+    one per field. 2500 sweep rows take one call per delta and one per
+    nonzero gamma, of ``fmt_float`` in CSV and of ``_jnum_text`` in JSON:
+    each row's ``p_w1`` and ``p_w3`` are formatted inline."""
     trace = run_hedging(GameConfig(delta=0.7, gamma=0.2), max_steps=1000)
     assert render_hedging_csv(trace) and render_hedging_json(trace)
     assert sum(float_text_calls.values()) <= 50, float_text_calls
@@ -356,7 +384,7 @@ def test_record_writers_format_floats_per_record(float_text_calls):
     for render, name in ((render_sweep_csv, "fmt_float"), (render_sweep_json, "_jnum_text")):
         float_text_calls.clear()
         assert render(rows)
-        assert float_text_calls == {name: 50 + 50 + 2 * len(rows)}
+        assert float_text_calls == {name: 50 + 50}
 
 
 def test_hedging_work_does_not_grow_past_the_fixed_point(monkeypatch):
