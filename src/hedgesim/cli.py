@@ -42,8 +42,11 @@ def _checked(ranges: dict, name: str, kind: type = float):
 
 
 def _emit(pieces, out: str | None) -> None:
-    """Write the text ``pieces`` to the file ``out``, or to stdout. When a
-    reader closes stdout early, stdout is pointed at the null device before
+    """Write the text ``pieces`` to the file ``out``, or to stdout. Stdout's
+    bytes go to its binary layer until every byte is taken: unbuffered, that
+    layer is the raw file, and a write to a reader that closes early may take
+    only part of a piece, which the text layer would count as written. When
+    a reader closes stdout early, stdout is pointed at the null device before
     the error goes on, so that the exit's flush of what is still buffered
     cannot fail again."""
     if out:
@@ -51,7 +54,15 @@ def _emit(pieces, out: str | None) -> None:
             file.writelines(pieces)
         return
     try:
-        sys.stdout.writelines(pieces)
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:
+            sys.stdout.writelines(pieces)
+        else:
+            sys.stdout.flush()  # text written before goes first
+            for piece in pieces:
+                data = memoryview(piece.encode(sys.stdout.encoding, sys.stdout.errors))
+                while data:
+                    data = data[buffer.write(data):]
         sys.stdout.flush()
     except BrokenPipeError:
         null = os.open(os.devnull, os.O_WRONLY)

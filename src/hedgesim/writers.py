@@ -2,14 +2,13 @@
 
 CSV uses ``.`` decimals, no grouping and 12 significant digits; JSON carries
 the same rounded numbers, so both formats stay byte-stable. Each JSON object
-of fixed keys is a template built once. The blocks whose length varies are
-written straight from the records' fields by ``_list`` and ``_object``, with
-layouts built once per depth, and joined into the rest in one copy. The
-``_fields`` of a sweep row, hedging step or frame report are its CSV header
-and JSON keys. A run of hedging steps that hold the same value objects is
-written from one template (see ``_step_lines``), and a sweep one chunk per
-delta (see ``_sweep_chunks``). A ``%.12g`` text with a ``.`` and no
-exponent is already the float's JSON text; any other float goes through
+of fixed keys is a template built once and filled once; ``_list`` and
+``_object`` write the blocks whose length varies straight from the records'
+fields. The ``_fields`` of a sweep row, hedging step or frame report are its
+CSV header and JSON keys. A run of hedging steps that hold the same value
+objects is written from one template (see ``_step_lines``), and a sweep one
+chunk per delta (see ``_sweep_chunks``). A ``%.12g`` text with a ``.`` and
+no exponent is already the float's JSON text; any other float goes through
 ``_jnum_text``, which rejects non-finite values.
 
 The writers need only the record types of ``game`` and ``hedging``, so
@@ -155,15 +154,14 @@ def _layouts(left: str, right: str) -> dict:
 _LIST, _OBJECT = _layouts("[", "]"), _layouts("{", "}")
 
 
-def _list(texts: list[str], depth: int | None, layouts: dict = _LIST,
-          head: str = "", tail: str = "") -> str:
-    """``texts`` as a JSON list, or object with ``_OBJECT``, at ``depth``, between
-    ``head`` and ``tail``. All ride on the end items: the join is the only copy."""
+def _list(texts: list[str], depth: int | None, layouts: dict = _LIST) -> str:
+    """``texts`` as a JSON list, or object with ``_OBJECT``, at ``depth``. The
+    brackets ride on the end items: the join is the only copy."""
     opening, separator, closing = layouts[depth]
     if not texts:
-        return head + opening[0] + closing[-1] + tail
-    texts[0] = head + opening + texts[0]
-    texts[-1] += closing + tail
+        return opening[0] + closing[-1]
+    texts[0] = opening + texts[0]
+    texts[-1] += closing
     return separator.join(texts)
 
 
@@ -199,12 +197,10 @@ _REPORT_JSON = _template({
     "hedging": ("max_steps", "tolerance", *HedgingSummary._fields, "final_eu_a", "final_eu_b"),
     "public_belief": ("proposition", "worlds", "holds"),
 }) + "\n"
-# The hedging JSON, cut after its "steps" key.
-_HEDGING_HEAD, _HEDGING_TAIL = (_template({
+_HEDGING_JSON = _template({
     **dict.fromkeys((*GAME_RANGES, "max_steps", "tolerance", "hesitation", "steps")),
     "summary": HedgingSummary._fields,
-}) + "\n").split('"steps": %s')
-_HEDGING_HEAD += '"steps": '
+}) + "\n"
 _FRAME_JSON = _template(dict.fromkeys(
     ("reflexive", "symmetric", "transitive", "witness", "summary"))) + "\n"
 # A hedging step, and a dialogue step in the report (depth 2) and as a JSON
@@ -310,11 +306,11 @@ def render_hedging_csv(trace: HedgingTrace) -> str:
 
 
 def render_hedging_json(trace: HedgingTrace) -> str:
-    """The game, the run settings, the steps and the summary, joined in one copy."""
-    head = _HEDGING_HEAD % (*_float_fields(trace.config), trace.max_steps,
-                            _jnum_text(trace.tolerance), _jnum_text(HESITATION))
-    tail = _HEDGING_TAIL % tuple(_float_fields(trace.summary))
-    return _list(_step_lines(trace.steps, _step_json), 1, head=head, tail=tail)
+    return _HEDGING_JSON % (
+        *_float_fields(trace.config), trace.max_steps, _jnum_text(trace.tolerance),
+        _jnum_text(HESITATION), _list(_step_lines(trace.steps, _step_json), 1),
+        *_float_fields(trace.summary),
+    )
 
 
 def render_frame_csv(frame: FrameReport) -> str:

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -146,6 +148,14 @@ def test_frame_check_prints_summary(capsys, tmp_path):
     assert printed == "reflexive symmetric non-transitive, witness (w1,w2,w3)"
     payload = json.loads(out.read_text())
     assert payload["transitive"] is False
+
+
+def test_hedge_to_a_text_only_stdout():
+    """A stdout with no binary layer, such as a ``StringIO``, takes the text."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "50"]) == 0
+    assert out.getvalue() == (GOLDEN_DIR / "hedge_50.csv").read_text()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -433,13 +443,10 @@ def test_sweep_holds_one_delta_row_at_a_time(fmt):
 BROKEN_PIPE = ["error: [Errno 32] Broken pipe"]
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_sweep_to_a_reader_that_closes_early(fmt, unbuffered):
-    """The reader takes the first 100 bytes of a 400 x 400 sweep and closes
-    the pipe: the command exits 1 with one line on stderr, no traceback and
-    no error from the exit's flush of stdout."""
-    argv = ["sweep", "--delta-steps", "400", "--gamma-steps", "400", "--format", fmt]
+def read_then_close(argv, unbuffered: bool) -> bytes:
+    """The first 100 bytes a CLI child writes, read before the pipe is
+    closed on it: the child exits 1 with one line on stderr, no traceback
+    and no error from the exit's flush of stdout."""
     with subprocess.Popen(
         [sys.executable, "-m", "hedgesim", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(unbuffered),
@@ -448,8 +455,44 @@ def test_sweep_to_a_reader_that_closes_early(fmt, unbuffered):
         child.stdout.close()
         stderr = child.stderr.read().decode()
         assert child.wait(timeout=60) == 1
-    assert start.startswith(b"delta,gamma," if fmt == "csv" else b'[\n  {\n    "delta": ')
     assert stderr.splitlines() == BROKEN_PIPE
+    return start
+
+
+UNBUFFERED = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+
+
+@UNBUFFERED
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_to_a_reader_that_closes_early(fmt, unbuffered):
+    """The reader takes the first 100 bytes of a 400 x 400 sweep and closes
+    the pipe."""
+    argv = ["sweep", "--delta-steps", "400", "--gamma-steps", "400", "--format", fmt]
+    start = read_then_close(argv, unbuffered)
+    assert start.startswith(b"delta,gamma," if fmt == "csv" else b'[\n  {\n    "delta": ')
+
+
+@UNBUFFERED
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_hedge_to_a_reader_that_closes_early(fmt, unbuffered):
+    """``hedge`` writes its text in one piece. Unbuffered, stdout's binary
+    layer is the raw file, whose write to a closing reader may take only
+    part of the piece: what is left must still be written, and fail."""
+    argv = ["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "100000", "--format", fmt]
+    start = read_then_close(argv, unbuffered)
+    assert start.startswith(b"n,p_speaker_a," if fmt == "csv" else b'{\n  "delta": 0.7,')
+
+
+@UNBUFFERED
+def test_simulate_to_a_reader_that_closes_early(tmp_path, unbuffered):
+    """The JSON report of an n = 100000 march, 1.49 MB in one piece."""
+    scenario = tmp_path / "march.scn"
+    scenario.write_text(
+        "[series]\nn = 100000\nflip.S = 80000\nflip.L = 40000\n\n"
+        "[game]\ndelta = 0.7\ngamma = 0.2\n\n[run]\nspeaker = S\nworld = w2\n"
+    )
+    start = read_then_close(["simulate", str(scenario)], unbuffered)
+    assert start.startswith(b'{\n  "scenario": {\n')
 
 
 @pytest.mark.parametrize(

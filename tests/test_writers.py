@@ -356,6 +356,20 @@ def test_sweep_rows_hold_at_most_180_kb_per_1000_rows():
     assert held / len(rows) * 1000 / 1024 <= 180
 
 
+def test_hedging_json_render_peaks_under_40_mb():
+    """At 100000 steps the render peaks while the step texts and their join
+    are both alive, at about 36 MB (of 1024 x 1024 bytes); one more copy of
+    the 15.7 MB text at that point would read about 52 MB."""
+    trace = run_hedging(GameConfig(delta=0.7, gamma=0.2), max_steps=100_000)
+    tracemalloc.start()
+    try:
+        render_hedging_json(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 1024 * 1024, peak
+
+
 @pytest.fixture
 def float_text_calls(monkeypatch):
     """Counts the calls of ``fmt_float`` and ``_jnum_text``."""
