@@ -11,7 +11,7 @@ never load the world models, the semantics or the scenario runner.
 from __future__ import annotations
 
 import argparse
-import os
+import io
 import sys
 from itertools import chain
 
@@ -42,33 +42,22 @@ def _checked(ranges: dict, name: str, kind: type = float):
 
 
 def _emit(pieces, out: str | None) -> None:
-    """Write the text ``pieces`` to the file ``out``, or to stdout. Stdout's
-    bytes go to its binary layer until every byte is taken: unbuffered, that
-    layer is the raw file, and a write to a reader that closes early may take
-    only part of a piece, which the text layer would count as written. When
-    a reader closes stdout early, stdout is pointed at the null device before
-    the error goes on, so that the exit's flush of what is still buffered
-    cannot fail again."""
+    """Write the text ``pieces`` to the file ``out``, or to stdout's file
+    through a buffered stream of its own, even when stdout is unbuffered.
+    Stdout is flushed first and holds none of the text, so a reader that
+    closes early fails only that stream, which the ``with`` block closes."""
     if out:
-        with open(out, "w", encoding="utf-8") as file:
-            file.writelines(pieces)
-        return
-    try:
-        buffer = getattr(sys.stdout, "buffer", None)
-        if buffer is None:
+        stream = open(out, "w", encoding="utf-8")
+    else:
+        sys.stdout.flush()  # text written before goes first
+        try:
+            stream = open(sys.stdout.fileno(), "w", encoding=sys.stdout.encoding,
+                          errors=sys.stdout.errors, newline="", closefd=False)
+        except (AttributeError, io.UnsupportedOperation):  # a StringIO, say
             sys.stdout.writelines(pieces)
-        else:
-            sys.stdout.flush()  # text written before goes first
-            for piece in pieces:
-                data = memoryview(piece.encode(sys.stdout.encoding, sys.stdout.errors))
-                while data:
-                    data = data[buffer.write(data):]
-        sys.stdout.flush()
-    except BrokenPipeError:
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, sys.stdout.fileno())
-        os.close(null)
-        raise
+            return
+    with stream:
+        stream.writelines(pieces)
 
 
 def _add_output_flags(parser: argparse.ArgumentParser, default_format: str) -> None:
@@ -103,12 +92,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_hedge(args: argparse.Namespace) -> int:
-    from .writers import render_hedging_csv, render_hedging_json
+    """Write the trace one step at a time."""
+    from .writers import _hedging_pieces
 
     config = GameConfig(delta=args.delta, gamma=args.gamma)
     trace = run_hedging(config, max_steps=args.steps, tolerance=args.tolerance)
-    text = render_hedging_json(trace) if args.format == "json" else render_hedging_csv(trace)
-    _emit([text], args.out)
+    _emit(_hedging_pieces(trace, args.format == "json"), args.out)
     return 0
 
 

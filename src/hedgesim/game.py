@@ -34,8 +34,8 @@ def _check_action(action: str) -> None:
 
 DEFAULT_TAU = 0.5
 DEFAULT_EPSILON = 0.01
-# The slack of a float against the exact value it stands for: a region's
-# mass against tau, so a tie at tau is "none".
+# The slack of a float against the exact value it stands for: a region's mass
+# against tau (a tie is "none"), a hedging pair sum or a posterior's total.
 ROUNDING = 1e-12
 
 # Each game parameter's admissible values, as a test and in words. Every

@@ -30,7 +30,7 @@ import math
 from collections import namedtuple
 from itertools import islice, repeat
 
-from .game import GameConfig, check_parameter, expected_utility, integer_range
+from .game import ROUNDING, GameConfig, check_parameter, expected_utility, integer_range
 
 DEFAULT_STEPS = 50
 DEFAULT_TOLERANCE = 1e-6
@@ -124,7 +124,7 @@ def run_hedging(
             low_b = eu_b
         pair_sum = speaker + listener
         if n > 2:
-            if not 1.0 - 1e-12 <= pair_sum <= previous + 1e-12:
+            if not 1.0 - ROUNDING <= pair_sum <= previous + ROUNDING:
                 descending = False
             previous = pair_sum
     # Past the fixed point every step repeats the last one but for n.

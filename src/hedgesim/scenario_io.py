@@ -49,6 +49,7 @@ from .assertion import (
 )
 from .game import (
     GAME_RANGES,
+    ROUNDING,
     GameConfig,
     check_parameter,
     equilibrium_region,
@@ -307,5 +308,5 @@ def audit_report(report: RunReport) -> None:
     if not support <= final_live:
         raise ReportAuditError("posterior support leaks outside the common ground")
     total = sum(report.posterior.values())
-    if abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > ROUNDING:
         raise ReportAuditError(f"posterior sums to {total!r}, not 1")

@@ -5,11 +5,10 @@ the same rounded numbers, so both formats stay byte-stable. Each JSON object
 of fixed keys is a template built once and filled once; ``_list`` and
 ``_object`` write the blocks whose length varies straight from the records'
 fields. The ``_fields`` of a sweep row, hedging step or frame report are its
-CSV header and JSON keys. A run of hedging steps that hold the same value
-objects is written from one template (see ``_step_lines``), and a sweep one
-chunk per delta (see ``_sweep_chunks``). A ``%.12g`` text with a ``.`` and
-no exponent is already the float's JSON text; any other float goes through
-``_jnum_text``, which rejects non-finite values.
+CSV header and JSON keys. The CLI writes a hedging trace one piece per step
+(see ``_hedging_pieces``) and a sweep one chunk per delta (``_sweep_chunks``).
+A ``%.12g`` text with a ``.`` and no exponent is already the float's JSON
+text; ``_jnum_text`` writes any other float and rejects non-finite ones.
 
 The writers need only the record types of ``game`` and ``hedging``, so
 ``sweep`` and ``hedge`` load neither the world models nor the scenario
@@ -20,6 +19,7 @@ runner, and CSV output never loads ``json``.
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 from .game import GAME_RANGES, RegionReport, SweepRow
 from .hedging import HESITATION, HedgingStep, HedgingSummary
@@ -126,20 +126,32 @@ def _step_json(values: tuple) -> str:
     return _HEDGING_STEP_JSON % ("%d", *numbers.split(","))
 
 
-def _step_lines(steps, template) -> list[str]:
-    """Each hedging step's text: the ``template`` of its values, built once
-    per run of steps that hold the same value objects, filled with its
-    ``n``. A run goes by identity, not equality: 0.0 == -0.0, and their
-    texts differ."""
-    lines = []
-    append = lines.append
+def _hedging_pieces(trace: HedgingTrace, json: bool):
+    """A hedging trace's text in pieces that join to the whole: the head, one
+    piece per step (its separator and the template of its values, built once
+    per run of steps that hold the same value objects, filled with its ``n``),
+    then the closing and the tail. A run goes by identity: 0.0 == -0.0."""
+    if json:
+        head, tail = (_HEDGING_JSON % (
+            *_float_fields(trace.config), trace.max_steps, _jnum_text(trace.tolerance),
+            _jnum_text(HESITATION), "%s", *_float_fields(trace.summary),
+        )).split("%s")
+        (opening, separator, closing), template = _LIST[1], _step_json
+        closing = closing if trace.steps else "[]"
+    else:
+        head, tail, template = ",".join(HedgingStep._fields), "", _step_csv
+        opening = separator = closing = "\n"
+    yield head
+    steps = iter(trace.steps)
+    for n, p, q, a, b in islice(steps, 1):  # the first step follows the opening
+        yield opening + template((p, q, a, b)) % n
     speaker = listener = eu_a = eu_b = object()  # held by no step
     for n, p, q, a, b in steps:
         if p is not speaker or q is not listener or a is not eu_a or b is not eu_b:
             speaker, listener, eu_a, eu_b = p, q, a, b
-            text = template((p, q, a, b))
-        append(text % n)
-    return lines
+            text = separator + template((p, q, a, b))
+        yield text % n
+    yield closing + tail
 
 
 def _layouts(left: str, right: str) -> dict:
@@ -301,16 +313,11 @@ def render_sweep_json(rows: list[SweepRow]) -> str:
 
 
 def render_hedging_csv(trace: HedgingTrace) -> str:
-    # The empty last line ends the text with a newline without copying it.
-    return "\n".join([",".join(HedgingStep._fields), *_step_lines(trace.steps, _step_csv), ""])
+    return "".join(_hedging_pieces(trace, json=False))
 
 
 def render_hedging_json(trace: HedgingTrace) -> str:
-    return _HEDGING_JSON % (
-        *_float_fields(trace.config), trace.max_steps, _jnum_text(trace.tolerance),
-        _jnum_text(HESITATION), _list(_step_lines(trace.steps, _step_json), 1),
-        *_float_fields(trace.summary),
-    )
+    return "".join(_hedging_pieces(trace, json=True))
 
 
 def render_frame_csv(frame: FrameReport) -> str:

@@ -150,12 +150,33 @@ def test_frame_check_prints_summary(capsys, tmp_path):
     assert payload["transitive"] is False
 
 
+class TextOnlyStdout:
+    """A stdout that takes text and has no file: no ``fileno`` and no ``buffer``."""
+
+    def __init__(self):
+        self.texts = []
+
+    def write(self, text):
+        self.texts.append(text)
+        return len(text)
+
+    def writelines(self, texts):
+        self.texts.extend(texts)
+
+    def flush(self):
+        pass
+
+    def getvalue(self):
+        return "".join(self.texts)
+
+
 def test_hedge_to_a_text_only_stdout():
-    """A stdout with no binary layer, such as a ``StringIO``, takes the text."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "50"]) == 0
-    assert out.getvalue() == (GOLDEN_DIR / "hedge_50.csv").read_text()
+    """A stdout with no file takes the text: a ``StringIO``, whose ``fileno``
+    raises, and an object with no ``fileno`` at all."""
+    for out in (io.StringIO(), TextOnlyStdout()):
+        with contextlib.redirect_stdout(out):
+            assert main(["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "50"]) == 0
+        assert out.getvalue() == (GOLDEN_DIR / "hedge_50.csv").read_text()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -418,16 +439,25 @@ def test_sweep_400_200_digest(tmp_path, steps, tau, fmt, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def traced_peak(call) -> int:
+    """The ``tracemalloc`` peak, in bytes, of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def cli_to_null(*argv) -> None:
+    assert main([*argv, "--out", os.devnull]) == 0
+
+
 def sweep_peak(steps: int, fmt: str) -> int:
     """The ``tracemalloc`` peak, in bytes, of a steps x steps ``sweep``
     written to the null device."""
     argv = ["sweep", "--delta-steps", str(steps), "--gamma-steps", str(steps), "--format", fmt]
-    tracemalloc.start()
-    try:
-        assert main([*argv, "--out", os.devnull]) == 0
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(lambda: cli_to_null(*argv))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -438,6 +468,18 @@ def test_sweep_holds_one_delta_row_at_a_time(fmt):
     sweep_peak(1, fmt)  # loads the writers, and json's encoder, before the measures
     small, large = sweep_peak(100, fmt), sweep_peak(400, fmt)
     assert large - small < 512 * 1024, (small, large)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_hedge_holds_its_trace_and_one_step_of_text(fmt):
+    """``hedge --steps 100000`` peaks within 1 MB of its trace alone (about
+    13 MB): the command writes one step's text at a time. Holding the whole
+    text read about 30 MB (CSV) and 48 MB (JSON)."""
+    argv = ["hedge", "--delta", "0.7", "--gamma", "0.2", "--format", fmt, "--steps"]
+    cli_to_null(*argv, "4")  # loads the writers, and json's encoder, before the measures
+    trace = traced_peak(lambda: run_hedging(GameConfig(0.7, 0.2), max_steps=100_000))
+    command = traced_peak(lambda: cli_to_null(*argv, "100000"))
+    assert command - trace < 1024 * 1024, (trace, command)
 
 
 BROKEN_PIPE = ["error: [Errno 32] Broken pipe"]
@@ -475,9 +517,9 @@ def test_sweep_to_a_reader_that_closes_early(fmt, unbuffered):
 @UNBUFFERED
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_hedge_to_a_reader_that_closes_early(fmt, unbuffered):
-    """``hedge`` writes its text in one piece. Unbuffered, stdout's binary
-    layer is the raw file, whose write to a closing reader may take only
-    part of the piece: what is left must still be written, and fail."""
+    """``hedge`` writes its text one step at a time through a buffered
+    stream of stdout's file, buffered or not: a write to a closing reader
+    that takes only part of a buffer must still write the rest, and fail."""
     argv = ["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "100000", "--format", fmt]
     start = read_then_close(argv, unbuffered)
     assert start.startswith(b"n,p_speaker_a," if fmt == "csv" else b'{\n  "delta": 0.7,')

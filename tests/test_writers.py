@@ -299,6 +299,26 @@ def test_hedging_writers_on_shared_floats(steps):
             render_hedging_json(trace)
 
 
+@settings(deadline=None, max_examples=200)
+@given(shared_float_steps())
+@example([])
+def test_hedging_pieces_join_to_the_text_one_piece_per_step(steps):
+    """The pieces join to the oracles' text: a head, one piece per step that
+    holds that step's text alone, then the closing with the tail. With no
+    step the CSV is its header line alone and the JSON's steps are ``[]``."""
+    trace = HEDGING._replace(steps=tuple(steps))
+    pieces = list(writers._hedging_pieces(trace, json=False))
+    assert "".join(pieces) == (csv_text(steps) if steps else ",".join(HedgingStep._fields) + "\n")
+    assert [piece.count("\n") for piece in pieces] == [0, *[1] * len(steps), 1]
+    if not all(map(math.isfinite, itertools.chain.from_iterable(step[1:] for step in steps))):
+        return
+    pieces = list(writers._hedging_pieces(trace, json=True))
+    text = "".join(pieces)
+    assert text == dumps(hedging_payload(trace))
+    assert ('"steps": [],' in text) == (not steps)
+    assert [piece.count('"n": ') for piece in pieces] == [0, *[1] * len(steps), 0]
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", FLOAT_FIELDS[HedgingStep])
 def test_hedging_json_rejects_non_finite_numbers(field, value):
@@ -357,8 +377,8 @@ def test_sweep_rows_hold_at_most_180_kb_per_1000_rows():
 
 
 def test_hedging_json_render_peaks_under_40_mb():
-    """At 100000 steps the render peaks while the step texts and their join
-    are both alive, at about 36 MB (of 1024 x 1024 bytes); one more copy of
+    """At 100000 steps the render peaks while the step pieces and their join
+    are both alive, at about 37 MB (of 1024 x 1024 bytes); one more copy of
     the 15.7 MB text at that point would read about 52 MB."""
     trace = run_hedging(GameConfig(delta=0.7, gamma=0.2), max_steps=100_000)
     tracemalloc.start()
