@@ -30,17 +30,15 @@ _EXPORTS = {
         "update",
     ),
     "game": (
-        "GameConfig",
         "RegionReport",
-        "SweepRow",
         "brute_force_eu",
         "equilibrium_region",
-        "expected_utility",
         "grid",
         "threshold_sweep",
         "world_priors",
     ),
     "hedging": ("HedgingStep", "HedgingSummary", "HedgingTrace", "run_hedging"),
+    "params": ("GameConfig", "SweepRow", "expected_utility"),
     "scenario_io": (
         "ReportAuditError",
         "RunReport",

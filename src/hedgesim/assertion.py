@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .game import GAME_RANGES, Checked, check_parameter
+from .params import GAME_RANGES, Checked, check_parameter
 from .semantics import STRENGTH_ORDER, Formula, extension
 from .worlds import WorldModel
 

@@ -3,9 +3,10 @@
 Exit codes: 0 on success, 1 on runtime errors (bad scenario files, missing
 inputs), 2 on bad flags (argparse prints usage).
 
-Only ``game`` and ``hedging`` load up front, for the flags' range checks.
-Each command imports the rest of what it runs, so ``sweep`` and ``hedge``
-never load the world models, the semantics or the scenario runner.
+Only ``params`` and ``hedging`` load up front, for the flags' range checks,
+and only the named command's parser is built. Each command imports what it
+runs: ``hedge`` adds ``writers``, ``sweep`` also ``game``, and ``simulate`` and
+``frame-check`` every module.
 """
 
 from __future__ import annotations
@@ -15,17 +16,8 @@ import io
 import sys
 from itertools import chain
 
-from .game import (
-    DEFAULT_TAU,
-    GAME_RANGES,
-    GRID_RANGES,
-    GameConfig,
-    _sweep_runs,
-    check_parameter,
-    grid,
-    parse_number,
-)
-from .hedging import DEFAULT_TOLERANCE, HEDGING_RANGES, run_hedging
+from .hedging import DEFAULT_TOLERANCE, HEDGING_RANGES, HedgingTrace, _prefix
+from .params import DEFAULT_TAU, GAME_RANGES, GRID_RANGES, GameConfig, check_parameter, parse_number
 
 
 def _checked(ranges: dict, name: str, kind: type = float):
@@ -72,7 +64,7 @@ def _add_output_flags(parser: argparse.ArgumentParser, default_format: str) -> N
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .scenario_io import load_scenario, run_scenario
-    from .writers import render_dialogue_jsonl, render_report_csv, render_report_json
+    from .scenario_io import render_dialogue_jsonl, render_report_csv, render_report_json
 
     report = run_scenario(load_scenario(args.scenario))
     text = render_report_json(report) if args.format == "json" else render_report_csv(report)
@@ -84,6 +76,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """Build, write and drop the rows one delta at a time."""
+    from .game import _sweep_runs, grid
     from .writers import _sweep_chunks
 
     runs = _sweep_runs(grid(args.delta_steps), grid(args.gamma_steps), args.tau)
@@ -92,20 +85,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_hedge(args: argparse.Namespace) -> int:
-    """Write the trace one step at a time."""
+    """Compute the steps up to the fixed point and write them one at a time,
+    then the rest, which repeat the last, from its text."""
     from .writers import _hedging_pieces
 
     config = GameConfig(delta=args.delta, gamma=args.gamma)
-    trace = run_hedging(config, max_steps=args.steps, tolerance=args.tolerance)
-    _emit(_hedging_pieces(trace, args.format == "json"), args.out)
+    trace = HedgingTrace(config, args.steps, args.tolerance,
+                         *_prefix(config, args.steps, args.tolerance))
+    _emit(_hedging_pieces(trace, args.format == "json", tail=True), args.out)
     return 0
 
 
 def _cmd_frame_check(args: argparse.Namespace) -> int:
-    from .scenario_io import load_scenario
+    from .scenario_io import load_scenario, render_frame_csv, render_frame_json
     from .semantics import check_frame
     from .worlds import pool_states
-    from .writers import render_frame_csv, render_frame_json
 
     scenario = load_scenario(args.scenario)
     frame = check_frame(pool_states(scenario.series))
@@ -116,13 +110,7 @@ def _cmd_frame_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hedgesim",
-        description="Signalling-game simulator for coordination under vagueness.",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
-
+def _add_simulate(commands) -> None:
     simulate = commands.add_parser("simulate", help="run a scenario file end to end")
     simulate.add_argument("scenario", help="path to a scenario file")
     _add_output_flags(simulate, default_format="json")
@@ -131,6 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.set_defaults(handler=_cmd_simulate)
 
+
+def _add_sweep(commands) -> None:
     sweep = commands.add_parser("sweep", help="classify equilibria over a parameter grid")
     grid_size = _checked(GRID_RANGES, "grid size", int)
     sweep.add_argument("--delta-steps", type=grid_size, required=True, metavar="K")
@@ -139,6 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sweep, default_format="csv")
     sweep.set_defaults(handler=_cmd_sweep)
 
+
+def _add_hedge(commands) -> None:
     hedge = commands.add_parser("hedge", help="trace the hedging recurrence and utilities")
     hedge.add_argument("--delta", type=_checked(GAME_RANGES, "delta"), required=True, metavar="D")
     hedge.add_argument("--gamma", type=_checked(GAME_RANGES, "gamma"), required=True, metavar="G")
@@ -153,11 +145,31 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(hedge, default_format="csv")
     hedge.set_defaults(handler=_cmd_hedge)
 
+
+def _add_frame_check(commands) -> None:
     frame = commands.add_parser("frame-check", help="report a scenario model's frame properties")
     frame.add_argument("scenario", help="path to a scenario file")
     _add_output_flags(frame, default_format="json")
     frame.set_defaults(handler=_cmd_frame_check)
 
+
+_COMMANDS = {"simulate": _add_simulate, "sweep": _add_sweep, "hedge": _add_hedge,
+             "frame-check": _add_frame_check}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone when it names one,
+    whose usage line still lists all four."""
+    parser = argparse.ArgumentParser(
+        prog="hedgesim",
+        description="Signalling-game simulator for coordination under vagueness.",
+    )
+    alone = command in _COMMANDS
+    commands = parser.add_subparsers(
+        dest="command", required=True, metavar="{%s}" % ",".join(_COMMANDS) if alone else None)
+    for name, add in _COMMANDS.items():
+        if name == command or not alone:
+            add(commands)
     return parser
 
 
@@ -168,8 +180,8 @@ def _describe(exc: BaseException) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:

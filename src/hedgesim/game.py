@@ -1,128 +1,25 @@
-"""The coordination game, the two-parameter world prior, and equilibrium tests.
+"""The coordination game's equilibrium tests: the region rule, the sweep over
+a parameter grid, and a brute-force oracle for the expected utilities.
 
 Both players play a pure coordination game: matching actions pay 1 and
 mismatches pay 0, so an expected utility is the chance that both sides take
-the action. The prior over the three pooled worlds is driven by two
-numbers: gamma, the chance the two sides judge the vague matter differently,
-and delta, which splits the remaining mass between the two unanimous worlds.
-Player labels are roles: "S" sends the signal, "L" receives it. Records
-are named tuples, as in every hedgesim module; :class:`Checked` is the one
-way a record checks its values.
+the action. The parameters, their prior and the closed-form utilities live
+in ``params``, which ``hedge`` loads without this module; ``GameConfig`` and
+``expected_utility`` are bound here too, as ``game.*``.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from collections import namedtuple
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 
-PLAYERS = ("S", "L")
-ACTIONS = ("a", "b")
+from .params import (  # noqa: F401  (GameConfig and expected_utility re-exported)
+    DEFAULT_TAU, GAME_RANGES, GRID_RANGES, PLAYERS, ROUNDING, GameConfig, SweepRow,
+    _check_choices, _prior, check_parameter, expected_utility,
+)
+
 WORLD_ORDER = ("w1", "w2", "w3")
-
-
-def _check_player(player: str) -> None:
-    if player not in PLAYERS:
-        raise ValueError(f"player must be one of {PLAYERS}, got {player!r}")
-
-
-def _check_action(action: str) -> None:
-    if action not in ACTIONS:
-        raise ValueError(f"action must be one of {ACTIONS}, got {action!r}")
-
-
-DEFAULT_TAU = 0.5
-DEFAULT_EPSILON = 0.01
-# The slack of a float against the exact value it stands for: a region's mass
-# against tau (a tie is "none"), a hedging pair sum or a posterior's total.
-ROUNDING = 1e-12
-
-# Each game parameter's admissible values, as a test and in words. Every
-# bound is finite and every comparison is false for NaN, so the tests also
-# reject non-finite values.
-GAME_RANGES = {
-    "delta": (lambda v: 0.0 < v < 1.0, "strictly between 0 and 1"),
-    "gamma": (lambda v: 0.0 <= v < 1.0, "at least 0 and strictly below 1"),
-    "tau": (lambda v: 0.0 < v < 1.0, "strictly between 0 and 1"),
-    "epsilon": (lambda v: 0.0 <= v < 0.5, "in [0, 0.5)"),
-}
-
-
-def integer_range(lo: int, hi: int) -> tuple:
-    """A range entry that admits only ``int`` values in [lo, hi]."""
-    return (lambda v: type(v) is int and lo <= v <= hi, f"an integer in [{lo}, {hi}]")
-
-
-GRID_RANGES = {"grid size": integer_range(1, 1000)}
-
-
-def parse_number(name: str, text: str, kind: type = float) -> int | float:
-    """A flag's or a scenario file's ``text`` as a ``kind``, or a ValueError."""
-    try:
-        return kind(text)
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ValueError(f"{name} must be {noun}, got {text!r}") from None
-
-
-def check_parameter(ranges: Mapping[str, tuple], name: str, value):
-    """Return ``value`` when ``ranges[name]`` admits it; raise ValueError
-    otherwise. No range admits a bool."""
-    admits, words = ranges[name]
-    if isinstance(value, bool) or not admits(value):
-        raise ValueError(f"{name} must be {words}, got {value!r}")
-    return value
-
-
-class Checked:
-    """Mixed in ahead of a named tuple, it makes construction, ``_make`` and
-    ``_replace`` all run the record's ``_checked``, which raises on a bad
-    value and returns the record to keep: itself, or a normalised copy."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        return super().__new__(cls, *args, **kwargs)._checked()
-
-    @classmethod
-    def _make(cls, iterable):
-        # ``_replace`` builds through ``_make``, which skips ``__new__``.
-        return super()._make(iterable)._checked()
-
-
-class GameConfig(
-    Checked, namedtuple("GameConfig", GAME_RANGES, defaults=(DEFAULT_TAU, DEFAULT_EPSILON))
-):
-    """Game parameters, a named tuple whose fields are the ``GAME_RANGES`` keys.
-
-    delta: split of the unanimous mass toward the all-q world, strictly
-    inside (0, 1) (either endpoint would delete a world from the game).
-    gamma: chance of a split judgment, in [0, 1).
-    tau: tipping threshold a coordinated outcome must clear, in (0, 1).
-    epsilon: listener-side signal noise, in [0, 0.5).
-    A delta so small that tau/delta overflows is rejected too: the gamma
-    bound 1 - tau/delta of :func:`equilibrium_region` would not be a number.
-    """
-
-    __slots__ = ()
-
-    def _checked(self) -> GameConfig:
-        for name, value in zip(GAME_RANGES, self):
-            check_parameter(GAME_RANGES, name, value)
-        if not math.isfinite(self.tau / self.delta):
-            raise ValueError(
-                f"delta must be large enough that tau/delta is finite (tau is {self.tau!r}), "
-                f"got {self.delta!r}"
-            )
-        return self
-
-
-def _prior(delta: float, gamma: float) -> tuple[float, float, float]:
-    """(w1, w2, w3) prior masses: gamma on the contested world, the rest split
-    by delta. A checked config keeps them a distribution: each mass is at
-    least 0 and their sum is 1 within a few ulp."""
-    return (delta * (1.0 - gamma), gamma, (1.0 - delta) * (1.0 - gamma))
 
 
 def _contender(delta: float) -> tuple[str, float]:
@@ -143,20 +40,6 @@ def world_priors(config: GameConfig) -> dict[str, float]:
     """The three-point prior by world: gamma on the contested world, the rest
     split by delta."""
     return dict(zip(WORLD_ORDER, _prior(config.delta, config.gamma)))
-
-
-def expected_utility(config: GameConfig, player: str, action: str) -> float:
-    """Closed-form expected utility of an action for one player.
-
-    A player takes "a" exactly when judging q, so both sides take the same
-    action only at the unanimous world for it: the utility is the prior mass
-    of w1 for "a" and of w3 for "b", for either player. At the contested
-    world w2 the actions mismatch and pay 0.
-    """
-    _check_player(player)
-    _check_action(action)
-    prior = _prior(config.delta, config.gamma)
-    return prior[0] if action == "a" else prior[2]
 
 
 @functools.cache
@@ -182,8 +65,7 @@ def brute_force_eu(config: GameConfig, player: str, action: str) -> float:
     march, from the sides' judgments there, and adds up the prior mass of
     the worlds where both sides take ``action``, the only ones that pay.
     """
-    _check_player(player)
-    _check_action(action)
+    _check_choices(player, action)
     prior = world_priors(config)
     total = 0.0
     for world, taken in _canonical_actions():
@@ -225,13 +107,6 @@ def equilibrium_region(config: GameConfig) -> RegionReport:
         gamma_bound_b=1.0 - tau / (1.0 - d),
         listener_q_given_speaker_q=prior[0] / (prior[0] + prior[1]),
     )
-
-
-class SweepRow(namedtuple("SweepRow", "delta gamma p_w1 p_w2 p_w3 eu_a eu_b region")):
-    """One grid point of :func:`threshold_sweep`, built with ``tuple.__new__``,
-    skipping the generated ``__new__``."""
-
-    __slots__ = ()
 
 
 def threshold_sweep(

@@ -15,13 +15,12 @@ listener) pair from step 51 on is that same pair (checked to step 100000 on
 Python 3.11.7). Consecutive pair sums approach 1, and the step-indexed
 expected utility never drops below its step-0 value.
 
-``_propensities`` detects that fixed point and stops there, so ``run_hedging``
-computes only the steps up to it, whatever N (``steps``, in [4, 100000]). It
-keeps the summary as running reductions (the lowest EU of each action, whether
-the pair sums descend, the last pair sum), which a repeated step cannot change.
-Each later step is one tuple of the last step's value objects, which the
-writers format once. Nothing is kept between calls. Its records are named
-tuples, like those of ``game``.
+``_propensities`` detects that fixed point and stops there, so ``_prefix``
+computes at most 53 steps, whatever N (``steps``, in [4, 100000]), and keeps
+the summary as running reductions, which a repeated step cannot change.
+``run_hedging`` is that prefix plus the repeated tail; ``hedge`` hands the
+prefix to its writer, which writes the tail from the last step's text.
+Nothing is kept between calls. Its records are named tuples.
 """
 
 from __future__ import annotations
@@ -30,13 +29,13 @@ import math
 from collections import namedtuple
 from itertools import islice, repeat
 
-from .game import ROUNDING, GameConfig, check_parameter, expected_utility, integer_range
+from .params import ROUNDING, GameConfig, check_parameter, expected_utility, integer_range
 
 DEFAULT_STEPS = 50
 DEFAULT_TOLERANCE = 1e-6
 HESITATION = 0.5
 
-# Admissible hedging settings, in the form of ``game.GAME_RANGES``.
+# Admissible hedging settings, in the form of ``params.GAME_RANGES``.
 HEDGING_RANGES = {
     "steps": integer_range(4, 100_000),
     "tolerance": (lambda v: 0.0 < v < math.inf, "positive and finite"),
@@ -93,13 +92,9 @@ class HedgingTrace(namedtuple("HedgingTrace", "config max_steps tolerance steps 
     __slots__ = ()
 
 
-def run_hedging(
-    config: GameConfig,
-    max_steps: int = DEFAULT_STEPS,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> HedgingTrace:
-    """Full propensity and expected-utility trace for steps 0..max_steps:
-    every step, though those past the fixed point repeat the last computed one."""
+def _prefix(config: GameConfig, max_steps: int, tolerance: float) -> tuple[list, HedgingSummary]:
+    """The steps of :func:`run_hedging` up to ``max_steps`` or to the first
+    that repeats its predecessor, whichever comes first, and the summary."""
     check_parameter(HEDGING_RANGES, "steps", max_steps)
     check_parameter(HEDGING_RANGES, "tolerance", tolerance)
     base_a = expected_utility(config, "S", "a")
@@ -127,12 +122,9 @@ def run_hedging(
             if not 1.0 - ROUNDING <= pair_sum <= previous + ROUNDING:
                 descending = False
             previous = pair_sum
-    # Past the fixed point every step repeats the last one but for n.
-    steps += map(new_step, repeat(HedgingStep), zip(
-        range(n + 1, max_steps + 1), repeat(speaker), repeat(listener), repeat(eu_a), repeat(eu_b)))
     first = steps[0]
     gap = abs(pair_sum - 1.0)
-    summary = HedgingSummary(
+    return steps, HedgingSummary(
         even_tail=speaker,
         odd_tail=listener,
         pair_sum_gap=gap,
@@ -140,10 +132,17 @@ def run_hedging(
         pair_sums_descending=descending,
         eu_never_below_step0=low_a >= first.eu_a and low_b >= first.eu_b,
     )
-    return HedgingTrace(
-        config=config,
-        max_steps=max_steps,
-        tolerance=tolerance,
-        steps=tuple(steps),
-        summary=summary,
-    )
+
+
+def run_hedging(
+    config: GameConfig,
+    max_steps: int = DEFAULT_STEPS,
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> HedgingTrace:
+    """Full propensity and expected-utility trace for steps 0..max_steps:
+    every step, though those past the fixed point repeat the last computed one."""
+    steps, summary = _prefix(config, max_steps, tolerance)
+    n, *values = steps[-1]
+    steps += map(tuple.__new__, repeat(HedgingStep), zip(
+        range(n + 1, max_steps + 1), *map(repeat, values)))
+    return HedgingTrace(config, max_steps, tolerance, tuple(steps), summary)

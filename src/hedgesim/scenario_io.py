@@ -11,8 +11,8 @@ Scenario format: three sections (``[series]``, ``[game]``, ``[run]``) of
     [game]
     delta = 0.7         # required
     gamma = 0.2         # required
-    tau = 0.5           # optional, default game.DEFAULT_TAU
-    epsilon = 0.01      # optional, default game.DEFAULT_EPSILON
+    tau = 0.5           # optional, default params.DEFAULT_TAU
+    epsilon = 0.01      # optional, default params.DEFAULT_EPSILON
 
     [run]
     speaker = S         # required, one of the series' agents
@@ -21,7 +21,7 @@ Scenario format: three sections (``[series]``, ``[game]``, ``[run]``) of
     tolerance = 1e-6    # optional, default hedging.DEFAULT_TOLERANCE
 
 One table, ``_READERS``, gives each key its reader: the canonical flag,
-plain text, or number text read by ``game.parse_number`` (as the CLI flags
+plain text, or number text read by ``params.parse_number`` (as the CLI flags
 read it) and checked by its owner (``GAME_RANGES``, ``HEDGING_RANGES`` or
 ``check_states``), so a bad value gets the API's and the flags' message.
 Values are read line by line: of several faults, the first faulty line is
@@ -29,9 +29,9 @@ reported, with its key and line. The checks that span keys come after, by
 section: canonical extras, missing keys, flips against n, delta against
 tau, speaker and world. A file is read as UTF-8, with or without a BOM.
 
-The CSV and JSON text of a run lives in ``writers``. This module re-exports
-only the seven ``render_*`` functions the benchmark reads through it (the
-same objects, not wrappers); everything else is imported from ``writers``.
+The report, dialogue and frame writers live here, on the layout of ``writers``;
+of its sweep and hedging writers, this module re-exports the four the benchmark
+reads through it (the same objects, not wrappers).
 """
 
 from __future__ import annotations
@@ -47,41 +47,39 @@ from .assertion import (
     speaker_signal,
     update,
 )
-from .game import (
-    GAME_RANGES,
-    ROUNDING,
-    GameConfig,
-    check_parameter,
-    equilibrium_region,
-    parse_number,
-)
+from .game import RegionReport, equilibrium_region
 from .hedging import (
     DEFAULT_STEPS,
     DEFAULT_TOLERANCE,
     HEDGING_RANGES,
+    HedgingSummary,
     run_hedging,
 )
-from .semantics import extension
+from .params import GAME_RANGES, ROUNDING, GameConfig, check_parameter, parse_number
+from .semantics import FrameReport, extension
 from .worlds import (
     CANONICAL_FLIPS,
     CANONICAL_N,
     SoritesSeries,
+    WorldModel,
     check_flip,
     check_states,
     common_belief,
     pool_states,
     world_pools,
 )
-from .writers import _SCENARIO_KEYS
+from .writers import _OBJECT, _bool_text, _float_fields, _jnum_text, _list, _template, fmt_float
 from .writers import (  # noqa: F401  (re-exported)
-    render_dialogue_jsonl,
     render_hedging_csv,
     render_hedging_json,
-    render_report_csv,
-    render_report_json,
     render_sweep_csv,
     render_sweep_json,
 )
+
+# The [game] keys are the GameConfig fields and the [run] keys the Scenario
+# fields of the same name, in the order files and reports list them.
+_SCENARIO_KEYS = {"game": tuple(GAME_RANGES), "run": ("speaker", "world", "steps", "tolerance")}
+
 
 class ScenarioParseError(ValueError):
     """A scenario file problem, carrying the offending line when known."""
@@ -310,3 +308,117 @@ def audit_report(report: RunReport) -> None:
     total = sum(report.posterior.values())
     if abs(total - 1.0) > ROUNDING:
         raise ReportAuditError(f"posterior sums to {total!r}, not 1")
+
+
+def _quote(text: str) -> str:
+    """``text`` as a JSON string, loaded and rebound as ``writers._quote`` is."""
+    global _quote
+    from json.encoder import encode_basestring_ascii as _quote
+    return _quote(text)
+
+
+def _object(keys, texts, depth: int | None) -> str:
+    """A JSON object of the text ``keys`` and their value ``texts``."""
+    return _list([f"{_quote(key)}: {text}" for key, text in zip(keys, texts)], depth, _OBJECT)
+
+
+# The fixed blocks are written out; the rest are one slot each. A dialogue
+# step has one in the report (depth 2) and one as a JSON line (None).
+_REPORT_JSON = _template({
+    "scenario": ("canonical", "n", "flips", *_SCENARIO_KEYS["game"], *_SCENARIO_KEYS["run"]),
+    **dict.fromkeys(("model", "signal", "dialogue", "posterior")),
+    "equilibrium": RegionReport._fields,
+    "hedging": ("max_steps", "tolerance", *HedgingSummary._fields, "final_eu_a", "final_eu_b"),
+    "public_belief": ("proposition", "worlds", "holds"),
+}) + "\n"
+_FRAME_JSON = _template(dict.fromkeys(
+    ("reflexive", "symmetric", "transitive", "witness", "summary"))) + "\n"
+_DIALOGUE_JSON = {d: _template(dict.fromkeys(("time", "signal", "live", "posterior")), d)
+                  for d in (2, None)}
+
+
+def _worlds_json(model: WorldModel, worlds, depth: int | None) -> str:
+    """A world subset as a JSON list in the model's world order."""
+    return _list([_quote(w) for w in model.worlds if w in worlds], depth)
+
+
+def _model_json(model: WorldModel) -> str:
+    """The model block, with the pooling provenance it has."""
+    blocks = {
+        "agents": _list(list(map(_quote, model.agents)), 2),
+        "worlds": _list(list(map(_quote, model.worlds)), 2),
+        "partitions": _object(model.partitions, [
+            _list([_worlds_json(model, cell, 4) for cell in cells], 3)
+            for cells in model.partitions.values()
+        ], 2),
+        "valuation": _object(model.valuation, [
+            _worlds_json(model, worlds, 3) for worlds in model.valuation.values()
+        ], 2),
+    }
+    if model.judgments is not None:
+        blocks["judgments"] = _object(model.judgments, [
+            _object(judged, map(_quote, judged.values()), 3)
+            for judged in model.judgments.values()
+        ], 2)
+    if model.members is not None:
+        blocks["members"] = _object(model.members, [
+            _list(list(map(str, states)), 3) for states in model.members.values()
+        ], 2)
+    return _object(blocks, blocks.values(), 1)
+
+
+def _dialogue_json(step: DialogueStep, depth: int | None) -> str:
+    """A dialogue step as a JSON object at nesting ``depth``; ``None`` is one line."""
+    inner = None if depth is None else depth + 1
+    return _DIALOGUE_JSON[depth] % (
+        step.time, "null" if step.signal is None else _quote(step.signal.text),
+        _list(list(map(_quote, step.live)), inner),
+        _object(step.posterior, map(_jnum_text, step.posterior.values()), inner),
+    )
+
+
+def render_report_json(report: RunReport) -> str:
+    scenario, model, hedging = report.scenario, report.model, report.hedging
+    flips, posterior, last = scenario.series.flips, report.posterior, hedging.steps[-1]
+    return _REPORT_JSON % (
+        _bool_text(scenario.canonical), scenario.series.n,
+        _object(flips, map(str, flips.values()), 2), *_float_fields(scenario.config),
+        _quote(scenario.speaker), _quote(scenario.world), scenario.steps,
+        _jnum_text(scenario.tolerance),
+        _model_json(model),
+        _quote(report.signal.text),
+        _list([_dialogue_json(step, 2) for step in report.dialogue], 1),
+        _object(posterior, map(_jnum_text, posterior.values()), 1),
+        *_float_fields(report.region),
+        hedging.max_steps, _jnum_text(hedging.tolerance),
+        *_float_fields(hedging.summary), _jnum_text(last.eu_a), _jnum_text(last.eu_b),
+        _worlds_json(model, report.public_belief_proposition, 2),
+        _worlds_json(model, report.public_belief_worlds, 2),
+        _bool_text(report.public_belief),
+    )
+
+
+def render_report_csv(report: RunReport) -> str:
+    """The dialogue trace as CSV: one row per conversation step."""
+    lines = ["time,signal,live,posterior"]
+    for step in report.dialogue:
+        posterior = ";".join(fmt_float(step.posterior[w]) for w in step.live)
+        signal = "" if step.signal is None else step.signal.text
+        lines.append(f"{step.time},{signal},{';'.join(step.live)},{posterior}")
+    return "\n".join(lines) + "\n"
+
+
+def render_dialogue_jsonl(report: RunReport) -> str:
+    """The dialogue trace as JSON lines: one record per step."""
+    return "".join(_dialogue_json(step, None) + "\n" for step in report.dialogue)
+
+def render_frame_csv(frame: FrameReport) -> str:
+    """The flags as ``true`` or ``false``, and the witness unquoted as
+    ``(u,v,x)``, or empty when there is none."""
+    witness = "" if frame.witness is None else "({})".format(",".join(frame.witness))
+    return ",".join(frame._fields) + "\n" + ",".join((*map(_bool_text, frame[:3]), witness)) + "\n"
+
+
+def render_frame_json(frame: FrameReport) -> str:
+    witness = "null" if frame.witness is None else _list(list(map(_quote, frame.witness)), 1)
+    return _FRAME_JSON % (*map(_bool_text, frame[:3]), witness, _quote(frame.summary()))

@@ -7,7 +7,7 @@ and induces one partition per agent from that agent's judgment pattern.
 The doxastic operators (everyone-thinks, common belief) and the
 accessibility relation between worlds live here; what the sentences mean
 over a model lives in ``semantics``. Both records are named tuples that
-check their values with ``game.Checked``.
+check their values with ``params.Checked``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .game import Checked
+from .params import Checked
 
 Q = "q"
 QBAR = "qbar"

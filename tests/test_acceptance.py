@@ -24,8 +24,6 @@ from hedgesim.assertion import (
     update,
 )
 from hedgesim.game import (
-    ACTIONS,
-    PLAYERS,
     GameConfig,
     brute_force_eu,
     expected_utility,
@@ -33,6 +31,7 @@ from hedgesim.game import (
     threshold_sweep,
 )
 from hedgesim.hedging import run_hedging
+from hedgesim.params import ACTIONS, PLAYERS
 from hedgesim.semantics import Formula, check_frame, extension
 from hedgesim.worlds import (
     NOT_PHI,

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from hedgesim.cli import main
-from hedgesim.game import GameConfig, grid, parse_number, threshold_sweep
+from hedgesim.cli import build_parser, main
+from hedgesim.game import GameConfig, grid, threshold_sweep
 from hedgesim.hedging import run_hedging
+from hedgesim.params import parse_number
 from hedgesim.scenario_io import ScenarioParseError, parse_scenario
 from hedgesim.worlds import SoritesSeries
 
@@ -215,6 +216,37 @@ def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["no-such-command"])
     assert excinfo.value.code == 2
+
+
+# Command lines that argparse answers itself, with help or a usage error.
+PARSER_EXITS = [
+    ["-h"],
+    [],
+    ["no-such-command"],
+    ["hedge", "-h"],
+    ["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "5", "--bogus"],
+    ["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "3"],
+    ["sweep", "--delta-steps", "9"],
+    ["sweep", "--delta-steps", "3", "--gamma-steps", "3", "extra"],
+    ["simulate", "-h"],
+    ["simulate"],
+    ["frame-check", "a.scn", "b.scn"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_EXITS, ids=" ".join)
+def test_the_named_command_alone_is_built_and_reads_as_the_whole_parser(argv, capsys):
+    """``main`` builds the parser of the command its first argument names and
+    no other; its help, usage and errors are the whole parser's, byte for byte."""
+    def answer(parse):
+        with pytest.raises(SystemExit) as excinfo:
+            parse(argv)
+        return excinfo.value.code, *capsys.readouterr()
+
+    assert answer(main) == answer(build_parser().parse_args)
+    built = build_parser(argv[0] if argv else None)._subparsers._group_actions[0].choices
+    whole = list(build_parser()._subparsers._group_actions[0].choices)
+    assert list(built) == ([argv[0]] if argv and argv[0] in whole else whole)
 
 
 def test_runtime_errors_exit_1(tmp_path, capsys):
@@ -472,14 +504,27 @@ def test_sweep_holds_one_delta_row_at_a_time(fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_hedge_holds_its_trace_and_one_step_of_text(fmt):
-    """``hedge --steps 100000`` peaks within 1 MB of its trace alone (about
-    13 MB): the command writes one step's text at a time. Holding the whole
-    text read about 30 MB (CSV) and 48 MB (JSON)."""
+    """``hedge --steps 100000`` peaks within 1 MB of ``run_hedging``'s trace
+    alone (about 13 MB): the command writes its text a piece at a time.
+    Holding the whole text read about 30 MB (CSV) and 48 MB (JSON)."""
     argv = ["hedge", "--delta", "0.7", "--gamma", "0.2", "--format", fmt, "--steps"]
     cli_to_null(*argv, "4")  # loads the writers, and json's encoder, before the measures
     trace = traced_peak(lambda: run_hedging(GameConfig(0.7, 0.2), max_steps=100_000))
     command = traced_peak(lambda: cli_to_null(*argv, "100000"))
     assert command - trace < 1024 * 1024, (trace, command)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_hedge_memory_does_not_grow_past_the_fixed_point(fmt):
+    """``hedge --steps 100000`` peaks within 2 MB of ``hedge --steps 50``: it
+    builds no step past the fixed point, and writes the repeated tail a block
+    of rows at a time (about 0.3 MB more in CSV and 0.7 MB in JSON). Building
+    every step read about 13 MB more."""
+    argv = ["hedge", "--delta", "0.7", "--gamma", "0.2", "--format", fmt, "--steps"]
+    cli_to_null(*argv, "4")  # loads the writers, and json's encoder, before the measures
+    short = traced_peak(lambda: cli_to_null(*argv, "50"))
+    long = traced_peak(lambda: cli_to_null(*argv, "100000"))
+    assert long - short < 2 * 1024 * 1024, (short, long)
 
 
 BROKEN_PIPE = ["error: [Errno 32] Broken pipe"]

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 import hedgesim
 from hedgesim import game
 from hedgesim.game import (
-    ACTIONS,
-    PLAYERS,
     GameConfig,
     SweepRow,
     brute_force_eu,
@@ -20,6 +18,7 @@ from hedgesim.game import (
     threshold_sweep,
     world_priors,
 )
+from hedgesim.params import ACTIONS, PLAYERS
 from hedgesim.worlds import CANONICAL_FLIPS, CANONICAL_N, Q, SoritesSeries, pool_states
 
 

@@ -123,6 +123,38 @@ def test_propensities_round_close_to_the_exact_recurrence():
     assert all(value == limit[n % 2] for n, value in enumerate(floats[first:], start=first))
 
 
+# In exact arithmetic the fixed pair (s*, l*) sums to 1, so at the fixed
+# point the hedge adds the same gamma * c, with c = s* * l*, to both EUs. In
+# doubles each gain (the last step's EU less step 0's) was within 0.54 units
+# of 2**-52 (the ulp of 1.0) of gamma * c, and the two gains within 0.75 units
+# of each other, over 600,000 random configs with tiny, whole and near-1 values
+# and gamma = 0 among them.
+GAIN_BOUND = 2.0**-52
+EXACT_LIMIT = oracles.exact_propensities(1000)[-2:]
+HEDGE_C = EXACT_LIMIT[0] * EXACT_LIMIT[1]
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    delta=st.floats(2.2250738585072014e-308, 1.0, exclude_max=True),
+    gamma=st.sampled_from((0.0, -0.0)) | st.floats(0.0, 1.0, exclude_max=True),
+    max_steps=st.integers(52, 100_000),
+)
+@example(delta=0.7, gamma=0.2, max_steps=52)
+@example(delta=0.43658320148852214, gamma=0.8311833396523128, max_steps=60)
+@example(delta=0.07814080250073771, gamma=0.6189587862551443, max_steps=60)
+@example(delta=0.7, gamma=0.0, max_steps=100_000)
+def test_the_hedge_gains_gamma_c_on_both_actions(delta, gamma, max_steps):
+    steps = run_hedging(GameConfig(delta=delta, gamma=gamma), max_steps).steps
+    gain_a = steps[-1].eu_a - steps[0].eu_a
+    gain_b = steps[-1].eu_b - steps[0].eu_b
+    assert abs(gain_a - gain_b) <= GAIN_BOUND
+    for gain in (gain_a, gain_b):
+        assert abs(Decimal(gain) - Decimal(gamma) * HEDGE_C) <= Decimal(GAIN_BOUND)
+    if gamma == 0.0:
+        assert gain_a == gain_b == 0.0
+
+
 def test_propensities_at_step():
     steps = run_hedging(GameConfig(delta=0.7, gamma=0.2), max_steps=4).steps
     pairs = [(step.p_speaker_a, step.p_listener_a) for step in steps]

@@ -15,7 +15,9 @@ import hedgesim
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 SCENARIO = str(Path(__file__).resolve().parent / "data" / "canonical.scn")
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
-SUBMODULES = ("assertion", "game", "hedging", "scenario_io", "semantics", "worlds", "writers")
+SUBMODULES = (
+    "assertion", "game", "hedging", "params", "scenario_io", "semantics", "worlds", "writers",
+)
 
 # The public names: the pipeline's stages, their records and errors, and the
 # brute-force game oracle, which ``perfbench`` also calls.
@@ -127,15 +129,23 @@ JSON = {"json", "json.decoder", "json.scanner", "json.encoder", "_json"}
 # What no command needs: the CLI writes its files through ``open``.
 PATHLIB = {"pathlib"}
 PRINT_MODULES = "print(' '.join(sorted(sys.modules)))"
-# The modules ``sweep`` and ``hedge`` run on, and the rest of the package,
-# which the commands that read a scenario also load.
-COLD = {"hedgesim", "hedgesim.cli", "hedgesim.game", "hedgesim.hedging", "hedgesim.writers"}
-EVERY = COLD | {f"hedgesim.{name}" for name in ("assertion", "scenario_io", "semantics", "worlds")}
+# The modules each command runs on: ``hedge`` its own, ``sweep`` those and
+# ``game``, and the commands that read a scenario the whole package.
+HEDGE = {"hedgesim", "hedgesim.cli", "hedgesim.hedging", "hedgesim.params", "hedgesim.writers"}
+SWEEP = HEDGE | {"hedgesim.game"}
+EVERY = SWEEP | {f"hedgesim.{name}" for name in ("assertion", "scenario_io", "semantics", "worlds")}
 COMMANDS = {
-    "hedge": (["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "5"], COLD),
-    "sweep": (["sweep", "--delta-steps", "3", "--gamma-steps", "3"], COLD),
+    "hedge": (["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "5"], HEDGE),
+    "sweep": (["sweep", "--delta-steps", "3", "--gamma-steps", "3"], SWEEP),
     "simulate": (["simulate", SCENARIO], EVERY),
     "frame-check": (["frame-check", SCENARIO], EVERY),
+}
+# What ``hedge`` never runs, so none of its modules may define it: the region
+# rule, the sweep, the brute-force oracle and the report, dialogue and frame
+# writers.
+NOT_HEDGE = {
+    "equilibrium_region", "threshold_sweep", "_sweep_runs", "brute_force_eu", "render_report_json",
+    "render_report_csv", "render_dialogue_jsonl", "render_frame_csv", "render_frame_json",
 }
 
 
@@ -182,6 +192,12 @@ def test_commands_pass_the_import_check_where_start_up_loads_heavy_modules(tmp_p
         (tmp_path / name).mkdir()
         baseline = check_imports(tmp_path / name, arguments, modules, path=(site,))
         assert {"ast", "dis", "inspect", "tokenize"} <= baseline, name
+
+
+def test_the_modules_hedge_loads_hold_nothing_it_does_not_run():
+    # The package's own names resolve lazily, from the submodules.
+    for name in sorted(HEDGE - {"hedgesim"}):
+        assert not NOT_HEDGE & set(vars(importlib.import_module(name))), name
 
 
 def test_library_loads_no_record_or_enum_machinery():

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from hedgesim import assertion, scenario_io, semantics, writers
+from hedgesim import assertion, scenario_io, semantics
 from hedgesim.assertion import SignalLikelihoods
 from hedgesim.game import GameConfig, SweepRow, grid, threshold_sweep
 from hedgesim.hedging import run_hedging
@@ -16,6 +16,8 @@ from hedgesim.scenario_io import (
     load_scenario,
     parse_scenario,
     render_dialogue_jsonl,
+    render_frame_csv,
+    render_frame_json,
     render_hedging_csv,
     render_report_csv,
     render_report_json,
@@ -25,7 +27,7 @@ from hedgesim.scenario_io import (
 )
 from hedgesim.semantics import Formula, check_frame
 from hedgesim.worlds import SoritesSeries, WorldModel, pool_states
-from hedgesim.writers import fmt_float, render_frame_csv, render_frame_json
+from hedgesim.writers import fmt_float
 
 CANONICAL_TEXT = """\
 [series]
@@ -189,7 +191,7 @@ def test_one_table_reads_every_key():
     assert list(readers) == ["series", "game", "run"]
     assert list(readers["series"]) == ["n", "canonical", "flip.<agent>"]
     for section in ("game", "run"):
-        assert tuple(readers[section]) == writers._SCENARIO_KEYS[section]
+        assert tuple(readers[section]) == scenario_io._SCENARIO_KEYS[section]
     assert not {"_number", "_bool_value", "_tokenize", "_FIXED_KEYS"} & set(dir(scenario_io))
 
 

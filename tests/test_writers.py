@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import operator
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -16,22 +17,26 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import sort_worlds
 
-from hedgesim import game, hedging, scenario_io, writers
+from hedgesim import cli, game, hedging, scenario_io, writers
 from hedgesim.assertion import UnexpectedSignalError
 from hedgesim.game import GameConfig, SweepRow, grid, threshold_sweep
 from hedgesim.hedging import HedgingStep, run_hedging
-from hedgesim.scenario_io import Scenario, load_scenario, run_scenario
+from hedgesim.scenario_io import (
+    Scenario,
+    load_scenario,
+    render_dialogue_jsonl,
+    render_frame_csv,
+    render_frame_json,
+    render_report_csv,
+    render_report_json,
+    run_scenario,
+)
 from hedgesim.semantics import FrameReport, check_frame
 from hedgesim.worlds import SoritesSeries, pool_states, world_pools
 from hedgesim.writers import (
     _jnum_text,
-    render_dialogue_jsonl,
-    render_frame_csv,
-    render_frame_json,
     render_hedging_json,
     render_hedging_csv,
-    render_report_csv,
-    render_report_json,
     render_sweep_csv,
     render_sweep_json,
 )
@@ -319,6 +324,46 @@ def test_hedging_pieces_join_to_the_text_one_piece_per_step(steps):
     assert [piece.count('"n": ') for piece in pieces] == [0, *[1] * len(steps), 0]
 
 
+def streamed_hedge(config, max_steps, tolerance, fmt, folder) -> str:
+    """The text ``hedge`` writes for ``config``'s delta and gamma."""
+    out = Path(folder) / fmt
+    argv = ["hedge", "--delta", repr(config.delta), "--gamma", repr(config.gamma),
+            "--steps", str(max_steps), "--tolerance", repr(tolerance)]
+    assert cli.main([*argv, "--format", fmt, "--out", str(out)]) == 0
+    return out.read_text(encoding="utf-8")
+
+
+@settings(deadline=None, max_examples=15)
+@given(
+    delta=deltas,
+    gamma=st.sampled_from((0.0, -0.0)) | gammas,
+    max_steps=st.integers(4, 100_000),
+    tolerance=st.sampled_from((1e-12, 1e-6, 1.0)),
+)
+@example(delta=0.7, gamma=0.2, max_steps=4, tolerance=1e-6)
+@example(delta=0.7, gamma=0.2, max_steps=50, tolerance=1e-6)
+@example(delta=0.7, gamma=0.2, max_steps=51, tolerance=1e-6)
+@example(delta=0.7, gamma=-0.0, max_steps=52, tolerance=1e-6)
+@example(delta=0.7, gamma=0.0, max_steps=53, tolerance=1e-6)
+@example(delta=0.3, gamma=0.9, max_steps=54, tolerance=1e-12)
+@example(delta=0.7, gamma=0.2, max_steps=100_000, tolerance=1e-6)
+def test_hedge_streams_the_render_of_run_hedging(delta, gamma, max_steps, tolerance):
+    """``hedge`` computes the steps up to the fixed point and writes the rest
+    from the last one's text; the text is the render of ``run_hedging``'s
+    trace, whose steps are that prefix and then the last step repeated."""
+    config = GameConfig(delta=delta, gamma=gamma)
+    trace = run_hedging(config, max_steps, tolerance)
+    prefix, summary = hedging._prefix(config, max_steps, tolerance)
+    assert len(prefix) == min(max_steps + 1, 53)
+    last = prefix[-1]
+    tail = [last._replace(n=n) for n in range(len(prefix), max_steps + 1)]
+    assert trace.steps == (*prefix, *tail)
+    assert trace.summary == summary
+    with tempfile.TemporaryDirectory() as folder:
+        for fmt, render in (("csv", render_hedging_csv), ("json", render_hedging_json)):
+            assert streamed_hedge(config, max_steps, tolerance, fmt, folder) == render(trace)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", FLOAT_FIELDS[HedgingStep])
 def test_hedging_json_rejects_non_finite_numbers(field, value):
@@ -421,11 +466,11 @@ def test_record_writers_format_floats_per_record(float_text_calls):
         assert float_text_calls == {name: 50 + 50}
 
 
-def test_hedging_work_does_not_grow_past_the_fixed_point(monkeypatch):
-    """The recurrence steps ``run_hedging`` computes and the step texts the
-    writers format are as many at 100000 steps as at 1000: each step past
-    the recurrence's fixed point holds the last computed step's values, and
-    is written from that step's text."""
+def test_hedging_work_does_not_grow_past_the_fixed_point(monkeypatch, tmp_path):
+    """The recurrence steps ``hedge`` computes and the step texts it formats
+    are as many at 100000 steps as at 1000: each step past the recurrence's
+    fixed point repeats the last computed step's values, and is written from
+    that step's text. ``render_hedging_*`` may format every step."""
     counts = collections.Counter()
     propensities = hedging._propensities
 
@@ -444,9 +489,14 @@ def test_hedging_work_does_not_grow_past_the_fixed_point(monkeypatch):
     seen = []
     for max_steps in (1000, 100_000):
         counts.clear()
-        trace = run_hedging(GameConfig(delta=0.7, gamma=0.2), max_steps=max_steps)
-        assert render_hedging_csv(trace).count("\n") == max_steps + 2
-        assert render_hedging_json(trace).count('"n": ') == max_steps + 1
+        texts = {}
+        for fmt in ("csv", "json"):
+            out = tmp_path / fmt
+            argv = ["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", str(max_steps)]
+            assert cli.main([*argv, "--format", fmt, "--out", str(out)]) == 0
+            texts[fmt] = out.read_text(encoding="utf-8")
+        assert texts["csv"].count("\n") == max_steps + 2
+        assert texts["json"].count('"n": ') == max_steps + 1
         seen.append(dict(counts))
     assert seen[0] == seen[1]
     assert set(seen[0]) == {"recurrence", "_step_csv", "_step_json"}
@@ -707,11 +757,20 @@ BENCHMARK_WRITERS = {
 }
 
 
+# Of those, the ones ``scenario_io`` defines; the rest are ``writers``' own.
+REPORT_WRITERS = {"render_dialogue_jsonl", "render_report_csv", "render_report_json"}
+
+
 def test_scenario_io_re_exports_the_writers():
+    # ``scenario_io`` also shares the float text and layout helpers of ``writers``.
     shared = {
         name
         for name, value in vars(writers).items()
         if getattr(value, "__module__", None) == writers.__name__
         and getattr(scenario_io, name, None) is value
+        and name.startswith("render_")
     }
-    assert shared == BENCHMARK_WRITERS
+    assert shared == BENCHMARK_WRITERS - REPORT_WRITERS
+    for name in REPORT_WRITERS:
+        assert getattr(scenario_io, name).__module__ == scenario_io.__name__
+        assert not hasattr(writers, name)
