@@ -31,6 +31,7 @@ _EXPORTS = {
     ),
     "game": (
         "RegionReport",
+        "SweepRow",
         "brute_force_eu",
         "equilibrium_region",
         "grid",
@@ -38,7 +39,7 @@ _EXPORTS = {
         "world_priors",
     ),
     "hedging": ("HedgingStep", "HedgingSummary", "HedgingTrace", "run_hedging"),
-    "params": ("GameConfig", "SweepRow", "expected_utility"),
+    "params": ("GameConfig", "expected_utility"),
     "scenario_io": (
         "ReportAuditError",
         "RunReport",

@@ -3,10 +3,10 @@
 Exit codes: 0 on success, 1 on runtime errors (bad scenario files, missing
 inputs), 2 on bad flags (argparse prints usage).
 
-Only ``params`` and ``hedging`` load up front, for the flags' range checks,
-and only the named command's parser is built. Each command imports what it
-runs: ``hedge`` adds ``writers``, ``sweep`` also ``game``, and ``simulate`` and
-``frame-check`` every module.
+Only ``params`` and ``hedging``, with the ``writers`` it writes through, load
+up front for the flags' range checks, and only the named command's parser is
+built. Each command imports what it runs: ``sweep`` adds ``game``, and
+``simulate`` and ``frame-check`` every module.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-from itertools import chain
 
-from .hedging import DEFAULT_TOLERANCE, HEDGING_RANGES, HedgingTrace, _prefix
-from .params import DEFAULT_TAU, GAME_RANGES, GRID_RANGES, GameConfig, check_parameter, parse_number
+from .hedging import DEFAULT_TOLERANCE, HEDGING_RANGES, _hedge_text
+from .params import DEFAULT_TAU, GAME_RANGES, GRID_RANGES, check_parameter, parse_number
 
 
 def _checked(ranges: dict, name: str, kind: type = float):
@@ -38,7 +37,7 @@ def _emit(pieces, out: str | None) -> None:
     through a buffered stream of its own, even when stdout is unbuffered.
     Stdout is flushed first and holds none of the text, so a reader that
     closes early fails only that stream, which the ``with`` block closes."""
-    if out:
+    if out is not None:
         stream = open(out, "w", encoding="utf-8")
     else:
         sys.stdout.flush()  # text written before goes first
@@ -69,30 +68,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     report = run_scenario(load_scenario(args.scenario))
     text = render_report_json(report) if args.format == "json" else render_report_csv(report)
     _emit([text], args.out)
-    if args.trace:
+    if args.trace is not None:
         _emit([render_dialogue_jsonl(report)], args.trace)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    """Build, write and drop the rows one delta at a time."""
-    from .game import _sweep_runs, grid
-    from .writers import _sweep_chunks
+    from .game import _sweep_text
 
-    runs = _sweep_runs(grid(args.delta_steps), grid(args.gamma_steps), args.tau)
-    _emit(_sweep_chunks(chain.from_iterable(runs), args.format == "json"), args.out)
+    _emit(_sweep_text(args.delta_steps, args.gamma_steps, args.tau, args.format == "json"),
+          args.out)
     return 0
 
 
 def _cmd_hedge(args: argparse.Namespace) -> int:
-    """Compute the steps up to the fixed point and write them one at a time,
-    then the rest, which repeat the last, from its text."""
-    from .writers import _hedging_pieces
-
-    config = GameConfig(delta=args.delta, gamma=args.gamma)
-    trace = HedgingTrace(config, args.steps, args.tolerance,
-                         *_prefix(config, args.steps, args.tolerance))
-    _emit(_hedging_pieces(trace, args.format == "json", tail=True), args.out)
+    _emit(_hedge_text(args.delta, args.gamma, args.steps, args.tolerance, args.format == "json"),
+          args.out)
     return 0
 
 
@@ -104,7 +95,7 @@ def _cmd_frame_check(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     frame = check_frame(pool_states(scenario.series))
     _emit([frame.summary(), "\n"], None)
-    if args.out:
+    if args.out is not None:
         text = render_frame_json(frame) if args.format == "json" else render_frame_csv(frame)
         _emit([text], args.out)
     return 0

@@ -1,5 +1,6 @@
 """The coordination game's equilibrium tests: the region rule, the sweep over
-a parameter grid, and a brute-force oracle for the expected utilities.
+a parameter grid with its CSV and JSON text, and a brute-force oracle for the
+expected utilities.
 
 Both players play a pure coordination game: matching actions pay 1 and
 mismatches pay 0, so an expected utility is the chance that both sides take
@@ -13,11 +14,13 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 from collections.abc import Iterable
+from itertools import chain
 
 from .params import (  # noqa: F401  (GameConfig and expected_utility re-exported)
-    DEFAULT_TAU, GAME_RANGES, GRID_RANGES, PLAYERS, ROUNDING, GameConfig, SweepRow,
+    DEFAULT_TAU, GAME_RANGES, GRID_RANGES, PLAYERS, ROUNDING, GameConfig,
     _check_choices, _prior, check_parameter, expected_utility,
 )
+from .writers import _LIST, _jnum_text, _quote, _template, fmt_float
 
 WORLD_ORDER = ("w1", "w2", "w3")
 
@@ -109,6 +112,13 @@ def equilibrium_region(config: GameConfig) -> RegionReport:
     )
 
 
+class SweepRow(namedtuple("SweepRow", "delta gamma p_w1 p_w2 p_w3 eu_a eu_b region")):
+    """One grid point of :func:`threshold_sweep`, built with ``tuple.__new__``,
+    skipping the generated ``__new__``."""
+
+    __slots__ = ()
+
+
 def threshold_sweep(
     delta_grid: Iterable[float],
     gamma_grid: Iterable[float],
@@ -145,7 +155,7 @@ def _delta_rows(gamma_grid: tuple, tau: float, delta: float) -> list[SweepRow]:
     Checked values keep those masses a distribution within a few ulp, far
     inside ``ROUNDING``, so a row needs no check of its own. ``p_w2`` is the
     row's gamma object and ``eu_a``/``eu_b`` are its ``p_w1``/``p_w3``
-    objects, which the writers format once."""
+    objects, which ``_sweep_chunks`` formats once."""
     rest = 1.0 - delta
     side, share = _contender(delta)
     rows: list[SweepRow] = []
@@ -162,3 +172,65 @@ def grid(steps: int) -> list[float]:
     """``steps`` evenly spaced interior points of (0, 1): i/(steps+1)."""
     check_parameter(GRID_RANGES, "grid size", steps)
     return [i / (steps + 1) for i in range(1, steps + 1)]
+
+
+# By ``json``: what opens, separates and closes rows; a row's field labels.
+_SWEEP = {
+    False: (",".join(SweepRow._fields) + "\n", "\n", "\n", ("",) + (",",) * 7 + ("",)),
+    True: (*_LIST[0][:2], _LIST[0][2] + "\n",
+           _template(dict.fromkeys(SweepRow._fields), 1).split("%s")),
+}
+
+
+def _sweep_chunks(rows, json: bool):
+    """A sweep's text in pieces that join to the whole: one per run of rows
+    that hold the same delta object, the first opened and the last closed.
+    Each run's delta, each distinct nonzero gamma (0.0 == -0.0, and their
+    texts differ) and each region is formatted once per call. ``p_w2``,
+    ``eu_a`` and ``eu_b`` reuse the text of the gamma, ``p_w1`` and ``p_w3``
+    objects when they are those objects, as in :func:`_delta_rows`."""
+    lead, separator, closing, (k0, k1, k2, k3, k4, k5, k6, k7, end) = _SWEEP[json]
+    text = _jnum_text if json else fmt_float
+    memo, tails, lines = {}, {}, []
+    last_delta = object()
+    for delta, gamma, p_w1, p_w2, p_w3, eu_a, eu_b, region in rows:
+        if delta is not last_delta:
+            if lines:
+                lines[0] = lead + lines[0]
+                yield separator.join(lines)
+                lines, lead = [], separator
+            last_delta, head = delta, k0 + text(delta) + k1
+        g = memo.get(gamma) if gamma else text(gamma)
+        if g is None:
+            g = memo[gamma] = text(gamma)
+        w1, w3 = "%.12g" % p_w1, "%.12g" % p_w3
+        if json and ("." not in w1 or "e" in w1 or "." not in w3 or "e" in w3):
+            w1, w3 = _jnum_text(p_w1), _jnum_text(p_w3)
+        w2 = g if p_w2 is gamma else text(p_w2)
+        a = w1 if eu_a is p_w1 else text(eu_a)
+        b = w3 if eu_b is p_w3 else text(eu_b)
+        tail = tails.get(region) or tails.setdefault(
+            region, f"{k7}{_quote(region) if json else region}{end}")
+        lines.append(f"{head}{g}{k2}{w1}{k3}{w2}{k4}{w3}{k5}{a}{k6}{b}{tail}")
+    if not lines:
+        yield "[]\n" if json else lead
+        return
+    lines[0] = lead + lines[0]
+    lines[-1] += closing
+    yield separator.join(lines)
+
+
+def _sweep_text(delta_steps: int, gamma_steps: int, tau: float, json: bool):
+    """The ``sweep`` command's text over two ``grid``s: each delta's rows are
+    built as they are written and dropped after. The grids and tau are checked
+    before any text is made."""
+    runs = _sweep_runs(grid(delta_steps), grid(gamma_steps), tau)
+    return _sweep_chunks(chain.from_iterable(runs), json)
+
+
+def render_sweep_csv(rows: list[SweepRow]) -> str:
+    return "".join(_sweep_chunks(rows, json=False))
+
+
+def render_sweep_json(rows: list[SweepRow]) -> str:
+    return "".join(_sweep_chunks(rows, json=True))

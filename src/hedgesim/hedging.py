@@ -18,9 +18,12 @@ expected utility never drops below its step-0 value.
 ``_propensities`` detects that fixed point and stops there, so ``_prefix``
 computes at most 53 steps, whatever N (``steps``, in [4, 100000]), and keeps
 the summary as running reductions, which a repeated step cannot change.
-``run_hedging`` is that prefix plus the repeated tail; ``hedge`` hands the
-prefix to its writer, which writes the tail from the last step's text.
-Nothing is kept between calls. Its records are named tuples.
+``run_hedging`` is that prefix plus the repeated tail. Nothing is kept
+between calls. Its records are named tuples.
+
+The trace's CSV and JSON text live here too: ``render_hedging_*`` write each
+step of a trace from its own text, and ``_hedge_text``, the ``hedge`` command's,
+writes the prefix so and then the repeated tail from the last step's text.
 """
 
 from __future__ import annotations
@@ -29,11 +32,17 @@ import math
 from collections import namedtuple
 from itertools import islice, repeat
 
-from .params import ROUNDING, GameConfig, check_parameter, expected_utility, integer_range
+from .params import (
+    GAME_RANGES, ROUNDING, GameConfig, check_parameter, expected_utility, integer_range,
+)
+from .writers import _LIST, _float_fields, _jnum_text, _template
 
 DEFAULT_STEPS = 50
 DEFAULT_TOLERANCE = 1e-6
 HESITATION = 0.5
+_BLOCK = 2048  # repeated steps per piece: about 130 KB of CSV, 320 KB of JSON
+# The CSV text of a step's values, which is also their JSON float text.
+_STEP_FLOATS = "%.12g,%.12g,%.12g,%.12g"
 
 # Admissible hedging settings, in the form of ``params.GAME_RANGES``.
 HEDGING_RANGES = {
@@ -146,3 +155,75 @@ def run_hedging(
     steps += map(tuple.__new__, repeat(HedgingStep), zip(
         range(n + 1, max_steps + 1), *map(repeat, values)))
     return HedgingTrace(config, max_steps, tolerance, tuple(steps), summary)
+
+
+# The fixed blocks are written out; the rest are one slot each.
+_HEDGING_JSON = _template({
+    **dict.fromkeys((*GAME_RANGES, "max_steps", "tolerance", "hesitation", "steps")),
+    "summary": HedgingSummary._fields,
+}) + "\n"
+# A step, as the JSON's steps list holds it (depth 2).
+_HEDGING_STEP_JSON = _template(dict.fromkeys(HedgingStep._fields), 2)
+
+
+def _step_csv(values: tuple) -> str:
+    """The CSV row of a step's values, with a ``%d`` slot for ``n``."""
+    return "%d," + _STEP_FLOATS % values
+
+
+def _step_json(values: tuple) -> str:
+    """The JSON object of a step's values, with a ``%d`` slot for ``n``: its
+    floats from one ``%.12g`` pass when that text is their ``_jnum_text``,
+    that is when it has no exponent and a ``.`` in every number (``nan`` and
+    ``inf`` have none), else float by float."""
+    numbers = _STEP_FLOATS % values
+    if "e" in numbers or numbers.count(".") != 4:
+        return _HEDGING_STEP_JSON % ("%d", *map(_jnum_text, values))
+    return _HEDGING_STEP_JSON % ("%d", *numbers.split(","))
+
+
+def _hedging_pieces(config, max_steps, tolerance, steps, summary, json: bool, tail: bool = False):
+    """The text of a trace's fields in pieces that join to the whole: the
+    head, one piece per step (its separator and the text of its values,
+    filled with its ``n``), then the closing and the tail. With ``tail``, the
+    steps after the last one given up to ``max_steps`` repeat its values, and
+    are written from its text in blocks of ``_BLOCK`` joined over their ``n``."""
+    if json:
+        head, end = (_HEDGING_JSON % (
+            *_float_fields(config), max_steps, _jnum_text(tolerance),
+            _jnum_text(HESITATION), "%s", *_float_fields(summary),
+        )).split("%s")
+        (opening, separator, closing), template = _LIST[1], _step_json
+        closing = closing if steps else "[]"
+    else:
+        head, end, template = ",".join(HedgingStep._fields), "", _step_csv
+        opening = separator = closing = "\n"
+    yield head
+    lead = opening  # the first step follows the opening
+    for step in steps:
+        text = template(step[1:])
+        yield lead + text % step[0]
+        lead = separator
+    if tail:
+        before, after = (separator + text).split("%d")
+        joint, stop = after + before, max_steps + 1
+        for start in range(len(steps), stop, _BLOCK):
+            yield before + joint.join(map(str, range(start, min(start + _BLOCK, stop)))) + after
+    yield closing + end
+
+
+def _hedge_text(delta: float, gamma: float, max_steps: int, tolerance: float, json: bool):
+    """The ``hedge`` command's text: the steps up to the fixed point, then
+    the rest, which repeat the last, from its text. The prefix is computed,
+    and the settings checked, before any text is made."""
+    config = GameConfig(delta=delta, gamma=gamma)
+    return _hedging_pieces(
+        config, max_steps, tolerance, *_prefix(config, max_steps, tolerance), json, tail=True)
+
+
+def render_hedging_csv(trace: HedgingTrace) -> str:
+    return "".join(_hedging_pieces(*trace, json=False))
+
+
+def render_hedging_json(trace: HedgingTrace) -> str:
+    return "".join(_hedging_pieces(*trace, json=True))

@@ -1,10 +1,10 @@
-"""The game's parameters: their ranges and checks, ``GameConfig`` and its
-sweep row, and the world prior with its closed-form expected utilities.
+"""The game's parameters: their ranges and checks, ``GameConfig``, and the
+world prior with its closed-form expected utilities.
 
 This is all of the game that ``hedge`` loads; ``game`` holds the region rule,
-the sweep and the brute-force oracle. Player labels are roles: "S" sends the
-signal, "L" receives it. :class:`Checked` is the one way a record checks its
-values.
+the sweep with its row record and text, and the brute-force oracle. Player
+labels are roles: "S" sends the signal, "L" receives it. :class:`Checked` is
+the one way a record checks its values.
 """
 
 from __future__ import annotations
@@ -128,10 +128,3 @@ def expected_utility(config: GameConfig, player: str, action: str) -> float:
     _check_choices(player, action)
     prior = _prior(config.delta, config.gamma)
     return prior[0] if action == "a" else prior[2]
-
-
-class SweepRow(namedtuple("SweepRow", "delta gamma p_w1 p_w2 p_w3 eu_a eu_b region")):
-    """One grid point of ``game.threshold_sweep``, built with ``tuple.__new__``,
-    skipping the generated ``__new__``."""
-
-    __slots__ = ()

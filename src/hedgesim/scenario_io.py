@@ -29,9 +29,10 @@ reported, with its key and line. The checks that span keys come after, by
 section: canonical extras, missing keys, flips against n, delta against
 tau, speaker and world. A file is read as UTF-8, with or without a BOM.
 
-The report, dialogue and frame writers live here, on the layout of ``writers``;
-of its sweep and hedging writers, this module re-exports the four the benchmark
-reads through it (the same objects, not wrappers).
+The report, dialogue and frame writers live here, on the layout of
+``writers``; their keys and headers are the records' fields. This module
+re-exports the four sweep and hedging writers that the benchmark reads
+through it (the same objects, not wrappers).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Mapping
 
+from . import writers
 from .assertion import (
     SignalLikelihoods,
     base_rate,
@@ -48,13 +50,9 @@ from .assertion import (
     update,
 )
 from .game import RegionReport, equilibrium_region
-from .hedging import (
-    DEFAULT_STEPS,
-    DEFAULT_TOLERANCE,
-    HEDGING_RANGES,
-    HedgingSummary,
-    run_hedging,
-)
+from .game import render_sweep_csv, render_sweep_json  # noqa: F401  (re-exported)
+from .hedging import DEFAULT_STEPS, DEFAULT_TOLERANCE, HEDGING_RANGES, HedgingSummary, run_hedging
+from .hedging import render_hedging_csv, render_hedging_json  # noqa: F401  (re-exported)
 from .params import GAME_RANGES, ROUNDING, GameConfig, check_parameter, parse_number
 from .semantics import FrameReport, extension
 from .worlds import (
@@ -69,16 +67,21 @@ from .worlds import (
     world_pools,
 )
 from .writers import _OBJECT, _bool_text, _float_fields, _jnum_text, _list, _template, fmt_float
-from .writers import (  # noqa: F401  (re-exported)
-    render_hedging_csv,
-    render_hedging_json,
-    render_sweep_csv,
-    render_sweep_json,
-)
+
+
+class Scenario(namedtuple(
+    "Scenario", "series canonical config speaker world steps tolerance",
+    defaults=(DEFAULT_STEPS, DEFAULT_TOLERANCE),
+)):
+    """A parsed scenario: the ``SoritesSeries`` and whether it is the
+    canonical one, the ``GameConfig``, and the run plan."""
+
+    __slots__ = ()
+
 
 # The [game] keys are the GameConfig fields and the [run] keys the Scenario
-# fields of the same name, in the order files and reports list them.
-_SCENARIO_KEYS = {"game": tuple(GAME_RANGES), "run": ("speaker", "world", "steps", "tolerance")}
+# fields after ``config``, in the order files and reports list them.
+_SCENARIO_KEYS = {"game": tuple(GAME_RANGES), "run": Scenario._fields[3:]}
 
 
 class ScenarioParseError(ValueError):
@@ -91,16 +94,6 @@ class ScenarioParseError(ValueError):
 
 class ReportAuditError(RuntimeError):
     """A run report failed its internal consistency audit."""
-
-
-class Scenario(namedtuple(
-    "Scenario", "series canonical config speaker world steps tolerance",
-    defaults=(DEFAULT_STEPS, DEFAULT_TOLERANCE),
-)):
-    """A parsed scenario: the ``SoritesSeries`` and whether it is the
-    canonical one, the ``GameConfig``, and the run plan."""
-
-    __slots__ = ()
 
 
 def _ranged(ranges: Mapping, kind: type = float) -> Callable[[str, str], int | float]:
@@ -310,16 +303,10 @@ def audit_report(report: RunReport) -> None:
         raise ReportAuditError(f"posterior sums to {total!r}, not 1")
 
 
-def _quote(text: str) -> str:
-    """``text`` as a JSON string, loaded and rebound as ``writers._quote`` is."""
-    global _quote
-    from json.encoder import encode_basestring_ascii as _quote
-    return _quote(text)
-
-
 def _object(keys, texts, depth: int | None) -> str:
     """A JSON object of the text ``keys`` and their value ``texts``."""
-    return _list([f"{_quote(key)}: {text}" for key, text in zip(keys, texts)], depth, _OBJECT)
+    texts = [f"{writers._quote(key)}: {text}" for key, text in zip(keys, texts)]
+    return _list(texts, depth, _OBJECT)
 
 
 # The fixed blocks are written out; the rest are one slot each. A dialogue
@@ -331,22 +318,20 @@ _REPORT_JSON = _template({
     "hedging": ("max_steps", "tolerance", *HedgingSummary._fields, "final_eu_a", "final_eu_b"),
     "public_belief": ("proposition", "worlds", "holds"),
 }) + "\n"
-_FRAME_JSON = _template(dict.fromkeys(
-    ("reflexive", "symmetric", "transitive", "witness", "summary"))) + "\n"
-_DIALOGUE_JSON = {d: _template(dict.fromkeys(("time", "signal", "live", "posterior")), d)
-                  for d in (2, None)}
+_FRAME_JSON = _template(dict.fromkeys((*FrameReport._fields, "summary"))) + "\n"
+_DIALOGUE_JSON = {d: _template(dict.fromkeys(DialogueStep._fields), d) for d in (2, None)}
 
 
 def _worlds_json(model: WorldModel, worlds, depth: int | None) -> str:
     """A world subset as a JSON list in the model's world order."""
-    return _list([_quote(w) for w in model.worlds if w in worlds], depth)
+    return _list([writers._quote(w) for w in model.worlds if w in worlds], depth)
 
 
 def _model_json(model: WorldModel) -> str:
     """The model block, with the pooling provenance it has."""
     blocks = {
-        "agents": _list(list(map(_quote, model.agents)), 2),
-        "worlds": _list(list(map(_quote, model.worlds)), 2),
+        "agents": _list(list(map(writers._quote, model.agents)), 2),
+        "worlds": _list(list(map(writers._quote, model.worlds)), 2),
         "partitions": _object(model.partitions, [
             _list([_worlds_json(model, cell, 4) for cell in cells], 3)
             for cells in model.partitions.values()
@@ -357,7 +342,7 @@ def _model_json(model: WorldModel) -> str:
     }
     if model.judgments is not None:
         blocks["judgments"] = _object(model.judgments, [
-            _object(judged, map(_quote, judged.values()), 3)
+            _object(judged, map(writers._quote, judged.values()), 3)
             for judged in model.judgments.values()
         ], 2)
     if model.members is not None:
@@ -371,8 +356,8 @@ def _dialogue_json(step: DialogueStep, depth: int | None) -> str:
     """A dialogue step as a JSON object at nesting ``depth``; ``None`` is one line."""
     inner = None if depth is None else depth + 1
     return _DIALOGUE_JSON[depth] % (
-        step.time, "null" if step.signal is None else _quote(step.signal.text),
-        _list(list(map(_quote, step.live)), inner),
+        step.time, "null" if step.signal is None else writers._quote(step.signal.text),
+        _list(list(map(writers._quote, step.live)), inner),
         _object(step.posterior, map(_jnum_text, step.posterior.values()), inner),
     )
 
@@ -383,10 +368,10 @@ def render_report_json(report: RunReport) -> str:
     return _REPORT_JSON % (
         _bool_text(scenario.canonical), scenario.series.n,
         _object(flips, map(str, flips.values()), 2), *_float_fields(scenario.config),
-        _quote(scenario.speaker), _quote(scenario.world), scenario.steps,
+        writers._quote(scenario.speaker), writers._quote(scenario.world), scenario.steps,
         _jnum_text(scenario.tolerance),
         _model_json(model),
-        _quote(report.signal.text),
+        writers._quote(report.signal.text),
         _list([_dialogue_json(step, 2) for step in report.dialogue], 1),
         _object(posterior, map(_jnum_text, posterior.values()), 1),
         *_float_fields(report.region),
@@ -400,7 +385,7 @@ def render_report_json(report: RunReport) -> str:
 
 def render_report_csv(report: RunReport) -> str:
     """The dialogue trace as CSV: one row per conversation step."""
-    lines = ["time,signal,live,posterior"]
+    lines = [",".join(DialogueStep._fields)]
     for step in report.dialogue:
         posterior = ";".join(fmt_float(step.posterior[w]) for w in step.live)
         signal = "" if step.signal is None else step.signal.text
@@ -420,5 +405,6 @@ def render_frame_csv(frame: FrameReport) -> str:
 
 
 def render_frame_json(frame: FrameReport) -> str:
-    witness = "null" if frame.witness is None else _list(list(map(_quote, frame.witness)), 1)
-    return _FRAME_JSON % (*map(_bool_text, frame[:3]), witness, _quote(frame.summary()))
+    witness = "null" if frame.witness is None else _list(
+        list(map(writers._quote, frame.witness)), 1)
+    return _FRAME_JSON % (*map(_bool_text, frame[:3]), witness, writers._quote(frame.summary()))

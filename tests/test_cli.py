@@ -263,6 +263,28 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
     assert "gamma" in err and err.count("\n") == 1
 
 
+# Each path flag given an empty path, with the command's other arguments.
+EMPTY_PATHS = {
+    "simulate-out": ["simulate", str(CANONICAL), "--out", ""],
+    "simulate-trace": ["simulate", str(CANONICAL), "--out", os.devnull, "--trace", ""],
+    "sweep-out": ["sweep", "--delta-steps", "3", "--gamma-steps", "3", "--out", ""],
+    "hedge-out": ["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "5", "--out", ""],
+    "frame-check-out": ["frame-check", str(CANONICAL), "--out", ""],
+}
+
+
+@pytest.mark.parametrize("argv", EMPTY_PATHS.values(), ids=list(EMPTY_PATHS))
+def test_an_empty_path_fails_like_any_bad_path(argv, capsys):
+    """An empty ``--out`` or ``--trace`` names no file: the command exits 1
+    with one line, and writes no report to stdout in its place (``frame-check``
+    prints its summary line first, as it does before any bad path)."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "''" in captured.err
+    assert captured.out.count("\n") == (argv[0] == "frame-check")
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_simulate_rejects_a_delta_too_small_for_tau(tmp_path, capsys, fmt):
     """1 - tau/delta overflows for delta = 1e-320: both formats exit 1 with

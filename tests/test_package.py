@@ -141,11 +141,12 @@ COMMANDS = {
     "frame-check": (["frame-check", SCENARIO], EVERY),
 }
 # What ``hedge`` never runs, so none of its modules may define it: the region
-# rule, the sweep, the brute-force oracle and the report, dialogue and frame
-# writers.
+# rule, the sweep with its row record and writer, the brute-force oracle and
+# the report, dialogue and frame writers.
 NOT_HEDGE = {
     "equilibrium_region", "threshold_sweep", "_sweep_runs", "brute_force_eu", "render_report_json",
     "render_report_csv", "render_dialogue_jsonl", "render_frame_csv", "render_frame_json",
+    "SweepRow", "_SWEEP", "_sweep_chunks", "_sweep_text", "render_sweep_csv", "render_sweep_json",
 }
 
 
@@ -198,6 +199,30 @@ def test_the_modules_hedge_loads_hold_nothing_it_does_not_run():
     # The package's own names resolve lazily, from the submodules.
     for name in sorted(HEDGE - {"hedgesim"}):
         assert not NOT_HEDGE & set(vars(importlib.import_module(name))), name
+
+
+def imported_names(module: str) -> list[tuple[str, str]]:
+    """(module, name) of each import in the source of ``hedgesim.<module>``,
+    at any depth, with each relative module under ``hedgesim.``."""
+    tree = ast.parse((SRC_DIR / "hedgesim" / f"{module}.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            source = ("hedgesim." if node.level else "") + (node.module or "")
+            found += [(source, alias.name) for alias in node.names]
+    return found
+
+
+def test_the_layering_of_the_writers():
+    # ``writers`` is the layout every text home shares, and imports none of them.
+    assert not [m for m, _ in imported_names("writers") if m.partition(".")[0] == "hedgesim"]
+    # ``cli`` hands each command's text over in one call; it builds no trace
+    # and chains no rows of its own.
+    taken = {name for _, name in imported_names("cli")}
+    assert not taken & {"_prefix", "HedgingTrace", "_sweep_runs", "_sweep_chunks",
+                        "_hedging_pieces", "chain"}
 
 
 def test_library_loads_no_record_or_enum_machinery():

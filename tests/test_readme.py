@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 from test_hedging import FIXED_PAIR
+from test_package import REMOVED
 
 import hedgesim
 from hedgesim import Formula, GameConfig, SoritesSeries, grid, run_hedging
@@ -40,6 +41,13 @@ def test_readme_lists_the_public_surface():
     exported = section.split("The tests own", 1)[0]
     assert f"`hedgesim.__all__` holds {len(hedgesim.__all__)} names" in exported
     assert sorted(re.findall(r"`(\w+)`", exported)) == hedgesim.__all__
+
+
+def test_readme_lists_every_removed_name():
+    words = " ".join(README.read_text(encoding="utf-8").split())
+    sentence = words.split("these names left the package with no alias:", 1)[1]
+    listed = re.findall(r"`(\w+)`", sentence.split(", and the methods", 1)[0])
+    assert sorted(listed) == sorted(REMOVED)
 
 
 def test_readme_states_the_fixed_pair_the_trace_reaches():

@@ -19,8 +19,15 @@ from oracles import sort_worlds
 
 from hedgesim import cli, game, hedging, scenario_io, writers
 from hedgesim.assertion import UnexpectedSignalError
-from hedgesim.game import GameConfig, SweepRow, grid, threshold_sweep
-from hedgesim.hedging import HedgingStep, run_hedging
+from hedgesim.game import (
+    GameConfig,
+    SweepRow,
+    grid,
+    render_sweep_csv,
+    render_sweep_json,
+    threshold_sweep,
+)
+from hedgesim.hedging import HedgingStep, render_hedging_csv, render_hedging_json, run_hedging
 from hedgesim.scenario_io import (
     Scenario,
     load_scenario,
@@ -33,13 +40,7 @@ from hedgesim.scenario_io import (
 )
 from hedgesim.semantics import FrameReport, check_frame
 from hedgesim.worlds import SoritesSeries, pool_states, world_pools
-from hedgesim.writers import (
-    _jnum_text,
-    render_hedging_json,
-    render_hedging_csv,
-    render_sweep_csv,
-    render_sweep_json,
-)
+from hedgesim.writers import _jnum_text
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -167,11 +168,11 @@ def test_sweep_chunks_join_to_the_text_one_chunk_per_delta(delta_grid, gamma_gri
     assert render_sweep_csv(rows) == oracles[False]
     assert render_sweep_json(rows) == oracles[True]
     for json_text, oracle in oracles.items():
-        chunks = list(writers._sweep_chunks(iter(rows), json_text))
+        chunks = list(game._sweep_chunks(iter(rows), json_text))
         assert "".join(chunks) == oracle
         assert len(chunks) == (runs if rows else 1)
         streamed = itertools.chain.from_iterable(game._sweep_runs(delta_grid, gamma_grid, tau))
-        assert list(writers._sweep_chunks(streamed, json_text)) == chunks
+        assert list(game._sweep_chunks(streamed, json_text)) == chunks
 
 
 # Floats that reach both branches of the JSON record writer: any finite
@@ -312,12 +313,12 @@ def test_hedging_pieces_join_to_the_text_one_piece_per_step(steps):
     holds that step's text alone, then the closing with the tail. With no
     step the CSV is its header line alone and the JSON's steps are ``[]``."""
     trace = HEDGING._replace(steps=tuple(steps))
-    pieces = list(writers._hedging_pieces(trace, json=False))
+    pieces = list(hedging._hedging_pieces(*trace, json=False))
     assert "".join(pieces) == (csv_text(steps) if steps else ",".join(HedgingStep._fields) + "\n")
     assert [piece.count("\n") for piece in pieces] == [0, *[1] * len(steps), 1]
     if not all(map(math.isfinite, itertools.chain.from_iterable(step[1:] for step in steps))):
         return
-    pieces = list(writers._hedging_pieces(trace, json=True))
+    pieces = list(hedging._hedging_pieces(*trace, json=True))
     text = "".join(pieces)
     assert text == dumps(hedging_payload(trace))
     assert ('"steps": [],' in text) == (not steps)
@@ -437,7 +438,8 @@ def test_hedging_json_render_peaks_under_40_mb():
 
 @pytest.fixture
 def float_text_calls(monkeypatch):
-    """Counts the calls of ``fmt_float`` and ``_jnum_text``."""
+    """Counts the calls of ``fmt_float`` and ``_jnum_text``, in each module
+    that looks them up: the layout's own, the sweep's and the hedging's."""
     calls = collections.Counter()
     for name in ("fmt_float", "_jnum_text"):
         original = getattr(writers, name)
@@ -446,7 +448,9 @@ def float_text_calls(monkeypatch):
             calls[name] += 1
             return original(value)
 
-        monkeypatch.setattr(writers, name, counted)
+        for module in (writers, game, hedging):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -481,11 +485,11 @@ def test_hedging_work_does_not_grow_past_the_fixed_point(monkeypatch, tmp_path):
 
     monkeypatch.setattr(hedging, "_propensities", counted_propensities)
     for name in ("_step_csv", "_step_json"):
-        def counted(values, original=getattr(writers, name), name=name):
+        def counted(values, original=getattr(hedging, name), name=name):
             counts[name] += 1
             return original(values)
 
-        monkeypatch.setattr(writers, name, counted)
+        monkeypatch.setattr(hedging, name, counted)
     seen = []
     for max_steps in (1000, 100_000):
         counts.clear()
@@ -688,7 +692,7 @@ def test_report_writers_sort_no_worlds(monkeypatch):
         calls["sorted"] += 1
         return sorted(*args, **kwargs)
 
-    monkeypatch.setattr(writers, "sorted", counted, raising=False)
+    monkeypatch.setattr(scenario_io, "sorted", counted, raising=False)
     for path in sorted(DATA_DIR.glob("*.scn")):
         report = run_scenario(load_scenario(path))
         assert render_report_json(report) and render_dialogue_jsonl(report)
@@ -757,20 +761,19 @@ BENCHMARK_WRITERS = {
 }
 
 
-# Of those, the ones ``scenario_io`` defines; the rest are ``writers``' own.
+# Of those, the ones ``scenario_io`` defines; the rest live beside the code
+# that computes what they write.
 REPORT_WRITERS = {"render_dialogue_jsonl", "render_report_csv", "render_report_json"}
+HOMES = {"render_sweep_csv": game, "render_sweep_json": game,
+         "render_hedging_csv": hedging, "render_hedging_json": hedging}
 
 
 def test_scenario_io_re_exports_the_writers():
-    # ``scenario_io`` also shares the float text and layout helpers of ``writers``.
-    shared = {
-        name
-        for name, value in vars(writers).items()
-        if getattr(value, "__module__", None) == writers.__name__
-        and getattr(scenario_io, name, None) is value
-        and name.startswith("render_")
-    }
-    assert shared == BENCHMARK_WRITERS - REPORT_WRITERS
+    assert set(HOMES) == BENCHMARK_WRITERS - REPORT_WRITERS
+    for name, home in HOMES.items():
+        assert getattr(scenario_io, name) is getattr(home, name)
+        assert getattr(home, name).__module__ == home.__name__
     for name in REPORT_WRITERS:
         assert getattr(scenario_io, name).__module__ == scenario_io.__name__
-        assert not hasattr(writers, name)
+    # ``writers`` keeps only the shared number text and layout.
+    assert not [name for name in vars(writers) if name.startswith("render_")]
