@@ -1,6 +1,6 @@
 """The coordination game's equilibrium tests: the region rule, the sweep over
-a parameter grid with its CSV and JSON text, and a brute-force oracle for the
-expected utilities.
+a parameter grid with its CSV and JSON text, formatted a column at a time,
+and a brute-force oracle for the expected utilities.
 
 Both players play a pure coordination game: matching actions pay 1 and
 mismatches pay 0, so an expected utility is the chance that both sides take
@@ -14,13 +14,15 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 from collections.abc import Iterable
-from itertools import chain
+from itertools import compress, count
+from operator import iadd, is_not
 
+from . import writers
 from .params import (  # noqa: F401  (GameConfig and expected_utility re-exported)
     DEFAULT_TAU, GAME_RANGES, GRID_RANGES, PLAYERS, ROUNDING, GameConfig,
     _check_choices, _prior, check_parameter, expected_utility,
 )
-from .writers import _LIST, _jnum_text, _quote, _template, fmt_float
+from .writers import _LIST, _float_texts, _jnum_text, _template, fmt_float
 
 WORLD_ORDER = ("w1", "w2", "w3")
 
@@ -131,10 +133,7 @@ def threshold_sweep(
     :class:`GameConfig` gives, so a bad value raises even when a grid is
     empty. The rows are built one delta at a time, as ``sweep`` writes them.
     """
-    rows: list[SweepRow] = []
-    for run in _sweep_runs(delta_grid, gamma_grid, tau):
-        rows += run
-    return rows
+    return functools.reduce(iadd, _sweep_runs(delta_grid, gamma_grid, tau), [])
 
 
 def _sweep_runs(delta_grid: Iterable[float], gamma_grid: Iterable[float], tau: float):
@@ -145,23 +144,21 @@ def _sweep_runs(delta_grid: Iterable[float], gamma_grid: Iterable[float], tau: f
     for name, values in (("delta", delta_grid), ("gamma", gamma_grid), ("tau", (tau,))):
         for value in values:
             check_parameter(GAME_RANGES, name, value)
-    return map(functools.partial(_delta_rows, gamma_grid, tau), delta_grid)
+    gammas = tuple((gamma, 1.0 - gamma) for gamma in gamma_grid)
+    return map(functools.partial(_delta_rows, gammas, tau), delta_grid)
 
 
-def _delta_rows(gamma_grid: tuple, tau: float, delta: float) -> list[SweepRow]:
-    """One checked delta's rows over the checked gammas. ``1 - delta`` and the
-    region that can hold are worked out once, so a row costs its two
-    unanimous masses and its region, by :func:`equilibrium_region`'s rule.
-    Checked values keep those masses a distribution within a few ulp, far
-    inside ``ROUNDING``, so a row needs no check of its own. ``p_w2`` is the
-    row's gamma object and ``eu_a``/``eu_b`` are its ``p_w1``/``p_w3``
-    objects, which ``_sweep_chunks`` formats once."""
+def _delta_rows(gammas: tuple, tau: float, delta: float) -> list[SweepRow]:
+    """One checked delta's rows over the checked ``(gamma, 1 - gamma)`` pairs,
+    by :func:`equilibrium_region`'s rule, with ``1 - delta`` and the region that
+    can hold worked out once. Checked values keep a row's masses a distribution
+    within a few ulp, far inside ``ROUNDING``, so a row needs no check of its
+    own. ``p_w2`` is its gamma object and ``eu_a``/``eu_b`` its ``p_w1``/``p_w3``."""
     rest = 1.0 - delta
     side, share = _contender(delta)
     rows: list[SweepRow] = []
     append, new, slack = rows.append, tuple.__new__, ROUNDING
-    for gamma in gamma_grid:
-        keep = 1.0 - gamma
+    for gamma, keep in gammas:
         p_w1, p_w3 = delta * keep, rest * keep
         region = side if share * keep - tau > slack else "none"
         append(new(SweepRow, (delta, gamma, p_w1, gamma, p_w3, p_w1, p_w3, region)))
@@ -182,55 +179,57 @@ _SWEEP = {
 }
 
 
-def _sweep_chunks(rows, json: bool):
-    """A sweep's text in pieces that join to the whole: one per run of rows
-    that hold the same delta object, the first opened and the last closed.
-    Each run's delta, each distinct nonzero gamma (0.0 == -0.0, and their
-    texts differ) and each region is formatted once per call. ``p_w2``,
-    ``eu_a`` and ``eu_b`` reuse the text of the gamma, ``p_w1`` and ``p_w3``
-    objects when they are those objects, as in :func:`_delta_rows`."""
+def _sweep_chunks(runs, json: bool):
+    """A sweep's text in pieces that join to the whole, from lists of rows that
+    each hold one delta object: one piece per run of rows that hold the same
+    delta object, the first opened and the last closed. Each float column of a
+    list is formatted in one ``_float_texts`` pass, unless it equals the gamma,
+    ``p_w1`` or ``p_w3`` column, or the last list's gammas, and holds no zero:
+    it then takes their texts, as equal numbers print alike but 0.0 and -0.0."""
     lead, separator, closing, (k0, k1, k2, k3, k4, k5, k6, k7, end) = _SWEEP[json]
-    text = _jnum_text if json else fmt_float
-    memo, tails, lines = {}, {}, []
-    last_delta = object()
-    for delta, gamma, p_w1, p_w2, p_w3, eu_a, eu_b, region in rows:
-        if delta is not last_delta:
+    lines, last_delta, last_gammas, gamma_zero = [], object(), None, False
+    for run in filter(None, runs):
+        if run[0][0] is not last_delta:
             if lines:
                 lines[0] = lead + lines[0]
                 yield separator.join(lines)
                 lines, lead = [], separator
-            last_delta, head = delta, k0 + text(delta) + k1
-        g = memo.get(gamma) if gamma else text(gamma)
-        if g is None:
-            g = memo[gamma] = text(gamma)
-        w1, w3 = "%.12g" % p_w1, "%.12g" % p_w3
-        if json and ("." not in w1 or "e" in w1 or "." not in w3 or "e" in w3):
-            w1, w3 = _jnum_text(p_w1), _jnum_text(p_w3)
-        w2 = g if p_w2 is gamma else text(p_w2)
-        a = w1 if eu_a is p_w1 else text(eu_a)
-        b = w3 if eu_b is p_w3 else text(eu_b)
-        tail = tails.get(region) or tails.setdefault(
-            region, f"{k7}{_quote(region) if json else region}{end}")
-        lines.append(f"{head}{g}{k2}{w1}{k3}{w2}{k4}{w3}{k5}{a}{k6}{b}{tail}")
-    if not lines:
-        yield "[]\n" if json else lead
-        return
-    lines[0] = lead + lines[0]
-    lines[-1] += closing
-    yield separator.join(lines)
+            last_delta = run[0][0]
+            head = k0 + (_jnum_text if json else fmt_float)(last_delta) + k1
+        _, gammas, p_w1, p_w2, p_w3, eu_a, eu_b, regions = zip(*run)
+        texts = functools.partial(_float_texts, ",".join(("%.12g",) * len(run)), json=json)
+        if gammas != last_gammas or gamma_zero:
+            g, gamma_zero, last_gammas = texts(gammas), 0.0 in gammas, gammas
+            g1, g2 = [t + k2 for t in g], [f"{k3}{t}{k4}" for t in g]
+        w1, w3 = texts(p_w1), texts(p_w3)
+        w2 = g2 if p_w2 == gammas and not gamma_zero else [f"{k3}{t}{k4}" for t in texts(p_w2)]
+        a = w1 if eu_a == p_w1 and 0.0 not in p_w1 else texts(eu_a)
+        b = w3 if eu_b == p_w3 and 0.0 not in p_w3 else texts(eu_b)
+        tail = {r: f"{k7}{writers._quote(r) if json else r}{end}" for r in set(regions)}
+        lines += [f"{head}{x}{x1}{x2}{x3}{k5}{xa}{k6}{xb}{t}"
+                  for x, x1, x2, x3, xa, xb, t in zip(g1, w1, w2, w3, a, b, map(tail.get, regions))]
+    if lines:
+        lines[0] = lead + lines[0]
+        lines[-1] += closing
+    yield separator.join(lines) if lines else "[]\n" if json else lead
+
+
+def _delta_runs(rows: list[SweepRow]):
+    """``rows`` cut where the delta object changes."""
+    deltas = [row[0] for row in rows]
+    cuts = [0, *compress(count(1), map(is_not, deltas[1:], deltas)), len(deltas)]
+    return map(rows.__getitem__, map(slice, cuts, cuts[1:]))
 
 
 def _sweep_text(delta_steps: int, gamma_steps: int, tau: float, json: bool):
-    """The ``sweep`` command's text over two ``grid``s: each delta's rows are
-    built as they are written and dropped after. The grids and tau are checked
-    before any text is made."""
-    runs = _sweep_runs(grid(delta_steps), grid(gamma_steps), tau)
-    return _sweep_chunks(chain.from_iterable(runs), json)
+    """The ``sweep`` command's text over two ``grid``s, checked before any text
+    is made: each delta's rows are built as they are written and dropped after."""
+    return _sweep_chunks(_sweep_runs(grid(delta_steps), grid(gamma_steps), tau), json)
 
 
 def render_sweep_csv(rows: list[SweepRow]) -> str:
-    return "".join(_sweep_chunks(rows, json=False))
+    return "".join(_sweep_chunks(_delta_runs(rows), json=False))
 
 
 def render_sweep_json(rows: list[SweepRow]) -> str:
-    return "".join(_sweep_chunks(rows, json=True))
+    return "".join(_sweep_chunks(_delta_runs(rows), json=True))

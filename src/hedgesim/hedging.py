@@ -35,7 +35,7 @@ from itertools import islice, repeat
 from .params import (
     GAME_RANGES, ROUNDING, GameConfig, check_parameter, expected_utility, integer_range,
 )
-from .writers import _LIST, _float_fields, _jnum_text, _template
+from .writers import _LIST, _float_fields, _float_texts, _jnum_text, _template
 
 DEFAULT_STEPS = 50
 DEFAULT_TOLERANCE = 1e-6
@@ -172,14 +172,8 @@ def _step_csv(values: tuple) -> str:
 
 
 def _step_json(values: tuple) -> str:
-    """The JSON object of a step's values, with a ``%d`` slot for ``n``: its
-    floats from one ``%.12g`` pass when that text is their ``_jnum_text``,
-    that is when it has no exponent and a ``.`` in every number (``nan`` and
-    ``inf`` have none), else float by float."""
-    numbers = _STEP_FLOATS % values
-    if "e" in numbers or numbers.count(".") != 4:
-        return _HEDGING_STEP_JSON % ("%d", *map(_jnum_text, values))
-    return _HEDGING_STEP_JSON % ("%d", *numbers.split(","))
+    """The JSON object of a step's values, with a ``%d`` slot for ``n``."""
+    return _HEDGING_STEP_JSON % ("%d", *_float_texts(_STEP_FLOATS, values, json=True))
 
 
 def _hedging_pieces(config, max_steps, tolerance, steps, summary, json: bool, tail: bool = False):

@@ -3,11 +3,12 @@ share; each writer lives beside the code that computes what it writes.
 
 ``fmt_float`` is the CSV text of a float: ``.`` decimals, no grouping and 12
 significant digits. ``_jnum_text`` is JSON's, of the same rounded number, so
-both formats stay byte-stable. A JSON object of fixed keys is a template built
-once (``_template``) and filled once; ``_list`` writes the blocks whose length
-varies, with the layout ``json.dumps`` gives at ``indent=2``. This module
-imports nothing from the package, and nothing that CSV output needs loads
-``json``.
+both formats stay byte-stable; ``_float_texts`` gives either text of a tuple
+of floats from one ``%`` pass. A JSON object of fixed keys is a template
+built once (``_template``) and filled once; ``_list`` writes the blocks whose
+length varies, with the layout ``json.dumps`` gives at ``indent=2``. This
+module imports nothing from the package, and nothing that CSV output needs
+loads ``json``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,16 @@ def _jnum_text(value: float) -> str:
     if not math.isfinite(number):
         raise ValueError(f"Out of range float values are not JSON compliant: {number!r}")
     return repr(number)
+
+
+def _float_texts(slots: str, values: tuple, json: bool) -> list[str]:
+    """The text of each value from one pass of ``slots``, a ``%.12g`` slot per
+    value joined by ``,``; in JSON, from ``_jnum_text`` value by value when the
+    pass shows an exponent or a number with no ``.``: whole, ``nan`` or ``inf``."""
+    text = slots % values
+    if json and ("e" in text or text.count(".") < len(values)):
+        return list(map(_jnum_text, values))
+    return text.split(",")
 
 
 def _bool_text(value: bool) -> str:

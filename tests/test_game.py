@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hedgesim
@@ -271,6 +271,25 @@ def test_regions_on_rational_grids_equal_the_exact_answer(delta_steps, gamma_ste
         report = equilibrium_region(GameConfig(delta=row.delta, gamma=row.gamma, tau=float(tau)))
         assert (row.region, report.region) == (want, want), row
         assert region_by_bounds(row.delta, row.gamma, report) == want
+
+
+MIRROR = {"AA": "BB", "BB": "AA", "none": "none"}
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 120), rational_taus)
+@example(199, Fraction(1, 2))
+@example(400, Fraction(3, 10))
+def test_the_sweep_mirrors_its_regions_across_delta_one_half(steps, tau):
+    """On ``grid(K)`` x ``grid(K)`` the region at (delta_i, gamma_j) is the AA <-> BB
+    mirror of the region at (delta_(K+1-i), gamma_j), though each row works out
+    ``1 - delta`` in floats: the mirror's delta is (K+1-i)/(K+1), not 1 - i/(K+1)."""
+    rows = threshold_sweep(grid(steps), grid(steps), tau=float(tau))
+    regions = [row.region for row in rows]
+    for i in range(steps):
+        mirrored = regions[(steps - 1 - i) * steps:(steps - i) * steps]
+        for j, (region, other) in enumerate(zip(regions[i * steps:(i + 1) * steps], mirrored)):
+            assert region == MIRROR[other], (steps, tau, i + 1, j + 1, region, other)
 
 
 # --- sweeps -----------------------------------------------------------------

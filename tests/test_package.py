@@ -225,6 +225,19 @@ def test_the_layering_of_the_writers():
                         "_hedging_pieces", "chain"}
 
 
+def test_no_module_imports_the_quote_wrapper_by_name():
+    # ``writers._quote`` rebinds only its own module's name to the encoder on
+    # its first call; a module that bound the name itself would keep the
+    # wrapper, whose import runs on every call. Callers read it as
+    # ``writers._quote``.
+    for path in sorted((SRC_DIR / "hedgesim").glob("*.py")):
+        assert ("hedgesim.writers", "_quote") not in imported_names(path.stem), path.name
+    from hedgesim import game, writers
+
+    writers._quote("AA")
+    assert "_quote" not in vars(game)
+
+
 def test_library_loads_no_record_or_enum_machinery():
     # Without ``site`` the interpreter's start-up loads none of these, so any
     # found here came with the package: ``dataclasses`` brings all the others

@@ -154,11 +154,14 @@ def test_empty_sweep_json_equals_json_dumps():
 @example([0.3, 0.7], [], 0.5)
 @example([0.3, 0.7], [0.0, -0.0, 0.5, 0.0], 0.5)
 @example([0.25, float("0.25")], [0.5], 0.5)  # equal deltas, two objects: two runs
+@example([0.25] * 2, [0.5], 0.5)  # one delta object twice, each with its list: one run
+@example([0.25] * 2, [], 0.5)
 def test_sweep_chunks_join_to_the_text_one_chunk_per_delta(delta_grid, gamma_grid, tau):
     """The chunks of ``threshold_sweep``'s rows and of the ``sweep``
-    command's path (each delta's rows built as they are written) join to
-    the oracles' text and to ``render_sweep_*``, one chunk per run of rows
-    that hold the same delta object, or one for an empty sweep."""
+    command's path (each delta's rows built as they are written, a list per
+    grid entry) join to the oracles' text and to ``render_sweep_*``, one
+    chunk per run of rows that hold the same delta object, or one for an
+    empty sweep."""
     rows = threshold_sweep(delta_grid, gamma_grid, tau=tau)
     runs = sum(1 for i, delta in enumerate(delta_grid) if i == 0 or delta is not delta_grid[i - 1])
     oracles = {  # by ``json``; with no row the CSV is its header alone
@@ -168,10 +171,10 @@ def test_sweep_chunks_join_to_the_text_one_chunk_per_delta(delta_grid, gamma_gri
     assert render_sweep_csv(rows) == oracles[False]
     assert render_sweep_json(rows) == oracles[True]
     for json_text, oracle in oracles.items():
-        chunks = list(game._sweep_chunks(iter(rows), json_text))
+        chunks = list(game._sweep_chunks(game._delta_runs(rows), json_text))
         assert "".join(chunks) == oracle
         assert len(chunks) == (runs if rows else 1)
-        streamed = itertools.chain.from_iterable(game._sweep_runs(delta_grid, gamma_grid, tau))
+        streamed = game._sweep_runs(delta_grid, gamma_grid, tau)
         assert list(game._sweep_chunks(streamed, json_text)) == chunks
 
 
@@ -239,6 +242,32 @@ MEMO_TRAPS = (0.0, -0.0, 1.0, -3.0, 12345.0, 7e-6, -2.5e-7, 1e12, 3.5e15, math.n
               -math.inf)
 
 
+# Values a float column can hold: any float, the memo traps, ints and bools.
+column_values = st.one_of(record_floats, st.sampled_from(MEMO_TRAPS),
+                          st.integers(-(10**15), 10**15), st.booleans())
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(column_values, min_size=1, max_size=12).map(tuple))
+@example((1.0, 0.5, 7e-6, 0.25))  # one exponent sends the whole column value by value
+@example((0.5, True, -0.0, 3))
+@example((0.5, math.nan, math.inf))
+def test_float_texts_are_each_values_text(values):
+    """A column's texts, from one ``%.12g`` pass, are ``fmt_float`` of each
+    value; in JSON they are ``_jnum_text`` of each value, and a non-finite
+    value raises the error ``_jnum_text`` raises for the first of them."""
+    slots = ",".join(["%.12g"] * len(values))
+    assert writers._float_texts(slots, values, False) == list(map(writers.fmt_float, values))
+    if all(map(math.isfinite, values)):
+        assert writers._float_texts(slots, values, json=True) == list(map(_jnum_text, values))
+        return
+    with pytest.raises(ValueError) as want:
+        list(map(_jnum_text, values))
+    with pytest.raises(ValueError) as got:
+        writers._float_texts(slots, values, json=True)
+    assert str(got.value) == str(want.value)
+
+
 @st.composite
 def shared_float_rows(draw):
     """Sweep rows whose floats come from one small pool of objects, so the
@@ -257,6 +286,10 @@ def shared_float_rows(draw):
 
 @settings(deadline=None, max_examples=300)
 @given(shared_float_rows())
+# Equal values of another text: a -0.0 where the gamma, p_w1 or p_w3 column
+# holds 0.0, and a next delta whose gammas are the last ones but for a zero.
+@example([SweepRow(0.5, 0.0, 0.0, -0.0, 1.0, -0.0, 1.0, "AA"),
+          SweepRow(0.25, -0.0, 1.0, -0.0, 0.0, 1.0, -0.0, "BB")])
 def test_sweep_writers_on_shared_floats(rows):
     assert render_sweep_csv(rows) == csv_text(rows)
     if all(map(math.isfinite, itertools.chain.from_iterable(row[:7] for row in rows))):
@@ -438,15 +471,16 @@ def test_hedging_json_render_peaks_under_40_mb():
 
 @pytest.fixture
 def float_text_calls(monkeypatch):
-    """Counts the calls of ``fmt_float`` and ``_jnum_text``, in each module
-    that looks them up: the layout's own, the sweep's and the hedging's."""
+    """Counts the calls of the per-float writers ``fmt_float`` and
+    ``_jnum_text`` and of the per-column ``_float_texts``, in each module that
+    looks them up: the layout's own, the sweep's and the hedging's."""
     calls = collections.Counter()
-    for name in ("fmt_float", "_jnum_text"):
+    for name in ("fmt_float", "_jnum_text", "_float_texts"):
         original = getattr(writers, name)
 
-        def counted(value, original=original, name=name):
+        def counted(*args, original=original, name=name, **kwargs):
             calls[name] += 1
-            return original(value)
+            return original(*args, **kwargs)
 
         for module in (writers, game, hedging):
             if hasattr(module, name):
@@ -457,17 +491,20 @@ def float_text_calls(monkeypatch):
 def test_record_writers_format_floats_per_record(float_text_calls):
     """1001 hedging steps in both formats take a few calls of the per-float
     writers, for the hedging header and the whole-number first steps, not
-    one per field. 2500 sweep rows take one call per delta and one per
-    nonzero gamma, of ``fmt_float`` in CSV and of ``_jnum_text`` in JSON:
-    each row's ``p_w1`` and ``p_w3`` are formatted inline."""
+    one per field. 2500 sweep rows take one per-float call per delta, of
+    ``fmt_float`` in CSV and of ``_jnum_text`` in JSON, and one column pass
+    for the gammas and one per delta for each of ``p_w1`` and ``p_w3``: no
+    JSON column falls back to value by value, and ``p_w2``, ``eu_a`` and
+    ``eu_b`` take the texts of the gamma, ``p_w1`` and ``p_w3`` columns they
+    equal."""
     trace = run_hedging(GameConfig(delta=0.7, gamma=0.2), max_steps=1000)
     assert render_hedging_csv(trace) and render_hedging_json(trace)
-    assert sum(float_text_calls.values()) <= 50, float_text_calls
+    assert float_text_calls["fmt_float"] + float_text_calls["_jnum_text"] <= 50, float_text_calls
     rows = threshold_sweep(grid(50), grid(50))
     for render, name in ((render_sweep_csv, "fmt_float"), (render_sweep_json, "_jnum_text")):
         float_text_calls.clear()
         assert render(rows)
-        assert float_text_calls == {name: 50 + 50}
+        assert float_text_calls == {name: 50, "_float_texts": 1 + 50 * 2}
 
 
 def test_hedging_work_does_not_grow_past_the_fixed_point(monkeypatch, tmp_path):
