@@ -1,7 +1,8 @@
 """Command-line front end: simulate, sweep, hedge, frame-check.
 
 Exit codes: 0 on success, 1 on runtime errors (bad scenario files, missing
-inputs), 2 on bad flags (argparse prints usage).
+inputs), 2 on bad flags (argparse prints usage). A check across values that
+each pass their flag's range, as of ``--delta`` against ``--tau``, exits 1.
 
 Only ``params`` and ``hedging``, with the ``writers`` it writes through, load
 up front for the flags' range checks, and only the named command's parser is

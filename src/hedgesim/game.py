@@ -1,6 +1,8 @@
 """The coordination game's equilibrium tests: the region rule, the sweep over
 a parameter grid with its CSV and JSON text, formatted a column at a time,
-and a brute-force oracle for the expected utilities.
+and a brute-force oracle for the expected utilities. The rule is written
+once, in ``_delta_rows``, which builds each delta's sweep rows;
+``equilibrium_region`` reads its one-point row.
 
 Both players play a pure coordination game: matching actions pay 1 and
 mismatches pay 0, so an expected utility is the chance that both sides take
@@ -25,20 +27,6 @@ from .params import (  # noqa: F401  (GameConfig and expected_utility re-exporte
 from .writers import _LIST, _float_texts, _jnum_text, _template, fmt_float
 
 WORLD_ORDER = ("w1", "w2", "w3")
-
-
-def _contender(delta: float) -> tuple[str, float]:
-    """The one region that can hold at ``delta``, and its world's share of
-    the unanimous mass: AA on w1 when delta > 1 - delta, BB on w3 when
-    1 - delta > delta. The region holds when that share times 1 - gamma,
-    the world's prior mass, beats tau by more than ``ROUNDING``; at an even
-    split it is "none"."""
-    rest = 1.0 - delta
-    if delta > rest:
-        return "AA", delta
-    if rest > delta:
-        return "BB", rest
-    return "none", 0.0  # tau > 0, so no mass clears it
 
 
 def world_priors(config: GameConfig) -> dict[str, float]:
@@ -95,23 +83,15 @@ class RegionReport(namedtuple(
 
 
 def equilibrium_region(config: GameConfig) -> RegionReport:
-    """Classify which coordinated outcome, if either, is actionable.
-
-    AA needs the all-q world to carry the majority split (delta > 1-delta)
-    and the probability that both sides judge q to beat tau by more than
-    ``ROUNDING``; BB is the mirror image. Otherwise the region is "none".
+    """Classify which coordinated outcome, if either, is actionable: the region
+    and the expected utilities are the one-point sweep row's, by the region
+    rule of :func:`_delta_rows`; the gamma bounds and the listener's chance are
+    worked out here from the same floats.
     """
-    d, tau = config.delta, config.tau
-    prior = _prior(d, config.gamma)
-    side, share = _contender(d)
-    return RegionReport(
-        region=side if share * (1.0 - config.gamma) - tau > ROUNDING else "none",
-        eu_a=prior[0],
-        eu_b=prior[2],
-        gamma_bound_a=1.0 - tau / d,
-        gamma_bound_b=1.0 - tau / (1.0 - d),
-        listener_q_given_speaker_q=prior[0] / (prior[0] + prior[1]),
-    )
+    d, gamma, tau = config.delta, config.gamma, config.tau
+    _, _, p_w1, p_w2, _, eu_a, eu_b, region = _delta_rows(((gamma, 1.0 - gamma),), tau, d)[0]
+    bound_a, bound_b = 1.0 - tau / d, 1.0 - tau / (1.0 - d)
+    return RegionReport(region, eu_a, eu_b, bound_a, bound_b, p_w1 / (p_w1 + p_w2))
 
 
 class SweepRow(namedtuple("SweepRow", "delta gamma p_w1 p_w2 p_w3 eu_a eu_b region")):
@@ -149,13 +129,17 @@ def _sweep_runs(delta_grid: Iterable[float], gamma_grid: Iterable[float], tau: f
 
 
 def _delta_rows(gammas: tuple, tau: float, delta: float) -> list[SweepRow]:
-    """One checked delta's rows over the checked ``(gamma, 1 - gamma)`` pairs,
-    by :func:`equilibrium_region`'s rule, with ``1 - delta`` and the region that
-    can hold worked out once. Checked values keep a row's masses a distribution
+    """One checked delta's rows over the checked ``(gamma, 1 - gamma)`` pairs, by
+    the game's one region rule: AA needs the all-q world to carry the majority
+    split (delta > 1 - delta) and its prior mass, delta times 1 - gamma, to beat
+    tau by more than ``ROUNDING``; BB is the mirror image; otherwise "none", so
+    a tie is "none". The region that can hold and its share of the unanimous
+    mass are worked out once. Checked values keep a row's masses a distribution
     within a few ulp, far inside ``ROUNDING``, so a row needs no check of its
     own. ``p_w2`` is its gamma object and ``eu_a``/``eu_b`` its ``p_w1``/``p_w3``."""
     rest = 1.0 - delta
-    side, share = _contender(delta)
+    # At an even split no mass clears tau > 0.
+    side, share = ("AA", delta) if delta > rest else ("BB", rest) if rest > delta else ("none", 0.0)
     rows: list[SweepRow] = []
     append, new, slack = rows.append, tuple.__new__, ROUNDING
     for gamma, keep in gammas:
@@ -181,21 +165,15 @@ _SWEEP = {
 
 def _sweep_chunks(runs, json: bool):
     """A sweep's text in pieces that join to the whole, from lists of rows that
-    each hold one delta object: one piece per run of rows that hold the same
-    delta object, the first opened and the last closed. Each float column of a
+    each hold one delta object: one piece per non-empty list, the first opened,
+    then the closing, or the empty sweep's text alone. Each float column of a
     list is formatted in one ``_float_texts`` pass, unless it equals the gamma,
     ``p_w1`` or ``p_w3`` column, or the last list's gammas, and holds no zero:
     it then takes their texts, as equal numbers print alike but 0.0 and -0.0."""
     lead, separator, closing, (k0, k1, k2, k3, k4, k5, k6, k7, end) = _SWEEP[json]
-    lines, last_delta, last_gammas, gamma_zero = [], object(), None, False
+    last_gammas, gamma_zero = None, False
     for run in filter(None, runs):
-        if run[0][0] is not last_delta:
-            if lines:
-                lines[0] = lead + lines[0]
-                yield separator.join(lines)
-                lines, lead = [], separator
-            last_delta = run[0][0]
-            head = k0 + (_jnum_text if json else fmt_float)(last_delta) + k1
+        head = k0 + (_jnum_text if json else fmt_float)(run[0][0]) + k1
         _, gammas, p_w1, p_w2, p_w3, eu_a, eu_b, regions = zip(*run)
         texts = functools.partial(_float_texts, ",".join(("%.12g",) * len(run)), json=json)
         if gammas != last_gammas or gamma_zero:
@@ -206,12 +184,12 @@ def _sweep_chunks(runs, json: bool):
         a = w1 if eu_a == p_w1 and 0.0 not in p_w1 else texts(eu_a)
         b = w3 if eu_b == p_w3 and 0.0 not in p_w3 else texts(eu_b)
         tail = {r: f"{k7}{writers._quote(r) if json else r}{end}" for r in set(regions)}
-        lines += [f"{head}{x}{x1}{x2}{x3}{k5}{xa}{k6}{xb}{t}"
-                  for x, x1, x2, x3, xa, xb, t in zip(g1, w1, w2, w3, a, b, map(tail.get, regions))]
-    if lines:
+        lines = [f"{head}{x}{x1}{x2}{x3}{k5}{xa}{k6}{xb}{t}"
+                 for x, x1, x2, x3, xa, xb, t in zip(g1, w1, w2, w3, a, b, map(tail.get, regions))]
         lines[0] = lead + lines[0]
-        lines[-1] += closing
-    yield separator.join(lines) if lines else "[]\n" if json else lead
+        yield separator.join(lines)
+        lead = separator
+    yield closing if last_gammas is not None else "[]\n" if json else lead
 
 
 def _delta_runs(rows: list[SweepRow]):

@@ -6,12 +6,15 @@ the hedging trace in one forward pass. The definitions here
 compute them one world or one step at a time, straight from the records'
 fields, and none calls the library function it is compared with (see
 ``tests/test_package.py``): they take only records and constants from
-``hedgesim``. The recurrence is also run in ``decimal`` arithmetic, to
+``hedgesim``. The recurrence is also run in ``decimal`` arithmetic, and the
+game's prior, region, utilities and listener chance in ``Fraction``s, to
 check how the library's floats round.
 """
 
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
+from hedgesim.params import ROUNDING
 from hedgesim.worlds import NOT_PHI, PHI, Q, QBAR
 
 # The significant digits of the decimal recurrence.
@@ -113,3 +116,43 @@ def stepwise_eu(config, n, action, values=None):
     if action == "b":
         speaker, listener = 1.0 - speaker, 1.0 - listener
     return unanimous * (1.0 - config.gamma) + config.gamma * speaker * listener
+
+
+def exact_prior(delta, gamma):
+    """(w1, w2, w3) prior masses as ``Fraction``s of the exact values given
+    (a float is read at its exact binary value): gamma on the contested
+    world, the rest split by delta between the unanimous worlds."""
+    delta, gamma = Fraction(delta), Fraction(gamma)
+    return delta * (1 - gamma), gamma, (1 - delta) * (1 - gamma)
+
+
+def exact_region(delta, gamma, tau):
+    """(region, margin) in exact arithmetic. The unanimous world of the
+    majority split (w1 for AA when delta > 1 - delta, w3 for BB when
+    1 - delta > delta) holds when its prior mass beats tau by more than
+    ``ROUNDING``, the stated slack of the region rule, so a tie at tau is
+    "none"; the margin is that mass minus tau. At an even split no world
+    holds the majority: the region is "none" whatever tau, and the margin
+    is None."""
+    w1, _, w3 = exact_prior(delta, gamma)
+    delta = Fraction(delta)
+    if delta == 1 - delta:
+        return "none", None
+    side, mass = ("AA", w1) if delta > 1 - delta else ("BB", w3)
+    margin = mass - Fraction(tau)
+    return (side if margin > Fraction(ROUNDING) else "none"), margin
+
+
+def exact_eu(delta, gamma, action):
+    """The chance that both sides take ``action``: the prior mass of the
+    world where both judge q (w1) for a, or both judge qbar (w3) for b. At
+    the contested world w2 they take different actions."""
+    w1, _, w3 = exact_prior(delta, gamma)
+    return w1 if action == "a" else w3
+
+
+def exact_listener_q(delta, gamma):
+    """The chance that the receiver judges q given that the sender does: the
+    sender judges q at w1 and w2, the receiver at w1 only."""
+    w1, w2, _ = exact_prior(delta, gamma)
+    return w1 / (w1 + w2)

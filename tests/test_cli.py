@@ -287,17 +287,22 @@ def test_an_empty_path_fails_like_any_bad_path(argv, capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_simulate_rejects_a_delta_too_small_for_tau(tmp_path, capsys, fmt):
-    """1 - tau/delta overflows for delta = 1e-320: both formats exit 1 with
-    one line that names delta and its line, not a JSON error or a CSV."""
+    """1 - tau/delta overflows for delta = 1e-320: ``simulate`` and ``hedge``
+    exit 1 in both formats with ``GameConfig``'s one line, which ``simulate``
+    prefixes with delta's line, not a JSON error or a CSV. The flag passes
+    its own range, so ``hedge`` fails at the check across values, not with
+    argparse's 2."""
     scenario = tmp_path / "tiny_delta.scn"
     scenario.write_text(CANONICAL.read_text().replace("delta = 0.7", "delta = 1e-320"))
-    assert main(["simulate", str(scenario), "--format", fmt]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: line 10: delta must be large enough that tau/delta is finite (tau is 0.5), "
-        "got 1e-320\n"
-    )
+    message = "delta must be large enough that tau/delta is finite (tau is 0.5), got 1e-320\n"
+    for argv, prefix in (
+        (["simulate", str(scenario)], "line 10: "),
+        (["hedge", "--delta", "1e-320", "--gamma", "0.2", "--steps", "4"], ""),
+    ):
+        assert main([*argv, "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {prefix}{message}"
 
 
 def test_subprocess_exit_codes():

@@ -154,14 +154,16 @@ def test_empty_sweep_json_equals_json_dumps():
 @example([0.3, 0.7], [], 0.5)
 @example([0.3, 0.7], [0.0, -0.0, 0.5, 0.0], 0.5)
 @example([0.25, float("0.25")], [0.5], 0.5)  # equal deltas, two objects: two runs
-@example([0.25] * 2, [0.5], 0.5)  # one delta object twice, each with its list: one run
+@example([0.25] * 2, [0.5], 0.5)  # one delta object twice, each with its list: one run, two lists
 @example([0.25] * 2, [], 0.5)
 def test_sweep_chunks_join_to_the_text_one_chunk_per_delta(delta_grid, gamma_grid, tau):
-    """The chunks of ``threshold_sweep``'s rows and of the ``sweep``
-    command's path (each delta's rows built as they are written, a list per
-    grid entry) join to the oracles' text and to ``render_sweep_*``, one
-    chunk per run of rows that hold the same delta object, or one for an
-    empty sweep."""
+    """The pieces of ``threshold_sweep``'s rows, cut by ``_delta_runs``, and
+    of the ``sweep`` command's path (each delta's rows built as they are
+    written, a list per grid entry) join to the oracles' text and to
+    ``render_sweep_*``. The writer gives one piece per non-empty list it is
+    given, then the closing: the render path one per run of rows that hold
+    the same delta object, the streamed path one per grid entry, however the
+    entries repeat. An empty sweep is one piece."""
     rows = threshold_sweep(delta_grid, gamma_grid, tau=tau)
     runs = sum(1 for i, delta in enumerate(delta_grid) if i == 0 or delta is not delta_grid[i - 1])
     oracles = {  # by ``json``; with no row the CSV is its header alone
@@ -173,9 +175,10 @@ def test_sweep_chunks_join_to_the_text_one_chunk_per_delta(delta_grid, gamma_gri
     for json_text, oracle in oracles.items():
         chunks = list(game._sweep_chunks(game._delta_runs(rows), json_text))
         assert "".join(chunks) == oracle
-        assert len(chunks) == (runs if rows else 1)
-        streamed = game._sweep_runs(delta_grid, gamma_grid, tau)
-        assert list(game._sweep_chunks(streamed, json_text)) == chunks
+        assert len(chunks) == (runs + 1 if rows else 1)
+        streamed = list(game._sweep_chunks(game._sweep_runs(delta_grid, gamma_grid, tau), json_text))
+        assert "".join(streamed) == oracle
+        assert len(streamed) == (len(delta_grid) + 1 if rows else 1)
 
 
 # Floats that reach both branches of the JSON record writer: any finite
