@@ -21,9 +21,10 @@ the summary as running reductions, which a repeated step cannot change.
 ``run_hedging`` is that prefix plus the repeated tail. Nothing is kept
 between calls. Its records are named tuples.
 
-The trace's CSV and JSON text live here too: ``render_hedging_*`` write each
-step of a trace from its own text, and ``_hedge_text``, the ``hedge`` command's,
-writes the prefix so and then the repeated tail from the last step's text.
+The trace's CSV and JSON text live here too: ``render_hedging_*`` format a
+step of a trace only where its values differ from the last step's or hold a
+zero, and ``_hedge_text``, the ``hedge`` command's, writes the prefix so and
+then the repeated tail from the last step's text.
 """
 
 from __future__ import annotations
@@ -193,9 +194,13 @@ def _hedging_pieces(config, max_steps, tolerance, steps, summary, json: bool, ta
         head, end, template = ",".join(HedgingStep._fields), "", _step_csv
         opening = separator = closing = "\n"
     yield head
-    lead = opening  # the first step follows the opening
+    lead, last = opening, None  # the first step follows the opening
     for step in steps:
-        text = template(step[1:])
+        values = step[1:]
+        # A step equal to the last reuses its text, but for 0.0: -0.0 == 0.0
+        # and the two print apart.
+        if values != last or 0.0 in values:
+            text, last = template(values), values
         yield lead + text % step[0]
         lead = separator
     if tail:

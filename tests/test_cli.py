@@ -9,7 +9,10 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hedgesim import cli
 from hedgesim.cli import build_parser, main
 from hedgesim.game import GameConfig, grid, threshold_sweep
 from hedgesim.hedging import run_hedging
@@ -231,6 +234,18 @@ PARSER_EXITS = [
     ["simulate", "-h"],
     ["simulate"],
     ["frame-check", "a.scn", "b.scn"],
+    # Lines the table's reader leaves to argparse, which refuses them.
+    ["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "5", "--"],
+    ["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "5", "--out", "-x"],
+    ["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "5", ""],
+    ["", "hedge"],
+    ["hedge", "--delta", "nan", "--gamma", "0.2", "--steps", "5"],
+    ["hedge", "--delta", "0.7", "--gamma", "0.2", "--steps", "100001"],
+    ["hedge", "--delta", "0.7", "--gamma", "0.2"],
+    ["sweep", "--delta-steps", "3", "--gamma-steps", "3", "--tau", "1"],
+    ["sweep", "--delta-steps", "3", "--gamma-steps", "3", "--format", "xml"],
+    ["frame-check", "a.scn", "-h"],
+    ["simulate", "a.scn", "--trace"],
 ]
 
 
@@ -247,6 +262,108 @@ def test_the_named_command_alone_is_built_and_reads_as_the_whole_parser(argv, ca
     built = build_parser(argv[0] if argv else None)._subparsers._group_actions[0].choices
     whole = list(build_parser()._subparsers._group_actions[0].choices)
     assert list(built) == ([argv[0]] if argv and argv[0] in whole else whole)
+
+
+# Command lines that argparse reads and the table's reader leaves to it.
+ARGPARSE_READS = [
+    ["hedge", "--del", "0.7", "--gam", "0.2", "--steps", "5"],
+    ["hedge", "--delta=0.7", "--gamma=0.2", "--steps=5", "--format=json"],
+    ["hedge", "--delta", "0.6", "--gamma", "0.2", "--steps", "5", "--delta", "0.7"],
+    ["hedge", "--delta", "0.7", "--gamma", "-0.0", "--steps", "5"],
+    ["sweep", "--delta-steps=3", "--gamma-steps", "3", "--tau=0.3"],
+    ["simulate", "--", str(CANONICAL)],
+    ["frame-check", str(CANONICAL), "--form", "csv", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGPARSE_READS, ids=" ".join)
+def test_lines_only_argparse_reads_run_as_the_whole_parser_reads_them(argv, capsys):
+    def whole(argv):
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
+
+    assert cli._read_plain(argv) is None
+    assert (main(argv), *capsys.readouterr()) == (whole(argv), *capsys.readouterr())
+
+
+# Each command's arguments, with texts that each passes.
+PLAIN = {
+    "simulate": {"scenario": ["a.scn", ""], "--out": ["out", ""], "--format": ["csv", "json"],
+                 "--trace": ["trace"]},
+    "sweep": {"--delta-steps": ["1", "9"], "--gamma-steps": ["1000", " 3"],
+              "--tau": ["0.3", "5e-324"], "--out": ["out"], "--format": ["csv", "json"]},
+    "hedge": {"--delta": ["0.7", "1e-320"], "--gamma": ["0.2", "0", "0.0"],
+              "--steps": ["4", "100000", "+50"], "--tolerance": ["1e-06", "1"], "--out": ["out"],
+              "--format": ["csv", "json"]},
+    "frame-check": {"scenario": ["a.scn"], "--out": ["out"], "--format": ["json"]},
+}
+REQUIRED = {"scenario", "--delta-steps", "--gamma-steps", "--delta", "--gamma", "--steps"}
+# Texts that some argument does not pass, or that argparse reads otherwise.
+ODD = ["nan", "inf", "1.5", "-0.0", "-1", "0", "100001", "1001", "abc", "xml", "", "-x", "--",
+       "-h", "--out", "hedge"]
+odd_texts = st.sampled_from(ODD) | st.floats().map(repr) | st.text(max_size=4)
+
+
+@st.composite
+def command_lines(draw):
+    """A command line, and whether it is plain: its command, then each of its
+    arguments with a text that passes it, each flag once, in full and with
+    its value next, and each required one given. A line with changes is not
+    plain: a flag given twice, an argument left out, another text, a flag
+    abbreviated or joined to its value with ``=``, a token put in, or a token
+    in the command's place."""
+    command = draw(st.sampled_from(sorted(PLAIN)))
+    pieces = []
+    for name, texts in PLAIN[command].items():
+        if name in REQUIRED or draw(st.booleans()):
+            text = draw(st.sampled_from(texts))
+            pieces.append([name, text] if name[0] == "-" else [text])
+    changes = draw(st.lists(st.sampled_from(
+        ("twice", "left out", "text", "abbreviated", "joined", "token", "command")), max_size=2))
+    tokens = []
+    for change in changes:
+        piece = draw(st.sampled_from(pieces)) if pieces else None
+        if change == "twice" and piece:
+            pieces.append([*piece[:-1], draw(odd_texts | st.just(piece[-1]))])
+        elif change == "left out" and piece:
+            pieces.remove(piece)
+        elif change == "text" and piece:
+            piece[-1] = draw(odd_texts)
+        elif change in ("abbreviated", "joined") and piece and len(piece) == 2:
+            if change == "joined":
+                piece[:] = ["=".join(piece)]
+            else:
+                piece[0] = piece[0][:draw(st.integers(3, max(3, len(piece[0]) - 1)))]
+        elif change in ("token", "command"):
+            tokens.append((change, draw(st.sampled_from(ODD + ["extra", "--out"]))))
+    argv = [command, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+    for change, token in tokens:
+        if change == "command":  # before the command, or in its place
+            argv[:draw(st.integers(0, 1))] = [token]
+        else:
+            at = draw(st.integers(1, len(argv)))
+            argv[at:at] = [token]
+    return argv, not changes
+
+
+@settings(deadline=None, max_examples=500)
+@given(command_lines())
+@example((["hedge", "--gamma", "-0.0", "--delta", "0.7", "--steps", "5"], False))
+@example((["simulate", "--out", "", "", "--format", "csv"], True))
+def test_the_reader_returns_what_argparse_returns_or_leaves_the_line_to_it(line):
+    """The table's reader returns argparse's namespace, every dest and
+    default with the command and its handler, or None. It reads every plain
+    line, and none that argparse refuses."""
+    argv, plain = line
+    read = cli._read_plain(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            parsed = build_parser().parse_args(argv)
+    except SystemExit:
+        assert read is None
+    else:
+        assert read is None or vars(read) == vars(parsed)
+    assert read is not None or not plain
 
 
 def test_runtime_errors_exit_1(tmp_path, capsys):

@@ -128,6 +128,9 @@ TYPING = {"typing", "_typing"}
 JSON = {"json", "json.decoder", "json.scanner", "json.encoder", "_json"}
 # What no command needs: the CLI writes its files through ``open``.
 PATHLIB = {"pathlib"}
+# What argparse brings in (``locale`` with the parser's first message), which
+# a plain command line, read from the CLI's own table, does not load.
+ARGPARSE = {"argparse", "gettext", "locale"}
 PRINT_MODULES = "print(' '.join(sorted(sys.modules)))"
 # The modules each command runs on: ``hedge`` its own, ``sweep`` those and
 # ``game``, and the commands that read a scenario the whole package.
@@ -151,9 +154,9 @@ NOT_HEDGE = {
 
 
 def check_imports(tmp_path, arguments, modules, path=(), flags=()):
-    """Run a command in both formats, in children started like the command's
-    own (with ``path`` on ``PYTHONPATH`` and the interpreter ``flags``), and
-    check what it loads beyond what a bare child loads."""
+    """Run a plain command line in both formats, in children started like
+    the command's own (with ``path`` on ``PYTHONPATH`` and the interpreter
+    ``flags``), and check what it loads beyond what a bare child loads."""
     baseline = set(run_python(f"import sys; {PRINT_MODULES}", *flags, path=path).split())
     for fmt in ("csv", "json"):
         argv = [*arguments, "--format", fmt, "--out", str(tmp_path / fmt)]
@@ -163,7 +166,7 @@ def check_imports(tmp_path, arguments, modules, path=(), flags=()):
         loaded = set(run_python(code, *flags, path=path).split())
         assert {m for m in loaded if m.startswith("hedgesim")} == modules
         added = loaded - baseline
-        assert not added & (HEAVY | TYPING | PATHLIB), fmt
+        assert not added & (HEAVY | TYPING | PATHLIB | ARGPARSE), fmt
         if fmt == "csv":
             assert not added & JSON
         assert (tmp_path / fmt).stat().st_size > 0

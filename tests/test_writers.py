@@ -330,7 +330,11 @@ def shared_float_steps(draw):
 
 @settings(deadline=None, max_examples=300)
 @given(shared_float_steps())
+# Steps that are equal but for the text of a zero, which a step may not take
+# from the one before it: -0.0 == 0.0, but the two print apart.
 @example([HedgingStep(n, 0.5, zero, 0.5, 0.5) for n, zero in enumerate((0.0, 0.0, -0.0, -0.0, 0.0))])
+@example([HedgingStep(n, *values) for n, values in enumerate(
+    [(1.0, -0.0, 0.5, -0.0)] * 2 + [(1.0, 0.0, 0.5, 0.0)] * 2 + [(1.0, -0.0, 0.5, 0.0)])])
 def test_hedging_writers_on_shared_floats(steps):
     trace = HEDGING._replace(steps=tuple(steps))
     assert render_hedging_csv(trace) == csv_text(steps)
@@ -514,7 +518,10 @@ def test_hedging_work_does_not_grow_past_the_fixed_point(monkeypatch, tmp_path):
     """The recurrence steps ``hedge`` computes and the step texts it formats
     are as many at 100000 steps as at 1000: each step past the recurrence's
     fixed point repeats the last computed step's values, and is written from
-    that step's text. ``render_hedging_*`` may format every step."""
+    that step's text. ``render_hedging_*`` format a 10000-step ``run_hedging``
+    trace from at most its 53 computed steps' texts: a step equal to the one
+    before takes its text. Formatting every step took about 2.5 (CSV) and
+    3.5 (JSON) times as long."""
     counts = collections.Counter()
     propensities = hedging._propensities
 
@@ -544,6 +551,11 @@ def test_hedging_work_does_not_grow_past_the_fixed_point(monkeypatch, tmp_path):
         seen.append(dict(counts))
     assert seen[0] == seen[1]
     assert set(seen[0]) == {"recurrence", "_step_csv", "_step_json"}
+    trace = run_hedging(GameConfig(0.7, 0.2), 10_000)
+    for render, name in ((render_hedging_csv, "_step_csv"), (render_hedging_json, "_step_json")):
+        counts.clear()
+        assert render(trace).count("\n") > 10_000
+        assert counts[name] <= 53, counts
 
 
 def test_float_fields_given_ints_are_written_as_floats():
