@@ -1,8 +1,8 @@
 """The coordination game's equilibrium tests: the region rule, the sweep over
-a parameter grid with its CSV and JSON text, formatted a column at a time,
-and a brute-force oracle for the expected utilities. The rule is written
-once, in ``_delta_rows``, which builds each delta's sweep rows;
-``equilibrium_region`` reads its one-point row.
+a parameter grid with its CSV and JSON text, made a column at a time, and
+a brute-force oracle for the expected utilities. The rule is written once,
+in ``_delta_rows``, which builds each delta's sweep columns;
+``equilibrium_region`` reads its one-point columns.
 
 Both players play a pure coordination game: matching actions pay 1 and
 mismatches pay 0, so an expected utility is the chance that both sides take
@@ -16,8 +16,8 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 from collections.abc import Iterable
-from itertools import compress, count
-from operator import iadd, is_not
+from itertools import compress, count, repeat
+from operator import is_not, itemgetter
 
 from . import writers
 from .params import (  # noqa: F401  (GameConfig and expected_utility re-exported)
@@ -84,12 +84,13 @@ class RegionReport(namedtuple(
 
 def equilibrium_region(config: GameConfig) -> RegionReport:
     """Classify which coordinated outcome, if either, is actionable: the region
-    and the expected utilities are the one-point sweep row's, by the region
+    and the expected utilities are the one-point sweep columns', by the region
     rule of :func:`_delta_rows`; the gamma bounds and the listener's chance are
     worked out here from the same floats.
     """
     d, gamma, tau = config.delta, config.gamma, config.tau
-    _, _, p_w1, p_w2, _, eu_a, eu_b, region = _delta_rows(((gamma, 1.0 - gamma),), tau, d)[0]
+    _, _, (p_w1,), (p_w2,), _, (eu_a,), (eu_b,), (region,) = _delta_rows(
+        (gamma,), (1.0 - gamma,), tau, d)
     bound_a, bound_b = 1.0 - tau / d, 1.0 - tau / (1.0 - d)
     return RegionReport(region, eu_a, eu_b, bound_a, bound_b, p_w1 / (p_w1 + p_w2))
 
@@ -111,42 +112,41 @@ def threshold_sweep(
     Each grid is read once, so a generator works like a list. Every delta,
     then every gamma, then tau is checked once, with the message
     :class:`GameConfig` gives, so a bad value raises even when a grid is
-    empty. The rows are built one delta at a time, as ``sweep`` writes them.
+    empty. Each delta's rows are zipped from the columns ``sweep`` writes.
     """
-    return functools.reduce(iadd, _sweep_runs(delta_grid, gamma_grid, tau), [])
+    rows: list[SweepRow] = []
+    for delta, *columns in _sweep_runs(delta_grid, gamma_grid, tau):
+        rows += map(tuple.__new__, repeat(SweepRow), zip(repeat(delta), *columns))
+    return rows
 
 
 def _sweep_runs(delta_grid: Iterable[float], gamma_grid: Iterable[float], tau: float):
     """Check the grids and tau as :func:`threshold_sweep` states, then return
-    an iterator of each delta's rows in grid order: that function's path,
-    and the ``sweep`` command's, which holds one delta's rows at a time."""
-    delta_grid, gamma_grid = tuple(delta_grid), tuple(gamma_grid)
-    for name, values in (("delta", delta_grid), ("gamma", gamma_grid), ("tau", (tau,))):
+    an iterator of each delta's columns in grid order: that function's path,
+    and the ``sweep`` command's, which holds one delta's columns at a time."""
+    delta_grid, gammas = tuple(delta_grid), tuple(gamma_grid)
+    for name, values in (("delta", delta_grid), ("gamma", gammas), ("tau", (tau,))):
         for value in values:
             check_parameter(GAME_RANGES, name, value)
-    gammas = tuple((gamma, 1.0 - gamma) for gamma in gamma_grid)
-    return map(functools.partial(_delta_rows, gammas, tau), delta_grid)
+    keeps = tuple(1.0 - gamma for gamma in gammas)
+    return map(functools.partial(_delta_rows, gammas, keeps, tau), delta_grid)
 
 
-def _delta_rows(gammas: tuple, tau: float, delta: float) -> list[SweepRow]:
-    """One checked delta's rows over the checked ``(gamma, 1 - gamma)`` pairs, by
-    the game's one region rule: AA needs the all-q world to carry the majority
-    split (delta > 1 - delta) and its prior mass, delta times 1 - gamma, to beat
-    tau by more than ``ROUNDING``; BB is the mirror image; otherwise "none", so
-    a tie is "none". The region that can hold and its share of the unanimous
-    mass are worked out once. Checked values keep a row's masses a distribution
-    within a few ulp, far inside ``ROUNDING``, so a row needs no check of its
-    own. ``p_w2`` is its gamma object and ``eu_a``/``eu_b`` its ``p_w1``/``p_w3``."""
+def _delta_rows(gammas: tuple, keeps: tuple, tau: float, delta: float) -> tuple:
+    """One checked delta's columns, ``(delta, gammas, p_w1, p_w2, p_w3, eu_a,
+    eu_b, regions)``, over the checked gammas and their ``keeps``, 1 - gamma,
+    by the game's one region rule: AA needs the all-q world to carry the
+    majority split (delta > 1 - delta) and its prior mass, delta times 1 -
+    gamma, to beat tau by more than ``ROUNDING``; BB is the mirror image;
+    otherwise "none", so a tie is "none". Checked values keep a row's masses a
+    distribution within a few ulp, far inside ``ROUNDING``, so a row needs no
+    check. ``p_w2`` is ``gammas`` and ``eu_a``/``eu_b`` are ``p_w1``/``p_w3``."""
     rest = 1.0 - delta
     # At an even split no mass clears tau > 0.
     side, share = ("AA", delta) if delta > rest else ("BB", rest) if rest > delta else ("none", 0.0)
-    rows: list[SweepRow] = []
-    append, new, slack = rows.append, tuple.__new__, ROUNDING
-    for gamma, keep in gammas:
-        p_w1, p_w3 = delta * keep, rest * keep
-        region = side if share * keep - tau > slack else "none"
-        append(new(SweepRow, (delta, gamma, p_w1, gamma, p_w3, p_w1, p_w3, region)))
-    return rows
+    p_w1, p_w3 = [delta * keep for keep in keeps], [rest * keep for keep in keeps]
+    regions = [side if share * keep - tau > ROUNDING else "none" for keep in keeps]
+    return delta, gammas, p_w1, gammas, p_w3, p_w1, p_w3, regions
 
 
 def grid(steps: int) -> list[float]:
@@ -164,44 +164,53 @@ _SWEEP = {
 
 
 def _sweep_chunks(runs, json: bool):
-    """A sweep's text in pieces that join to the whole, from lists of rows that
-    each hold one delta object: one piece per non-empty list, the first opened,
-    then the closing, or the empty sweep's text alone. Each float column of a
-    list is formatted in one ``_float_texts`` pass, unless it equals the gamma,
-    ``p_w1`` or ``p_w3`` column, or the last list's gammas, and holds no zero:
-    it then takes their texts, as equal numbers print alike but 0.0 and -0.0."""
+    """A sweep's text in pieces that join to the whole, from runs of one delta
+    object's columns: one piece per non-empty run, filled a column at a time
+    into ten slots a row and joined once, the first opened, then the closing,
+    or the empty sweep's text alone. ``p_w1`` and ``p_w3`` take one
+    ``_float_texts`` pass together; the gammas one, unless equal to the last
+    run's with no zero; ``p_w2``, ``eu_a`` and ``eu_b`` the gamma, ``p_w1`` and
+    ``p_w3`` texts when they are those columns, or equal them with no zero."""
     lead, separator, closing, (k0, k1, k2, k3, k4, k5, k6, k7, end) = _SWEEP[json]
-    last_gammas, gamma_zero = None, False
-    for run in filter(None, runs):
-        head = k0 + (_jnum_text if json else fmt_float)(run[0][0]) + k1
-        _, gammas, p_w1, p_w2, p_w3, eu_a, eu_b, regions = zip(*run)
-        texts = functools.partial(_float_texts, ",".join(("%.12g",) * len(run)), json=json)
-        if gammas != last_gammas or gamma_zero:
-            g, gamma_zero, last_gammas = texts(gammas), 0.0 in gammas, gammas
+    last_gammas, gamma_zero, tails = None, False, {}
+    for delta, gammas, p_w1, p_w2, p_w3, eu_a, eu_b, regions in filter(itemgetter(1), runs):
+        n = len(gammas)
+        if gammas is not last_gammas and (gammas != last_gammas or gamma_zero):
+            slots = ",".join(("%.12g",) * n)
+            g, gamma_zero, last_gammas = _float_texts(slots, gammas, json), 0.0 in gammas, gammas
             g1, g2 = [t + k2 for t in g], [f"{k3}{t}{k4}" for t in g]
-        w1, w3 = texts(p_w1), texts(p_w3)
-        w2 = g2 if p_w2 == gammas and not gamma_zero else [f"{k3}{t}{k4}" for t in texts(p_w2)]
-        a = w1 if eu_a == p_w1 and 0.0 not in p_w1 else texts(eu_a)
-        b = w3 if eu_b == p_w3 and 0.0 not in p_w3 else texts(eu_b)
-        tail = {r: f"{k7}{writers._quote(r) if json else r}{end}" for r in set(regions)}
-        lines = [f"{head}{x}{x1}{x2}{x3}{k5}{xa}{k6}{xb}{t}"
-                 for x, x1, x2, x3, xa, xb, t in zip(g1, w1, w2, w3, a, b, map(tail.get, regions))]
-        lines[0] = lead + lines[0]
-        yield separator.join(lines)
+        texts = functools.partial(_float_texts, slots, json=json)
+        w = _float_texts(f"{slots},{slots}", (*p_w1, *p_w3), json)
+        w1, w3 = w[:n], w[n:]
+        w2 = (g2 if p_w2 is gammas or p_w2 == gammas and not gamma_zero
+              else [f"{k3}{t}{k4}" for t in texts(p_w2)])
+        a = w1 if eu_a is p_w1 or eu_a == p_w1 and 0.0 not in p_w1 else texts(eu_a)
+        b = w3 if eu_b is p_w3 or eu_b == p_w3 and 0.0 not in p_w3 else texts(eu_b)
+        for region in set(regions).difference(tails):
+            tails[region] = f"{k7}{writers._quote(region) if json else region}{end}"
+        head = k0 + (_jnum_text if json else fmt_float)(delta) + k1
+        pieces = [separator + head, None, None, None, None, k5, None, k6, None, None] * n
+        pieces[0] = lead + head
+        pieces[1::10], pieces[2::10], pieces[3::10], pieces[4::10] = g1, w1, w2, w3
+        pieces[6::10], pieces[8::10], pieces[9::10] = a, b, map(tails.__getitem__, regions)
+        yield "".join(pieces)
         lead = separator
     yield closing if last_gammas is not None else "[]\n" if json else lead
 
 
 def _delta_runs(rows: list[SweepRow]):
-    """``rows`` cut where the delta object changes."""
-    deltas = [row[0] for row in rows]
-    cuts = [0, *compress(count(1), map(is_not, deltas[1:], deltas)), len(deltas)]
-    return map(rows.__getitem__, map(slice, cuts, cuts[1:]))
+    """``rows`` cut where the delta object changes, each run turned once into
+    its delta and columns, as ``_delta_rows`` gives them."""
+    deltas = list(map(itemgetter(0), rows))
+    cuts = [0, *compress(count(1), map(is_not, deltas[1:], deltas)), len(deltas)] if rows else []
+    for start, stop in zip(cuts, cuts[1:]):
+        _, *columns = zip(*rows[start:stop])
+        yield deltas[start], *columns
 
 
 def _sweep_text(delta_steps: int, gamma_steps: int, tau: float, json: bool):
     """The ``sweep`` command's text over two ``grid``s, checked before any text
-    is made: each delta's rows are built as they are written and dropped after."""
+    is made: each delta's columns go straight to the writer, and no row is made."""
     return _sweep_chunks(_sweep_runs(grid(delta_steps), grid(gamma_steps), tau), json)
 
 

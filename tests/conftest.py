@@ -8,7 +8,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from hedgesim.game import GameConfig  # noqa: E402
 from hedgesim.hedging import run_hedging  # noqa: E402
-from hedgesim.worlds import NOT_PHI, PHI, SoritesSeries, WorldModel, pool_states  # noqa: E402
+from hedgesim.worlds import (  # noqa: E402
+    NOT_PHI, PHI, SoritesSeries, WorldModel, pool_states, world_pools,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -23,6 +25,21 @@ def canonical_model():
 @pytest.fixture
 def canonical_scenario_path():
     return DATA_DIR / "canonical.scn"
+
+
+@pytest.fixture(scope="session")
+def two_agent_shapes():
+    """Every (march, world, speaker) shape of a two-agent forced march of
+    n = 3..8 states: the 139 marches with flip.S and flip.L in 2..n, each at
+    every pooled world with either agent speaking, 738 shapes in all."""
+    marches = [
+        SoritesSeries(n, {"S": flip_s, "L": flip_l})
+        for n in range(3, 9) for flip_s in range(2, n + 1) for flip_l in range(2, n + 1)
+    ]
+    return tuple(
+        (march, world, speaker)
+        for march in marches for world in world_pools(march) for speaker in "SL"
+    )
 
 
 def reported_recurrence(last):

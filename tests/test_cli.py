@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hedgesim import cli
+from hedgesim import cli, game
 from hedgesim.cli import build_parser, main
 from hedgesim.game import GameConfig, grid, threshold_sweep
 from hedgesim.hedging import run_hedging
@@ -613,6 +613,29 @@ def test_sweep_400_200_digest(tmp_path, steps, tau, fmt, digest):
     argv = ["sweep", "--delta-steps", str(steps), "--gamma-steps", str(steps), "--tau", tau]
     assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_streams_without_rows(monkeypatch, fmt):
+    """The command's path hands each delta's columns straight to the writer:
+    with no ``SweepRow`` to build, it still writes the golden text."""
+    monkeypatch.delattr(game, "SweepRow")
+    text = "".join(game._sweep_text(9, 9, 0.5, fmt == "json"))
+    assert text == (GOLDEN_DIR / f"sweep_9x9.{fmt}").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_square_sweep_equals_the_rendered_rows(tmp_path, fmt):
+    """A 7 x 13 sweep: the command streams each delta's columns to the writer,
+    and ``render_sweep_*`` reach it from ``threshold_sweep``'s rows, cut where
+    the delta changes and turned back into columns. Both write the same text."""
+    out = tmp_path / f"sweep.{fmt}"
+    argv = ["sweep", "--delta-steps", "7", "--gamma-steps", "13", "--format", fmt]
+    assert main([*argv, "--out", str(out)]) == 0
+    render = game.render_sweep_json if fmt == "json" else game.render_sweep_csv
+    rows = threshold_sweep(grid(7), grid(13))
+    assert len(rows) == 7 * 13
+    assert out.read_text(encoding="utf-8") == render(rows)
 
 
 def traced_peak(call) -> int:

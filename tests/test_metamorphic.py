@@ -42,6 +42,9 @@ def report(n, flips, speaker, world, config, steps) -> dict:
 
 CANONICAL_RUN = (5, (4, 2), "S", "w2", GameConfig(delta=0.7, gamma=0.2), 50)
 
+# The blocks that relabelling the agents keeps.
+BLOCKS = ("signal", "posterior", "equilibrium", "hedging", "public_belief")
+
 
 @settings(deadline=None)
 @given(runs())
@@ -52,7 +55,7 @@ def test_swapping_the_agents_flips_and_the_speaker_keeps_the_run(run):
     n, (flip_s, flip_l), speaker, world, config, steps = run
     original = report(n, (flip_s, flip_l), speaker, world, config, steps)
     swapped = report(n, (flip_l, flip_s), OTHER[speaker], world, config, steps)
-    for block in ("signal", "posterior", "equilibrium", "hedging", "public_belief"):
+    for block in BLOCKS:
         assert original[block] == swapped[block], (block, n, (flip_s, flip_l), speaker, world)
 
 
@@ -69,3 +72,17 @@ def test_stuttering_the_first_state_keeps_the_run(run):
     for text in (original, stuttered):
         del text["scenario"], text["model"]["members"]
     assert original == stuttered, (n, flips, speaker, world)
+
+
+def test_swapping_the_agents_keeps_every_shapes_run(two_agent_shapes):
+    """The relabelling above over each of the 738 shapes up to n = 8, at the
+    canonical config: every shape whose blocks differ is listed."""
+    config, steps = CANONICAL_RUN[4:]
+    failed = []
+    for march, world, speaker in two_agent_shapes:
+        flips = (march.flips["S"], march.flips["L"])
+        original = report(march.n, flips, speaker, world, config, steps)
+        swapped = report(march.n, flips[::-1], OTHER[speaker], world, config, steps)
+        failed += [(block, march.n, flips, speaker, world) for block in BLOCKS
+                   if original[block] != swapped[block]]
+    assert not failed

@@ -18,7 +18,7 @@ does not yet read the pooled model.
 import pytest
 
 from hedgesim.game import GameConfig
-from hedgesim.scenario_io import Scenario, run_scenario
+from hedgesim.scenario_io import Scenario, audit_report, run_scenario
 from hedgesim.semantics import Formula, check_frame
 from hedgesim.worlds import Q, SoritesSeries, judgment_proposition, pool_states
 
@@ -196,3 +196,19 @@ def test_shape_run(flips, speaker, world, row):
     assert report.dialogue[-1].live == live
     assert report.posterior == pytest.approx(posterior, abs=1e-12)
     assert report.public_belief_worlds == public
+
+
+def test_every_two_agent_shape_passes_the_audit(two_agent_shapes):
+    """``audit_report`` over each of the 738 shapes up to n = 8: the signal
+    holds at the actual world and at every survivor, and the posterior is a
+    distribution over the survivors. ``run_scenario`` audits as it runs, so
+    a failing shape is named by either call's error."""
+    assert len(two_agent_shapes) == 738
+    assert len({(march.n, *march.flips.values()) for march, _, _ in two_agent_shapes}) == 139
+    config, failed = GameConfig(delta=0.7, gamma=0.2, epsilon=0.01), []
+    for march, world, speaker in two_agent_shapes:
+        try:
+            audit_report(run_scenario(Scenario(march, False, config, speaker, world, 4)))
+        except Exception as error:  # listed, so that every failing shape is named
+            failed.append((march.n, march.flips, speaker, world, repr(error)))
+    assert not failed

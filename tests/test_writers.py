@@ -498,20 +498,22 @@ def float_text_calls(monkeypatch):
 def test_record_writers_format_floats_per_record(float_text_calls):
     """1001 hedging steps in both formats take a few calls of the per-float
     writers, for the hedging header and the whole-number first steps, not
-    one per field. 2500 sweep rows take one per-float call per delta, of
-    ``fmt_float`` in CSV and of ``_jnum_text`` in JSON, and one column pass
-    for the gammas and one per delta for each of ``p_w1`` and ``p_w3``: no
-    JSON column falls back to value by value, and ``p_w2``, ``eu_a`` and
-    ``eu_b`` take the texts of the gamma, ``p_w1`` and ``p_w3`` columns they
-    equal."""
+    one per field. 2500 sweep rows, rendered or streamed, take one per-float
+    call per delta, of ``fmt_float`` in CSV and of ``_jnum_text`` in JSON,
+    one column pass for the gammas and one per delta for ``p_w1`` and
+    ``p_w3`` together: no JSON column falls back to value by value, and
+    ``p_w2``, ``eu_a`` and ``eu_b`` take the texts of the gamma, ``p_w1`` and
+    ``p_w3`` columns they equal."""
     trace = run_hedging(GameConfig(delta=0.7, gamma=0.2), max_steps=1000)
     assert render_hedging_csv(trace) and render_hedging_json(trace)
     assert float_text_calls["fmt_float"] + float_text_calls["_jnum_text"] <= 50, float_text_calls
     rows = threshold_sweep(grid(50), grid(50))
-    for render, name in ((render_sweep_csv, "fmt_float"), (render_sweep_json, "_jnum_text")):
-        float_text_calls.clear()
-        assert render(rows)
-        assert float_text_calls == {name: 50, "_float_texts": 1 + 50 * 2}
+    for json_text, name in ((False, "fmt_float"), (True, "_jnum_text")):
+        render = render_sweep_json if json_text else render_sweep_csv
+        for text in (lambda: render(rows), lambda: "".join(game._sweep_text(50, 50, 0.5, json_text))):
+            float_text_calls.clear()
+            assert text()
+            assert float_text_calls == {name: 50, "_float_texts": 1 + 50}
 
 
 def test_hedging_work_does_not_grow_past_the_fixed_point(monkeypatch, tmp_path):
