@@ -11,27 +11,24 @@ f(1) = 1/2 is fixed (``HESITATION``), not a setting:
 Even indices track the speaker, odd indices the listener. The sequence
 does not converge: in doubles, f(n) alternates between 0.5915936234817635
 (even n) and 0.4084063765182366 (odd n) from n = 50 on, so every (speaker,
-listener) pair from step 51 on is that same pair (checked to step 100000 on
-Python 3.11.7). Consecutive pair sums approach 1, and the step-indexed
-expected utility never drops below its step-0 value.
+listener) pair from step 51 on is that same pair. Consecutive pair sums
+approach 1, and the step-indexed expected utility never drops below its
+step-0 value.
 
-``_propensities`` detects that fixed point and stops there, so ``_prefix``
-computes at most 53 steps, whatever N (``steps``, in [4, 100000]), and keeps
-the summary as running reductions, which a repeated step cannot change.
-``run_hedging`` is that prefix plus the repeated tail. Nothing is kept
-between calls. Its records are named tuples.
-
-The trace's CSV and JSON text live here too: ``render_hedging_*`` format a
-step of a trace only where its values differ from the last step's or hold a
-zero, and ``_hedge_text``, the ``hedge`` command's, writes the prefix so and
-then the repeated tail from the last step's text.
+The recurrence has no parameter, so its path to that pair is a constant of
+the model: ``_PAIRS``, at most 53 pairs, computed once at import. A trace
+holds no step; any step is read from the ≤53 constant pairs, whatever N
+(``steps``, in [4, 100000]). ``run_hedging`` makes the summary in one pass
+over them. ``_hedging_pieces`` writes a trace's CSV or JSON text: the steps
+read from distinct pairs one by one, then the rest from the last one's text.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import islice, repeat
+from collections.abc import Sequence
+from operator import eq
 
 from .params import (
     GAME_RANGES, ROUNDING, GameConfig, check_parameter, expected_utility, integer_range,
@@ -71,6 +68,10 @@ def _propensities():
         speaker, listener = next_speaker, next_listener
 
 
+# The pairs of steps 0, 1, ... up to the fixed point, which every later step holds.
+_PAIRS = tuple(_propensities())
+
+
 class HedgingStep(namedtuple("HedgingStep", "n p_speaker_a p_listener_a eu_a eu_b")):
     """One step of :func:`run_hedging`."""
 
@@ -95,34 +96,85 @@ class HedgingSummary(namedtuple(
     __slots__ = ()
 
 
+class _Steps(Sequence):
+    """The ``HedgingStep``s 0..stop-1 of a trace, read-only. It holds no
+    step: step n is built on access from ``_PAIRS[min(n, 52)]`` and the
+    config's step-0 EUs. It equals the tuple of its steps, and hashes as it."""
+
+    __slots__ = ("_args",)
+
+    def __init__(self, base_a: float, base_b: float, gamma: float, stop: int):
+        object.__setattr__(self, "_args", (base_a, base_b, gamma, stop))
+
+    def __setattr__(self, *_):
+        raise AttributeError("a trace's steps are read-only")
+
+    __delattr__ = __setattr__
+
+    def _step(self, n: int) -> HedgingStep:
+        speaker, listener = _PAIRS[min(n, len(_PAIRS) - 1)]
+        base_a, base_b, gamma, _ = self._args
+        # Keep this association: the tests compare each EU exactly against a
+        # per-step oracle that computes base + gamma * speaker * listener.
+        return tuple.__new__(HedgingStep, (
+            n, speaker, listener, base_a + gamma * speaker * listener,
+            base_b + gamma * (1.0 - speaker) * (1.0 - listener)))
+
+    def __len__(self) -> int:
+        return self._args[3]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self._step, range(len(self))[index]))
+        return self._step(range(len(self))[index])
+
+    def __iter__(self):
+        return map(self._step, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _Steps)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return _Steps, self._args
+
+
 class HedgingTrace(namedtuple("HedgingTrace", "config max_steps tolerance steps summary")):
     """A :func:`run_hedging` run: its ``GameConfig``, its settings, the
-    ``HedgingStep`` tuple for steps 0..max_steps and the ``HedgingSummary``."""
+    read-only sequence of its ``HedgingStep``s 0..max_steps, which holds no
+    step and reads each from the constant pairs, and the ``HedgingSummary``."""
 
     __slots__ = ()
 
 
-def _prefix(config: GameConfig, max_steps: int, tolerance: float) -> tuple[list, HedgingSummary]:
-    """The steps of :func:`run_hedging` up to ``max_steps`` or to the first
-    that repeats its predecessor, whichever comes first, and the summary."""
+def run_hedging(
+    config: GameConfig,
+    max_steps: int = DEFAULT_STEPS,
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> HedgingTrace:
+    """Propensity and expected-utility trace for steps 0..max_steps; the
+    steps past the fixed point repeat the last computed one but for ``n``."""
     check_parameter(HEDGING_RANGES, "steps", max_steps)
     check_parameter(HEDGING_RANGES, "tolerance", tolerance)
     base_a = expected_utility(config, "S", "a")
     base_b = expected_utility(config, "S", "b")
-    gamma, new_step = config.gamma, tuple.__new__
-    steps = []
-    append = steps.append
-    # The summary's running reductions: the lowest EUs, whether the pair
-    # sums seen from step 3 on stay at or above 1 and do not rise, and the
-    # last pair sum. From step 1 on, each step holds the pair f(n-1), f(n).
+    gamma = config.gamma
+    steps = _Steps(base_a, base_b, gamma, max_steps + 1)
+    # Over the pairs, which a repeated step cannot change: the lowest EUs,
+    # whether the pair sums from step 3 on stay at or above 1 and do not
+    # rise, and the last pair sum. Step n >= 1 holds the pair f(n-1), f(n).
     low_a = low_b = previous = math.inf
     descending = True
-    # Keep this association: the tests compare each EU exactly against a
-    # per-step oracle that computes base + gamma * speaker * listener.
-    for n, (speaker, listener) in enumerate(islice(_propensities(), max_steps + 1)):
+    for n, (speaker, listener) in enumerate(_PAIRS[:max_steps + 1]):
         eu_a = base_a + gamma * speaker * listener
         eu_b = base_b + gamma * (1.0 - speaker) * (1.0 - listener)
-        append(new_step(HedgingStep, (n, speaker, listener, eu_a, eu_b)))
         if eu_a < low_a:
             low_a = eu_a
         if eu_b < low_b:
@@ -134,28 +186,14 @@ def _prefix(config: GameConfig, max_steps: int, tolerance: float) -> tuple[list,
             previous = pair_sum
     first = steps[0]
     gap = abs(pair_sum - 1.0)
-    return steps, HedgingSummary(
+    return HedgingTrace(config, max_steps, tolerance, steps, HedgingSummary(
         even_tail=speaker,
         odd_tail=listener,
         pair_sum_gap=gap,
         pair_sums_converged=gap <= tolerance,
         pair_sums_descending=descending,
         eu_never_below_step0=low_a >= first.eu_a and low_b >= first.eu_b,
-    )
-
-
-def run_hedging(
-    config: GameConfig,
-    max_steps: int = DEFAULT_STEPS,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> HedgingTrace:
-    """Full propensity and expected-utility trace for steps 0..max_steps:
-    every step, though those past the fixed point repeat the last computed one."""
-    steps, summary = _prefix(config, max_steps, tolerance)
-    n, *values = steps[-1]
-    steps += map(tuple.__new__, repeat(HedgingStep), zip(
-        range(n + 1, max_steps + 1), *map(repeat, values)))
-    return HedgingTrace(config, max_steps, tolerance, tuple(steps), summary)
+    ))
 
 
 # The fixed blocks are written out; the rest are one slot each.
@@ -177,12 +215,12 @@ def _step_json(values: tuple) -> str:
     return _HEDGING_STEP_JSON % ("%d", *_float_texts(_STEP_FLOATS, values, json=True))
 
 
-def _hedging_pieces(config, max_steps, tolerance, steps, summary, json: bool, tail: bool = False):
+def _hedging_pieces(config, max_steps, tolerance, steps, summary, json: bool):
     """The text of a trace's fields in pieces that join to the whole: the
-    head, one piece per step (its separator and the text of its values,
-    filled with its ``n``), then the closing and the tail. With ``tail``, the
-    steps after the last one given up to ``max_steps`` repeat its values, and
-    are written from its text in blocks of ``_BLOCK`` joined over their ``n``."""
+    head, one piece per computed step (its separator and the text of its
+    values, filled with its ``n``), the steps that repeat the last computed
+    one in blocks of ``_BLOCK`` joined over their ``n``, then the closing and
+    the tail. Every step of a plain tuple is computed."""
     if json:
         head, end = (_HEDGING_JSON % (
             *_float_fields(config), max_steps, _jnum_text(tolerance),
@@ -193,31 +231,26 @@ def _hedging_pieces(config, max_steps, tolerance, steps, summary, json: bool, ta
     else:
         head, end, template = ",".join(HedgingStep._fields), "", _step_csv
         opening = separator = closing = "\n"
+    computed = steps[:len(_PAIRS)] if type(steps) is _Steps else steps
     yield head
-    lead, last = opening, None  # the first step follows the opening
-    for step in steps:
-        values = step[1:]
-        # A step equal to the last reuses its text, but for 0.0: -0.0 == 0.0
-        # and the two print apart.
-        if values != last or 0.0 in values:
-            text, last = template(values), values
+    lead = opening  # the first step follows the opening
+    for step in computed:
+        text = template(step[1:])
         yield lead + text % step[0]
         lead = separator
-    if tail:
+    if len(steps) > len(computed):
         before, after = (separator + text).split("%d")
-        joint, stop = after + before, max_steps + 1
-        for start in range(len(steps), stop, _BLOCK):
+        joint, stop = after + before, len(steps)
+        for start in range(len(computed), stop, _BLOCK):
             yield before + joint.join(map(str, range(start, min(start + _BLOCK, stop)))) + after
     yield closing + end
 
 
 def _hedge_text(delta: float, gamma: float, max_steps: int, tolerance: float, json: bool):
-    """The ``hedge`` command's text: the steps up to the fixed point, then
-    the rest, which repeat the last, from its text. The prefix is computed,
-    and the settings checked, before any text is made."""
-    config = GameConfig(delta=delta, gamma=gamma)
+    """The ``hedge`` command's text. The settings are checked, and the
+    summary made, before any text is."""
     return _hedging_pieces(
-        config, max_steps, tolerance, *_prefix(config, max_steps, tolerance), json, tail=True)
+        *run_hedging(GameConfig(delta=delta, gamma=gamma), max_steps, tolerance), json)
 
 
 def render_hedging_csv(trace: HedgingTrace) -> str:

@@ -1,9 +1,12 @@
+import copy
 import inspect
 import math
+import pickle
 import random
 import tracemalloc
 from decimal import Decimal
 from itertools import islice
+from pathlib import Path
 from unittest import mock
 
 import oracles
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 from hedgesim import hedging
 from hedgesim.game import GameConfig, expected_utility
 from hedgesim.hedging import HedgingStep, run_hedging
+from hedgesim.scenario_io import load_scenario, run_scenario
 
 # Frozen by iterating the recurrence independently before these tests were
 # written (fractions cross-check agrees to 1 ulp).
@@ -275,14 +279,18 @@ def test_run_hedging_equals_the_oracles_for_every_small_bound(gamma):
 @settings(deadline=None, max_examples=20)
 @given(
     delta=st.floats(0.01, 0.99),
-    gamma=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+    gamma=st.sampled_from((0.0, -0.0)) | st.floats(0.0, 0.99),
     max_steps=st.integers(4, 100_000),
 )
 @example(delta=0.7, gamma=0.0, max_steps=100_000)
+@example(delta=0.7, gamma=-0.0, max_steps=100_000)
 @example(delta=0.7, gamma=0.2, max_steps=100_000)
 def test_run_hedging_equals_the_oracles_up_to_the_step_bound(delta, gamma, max_steps):
     config = GameConfig(delta=delta, gamma=gamma)
-    assert run_hedging(config, max_steps=max_steps).steps == oracle_steps(config, max_steps)
+    trace = run_hedging(config, max_steps=max_steps)
+    steps = tuple(trace.steps)
+    assert steps == oracle_steps(config, max_steps)
+    assert trace.summary == multi_pass_summary(steps, trace.tolerance)
 
 
 def multi_pass_summary(steps, tolerance) -> tuple:
@@ -320,7 +328,10 @@ def test_run_hedging_follows_the_recurrence_from_other_seeds(seed):
     values = oracles.propensity_sequence(3000, seed)
     config = GameConfig(delta=0.7, gamma=0.2)
     with mock.patch.object(hedging, "HESITATION", seed):
-        assert len(list(islice(hedging._propensities(), 3001))) < 60
+        pairs = tuple(islice(hedging._propensities(), 3001))
+    assert len(pairs) < 60
+    # A trace reads its steps from the pairs at access, so it is read here.
+    with mock.patch.object(hedging, "_PAIRS", pairs):
         for max_steps in [*range(4, 121), 1000, 2999, 3000]:
             trace = run_hedging(config, max_steps)
             assert trace.steps == oracle_steps(config, max_steps, values)
@@ -357,9 +368,9 @@ def nudged_propensities(draw):
 @example(pairs=nudged(RECURRENCE, 5, 0.0, -0.5), tolerance=1e-6)  # eu_a dips
 @example(pairs=nudged(RECURRENCE, 5, 0.5, 0.0), tolerance=1e-6)  # eu_b dips
 def test_running_summary_equals_the_multi_pass_summary_on_other_propensities(pairs, tolerance):
-    with mock.patch.object(hedging, "_propensities", lambda: iter(pairs)):
+    with mock.patch.object(hedging, "_PAIRS", tuple(pairs)):
         trace = run_hedging(GameConfig(delta=0.7, gamma=0.2), len(pairs) - 1, tolerance)
-    assert trace.summary == multi_pass_summary(trace.steps, tolerance)
+        assert trace.summary == multi_pass_summary(trace.steps, tolerance)
     assert all(type(flag) is bool for flag in trace.summary[3:])
 
 
@@ -394,3 +405,96 @@ def test_run_hedging_retains_no_memory_once_dropped():
     finally:
         tracemalloc.stop()
     assert held < 1_000_000
+
+
+def test_run_hedging_at_the_step_bound_builds_one_step_and_peaks_under_100_kb(monkeypatch):
+    """The summary reads the constant pairs, and the trace holds no step, so
+    ``run_hedging`` builds step 0 alone and peaks the same whatever N."""
+    config = GameConfig(delta=0.7, gamma=0.2)
+    run_hedging(config, max_steps=100_000)  # any first-call allocation
+    peaks = []
+    for max_steps in (60, 100_000):
+        tracemalloc.start()
+        try:
+            run_hedging(config, max_steps=max_steps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 100 * 1024, peaks
+    built = []
+    step = hedging._Steps._step
+    monkeypatch.setattr(hedging._Steps, "_step", lambda self, n: built.append(n) or step(self, n))
+    for max_steps in (4, 60, 100_000):
+        run_hedging(config, max_steps=max_steps)
+    assert built == [0, 0, 0]
+
+
+# A trace past the fixed point and one short of it, with the tuples of their steps.
+LONG = run_hedging(GameConfig(delta=0.7, gamma=0.2), max_steps=1000)
+SHORT = run_hedging(GameConfig(delta=0.3, gamma=-0.0), max_steps=20)
+LONG_STEPS = oracle_steps(LONG.config, 1000)
+SHORT_STEPS = oracle_steps(SHORT.config, 20)
+
+
+@pytest.mark.parametrize("trace, steps", [(LONG, LONG_STEPS), (SHORT, SHORT_STEPS)])
+def test_trace_steps_read_as_the_tuple_of_their_steps(trace, steps):
+    """Length, indexing from either end, slices and iteration read as the
+    tuple's do; the steps past the fixed point repeat step 52 but for n."""
+    assert len(trace.steps) == len(steps) == trace.max_steps + 1
+    assert list(trace.steps) == list(steps)
+    assert list(reversed(trace.steps)) == list(reversed(steps))
+    for index in (0, 1, 51, 52, 53, len(steps) - 1, -1, -2, -len(steps)):
+        if -len(steps) <= index < len(steps):
+            assert trace.steps[index] == steps[index]
+            assert type(trace.steps[index]) is HedgingStep
+    for index in (len(steps), len(steps) + 1, -len(steps) - 1):
+        with pytest.raises(IndexError):
+            trace.steps[index]
+    for cut in (slice(None), slice(3), slice(-3, None), slice(50, 60), slice(None, None, -7),
+                slice(900, 10, -3), slice(5, 5), slice(-5000, 5000, 2)):
+        assert type(trace.steps[cut]) is tuple
+        assert trace.steps[cut] == steps[cut]
+    assert steps[-1] in trace.steps and trace.steps.index(steps[-1]) == len(steps) - 1
+    assert trace.steps.count(steps[0]) == 1
+
+
+def test_trace_steps_take_no_assignment():
+    with pytest.raises(TypeError):
+        LONG.steps[3] = LONG_STEPS[3]
+    with pytest.raises(TypeError):
+        del LONG.steps[3]
+    for name in ("_args", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(LONG.steps, name, (0.0, 0.0, 0.0, 2))
+        with pytest.raises(AttributeError):
+            delattr(LONG.steps, name)
+    assert len(LONG.steps) == 1001
+
+
+@pytest.mark.parametrize("trace, steps", [(LONG, LONG_STEPS), (SHORT, SHORT_STEPS)])
+def test_trace_steps_equal_and_hash_as_the_tuple_of_their_steps(trace, steps):
+    """The decision: ``steps`` equals the tuple of the steps it reads, and any
+    sequence of the same steps, with the tuple's hash; so a trace equals and
+    hashes as the trace that holds that tuple."""
+    assert trace.steps == steps and steps == trace.steps
+    assert not trace.steps != steps
+    assert hash(trace.steps) == hash(steps)
+    held = trace._replace(steps=steps)
+    assert trace == held and hash(trace) == hash(held)
+    assert trace.steps == run_hedging(trace.config, trace.max_steps).steps
+    assert trace.steps != steps[:-1] and trace.steps != (*steps[:-1], steps[-1]._replace(n=-1))
+    assert trace.steps != list(steps)
+    assert trace.steps != run_hedging(trace.config, trace.max_steps + 1).steps
+    assert repr(trace.steps) == repr(steps)
+
+
+def test_traces_survive_pickle_and_deepcopy():
+    """A trace, alone or in a report, pickles and copies as the four numbers
+    its steps are read from."""
+    report = run_scenario(load_scenario(Path(__file__).parent / "data" / "canonical.scn"))
+    for record in (LONG, SHORT, report):
+        for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert twin == record
+            trace = twin.hedging if record is report else twin
+            assert type(trace.steps) is hedging._Steps
+    assert len(pickle.dumps(LONG)) < 2048

@@ -85,4 +85,21 @@ def test_swapping_the_agents_keeps_every_shapes_run(two_agent_shapes):
         swapped = report(march.n, flips[::-1], OTHER[speaker], world, config, steps)
         failed += [(block, march.n, flips, speaker, world) for block in BLOCKS
                    if original[block] != swapped[block]]
-    assert not failed
+    assert not failed, f"{len(failed)} shapes: {failed}"
+
+
+def test_stuttering_the_first_state_keeps_every_shapes_run(two_agent_shapes):
+    """The stuttering above over each of the 738 shapes up to n = 8, at the
+    canonical config: every shape whose run changes is listed."""
+    config, steps = CANONICAL_RUN[4:]
+    failed = []
+    for march, world, speaker in two_agent_shapes:
+        flips = (march.flips["S"], march.flips["L"])
+        original = report(march.n, flips, speaker, world, config, steps)
+        stuttered = report(march.n + 1, tuple(flip + 1 for flip in flips), speaker, world, config,
+                           steps)
+        for text in (original, stuttered):
+            del text["scenario"], text["model"]["members"]
+        if original != stuttered:
+            failed.append((march.n, flips, speaker, world))
+    assert not failed, f"{len(failed)} shapes: {failed}"

@@ -224,7 +224,7 @@ def test_the_layering_of_the_writers():
     # ``cli`` hands each command's text over in one call; it builds no trace
     # and chains no rows of its own.
     taken = {name for _, name in imported_names("cli")}
-    assert not taken & {"_prefix", "HedgingTrace", "_sweep_runs", "_sweep_chunks",
+    assert not taken & {"run_hedging", "HedgingTrace", "_sweep_runs", "_sweep_chunks",
                         "_hedging_pieces", "chain"}
 
 

@@ -389,20 +389,19 @@ def streamed_hedge(config, max_steps, tolerance, fmt, folder) -> str:
 @example(delta=0.3, gamma=0.9, max_steps=54, tolerance=1e-12)
 @example(delta=0.7, gamma=0.2, max_steps=100_000, tolerance=1e-6)
 def test_hedge_streams_the_render_of_run_hedging(delta, gamma, max_steps, tolerance):
-    """``hedge`` computes the steps up to the fixed point and writes the rest
-    from the last one's text; the text is the render of ``run_hedging``'s
-    trace, whose steps are that prefix and then the last step repeated."""
+    """``hedge`` writes ``render_hedging_*`` of ``run_hedging``'s trace, which
+    formats the steps read from distinct pairs and writes the rest from the
+    last one's text. That text is the one a trace holding the tuple of the
+    same steps gets, with every step formatted."""
     config = GameConfig(delta=delta, gamma=gamma)
     trace = run_hedging(config, max_steps, tolerance)
-    prefix, summary = hedging._prefix(config, max_steps, tolerance)
-    assert len(prefix) == min(max_steps + 1, 53)
-    last = prefix[-1]
-    tail = [last._replace(n=n) for n in range(len(prefix), max_steps + 1)]
-    assert trace.steps == (*prefix, *tail)
-    assert trace.summary == summary
+    held = trace._replace(steps=tuple(trace.steps))
+    assert len(held.steps) == max_steps + 1
     with tempfile.TemporaryDirectory() as folder:
         for fmt, render in (("csv", render_hedging_csv), ("json", render_hedging_json)):
-            assert streamed_hedge(config, max_steps, tolerance, fmt, folder) == render(trace)
+            text = render(held)
+            assert streamed_hedge(config, max_steps, tolerance, fmt, folder) == text
+            assert render(trace) == text
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -517,13 +516,12 @@ def test_record_writers_format_floats_per_record(float_text_calls):
 
 
 def test_hedging_work_does_not_grow_past_the_fixed_point(monkeypatch, tmp_path):
-    """The recurrence steps ``hedge`` computes and the step texts it formats
-    are as many at 100000 steps as at 1000: each step past the recurrence's
-    fixed point repeats the last computed step's values, and is written from
-    that step's text. ``render_hedging_*`` format a 10000-step ``run_hedging``
-    trace from at most its 53 computed steps' texts: a step equal to the one
-    before takes its text. Formatting every step took about 2.5 (CSV) and
-    3.5 (JSON) times as long."""
+    """The steps ``hedge`` builds and the step texts it formats are as many at
+    100000 steps as at 1000: the recurrence ran once, at import; the trace
+    builds step 0 for the summary and the 53 steps read from distinct pairs
+    for the text; each later step repeats the last one's values, and is
+    written from that step's text. ``render_hedging_*`` format a 10000-step
+    ``run_hedging`` trace from its 53 computed steps' texts."""
     counts = collections.Counter()
     propensities = hedging._propensities
 
@@ -533,6 +531,13 @@ def test_hedging_work_does_not_grow_past_the_fixed_point(monkeypatch, tmp_path):
             yield pair
 
     monkeypatch.setattr(hedging, "_propensities", counted_propensities)
+    step = hedging._Steps._step
+
+    def counted_step(self, n):
+        counts["step"] += 1
+        return step(self, n)
+
+    monkeypatch.setattr(hedging._Steps, "_step", counted_step)
     for name in ("_step_csv", "_step_json"):
         def counted(values, original=getattr(hedging, name), name=name):
             counts[name] += 1
@@ -551,13 +556,12 @@ def test_hedging_work_does_not_grow_past_the_fixed_point(monkeypatch, tmp_path):
         assert texts["csv"].count("\n") == max_steps + 2
         assert texts["json"].count('"n": ') == max_steps + 1
         seen.append(dict(counts))
-    assert seen[0] == seen[1]
-    assert set(seen[0]) == {"recurrence", "_step_csv", "_step_json"}
+    assert seen[0] == seen[1] == {"step": 2 * 54, "_step_csv": 53, "_step_json": 53}
     trace = run_hedging(GameConfig(0.7, 0.2), 10_000)
     for render, name in ((render_hedging_csv, "_step_csv"), (render_hedging_json, "_step_json")):
         counts.clear()
         assert render(trace).count("\n") > 10_000
-        assert counts[name] <= 53, counts
+        assert counts == {"step": 53, name: 53}, counts
 
 
 def test_float_fields_given_ints_are_written_as_floats():
