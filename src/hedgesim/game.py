@@ -2,7 +2,9 @@
 a parameter grid with its CSV and JSON text, made a column at a time, and
 a brute-force oracle for the expected utilities. The rule is written once,
 in ``_delta_rows``, which builds each delta's sweep columns;
-``equilibrium_region`` reads its one-point columns.
+``equilibrium_region`` reads its one-point columns. A sweep holds its delta
+columns; a row is built when read; ``render_sweep_*`` write a sweep's
+columns as the ``sweep`` command does.
 
 Both players play a pure coordination game: matching actions pay 1 and
 mismatches pay 0, so an expected utility is the chance that both sides take
@@ -15,13 +17,13 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from itertools import compress, count, repeat
 from operator import is_not, itemgetter
 
 from . import writers
 from .params import (  # noqa: F401  (GameConfig and expected_utility re-exported)
-    DEFAULT_TAU, GAME_RANGES, GRID_RANGES, PLAYERS, ROUNDING, GameConfig,
+    DEFAULT_TAU, GAME_RANGES, GRID_RANGES, PLAYERS, ROUNDING, GameConfig, ReadOnlySequence,
     _check_choices, _prior, check_parameter, expected_utility,
 )
 from .writers import _LIST, _float_texts, _jnum_text, _template, fmt_float
@@ -106,18 +108,46 @@ def threshold_sweep(
     delta_grid: Iterable[float],
     gamma_grid: Iterable[float],
     tau: float = DEFAULT_TAU,
-) -> list[SweepRow]:
+) -> Sequence[SweepRow]:
     """Region classification over a parameter grid, delta-major order.
 
     Each grid is read once, so a generator works like a list. Every delta,
     then every gamma, then tau is checked once, with the message
     :class:`GameConfig` gives, so a bad value raises even when a grid is
-    empty. Each delta's rows are zipped from the columns ``sweep`` writes.
+    empty. The sweep holds each delta's columns, those ``sweep`` writes,
+    and builds a row when it is read.
     """
-    rows: list[SweepRow] = []
-    for delta, *columns in _sweep_runs(delta_grid, gamma_grid, tau):
-        rows += map(tuple.__new__, repeat(SweepRow), zip(repeat(delta), *columns))
-    return rows
+    return _Sweep(tuple(_sweep_runs(delta_grid, gamma_grid, tau)))
+
+
+class _Sweep(ReadOnlySequence):
+    """The ``SweepRow``s of a sweep, read-only. It holds each delta's columns,
+    as ``_delta_rows`` gives them, and builds row i from run i // K, at place
+    i % K, K gammas a run. Like the list of its rows, which it equals, it has
+    no hash."""
+
+    __slots__ = ("_runs", "_k")
+    _held = list
+
+    def __init__(self, runs: tuple):
+        object.__setattr__(self, "_runs", runs)
+        object.__setattr__(self, "_k", len(runs[0][1]) if runs else 0)
+
+    def _item(self, i: int) -> SweepRow:
+        run, j = divmod(i, self._k)
+        delta, gammas, p_w1, p_w2, p_w3, eu_a, eu_b, regions = self._runs[run]
+        return tuple.__new__(
+            SweepRow, (delta, gammas[j], p_w1[j], p_w2[j], p_w3[j], eu_a[j], eu_b[j], regions[j]))
+
+    def __len__(self) -> int:
+        return len(self._runs) * self._k
+
+    def __iter__(self):
+        for delta, *columns in self._runs:
+            yield from map(tuple.__new__, repeat(SweepRow), zip(repeat(delta), *columns))
+
+    def __reduce__(self):
+        return _Sweep, (self._runs,)
 
 
 def _sweep_runs(delta_grid: Iterable[float], gamma_grid: Iterable[float], tau: float):
@@ -198,9 +228,13 @@ def _sweep_chunks(runs, json: bool):
     yield closing if last_gammas is not None else "[]\n" if json else lead
 
 
-def _delta_runs(rows: list[SweepRow]):
-    """``rows`` cut where the delta object changes, each run turned once into
-    its delta and columns, as ``_delta_rows`` gives them."""
+def _delta_runs(rows):
+    """The runs of a sweep's own columns, or ``rows`` cut where the delta
+    object changes, each run turned once into its delta and columns, as
+    ``_delta_rows`` gives them."""
+    if type(rows) is _Sweep:
+        yield from rows._runs
+        return
     deltas = list(map(itemgetter(0), rows))
     cuts = [0, *compress(count(1), map(is_not, deltas[1:], deltas)), len(deltas)] if rows else []
     for start, stop in zip(cuts, cuts[1:]):
@@ -214,9 +248,9 @@ def _sweep_text(delta_steps: int, gamma_steps: int, tau: float, json: bool):
     return _sweep_chunks(_sweep_runs(grid(delta_steps), grid(gamma_steps), tau), json)
 
 
-def render_sweep_csv(rows: list[SweepRow]) -> str:
+def render_sweep_csv(rows: Sequence[SweepRow]) -> str:
     return "".join(_sweep_chunks(_delta_runs(rows), json=False))
 
 
-def render_sweep_json(rows: list[SweepRow]) -> str:
+def render_sweep_json(rows: Sequence[SweepRow]) -> str:
     return "".join(_sweep_chunks(_delta_runs(rows), json=True))

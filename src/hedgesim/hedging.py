@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Sequence
-from operator import eq
 
 from .params import (
-    GAME_RANGES, ROUNDING, GameConfig, check_parameter, expected_utility, integer_range,
+    GAME_RANGES, ROUNDING, GameConfig, ReadOnlySequence, check_parameter, expected_utility,
+    integer_range,
 )
 from .writers import _LIST, _float_fields, _float_texts, _jnum_text, _template
 
@@ -96,7 +95,7 @@ class HedgingSummary(namedtuple(
     __slots__ = ()
 
 
-class _Steps(Sequence):
+class _Steps(ReadOnlySequence):
     """The ``HedgingStep``s 0..stop-1 of a trace, read-only. It holds no
     step: step n is built on access from ``_PAIRS[min(n, 52)]`` and the
     config's step-0 EUs. It equals the tuple of its steps, and hashes as it."""
@@ -106,12 +105,7 @@ class _Steps(Sequence):
     def __init__(self, base_a: float, base_b: float, gamma: float, stop: int):
         object.__setattr__(self, "_args", (base_a, base_b, gamma, stop))
 
-    def __setattr__(self, *_):
-        raise AttributeError("a trace's steps are read-only")
-
-    __delattr__ = __setattr__
-
-    def _step(self, n: int) -> HedgingStep:
+    def _item(self, n: int) -> HedgingStep:
         speaker, listener = _PAIRS[min(n, len(_PAIRS) - 1)]
         base_a, base_b, gamma, _ = self._args
         # Keep this association: the tests compare each EU exactly against a
@@ -123,24 +117,8 @@ class _Steps(Sequence):
     def __len__(self) -> int:
         return self._args[3]
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self._step, range(len(self))[index]))
-        return self._step(range(len(self))[index])
-
-    def __iter__(self):
-        return map(self._step, range(len(self)))
-
-    def __eq__(self, other):
-        if not isinstance(other, (tuple, _Steps)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
     def __hash__(self) -> int:
         return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
 
     def __reduce__(self):
         return _Steps, self._args

@@ -4,14 +4,16 @@ world prior with its closed-form expected utilities.
 This is all of the game that ``hedge`` loads; ``game`` holds the region rule,
 the sweep with its row record and text, and the brute-force oracle. Player
 labels are roles: "S" sends the signal, "L" receives it. :class:`Checked` is
-the one way a record checks its values.
+the one way a record checks its values, and :class:`ReadOnlySequence` the
+one contract of a sequence that builds its items when they are read.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
+from operator import eq
 
 PLAYERS = ("S", "L")
 ACTIONS = ("a", "b")
@@ -80,6 +82,41 @@ class Checked:
     def _make(cls, iterable):
         # ``_replace`` builds through ``_make``, which skips ``__new__``.
         return super()._make(iterable)._checked()
+
+
+class ReadOnlySequence(Sequence):
+    """A read-only sequence that holds what its items are built from, not
+    its items: ``_item(i)`` builds item i, for i in ``range(len(self))``, each
+    time it is read. A slice gives the ``_held`` container of its items. It
+    equals that container of its items, and any sequence of its own type with
+    the same items, and takes that container's repr. It has no hash unless a
+    subclass gives one, and takes attributes only by ``object.__setattr__``."""
+
+    __slots__ = ()
+    _held = tuple
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._held(map(self._item, range(len(self))[index]))
+        return self._item(range(len(self))[index])
+
+    def __iter__(self):
+        return map(self._item, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, (self._held, type(self))):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(self._held(self))
 
 
 class GameConfig(

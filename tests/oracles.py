@@ -2,7 +2,8 @@
 
 The library computes each of these facts in bulk: a sentence's extension
 and belief by set algebra over the valuation and the agents' cells, and
-the hedging trace in one forward pass. The definitions here
+the hedging trace in one forward pass, and a sweep's rows as they are read from its
+columns. The definitions here
 compute them one world or one step at a time, straight from the records'
 fields, and none calls the library function it is compared with (see
 ``tests/test_package.py``): they take only records and constants from
@@ -14,6 +15,7 @@ check how the library's floats round.
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+from hedgesim.game import SweepRow
 from hedgesim.params import ROUNDING
 from hedgesim.worlds import NOT_PHI, PHI, Q, QBAR
 
@@ -156,3 +158,17 @@ def exact_listener_q(delta, gamma):
     sender judges q at w1 and w2, the receiver at w1 only."""
     w1, w2, _ = exact_prior(delta, gamma)
     return w1 / (w1 + w2)
+
+
+def sweep_rows(runs):
+    """A sweep's rows, delta-major, from each delta's columns ``(delta, gammas,
+    p_w1, p_w2, p_w3, eu_a, eu_b, regions)``: one ``SweepRow`` per gamma,
+    built by keyword from the values at its place."""
+    rows = []
+    for delta, gammas, p_w1, p_w2, p_w3, eu_a, eu_b, regions in runs:
+        for j in range(len(gammas)):
+            rows.append(SweepRow(
+                delta=delta, gamma=gammas[j], p_w1=p_w1[j], p_w2=p_w2[j], p_w3=p_w3[j],
+                eu_a=eu_a[j], eu_b=eu_b[j], region=regions[j],
+            ))
+    return rows

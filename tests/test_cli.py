@@ -625,17 +625,29 @@ def test_sweep_streams_without_rows(monkeypatch, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_sweep_renders_without_rows(monkeypatch, fmt):
+    """A sweep holds its delta columns, and ``render_sweep_*`` hand them to
+    the writer: with no ``SweepRow`` to build, both still write the golden
+    text."""
+    monkeypatch.delattr(game, "SweepRow")
+    render = game.render_sweep_json if fmt == "json" else game.render_sweep_csv
+    text = render(threshold_sweep(grid(9), grid(9)))
+    assert text == (GOLDEN_DIR / f"sweep_9x9.{fmt}").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_non_square_sweep_equals_the_rendered_rows(tmp_path, fmt):
     """A 7 x 13 sweep: the command streams each delta's columns to the writer,
-    and ``render_sweep_*`` reach it from ``threshold_sweep``'s rows, cut where
-    the delta changes and turned back into columns. Both write the same text."""
+    and ``render_sweep_*`` hand it ``threshold_sweep``'s columns, or the list
+    of its rows cut where the delta changes and turned back into columns.
+    All write the same text."""
     out = tmp_path / f"sweep.{fmt}"
     argv = ["sweep", "--delta-steps", "7", "--gamma-steps", "13", "--format", fmt]
     assert main([*argv, "--out", str(out)]) == 0
     render = game.render_sweep_json if fmt == "json" else game.render_sweep_csv
     rows = threshold_sweep(grid(7), grid(13))
     assert len(rows) == 7 * 13
-    assert out.read_text(encoding="utf-8") == render(rows)
+    assert out.read_text(encoding="utf-8") == render(rows) == render(list(rows))
 
 
 def traced_peak(call) -> int:

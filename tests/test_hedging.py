@@ -422,8 +422,8 @@ def test_run_hedging_at_the_step_bound_builds_one_step_and_peaks_under_100_kb(mo
             tracemalloc.stop()
     assert max(peaks) < 100 * 1024, peaks
     built = []
-    step = hedging._Steps._step
-    monkeypatch.setattr(hedging._Steps, "_step", lambda self, n: built.append(n) or step(self, n))
+    step = hedging._Steps._item
+    monkeypatch.setattr(hedging._Steps, "_item", lambda self, n: built.append(n) or step(self, n))
     for max_steps in (4, 60, 100_000):
         run_hedging(config, max_steps=max_steps)
     assert built == [0, 0, 0]

@@ -154,31 +154,35 @@ def test_empty_sweep_json_equals_json_dumps():
 @example([0.3, 0.7], [], 0.5)
 @example([0.3, 0.7], [0.0, -0.0, 0.5, 0.0], 0.5)
 @example([0.25, float("0.25")], [0.5], 0.5)  # equal deltas, two objects: two runs
-@example([0.25] * 2, [0.5], 0.5)  # one delta object twice, each with its list: one run, two lists
+@example([0.25] * 2, [0.5], 0.5)  # one delta object twice: one hand-built run, two sweep runs
 @example([0.25] * 2, [], 0.5)
 def test_sweep_chunks_join_to_the_text_one_chunk_per_delta(delta_grid, gamma_grid, tau):
-    """The pieces of ``threshold_sweep``'s rows, cut by ``_delta_runs``, and
-    of the ``sweep`` command's path (each delta's rows built as they are
-    written, a list per grid entry) join to the oracles' text and to
-    ``render_sweep_*``. The writer gives one piece per non-empty list it is
-    given, then the closing: the render path one per run of rows that hold
-    the same delta object, the streamed path one per grid entry, however the
-    entries repeat. An empty sweep is one piece."""
+    """The pieces of ``threshold_sweep``'s own runs, of the ``sweep``
+    command's path (each delta's columns made as they are written) and of the
+    list of the sweep's rows, cut by ``_delta_runs``, join to the oracles'
+    text and to ``render_sweep_*``. The writer gives one piece per non-empty
+    run it is given, then the closing: a sweep and the streamed path one per
+    grid entry, however the entries repeat, and a hand-built list one per run
+    of rows that hold the same delta object. An empty sweep is one piece."""
     rows = threshold_sweep(delta_grid, gamma_grid, tau=tau)
+    listed = list(rows)
     runs = sum(1 for i, delta in enumerate(delta_grid) if i == 0 or delta is not delta_grid[i - 1])
     oracles = {  # by ``json``; with no row the CSV is its header alone
         False: csv_text(rows) if rows else ",".join(SweepRow._fields) + "\n",
         True: dumps([row._asdict() for row in rows]),
     }
-    assert render_sweep_csv(rows) == oracles[False]
-    assert render_sweep_json(rows) == oracles[True]
+    for render, oracle in ((render_sweep_csv, oracles[False]), (render_sweep_json, oracles[True])):
+        assert render(rows) == render(listed) == oracle
     for json_text, oracle in oracles.items():
-        chunks = list(game._sweep_chunks(game._delta_runs(rows), json_text))
-        assert "".join(chunks) == oracle
-        assert len(chunks) == (runs + 1 if rows else 1)
-        streamed = list(game._sweep_chunks(game._sweep_runs(delta_grid, gamma_grid, tau), json_text))
-        assert "".join(streamed) == oracle
-        assert len(streamed) == (len(delta_grid) + 1 if rows else 1)
+        paths = (  # each path's runs, with the pieces it gives before the closing
+            (game._delta_runs(rows), len(delta_grid)),
+            (game._sweep_runs(delta_grid, gamma_grid, tau), len(delta_grid)),
+            (game._delta_runs(listed), runs),
+        )
+        for path, entries in paths:
+            chunks = list(game._sweep_chunks(path, json_text))
+            assert "".join(chunks) == oracle
+            assert len(chunks) == (entries + 1 if rows else 1)
 
 
 # Floats that reach both branches of the JSON record writer: any finite
@@ -447,9 +451,10 @@ def test_frame_writers_on_every_flag_combination(flags, witness):
     assert render_frame_csv(frame) == header + "\n" + ",".join(cells) + "\n"
 
 
-def test_sweep_rows_hold_at_most_180_kb_per_1000_rows():
-    """What a 100 x 100 sweep keeps alive, rows and their new floats, per
-    1000 rows (KB of 1024 bytes): about 165 for a named-tuple row."""
+def test_sweep_holds_at_most_100_kb_per_1000_rows():
+    """What a 100 x 100 sweep keeps alive, its delta columns and their new
+    floats, per 1000 rows (KB of 1024 bytes): about 75; a named-tuple row
+    held for each would read about 165."""
     deltas, gammas = grid(100), grid(100)
     tracemalloc.start()
     try:
@@ -458,7 +463,7 @@ def test_sweep_rows_hold_at_most_180_kb_per_1000_rows():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert held / len(rows) * 1000 / 1024 <= 180
+    assert held / len(rows) * 1000 / 1024 <= 100
 
 
 def test_hedging_json_render_peaks_under_40_mb():
@@ -515,6 +520,21 @@ def test_record_writers_format_floats_per_record(float_text_calls):
             assert float_text_calls == {name: 50, "_float_texts": 1 + 50}
 
 
+@pytest.mark.parametrize("json_text", [False, True])
+def test_sweep_texts_agree_where_a_json_column_falls_back(json_text, float_text_calls):
+    """At 150 x 101 the smallest ``p_w1`` is 6.5e-5, below 1e-4, so a JSON
+    column there is written value by value. The command's text, the render of
+    the sweep and the render of the list of its rows are one text."""
+    sweep = threshold_sweep(grid(150), grid(101))
+    assert min(row.p_w1 for row in sweep) < 1e-4
+    render = render_sweep_json if json_text else render_sweep_csv
+    float_text_calls.clear()
+    streamed = "".join(game._sweep_text(150, 101, 0.5, json_text))
+    per_float = float_text_calls["fmt_float"] + float_text_calls["_jnum_text"]
+    assert per_float > 150 if json_text else per_float == 150
+    assert render(sweep) == render(list(sweep)) == streamed
+
+
 def test_hedging_work_does_not_grow_past_the_fixed_point(monkeypatch, tmp_path):
     """The steps ``hedge`` builds and the step texts it formats are as many at
     100000 steps as at 1000: the recurrence ran once, at import; the trace
@@ -531,13 +551,13 @@ def test_hedging_work_does_not_grow_past_the_fixed_point(monkeypatch, tmp_path):
             yield pair
 
     monkeypatch.setattr(hedging, "_propensities", counted_propensities)
-    step = hedging._Steps._step
+    step = hedging._Steps._item
 
     def counted_step(self, n):
         counts["step"] += 1
         return step(self, n)
 
-    monkeypatch.setattr(hedging._Steps, "_step", counted_step)
+    monkeypatch.setattr(hedging._Steps, "_item", counted_step)
     for name in ("_step_csv", "_step_json"):
         def counted(values, original=getattr(hedging, name), name=name):
             counts[name] += 1
