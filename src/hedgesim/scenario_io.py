@@ -28,6 +28,8 @@ Values are read line by line: of several faults, the first faulty line is
 reported, with its key and line. The checks that span keys come after, by
 section: canonical extras, missing keys, flips against n, delta against
 tau, speaker and world. A file is read as UTF-8, with or without a BOM.
+Lines end where ``open`` ends them, at ``\n``, ``\r\n`` or ``\r`` only;
+any other separator ``str.splitlines`` knows stays inside its line.
 
 The report, dialogue and frame writers live here, on the layout of
 ``writers``; their keys and headers are the records' fields. This module
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Mapping
+from functools import partial
 
 from . import writers
 from .assertion import (
@@ -66,7 +69,7 @@ from .worlds import (
     pool_states,
     world_pools,
 )
-from .writers import _OBJECT, _bool_text, _float_fields, _jnum_text, _list, _template, fmt_float
+from .writers import _LIST, _OBJECT, _bool_text, _float_fields, _jnum_text, _list, _template, fmt_float
 
 
 class Scenario(namedtuple(
@@ -96,11 +99,6 @@ class ReportAuditError(RuntimeError):
     """A run report failed its internal consistency audit."""
 
 
-def _ranged(ranges: Mapping, kind: type = float) -> Callable[[str, str], int | float]:
-    """A reader of number text whose owner checks it against ``ranges``."""
-    return lambda key, text: check_parameter(ranges, key, parse_number(key, text, kind))
-
-
 def _flag(key: str, text: str) -> bool:
     lowered = text.lower()
     if lowered in ("true", "yes", "1"):
@@ -110,19 +108,15 @@ def _flag(key: str, text: str) -> bool:
     raise ValueError(f"{key} must be true or false, got {text!r}")
 
 
-# Each key's reader, which returns its value or raises ValueError; ``flip.<agent>`` reads any flip.
+# Each key's value kind and its owner's check, which raises ValueError: ``bool`` is the flag,
+# ``str`` the text itself, a number is read by ``parse_number``; ``flip.<agent>`` reads any flip.
 _READERS = {
-    "series": {
-        "n": lambda key, text: check_states(parse_number(key, text, int)),
-        "canonical": _flag,
-        "flip.<agent>": lambda key, text: parse_number(key, text, int),
-    },
-    "game": dict.fromkeys(_SCENARIO_KEYS["game"], _ranged(GAME_RANGES)),
-    "run": {
-        **dict.fromkeys(("speaker", "world"), lambda key, text: text),
-        "steps": _ranged(HEDGING_RANGES, int),
-        "tolerance": _ranged(HEDGING_RANGES),
-    },
+    "series": {"n": (int, check_states), "canonical": (bool, None), "flip.<agent>": (int, None)},
+    "game": {key: (float, partial(check_parameter, GAME_RANGES, key)) for key in _SCENARIO_KEYS["game"]},
+    "run": {"speaker": (str, None), "world": (str, None), **{
+        key: (kind, partial(check_parameter, HEDGING_RANGES, key))
+        for key, kind in (("steps", int), ("tolerance", float))
+    }},
 }
 
 
@@ -138,34 +132,42 @@ def _read(text: str) -> tuple[dict[str, dict], dict[str, dict[str, int]]]:
     """Each section's values, read as their lines are met, and their lines."""
     values: dict[str, dict] = {name: {} for name in _READERS}
     lines: dict[str, dict[str, int]] = {name: {} for name in _READERS}
-    section: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    readers = None
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("["):
-            if not line.endswith("]"):
+        if line[0] == "[":
+            if line[-1] != "]":
                 raise ScenarioParseError("unterminated section header", lineno)
             section = line[1:-1].strip().lower()
-            if section not in _READERS:
+            readers = _READERS.get(section)
+            if readers is None:
                 raise ScenarioParseError(f"unknown section [{section}]", lineno)
             continue
-        if "=" not in line:
+        key, equals, value = line.partition("=")
+        if not equals:
             raise ScenarioParseError(f"expected `key = value`, got {line!r}", lineno)
-        if section is None:
+        if readers is None:
             raise ScenarioParseError("key before any [section] header", lineno)
-        key, _, value = (part.strip() for part in line.partition("="))
+        key, value = key.strip(), value.strip()
         if not key:
             raise ScenarioParseError("empty key", lineno)
         if not value:
             raise ScenarioParseError(f"missing value for key {key!r}", lineno)
-        pattern = "flip.<agent>" if key.startswith("flip.") and key != "flip." else key
-        reader = _READERS[section].get(pattern)
+        reader = readers.get("flip.<agent>" if key[:5] == "flip." and key != "flip." else key)
         if reader is None:
             raise ScenarioParseError(f"unknown key {key!r} in [{section}]", lineno)
         if key in values[section]:
             raise ScenarioParseError(f"duplicate key {key!r}", lineno)
-        values[section][key] = _owned(lineno, reader, key, value)
+        kind, check = reader
+        try:
+            value = value if kind is str else _flag(key, value) if kind is bool else parse_number(key, value, kind)
+            if check is not None:
+                check(value)
+        except ValueError as exc:
+            raise ScenarioParseError(str(exc), lineno) from None
+        values[section][key] = value
         lines[section][key] = lineno
     return values, lines
 
@@ -303,12 +305,6 @@ def audit_report(report: RunReport) -> None:
         raise ReportAuditError(f"posterior sums to {total!r}, not 1")
 
 
-def _object(keys, texts, depth: int | None) -> str:
-    """A JSON object of the text ``keys`` and their value ``texts``."""
-    texts = [f"{writers._quote(key)}: {text}" for key, text in zip(keys, texts)]
-    return _list(texts, depth, _OBJECT)
-
-
 # The fixed blocks are written out; the rest are one slot each. A dialogue
 # step has one in the report (depth 2) and one as a JSON line (None).
 _REPORT_JSON = _template({
@@ -322,63 +318,70 @@ _FRAME_JSON = _template(dict.fromkeys((*FrameReport._fields, "summary"))) + "\n"
 _DIALOGUE_JSON = {d: _template(dict.fromkeys(DialogueStep._fields), d) for d in (2, None)}
 
 
-def _worlds_json(model: WorldModel, worlds, depth: int | None) -> str:
-    """A world subset as a JSON list in the model's world order."""
-    return _list([writers._quote(w) for w in model.worlds if w in worlds], depth)
+def _quoted(model: WorldModel) -> dict[str, str]:
+    """Each agent's and world's JSON text: a report quotes each label once."""
+    labels = model.agents + model.worlds
+    return dict(zip(labels, map(writers._quote, labels)))
 
 
-def _model_json(model: WorldModel) -> str:
-    """The model block, with the pooling provenance it has."""
-    blocks = {
-        "agents": _list(list(map(writers._quote, model.agents)), 2),
-        "worlds": _list(list(map(writers._quote, model.worlds)), 2),
-        "partitions": _object(model.partitions, [
-            _list([_worlds_json(model, cell, 4) for cell in cells], 3)
-            for cells in model.partitions.values()
-        ], 2),
-        "valuation": _object(model.valuation, [
-            _worlds_json(model, worlds, 3) for worlds in model.valuation.values()
-        ], 2),
-    }
+def _model_json(model: WorldModel, quoted: Mapping[str, str]) -> str:
+    """The model block, with the pooling provenance it has, each world subset in world order.
+    The model's checks leave no agent, world or cell list empty: those are joined in place."""
+    worlds = model.worlds
+    (open2, sep2, close2), (open3, sep3, close3), (open4, sep4, close4) = _LIST[2], _LIST[3], _LIST[4]
+    blocks = [
+        f'"agents": {open2}' + sep2.join([quoted[agent] for agent in model.agents]) + close2,
+        f'"worlds": {open2}' + sep2.join([quoted[w] for w in worlds]) + close2,
+        '"partitions": ' + _list([f"{quoted[agent]}: {open3}" + sep3.join([
+            open4 + sep4.join([quoted[w] for w in worlds if w in cell]) + close4 for cell in cells
+        ]) + close3 for agent, cells in model.partitions.items()], 2, _OBJECT),
+        '"valuation": ' + _list([
+            f"{writers._quote(key)}: " + _list([quoted[w] for w in worlds if w in subset], 3)
+            for key, subset in model.valuation.items()
+        ], 2, _OBJECT),
+    ]
     if model.judgments is not None:
-        blocks["judgments"] = _object(model.judgments, [
-            _object(judged, map(writers._quote, judged.values()), 3)
-            for judged in model.judgments.values()
-        ], 2)
+        blocks.append('"judgments": ' + _list([f"{quoted[agent]}: " + _list(
+            [f"{quoted[w]}: {writers._quote(value)}" for w, value in judged.items()], 3, _OBJECT
+        ) for agent, judged in model.judgments.items()], 2, _OBJECT))
     if model.members is not None:
-        blocks["members"] = _object(model.members, [
-            _list(list(map(str, states)), 3) for states in model.members.values()
-        ], 2)
-    return _object(blocks, blocks.values(), 1)
+        blocks.append('"members": ' + _list([
+            f"{quoted[w]}: " + _list(list(map(str, states)), 3) for w, states in model.members.items()
+        ], 2, _OBJECT))
+    return _list(blocks, 1, _OBJECT)
 
 
-def _dialogue_json(step: DialogueStep, depth: int | None) -> str:
-    """A dialogue step as a JSON object at nesting ``depth``; ``None`` is one line."""
+def _dialogue_json(step: DialogueStep, depth: int | None, quoted: Mapping[str, str]) -> str:
+    """A dialogue step as a JSON object at nesting ``depth`` (``None``: one line); a
+    common ground is never empty, so its list and the posterior over it are joined in place."""
     inner = None if depth is None else depth + 1
+    (opening, separator, closing), (left, _, right) = _LIST[inner], _OBJECT[inner]
     return _DIALOGUE_JSON[depth] % (
         step.time, "null" if step.signal is None else writers._quote(step.signal.text),
-        _list(list(map(writers._quote, step.live)), inner),
-        _object(step.posterior, map(_jnum_text, step.posterior.values()), inner),
+        opening + separator.join([quoted[w] for w in step.live]) + closing,
+        left + separator.join([f"{quoted[w]}: {_jnum_text(p)}" for w, p in step.posterior.items()]) + right,
     )
 
 
 def render_report_json(report: RunReport) -> str:
     scenario, model, hedging = report.scenario, report.model, report.hedging
     flips, posterior, last = scenario.series.flips, report.posterior, hedging.steps[-1]
+    quoted = _quoted(model)
     return _REPORT_JSON % (
         _bool_text(scenario.canonical), scenario.series.n,
-        _object(flips, map(str, flips.values()), 2), *_float_fields(scenario.config),
-        writers._quote(scenario.speaker), writers._quote(scenario.world), scenario.steps,
+        _list([f"{quoted[agent]}: {flip}" for agent, flip in flips.items()], 2, _OBJECT),
+        *_float_fields(scenario.config),
+        quoted[scenario.speaker], quoted[scenario.world], scenario.steps,
         _jnum_text(scenario.tolerance),
-        _model_json(model),
+        _model_json(model, quoted),
         writers._quote(report.signal.text),
-        _list([_dialogue_json(step, 2) for step in report.dialogue], 1),
-        _object(posterior, map(_jnum_text, posterior.values()), 1),
+        _list([_dialogue_json(step, 2, quoted) for step in report.dialogue], 1),
+        _list([f"{quoted[w]}: {_jnum_text(p)}" for w, p in posterior.items()], 1, _OBJECT),
         *_float_fields(report.region),
         hedging.max_steps, _jnum_text(hedging.tolerance),
         *_float_fields(hedging.summary), _jnum_text(last.eu_a), _jnum_text(last.eu_b),
-        _worlds_json(model, report.public_belief_proposition, 2),
-        _worlds_json(model, report.public_belief_worlds, 2),
+        _list([quoted[w] for w in model.worlds if w in report.public_belief_proposition], 2),
+        _list([quoted[w] for w in model.worlds if w in report.public_belief_worlds], 2),
         _bool_text(report.public_belief),
     )
 
@@ -387,7 +390,7 @@ def render_report_csv(report: RunReport) -> str:
     """The dialogue trace as CSV: one row per conversation step."""
     lines = [",".join(DialogueStep._fields)]
     for step in report.dialogue:
-        posterior = ";".join(fmt_float(step.posterior[w]) for w in step.live)
+        posterior = ";".join(map(fmt_float, [step.posterior[w] for w in step.live]))
         signal = "" if step.signal is None else step.signal.text
         lines.append(f"{step.time},{signal},{';'.join(step.live)},{posterior}")
     return "\n".join(lines) + "\n"
@@ -395,7 +398,9 @@ def render_report_csv(report: RunReport) -> str:
 
 def render_dialogue_jsonl(report: RunReport) -> str:
     """The dialogue trace as JSON lines: one record per step."""
-    return "".join(_dialogue_json(step, None) + "\n" for step in report.dialogue)
+    quoted = _quoted(report.model)
+    return "".join([_dialogue_json(step, None, quoted) + "\n" for step in report.dialogue])
+
 
 def render_frame_csv(frame: FrameReport) -> str:
     """The flags as ``true`` or ``false``, and the witness unquoted as

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .worlds import NOT_PHI, PHI, WorldModel, accessible
+from .worlds import NOT_PHI, PHI, WorldModel
 
 
 class Formula:
@@ -84,25 +84,18 @@ class FrameReport(namedtuple("FrameReport", "reflexive symmetric transitive witn
 
 
 def check_frame(model: WorldModel) -> FrameReport:
-    """Exhaustively test reflexivity, symmetry, and transitivity."""
+    """Exhaustively test reflexivity, symmetry, and transitivity. R(w) is the
+    union of the agents' cells at w: one pass joins each cell into its worlds' reach."""
     worlds = model.worlds
-    reach = {w: accessible(model, w) for w in worlds}
-    reflexive = all(w in reach[w] for w in worlds)
-    symmetric = all(u in reach[v] for u in worlds for v in reach[u])
-    witness = next(
-        (
-            (u, v, x)
-            for u in worlds
-            for v in worlds
-            if v in reach[u]
-            for x in worlds
-            if x in reach[v] and x not in reach[u]
-        ),
-        None,
-    )
-    return FrameReport(
-        reflexive=reflexive,
-        symmetric=symmetric,
-        transitive=witness is None,
-        witness=witness,
-    )
+    reach: dict[str, set[str]] = {w: set() for w in worlds}
+    for cells in model.partitions.values():
+        for cell in cells:
+            for w in cell:
+                reach[w] |= cell
+    reflexive = all([w in reach[w] for w in worlds])
+    symmetric = all([u in reach[v] for u in worlds for v in reach[u]])
+    witness = next((
+        (u, v, x) for u in worlds for v in worlds if v in reach[u]
+        for x in worlds if x in reach[v] and x not in reach[u]
+    ), None)
+    return FrameReport(reflexive, symmetric, witness is None, witness)

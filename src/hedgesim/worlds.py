@@ -184,16 +184,17 @@ def pool_states(series: SoritesSeries) -> WorldModel:
     """
     pools = world_pools(series)
     everything = frozenset(pools)
+    # Each flip is read once (``judges_q``'s rule). Every flip is at state 2 or
+    # later, so w1 is a q-world: the q cell is never empty and comes first.
     q_worlds = {
-        agent: frozenset(w for w, states in pools.items() if series.judges_q(agent, states[0]))
-        for agent in series.agents
+        agent: frozenset([w for w, states in pools.items() if states[0] < flip])
+        for agent, flip in series.flips.items()
     }
     return WorldModel(
-        agents=series.agents,
+        agents=tuple(q_worlds),
         worlds=tuple(pools),
-        # Every flip is at state 2 or later, so the q cell holds w1 and comes first.
         partitions={
-            agent: tuple(cell for cell in (q, everything - q) if cell)
+            agent: (q, everything - q) if q != everything else (q,)
             for agent, q in q_worlds.items()
         },
         valuation={

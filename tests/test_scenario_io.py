@@ -1,10 +1,11 @@
 import json
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from hedgesim import assertion, scenario_io, semantics
+from hedgesim import assertion, scenario_io, semantics, worlds
 from hedgesim.assertion import SignalLikelihoods
 from hedgesim.game import GameConfig, SweepRow, grid, threshold_sweep
 from hedgesim.hedging import run_hedging
@@ -186,6 +187,29 @@ def test_of_several_faults_the_first_faulty_line_is_reported(text, message):
     assert str(excinfo.value) == message
 
 
+# Separators that ``str.splitlines`` breaks at but ``open`` does not.
+OTHER_SEPARATORS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize("separator", OTHER_SEPARATORS, ids=ascii)
+def test_a_comment_runs_to_the_end_of_the_file_line(separator):
+    text = CANONICAL_TEXT.replace("gamma = 0.2\n", f"gamma = 0.2  # note{separator}tau = 0.6\n")
+    assert parse_scenario(text).config.tau == 0.5
+
+
+@pytest.mark.parametrize("separator", OTHER_SEPARATORS, ids=ascii)
+def test_a_separator_mid_file_keeps_the_line_numbers(separator):
+    text = CANONICAL_TEXT.replace("[game]\n", f"[game]{separator}\n") + "steps = 2\n"
+    with pytest.raises(ScenarioParseError) as excinfo:
+        parse_scenario(text)
+    assert str(excinfo.value) == "line 13: steps must be an integer in [4, 100000], got 2"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=ascii)
+def test_crlf_and_cr_texts_parse(newline):
+    assert parse_scenario(CANONICAL_TEXT.replace("\n", newline)) == canonical_scenario()
+
+
 def test_one_table_reads_every_key():
     readers = scenario_io._READERS
     assert list(readers) == ["series", "game", "run"]
@@ -308,7 +332,7 @@ def test_a_run_makes_the_pinned_semantic_calls(name, monkeypatch):
         read.append((formula, semantics.extension(model, formula)))
         return read[-1][1]
 
-    monkeypatch.setattr(semantics, "accessible", counting(counts, "accessible", semantics.accessible))
+    monkeypatch.setattr(worlds, "accessible", counting(counts, "accessible", worlds.accessible))
     monkeypatch.setattr(WorldModel, "cell", counting(counts, "cell", WorldModel.cell))
     for module in (assertion, scenario_io):
         monkeypatch.setattr(module, "extension", counting(counts, "extension", extension))
@@ -335,6 +359,42 @@ def test_a_run_calls_each_public_stage_once(name, monkeypatch):
     assert counts == dict.fromkeys(
         ("speaker_signal", "update", "for_common_ground", "listener_posterior", "audit_report"), 1
     )
+
+
+# Python calls that one scenario op makes in ``src/hedgesim``: parse, run,
+# the three report renders and the frame check. A generator's resumption is
+# a call; list, dict and set comprehensions are left out, because Python
+# inlines them from 3.12 on. The op made 349 calls (348 on 3.13) when each
+# key line resumed a generator three times, each report quoted a world once
+# per block and the frame and pool read the model world by world.
+OP_CALL_BOUND = 260
+_INLINED = frozenset(("<listcomp>", "<dictcomp>", "<setcomp>"))
+
+
+def op_calls(text: str) -> int:
+    package = str(Path(scenario_io.__file__).parent)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(package) and code.co_name not in _INLINED:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        report = run_scenario(parse_scenario(text))
+        render_report_json(report), render_report_csv(report), render_dialogue_jsonl(report)
+        check_frame(report.model)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_a_scenario_op_makes_at_most_the_bounded_python_calls():
+    text = (Path(__file__).parent / "data" / "canonical.scn").read_text(encoding="utf-8")
+    op_calls(text)  # the first op warms the hedging cache and the JSON quoter
+    assert op_calls(text) == op_calls(text) <= OP_CALL_BOUND
 
 
 def test_audit_rejects_tampered_report():

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import FALSE, GAP, TRUE, evaluate, thinks
 
-from hedgesim import semantics
+from hedgesim import semantics, worlds
 from hedgesim.assertion import CommonGround, update
-from hedgesim.semantics import STRENGTH_ORDER, Formula, check_frame, extension
+from hedgesim.semantics import STRENGTH_ORDER, FrameReport, Formula, check_frame, extension
 from hedgesim.worlds import (
     NOT_PHI,
     PHI,
@@ -218,7 +218,7 @@ def counting(monkeypatch, module, name):
 def test_might_reads_accessible_once_without_recursion(monkeypatch, canonical_model, formula):
     # ``extension`` unions the cells that meet the atom and never walks R(w).
     true_at = {w for w in canonical_model.worlds if evaluate(canonical_model, formula, w) is TRUE}
-    accessible_calls = counting(monkeypatch, semantics, "accessible")
+    accessible_calls = counting(monkeypatch, worlds, "accessible")
     cell_calls = counting(monkeypatch, WorldModel, "cell")
     assert extension(canonical_model, formula) == true_at
     assert accessible_calls == cell_calls == []
@@ -312,7 +312,15 @@ def test_frame_witness_follows_world_order_over_v_then_x():
     assert_frame_matches_brute_force(model)
 
 
-def test_frame_reads_accessible_once_per_world(monkeypatch, canonical_model):
-    calls = counting(monkeypatch, semantics, "accessible")
-    check_frame(canonical_model)
-    assert calls == [(canonical_model, world) for world in canonical_model.worlds]
+def test_frame_reads_the_cells_not_accessible_or_cell(monkeypatch, canonical_model):
+    # The reach map comes from one pass over the partitions' cells.
+    accessible_calls = counting(monkeypatch, worlds, "accessible")
+    cell_calls = counting(monkeypatch, WorldModel, "cell")
+    assert check_frame(canonical_model) == FrameReport(True, True, False, ("w1", "w2", "w3"))
+    assert accessible_calls == cell_calls == []
+    assert not hasattr(semantics, "accessible")
+
+
+def test_frame_matches_brute_force_over_every_two_agent_shape(two_agent_shapes):
+    for march, _, _ in two_agent_shapes:
+        assert_frame_matches_brute_force(pool_states(march))
