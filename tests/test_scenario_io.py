@@ -364,9 +364,9 @@ def test_a_run_calls_each_public_stage_once(name, monkeypatch):
 # Python calls that one scenario op makes in ``src/hedgesim``: parse, run,
 # the three report renders and the frame check. A generator's resumption is
 # a call; list, dict and set comprehensions are left out, because Python
-# inlines them from 3.12 on. The op made 349 calls (348 on 3.13) when each
-# key line resumed a generator three times, each report quoted a world once
-# per block and the frame and pool read the model world by world.
+# inlines them from 3.12 on. The op made 349 calls on 3.11 when each key
+# line resumed a generator three times, each report quoted a world once per
+# block and the frame and pool read the model world by world; it makes 201.
 OP_CALL_BOUND = 260
 _INLINED = frozenset(("<listcomp>", "<dictcomp>", "<setcomp>"))
 
