@@ -46,7 +46,8 @@ class CommonGround(Checked, namedtuple("CommonGround", "time live model")):
         if len(set(self.live)) != len(self.live):
             raise ValueError("duplicate worlds in common ground")
         for world in self.live:
-            self.model.index(world)
+            if world not in self.model.worlds:
+                self.model.index(world)  # raises UnknownLabelError
         return self
 
 
@@ -64,7 +65,7 @@ def base_rate(cg: CommonGround) -> dict[str, float]:
 def update(cg: CommonGround, formula: Formula) -> CommonGround:
     """Assertion as elimination: keep the live worlds where the sentence is true."""
     true_at = extension(cg.model, formula)
-    surviving = tuple(w for w in cg.live if w in true_at)
+    surviving = tuple(filter(true_at.__contains__, cg.live))
     if not surviving:
         raise AbsurdUpdateError(
             f"{formula.text!r} is incompatible with the common ground {list(cg.live)}"

@@ -94,7 +94,8 @@ def equilibrium_region(config: GameConfig) -> RegionReport:
     _, _, (p_w1,), (p_w2,), _, (eu_a,), (eu_b,), (region,) = _delta_rows(
         (gamma,), (1.0 - gamma,), tau, d)
     bound_a, bound_b = 1.0 - tau / d, 1.0 - tau / (1.0 - d)
-    return RegionReport(region, eu_a, eu_b, bound_a, bound_b, p_w1 / (p_w1 + p_w2))
+    return tuple.__new__(
+        RegionReport, (region, eu_a, eu_b, bound_a, bound_b, p_w1 / (p_w1 + p_w2)))
 
 
 class SweepRow(namedtuple("SweepRow", "delta gamma p_w1 p_w2 p_w3 eu_a eu_b region")):

@@ -162,16 +162,12 @@ def run_hedging(
             if not 1.0 - ROUNDING <= pair_sum <= previous + ROUNDING:
                 descending = False
             previous = pair_sum
-    first = steps[0]
+    first = steps._item(0)
     gap = abs(pair_sum - 1.0)
-    return HedgingTrace(config, max_steps, tolerance, steps, HedgingSummary(
-        even_tail=speaker,
-        odd_tail=listener,
-        pair_sum_gap=gap,
-        pair_sums_converged=gap <= tolerance,
-        pair_sums_descending=descending,
-        eu_never_below_step0=low_a >= first.eu_a and low_b >= first.eu_b,
-    ))
+    summary = tuple.__new__(HedgingSummary, (
+        speaker, listener, gap, gap <= tolerance, descending,
+        low_a >= first.eu_a and low_b >= first.eu_b))
+    return tuple.__new__(HedgingTrace, (config, max_steps, tolerance, steps, summary))
 
 
 # The fixed blocks are written out; the rest are one slot each.

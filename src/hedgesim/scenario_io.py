@@ -265,25 +265,16 @@ def run_scenario(scenario: Scenario) -> RunReport:
     likelihoods = SignalLikelihoods.for_common_ground(cg1, scenario.config.epsilon, signal)
     posterior = listener_posterior(cg1, signal, likelihoods)
     dialogue = (
-        DialogueStep(time=cg0.time, signal=None, live=cg0.live, posterior=base_rate(cg0)),
-        DialogueStep(time=cg1.time, signal=signal, live=cg1.live, posterior=posterior),
+        tuple.__new__(DialogueStep, (cg0.time, None, cg0.live, base_rate(cg0))),
+        tuple.__new__(DialogueStep, (cg1.time, signal, cg1.live, posterior)),
     )
     proposition = model.valuation[signal.atom.text]
     public_worlds = common_belief(model, proposition, cg1.live)
-    report = RunReport(
-        scenario=scenario,
-        model=model,
-        signal=signal,
-        dialogue=dialogue,
-        posterior=posterior,
-        region=equilibrium_region(scenario.config),
-        hedging=run_hedging(
-            scenario.config, max_steps=scenario.steps, tolerance=scenario.tolerance
-        ),
-        public_belief_proposition=proposition,
-        public_belief_worlds=public_worlds,
-        public_belief=bool(public_worlds),
-    )
+    report = tuple.__new__(RunReport, (
+        scenario, model, signal, dialogue, posterior, equilibrium_region(scenario.config),
+        run_hedging(scenario.config, max_steps=scenario.steps, tolerance=scenario.tolerance),
+        proposition, public_worlds, bool(public_worlds),
+    ))
     audit_report(report)
     return report
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
+from itertools import chain, filterfalse
 
 from .params import Checked
 
@@ -219,12 +220,18 @@ def judgment_proposition(model: WorldModel, agent: str, polarity: str) -> frozen
     return frozenset(w for w, value in model.judgments[agent].items() if value == polarity)
 
 
-def _world_subset(model: WorldModel, worlds: Iterable[str]) -> frozenset[str]:
+def _world_subset(known: frozenset[str], worlds: Iterable[str]) -> frozenset[str]:
     subset = frozenset(worlds)
-    stray = subset - model.world_set
+    stray = subset - known
     if stray:
         raise UnknownLabelError(f"unknown worlds {sorted(stray)!r}")
     return subset
+
+
+def _everyone_thinks(cells, prop: frozenset[str], live: frozenset[str]) -> frozenset[str]:
+    """The rule of :func:`everyone_thinks` over checked sets: ``live`` less
+    every cell that meets it outside ``prop``."""
+    return live.difference(*filterfalse((live - prop).isdisjoint, cells))
 
 
 def everyone_thinks(
@@ -235,12 +242,12 @@ def everyone_thinks(
     Cells are cut down to the restriction first, so belief is evaluated
     against the live possibilities only. By set algebra, that is the
     restriction minus every restricted cell that is not inside ``prop``.
+    It checks its arguments and reads the cells once, as the fixpoint does.
     """
-    prop_set = _world_subset(model, prop)
-    live = model.world_set if restriction is None else _world_subset(model, restriction)
-    outside = live - prop_set
-    every_cell = (cell for cells in model.partitions.values() for cell in cells)
-    return live.difference(*(cell for cell in every_cell if not cell.isdisjoint(outside)))
+    everything = model.world_set
+    prop_set = _world_subset(everything, prop)
+    live = everything if restriction is None else _world_subset(everything, restriction)
+    return _everyone_thinks(chain.from_iterable(model.partitions.values()), prop_set, live)
 
 
 def common_belief(
@@ -251,15 +258,17 @@ def common_belief(
 
     Computed as the greatest fixpoint of the everyone-thinks operator at or
     below ``prop``. Each pass can only shrink the candidate set (every live
-    world belongs to its own restricted cell), so iteration terminates.
+    world belongs to its own restricted cell), so iteration terminates. The
+    fixpoint checks its arguments and reads the cells once, whatever the
+    passes: each pass is set algebra over one list of the agents' cells.
     """
-    live = model.world_set if restriction is None else _world_subset(model, restriction)
-    current = _world_subset(model, prop) & live
-    while True:
-        shrunk = everyone_thinks(model, current, live)
-        if shrunk == current:
-            return current
+    everything = model.world_set
+    live = everything if restriction is None else _world_subset(everything, restriction)
+    current = _world_subset(everything, prop) & live
+    cells = tuple(chain.from_iterable(model.partitions.values()))
+    while (shrunk := _everyone_thinks(cells, current, live)) != current:
         current = shrunk
+    return current
 
 
 def accessible(model: WorldModel, world: str) -> frozenset[str]:

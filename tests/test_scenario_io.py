@@ -366,8 +366,11 @@ def test_a_run_calls_each_public_stage_once(name, monkeypatch):
 # a call; list, dict and set comprehensions are left out, because Python
 # inlines them from 3.12 on. The op made 349 calls on 3.11 when each key
 # line resumed a generator three times, each report quoted a world once per
-# block and the frame and pool read the model world by world; it makes 201.
-OP_CALL_BOUND = 260
+# block and the frame and pool read the model world by world. It made 201
+# while each common-belief pass re-checked its arguments and walked the cells
+# through generators, and a common ground looked up each live world's index.
+# It makes 165 on 3.10, 3.11 and 3.12 and 164 on 3.13; 3.14 was not run.
+OP_CALL_BOUND = 170
 _INLINED = frozenset(("<listcomp>", "<dictcomp>", "<setcomp>"))
 
 
@@ -393,7 +396,7 @@ def op_calls(text: str) -> int:
 
 def test_a_scenario_op_makes_at_most_the_bounded_python_calls():
     text = (Path(__file__).parent / "data" / "canonical.scn").read_text(encoding="utf-8")
-    op_calls(text)  # the first op warms the hedging cache and the JSON quoter
+    op_calls(text)  # the first op imports the JSON quoter
     assert op_calls(text) == op_calls(text) <= OP_CALL_BOUND
 
 

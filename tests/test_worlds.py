@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 from conftest import marches, models, random_model, random_series
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import judgment, judgment_vector, reach, thinks
 
+from hedgesim import worlds
 from hedgesim.worlds import (
     NOT_PHI,
     PHI,
@@ -360,6 +363,59 @@ def test_belief_by_sets_equals_belief_world_by_world(model, data):
     live = model.world_set if restriction is None else restriction
     assert everyone_thinks(model, prop, restriction) == everyone_thinks_per_world(model, prop, live)
     assert common_belief(model, prop, restriction) == common_belief_per_world(model, prop, live)
+
+
+def test_belief_by_sets_equals_belief_world_by_world_on_every_two_agent_march(two_agent_shapes):
+    """Every proposition and every restriction (None too) on each pooled
+    two-agent march of n = 3..8; a failure names its march and sets."""
+    distinct = {(march.n, *march.flips.values()): march for march, _, _ in two_agent_shapes}
+    assert len(distinct) == 139
+    failing = []
+    for march in distinct.values():
+        model = pool_states(march)
+        subsets = [
+            frozenset(labels) for size in range(len(model.worlds) + 1)
+            for labels in combinations(model.worlds, size)
+        ]
+        for prop in subsets:
+            for restriction in (None, *subsets):
+                live = model.world_set if restriction is None else restriction
+                by_sets = (
+                    everyone_thinks(model, prop, restriction),
+                    common_belief(model, prop, restriction),
+                )
+                by_world = (
+                    everyone_thinks_per_world(model, prop, live),
+                    common_belief_per_world(model, prop, live),
+                )
+                if by_sets != by_world:
+                    failing.append((march.n, march.flips, sorted(prop), restriction))
+    assert not failing, failing
+
+
+def test_common_belief_checks_its_arguments_once_whatever_the_passes(monkeypatch, canonical_model):
+    # On the canonical model, common belief in {w1, w2} takes three passes:
+    # {w1, w2} shrinks to {w1}, then to nothing, which the third pass keeps.
+    prop, everything = frozenset({"w1", "w2"}), canonical_model.world_set
+    assert everyone_thinks_per_world(canonical_model, prop, everything) == {"w1"}
+    assert everyone_thinks_per_world(canonical_model, {"w1"}, everything) == set()
+    counts = Counter()
+
+    def world_subset(*args):
+        counts["_world_subset"] += 1
+        return subset(*args)
+
+    def world_set(model):
+        counts["world_set"] += 1
+        return frozenset(model.worlds)
+
+    subset = worlds._world_subset
+    monkeypatch.setattr(worlds, "_world_subset", world_subset)
+    monkeypatch.setattr(WorldModel, "world_set", property(world_set))
+    for restriction in (None, canonical_model.worlds):
+        counts.clear()
+        assert common_belief(canonical_model, prop, restriction) == frozenset()
+        assert counts["_world_subset"] <= 2 and counts["world_set"] <= 1, (restriction, counts)
 
 
 @settings(deadline=None)
