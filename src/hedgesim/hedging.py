@@ -16,11 +16,18 @@ approach 1, and the step-indexed expected utility never drops below its
 step-0 value.
 
 The recurrence has no parameter, so its path to that pair is a constant of
-the model: ``_PAIRS``, at most 53 pairs, computed once at import. A trace
-holds no step; any step is read from the ≤53 constant pairs, whatever N
-(``steps``, in [4, 100000]). ``run_hedging`` makes the summary in one pass
-over them. ``_hedging_pieces`` writes a trace's CSV or JSON text: the steps
-read from distinct pairs one by one, then the rest from the last one's text.
+the model: ``_PAIRS``, at most 53 pairs, computed once at import. So is the
+summary of each prefix of it: ``_SUMMARY`` holds one row per prefix, and
+``run_hedging`` costs the same for every N (``steps``, in [4, 100000]): it
+reads row min(N, 52) and builds no step. A trace holds no step either; any
+step is read from the constant pairs. Step n's EUs are base + gamma * s * l
+and base' + gamma * (1 - s) * (1 - l) over its pair (s, l), both rising with
+the product, so ``eu_never_below_step0`` is decided as base + gamma * m >=
+base + gamma * m0 for each action, m being the prefix's least product and
+m0 step 0's. Step 0's pair (1, 0) makes both products 0, so the rule reads
+base + gamma * m >= base, which every recurrence pair meets.
+``_hedging_pieces`` writes a trace's CSV or JSON text: the steps read from
+distinct pairs one by one, then the rest from the last one's text.
 """
 
 from __future__ import annotations
@@ -69,6 +76,29 @@ def _propensities():
 
 # The pairs of steps 0, 1, ... up to the fixed point, which every later step holds.
 _PAIRS = tuple(_propensities())
+
+
+def _summaries(pairs) -> tuple:
+    """Row n summarises steps 0..n of ``pairs``: the last pair, |its sum - 1|,
+    whether the pair sums from step 3, f(2) + f(3), on stay at or above 1 and
+    do not rise, and the least s * l and (1 - s) * (1 - l) over the pairs
+    (s, l). Step n >= 1 holds the pair f(n-1), f(n)."""
+    rows = []
+    low_a = low_b = previous = math.inf
+    descending = True
+    for n, (speaker, listener) in enumerate(pairs):
+        low_a = min(low_a, speaker * listener)
+        low_b = min(low_b, (1.0 - speaker) * (1.0 - listener))
+        pair_sum = speaker + listener
+        if n > 2:
+            descending = descending and 1.0 - ROUNDING <= pair_sum <= previous + ROUNDING
+            previous = pair_sum
+        rows.append((speaker, listener, abs(pair_sum - 1.0), descending, low_a, low_b))
+    return tuple(rows)
+
+
+# The summary rows of ``_PAIRS``' prefixes; a run of N steps reads row min(N, 52).
+_SUMMARY = _summaries(_PAIRS)
 
 
 class HedgingStep(namedtuple("HedgingStep", "n p_speaker_a p_listener_a eu_a eu_b")):
@@ -138,35 +168,20 @@ def run_hedging(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> HedgingTrace:
     """Propensity and expected-utility trace for steps 0..max_steps; the
-    steps past the fixed point repeat the last computed one but for ``n``."""
+    steps past the fixed point repeat the last computed one but for ``n``.
+    The summary is read from ``_SUMMARY``, so no step is built."""
     check_parameter(HEDGING_RANGES, "steps", max_steps)
     check_parameter(HEDGING_RANGES, "tolerance", tolerance)
     base_a = expected_utility(config, "S", "a")
     base_b = expected_utility(config, "S", "b")
     gamma = config.gamma
-    steps = _Steps(base_a, base_b, gamma, max_steps + 1)
-    # Over the pairs, which a repeated step cannot change: the lowest EUs,
-    # whether the pair sums from step 3 on stay at or above 1 and do not
-    # rise, and the last pair sum. Step n >= 1 holds the pair f(n-1), f(n).
-    low_a = low_b = previous = math.inf
-    descending = True
-    for n, (speaker, listener) in enumerate(_PAIRS[:max_steps + 1]):
-        eu_a = base_a + gamma * speaker * listener
-        eu_b = base_b + gamma * (1.0 - speaker) * (1.0 - listener)
-        if eu_a < low_a:
-            low_a = eu_a
-        if eu_b < low_b:
-            low_b = eu_b
-        pair_sum = speaker + listener
-        if n > 2:
-            if not 1.0 - ROUNDING <= pair_sum <= previous + ROUNDING:
-                descending = False
-            previous = pair_sum
-    first = steps._item(0)
-    gap = abs(pair_sum - 1.0)
+    speaker, listener, gap, descending, low_a, low_b = _SUMMARY[min(max_steps, len(_SUMMARY) - 1)]
+    first_a, first_b = _SUMMARY[0][4:]
     summary = tuple.__new__(HedgingSummary, (
         speaker, listener, gap, gap <= tolerance, descending,
-        low_a >= first.eu_a and low_b >= first.eu_b))
+        base_a + gamma * low_a >= base_a + gamma * first_a
+        and base_b + gamma * low_b >= base_b + gamma * first_b))
+    steps = _Steps(base_a, base_b, gamma, max_steps + 1)
     return tuple.__new__(HedgingTrace, (config, max_steps, tolerance, steps, summary))
 
 

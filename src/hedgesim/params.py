@@ -61,9 +61,14 @@ def parse_number(name: str, text: str, kind: type = float) -> int | float:
 
 def check_parameter(ranges: Mapping[str, tuple], name: str, value):
     """Return ``value`` when ``ranges[name]`` admits it; raise ValueError
-    otherwise. No range admits a bool."""
+    otherwise. No range admits a bool, or a value it cannot compare, such as
+    a string or None."""
     admits, words = ranges[name]
-    if isinstance(value, bool) or not admits(value):
+    try:
+        admitted = not isinstance(value, bool) and admits(value)
+    except TypeError:
+        admitted = False
+    if not admitted:
         raise ValueError(f"{name} must be {words}, got {value!r}")
     return value
 

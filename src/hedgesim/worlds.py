@@ -13,7 +13,7 @@ check their values with ``params.Checked``.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from itertools import chain, filterfalse
 
 from .params import Checked
@@ -57,19 +57,24 @@ def check_flip(agent: str, flip: int, n: int) -> None:
 class SoritesSeries(Checked, namedtuple("SoritesSeries", "n flips")):
     """A forced march over states 1..n with one flip index per agent.
 
-    ``flips`` maps each agent to its flip index and is kept as a copy. An
-    agent judges q strictly before its flip index and qbar from the flip
-    index on, so per-agent judgments are monotone along the series. Flips
-    must lie in [2, n]: everyone judges q at state 1 and qbar at state n.
+    ``flips`` maps each agent, labelled by a string, to its flip index and
+    is kept as a copy. An agent judges q strictly before its flip index and
+    qbar from the flip index on, so per-agent judgments are monotone along
+    the series. Flips must lie in [2, n]: everyone judges q at state 1 and
+    qbar at state n.
     """
 
     __slots__ = ()
 
     def _checked(self) -> SoritesSeries:
         check_states(self.n)
+        if not isinstance(self.flips, Mapping):
+            raise InvalidSeriesError(f"flips must map agents to flip indices, got {self.flips!r}")
         if not self.flips:
             raise InvalidSeriesError("at least one flip.<agent> is required")
         for agent, flip in self.flips.items():
+            if not isinstance(agent, str):
+                raise InvalidSeriesError(f"agent labels must be strings, got {agent!r}")
             check_flip(agent, flip, self.n)
         return tuple.__new__(type(self), (self.n, dict(self.flips)))
 
@@ -89,6 +94,38 @@ class SoritesSeries(Checked, namedtuple("SoritesSeries", "n flips")):
         return t < self.flips[agent]
 
 
+def _check_model(agents, worlds, partitions: dict, valuation: dict) -> None:
+    """Raise on model fields that break a model's rules, in this order: the
+    worlds, the agents, each agent's cells, then the atoms. ``partitions``
+    and ``valuation`` hold their cells and extensions as frozensets."""
+    if not worlds:
+        raise ValueError("model needs at least one world")
+    if len(set(worlds)) != len(worlds):
+        raise ValueError("duplicate world labels")
+    if not agents or len(set(agents)) != len(agents):
+        raise ValueError("agents must be non-empty and unique")
+    everything = frozenset(worlds)
+    if set(partitions) != set(agents):
+        raise ValueError("partitions must cover exactly the model's agents")
+    for agent, cells in partitions.items():
+        seen: set[str] = set()
+        for cell in cells:
+            if not cell:
+                raise ValueError(f"empty partition cell for agent {agent!r}")
+            if cell & seen:
+                raise ValueError(f"overlapping partition cells for agent {agent!r}")
+            seen |= cell
+        if seen != everything:
+            raise ValueError(f"partition for agent {agent!r} does not cover the world set")
+    for key in (PHI, NOT_PHI):
+        if key not in valuation:
+            raise ValueError(f"valuation must assign {key!r}")
+        if not valuation[key] <= everything:
+            raise ValueError(f"valuation of {key!r} mentions unknown worlds")
+    if valuation[PHI] & valuation[NOT_PHI]:
+        raise ValueError("atom extensions overlap (a gap is permitted, overlap is not)")
+
+
 class WorldModel(Checked, namedtuple(
     "WorldModel", "agents worlds partitions valuation judgments members", defaults=(None, None)
 )):
@@ -105,34 +142,9 @@ class WorldModel(Checked, namedtuple(
     __slots__ = ()
 
     def _checked(self) -> WorldModel:
-        if not self.worlds:
-            raise ValueError("model needs at least one world")
-        if len(set(self.worlds)) != len(self.worlds):
-            raise ValueError("duplicate world labels")
-        if not self.agents or len(set(self.agents)) != len(self.agents):
-            raise ValueError("agents must be non-empty and unique")
-        everything = frozenset(self.worlds)
         partitions = {a: tuple(map(frozenset, cells)) for a, cells in self.partitions.items()}
-        if set(partitions) != set(self.agents):
-            raise ValueError("partitions must cover exactly the model's agents")
-        for agent, cells in partitions.items():
-            seen: set[str] = set()
-            for cell in cells:
-                if not cell:
-                    raise ValueError(f"empty partition cell for agent {agent!r}")
-                if cell & seen:
-                    raise ValueError(f"overlapping partition cells for agent {agent!r}")
-                seen |= cell
-            if seen != everything:
-                raise ValueError(f"partition for agent {agent!r} does not cover the world set")
         valuation = {k: frozenset(v) for k, v in self.valuation.items()}
-        for key in (PHI, NOT_PHI):
-            if key not in valuation:
-                raise ValueError(f"valuation must assign {key!r}")
-            if not valuation[key] <= everything:
-                raise ValueError(f"valuation of {key!r} mentions unknown worlds")
-        if valuation[PHI] & valuation[NOT_PHI]:
-            raise ValueError("atom extensions overlap (a gap is permitted, overlap is not)")
+        _check_model(self.agents, self.worlds, partitions, valuation)
         return tuple.__new__(type(self), (
             tuple(self.agents), tuple(self.worlds), partitions, valuation,
             None if self.judgments is None else {a: dict(j) for a, j in self.judgments.items()},
@@ -182,31 +194,33 @@ def pool_states(series: SoritesSeries) -> WorldModel:
     state. Its partition is (its q-worlds, the other worlds), dropping an
     empty cell. Phi holds on the worlds every agent judges q, not phi outside
     every agent's q-worlds, and the contested worlds in between are gaps.
+    The containers built here are the model's own, so the model is checked
+    through the private path, ``_check_model`` on them, and built once, where
+    ``WorldModel(...)`` first copies what a caller gives it.
     """
     pools = world_pools(series)
-    everything = frozenset(pools)
+    worlds = tuple(pools)
+    everything = frozenset(worlds)
     # Each flip is read once (``judges_q``'s rule). Every flip is at state 2 or
     # later, so w1 is a q-world: the q cell is never empty and comes first.
     q_worlds = {
         agent: frozenset([w for w, states in pools.items() if states[0] < flip])
         for agent, flip in series.flips.items()
     }
-    return WorldModel(
-        agents=tuple(q_worlds),
-        worlds=tuple(pools),
-        partitions={
-            agent: (q, everything - q) if q != everything else (q,)
-            for agent, q in q_worlds.items()
-        },
-        valuation={
-            PHI: everything.intersection(*q_worlds.values()),
-            NOT_PHI: everything.difference(*q_worlds.values()),
-        },
-        judgments={
-            agent: {w: Q if w in q else QBAR for w in pools} for agent, q in q_worlds.items()
-        },
-        members={name: tuple(states) for name, states in pools.items()},
-    )
+    agents = tuple(q_worlds)
+    partitions = {
+        agent: (q, everything - q) if q != everything else (q,) for agent, q in q_worlds.items()
+    }
+    valuation = {
+        PHI: everything.intersection(*q_worlds.values()),
+        NOT_PHI: everything.difference(*q_worlds.values()),
+    }
+    _check_model(agents, worlds, partitions, valuation)
+    return tuple.__new__(WorldModel, (
+        agents, worlds, partitions, valuation,
+        {agent: {w: Q if w in q else QBAR for w in worlds} for agent, q in q_worlds.items()},
+        {name: tuple(states) for name, states in pools.items()},
+    ))
 
 
 def judgment_proposition(model: WorldModel, agent: str, polarity: str) -> frozenset[str]:

@@ -12,6 +12,7 @@ from oracles import exact_eu, exact_listener_q, exact_prior, exact_region, sweep
 
 import hedgesim
 from hedgesim import game
+from hedgesim.assertion import SignalLikelihoods
 from hedgesim.game import (
     GameConfig,
     SweepRow,
@@ -22,6 +23,7 @@ from hedgesim.game import (
     threshold_sweep,
     world_priors,
 )
+from hedgesim.hedging import run_hedging
 from hedgesim.params import ACTIONS, PLAYERS
 from hedgesim.worlds import CANONICAL_FLIPS, CANONICAL_N, Q, SoritesSeries, pool_states
 
@@ -388,6 +390,26 @@ def test_sweep_cells_match_direct_classification():
 def test_sweep_checks_every_grid_value_and_tau(delta_grid, gamma_grid, tau, message):
     with pytest.raises(ValueError) as excinfo:
         threshold_sweep(delta_grid, gamma_grid, tau=tau)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GameConfig("0.7", 0.2), "delta must be strictly between 0 and 1, got '0.7'"),
+        (lambda: GameConfig(None, 0.2), "delta must be strictly between 0 and 1, got None"),
+        (lambda: run_hedging(GameConfig(0.7, 0.2), 10, "x"),
+         "tolerance must be positive and finite, got 'x'"),
+        (lambda: threshold_sweep(["a"], [0.1]), "delta must be strictly between 0 and 1, got 'a'"),
+        (lambda: SignalLikelihoods({}, "0.1"), "epsilon must be in [0, 0.5), got '0.1'"),
+    ],
+    ids=["config-str", "config-none", "hedging-tolerance", "sweep-grid", "likelihoods-epsilon"],
+)
+def test_a_non_number_is_out_of_range(build, message):
+    """A parameter no range can compare with a number gets its range's
+    ValueError, not the comparison's TypeError."""
+    with pytest.raises(ValueError) as excinfo:
+        build()
     assert str(excinfo.value) == message
 
 

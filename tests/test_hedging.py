@@ -319,6 +319,31 @@ def test_run_hedging_summary_equals_the_multi_pass_summary(delta, gamma, max_ste
     assert all(type(flag) is bool for flag in trace.summary[3:])
 
 
+def patched_pairs(pairs):
+    """``hedging`` reading its steps from ``pairs`` and its summaries from
+    their table, which its one table builder makes."""
+    return mock.patch.multiple(hedging, _PAIRS=pairs, _SUMMARY=hedging._summaries(pairs))
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    delta=st.floats(0.01, 0.99),
+    gamma=st.sampled_from((0.0, -0.0)) | st.floats(0.0, 0.99),
+    max_steps=st.integers(4, 100_000),
+    tolerance=st.sampled_from((1e-12, 1e-6, 1.0)),
+)
+@example(delta=0.7, gamma=-0.0, max_steps=100_000, tolerance=1e-6)
+@example(delta=0.7, gamma=0.2, max_steps=52, tolerance=1e-12)
+@example(delta=0.7, gamma=0.2, max_steps=53, tolerance=1e-12)
+def test_the_summary_table_equals_the_multi_pass_summary_up_to_the_step_bound(
+    delta, gamma, max_steps, tolerance
+):
+    """The row ``run_hedging`` reads is the summary of all its steps, at
+    every bound, on either side of the fixed point."""
+    trace = run_hedging(GameConfig(delta=delta, gamma=gamma), max_steps, tolerance)
+    assert trace.summary == multi_pass_summary(trace.steps, tolerance)
+
+
 @pytest.mark.parametrize("seed", [0.0, 0.25, 0.9])
 def test_run_hedging_follows_the_recurrence_from_other_seeds(seed):
     """From another seed f(1) the recurrence stops at another step: at step
@@ -330,8 +355,9 @@ def test_run_hedging_follows_the_recurrence_from_other_seeds(seed):
     with mock.patch.object(hedging, "HESITATION", seed):
         pairs = tuple(islice(hedging._propensities(), 3001))
     assert len(pairs) < 60
-    # A trace reads its steps from the pairs at access, so it is read here.
-    with mock.patch.object(hedging, "_PAIRS", pairs):
+    # A trace reads its steps from the pairs at access, so it is read here;
+    # the summary is read from the pairs' table, built as the module builds it.
+    with patched_pairs(pairs):
         for max_steps in [*range(4, 121), 1000, 2999, 3000]:
             trace = run_hedging(config, max_steps)
             assert trace.steps == oracle_steps(config, max_steps, values)
@@ -367,8 +393,9 @@ def nudged_propensities(draw):
 @example(pairs=nudged(RECURRENCE, 40, 0.0, 1e-9), tolerance=1e-6)  # just rising
 @example(pairs=nudged(RECURRENCE, 5, 0.0, -0.5), tolerance=1e-6)  # eu_a dips
 @example(pairs=nudged(RECURRENCE, 5, 0.5, 0.0), tolerance=1e-6)  # eu_b dips
+@example(pairs=nudged(RECURRENCE, 0, 1.0, 1.0), tolerance=1e-6)  # step 0 above every later step
 def test_running_summary_equals_the_multi_pass_summary_on_other_propensities(pairs, tolerance):
-    with mock.patch.object(hedging, "_PAIRS", tuple(pairs)):
+    with patched_pairs(tuple(pairs)):
         trace = run_hedging(GameConfig(delta=0.7, gamma=0.2), len(pairs) - 1, tolerance)
         assert trace.summary == multi_pass_summary(trace.steps, tolerance)
     assert all(type(flag) is bool for flag in trace.summary[3:])
@@ -394,6 +421,8 @@ def test_run_hedging_evaluates_expected_utility_a_constant_number_of_times(monke
 def test_hedging_keeps_no_process_wide_cache():
     for name, value in vars(hedging).items():
         assert not hasattr(value, "cache_info"), name
+    # Its constants are the recurrence's pairs and one summary row per prefix of them.
+    assert len(hedging._SUMMARY) == len(hedging._PAIRS) == 53
 
 
 def test_run_hedging_retains_no_memory_once_dropped():
@@ -407,9 +436,9 @@ def test_run_hedging_retains_no_memory_once_dropped():
     assert held < 1_000_000
 
 
-def test_run_hedging_at_the_step_bound_builds_one_step_and_peaks_under_100_kb(monkeypatch):
-    """The summary reads the constant pairs, and the trace holds no step, so
-    ``run_hedging`` builds step 0 alone and peaks the same whatever N."""
+def test_run_hedging_builds_no_step_and_peaks_under_100_kb_at_the_step_bound(monkeypatch):
+    """The summary is a row of the constant table, and the trace holds no
+    step, so ``run_hedging`` builds no step and peaks the same whatever N."""
     config = GameConfig(delta=0.7, gamma=0.2)
     run_hedging(config, max_steps=100_000)  # any first-call allocation
     peaks = []
@@ -426,7 +455,7 @@ def test_run_hedging_at_the_step_bound_builds_one_step_and_peaks_under_100_kb(mo
     monkeypatch.setattr(hedging._Steps, "_item", lambda self, n: built.append(n) or step(self, n))
     for max_steps in (4, 60, 100_000):
         run_hedging(config, max_steps=max_steps)
-    assert built == [0, 0, 0]
+    assert built == []
 
 
 # A trace past the fixed point and one short of it, with the tuples of their steps.

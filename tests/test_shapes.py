@@ -212,3 +212,23 @@ def test_every_two_agent_shape_passes_the_audit(two_agent_shapes):
         except Exception as error:  # listed, so that every failing shape is named
             failed.append((march.n, march.flips, speaker, world, repr(error)))
     assert not failed
+
+
+def test_a_shape_hedges_exactly_when_no_public_belief_forms(two_agent_shapes):
+    """The abstract's first claim, over each of the 738 shapes up to n = 8
+    through ``run_scenario``: the speaker says ``might`` exactly when the
+    signal's atom is common belief at no surviving world. 406 shapes hedge
+    and 332 assert a bare atom, so neither side of the law is empty."""
+    config, failed, hedged = GameConfig(delta=0.7, gamma=0.2, epsilon=0.01), [], 0
+    for march, world, speaker in two_agent_shapes:
+        try:
+            report = run_scenario(Scenario(march, False, config, speaker, world, 4))
+        except Exception as error:  # listed, so that every failing shape is named
+            failed.append((march.n, march.flips, speaker, world, repr(error)))
+            continue
+        hedged += report.signal.is_modal
+        if report.signal.is_modal != (not report.public_belief_worlds):
+            failed.append((march.n, march.flips, speaker, world, report.signal.text,
+                           sorted(report.public_belief_worlds)))
+    assert not failed
+    assert (hedged, len(two_agent_shapes) - hedged) == (406, 332)

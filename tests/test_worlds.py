@@ -84,6 +84,22 @@ def test_forced_march_rejects_malformed(n, flips):
         SoritesSeries(n, flips)
 
 
+@pytest.mark.parametrize(
+    "flips, message",
+    [
+        ({1: 3, 2: 4}, "agent labels must be strings, got 1"),
+        ({"S": 3, None: 4}, "agent labels must be strings, got None"),
+        ([("S", 3)], "flips must map agents to flip indices, got [('S', 3)]"),
+        (None, "flips must map agents to flip indices, got None"),
+    ],
+)
+def test_forced_march_rejects_non_string_agents_and_non_mapping_flips(flips, message):
+    """Caught at construction, not later in a writer or a lookup."""
+    with pytest.raises(InvalidSeriesError) as excinfo:
+        SoritesSeries(5, flips)
+    assert str(excinfo.value) == message
+
+
 def test_state_count_is_bounded():
     model = pool_states(SoritesSeries(100_000, {"S": 2, "L": 3}))
     assert model.members["w3"] == tuple(range(4, 100_001))
@@ -257,6 +273,37 @@ def test_model_validation_rejects_bad_partitions():
         with pytest.raises(ValueError) as excinfo:
             WorldModel(**{**valid, **changes})
         assert str(excinfo.value) == message, changes
+
+
+# A one-agent march that pools into two worlds, w1 and w2, as the valid
+# model above has; each rejection's changes apply to its pooled fields too.
+TWO_WORLD_MARCH = SoritesSeries(3, {"S": 3})
+
+
+@pytest.mark.parametrize("changes, message", MODEL_REJECTIONS)
+def test_pooling_rejects_each_planted_fault_as_the_public_path_does(changes, message, monkeypatch):
+    """``pool_states`` checks the containers it builds through its private
+    path; planted into them, each fault raises the error ``WorldModel(...)``
+    raises on the same fields."""
+    pooled = pool_states(TWO_WORLD_MARCH)
+    assert pooled.worlds == ("w1", "w2") and pooled.agents == ("S",)
+    fields = {**pooled._asdict(), **changes}
+    with pytest.raises(ValueError) as public:
+        WorldModel(**fields)
+    assert str(public.value) == message
+    check = worlds._check_model
+    planted = []
+
+    def check_planted(*containers):
+        planted.append(containers)
+        check(**{**dict(zip(("agents", "worlds", "partitions", "valuation"), containers)),
+                 **changes})
+
+    monkeypatch.setattr(worlds, "_check_model", check_planted)
+    with pytest.raises(ValueError) as private:
+        pool_states(TWO_WORLD_MARCH)
+    assert planted == [tuple(pooled[:4])]
+    assert str(private.value) == message
 
 
 def test_the_model_keeps_its_own_copies():

@@ -537,9 +537,9 @@ def test_sweep_texts_agree_where_a_json_column_falls_back(json_text, float_text_
 
 def test_hedging_work_does_not_grow_past_the_fixed_point(monkeypatch, tmp_path):
     """The steps ``hedge`` builds and the step texts it formats are as many at
-    100000 steps as at 1000: the recurrence ran once, at import; the trace
-    builds step 0 for the summary and the 53 steps read from distinct pairs
-    for the text; each later step repeats the last one's values, and is
+    100000 steps as at 1000: the recurrence ran once, at import; the summary
+    is a row of a constant table, and the trace builds the 53 steps read
+    from distinct pairs for the text; each later step repeats the last one's values, and is
     written from that step's text. ``render_hedging_*`` format a 10000-step
     ``run_hedging`` trace from its 53 computed steps' texts."""
     counts = collections.Counter()
@@ -576,7 +576,7 @@ def test_hedging_work_does_not_grow_past_the_fixed_point(monkeypatch, tmp_path):
         assert texts["csv"].count("\n") == max_steps + 2
         assert texts["json"].count('"n": ') == max_steps + 1
         seen.append(dict(counts))
-    assert seen[0] == seen[1] == {"step": 2 * 54, "_step_csv": 53, "_step_json": 53}
+    assert seen[0] == seen[1] == {"step": 2 * 53, "_step_csv": 53, "_step_json": 53}
     trace = run_hedging(GameConfig(0.7, 0.2), 10_000)
     for render, name in ((render_hedging_csv, "_step_csv"), (render_hedging_json, "_step_json")):
         counts.clear()
